@@ -1,4 +1,4 @@
-.PHONY: test test-async test-faults test-mvcc test-obs test-columnar test-parallel bench bench-suite bench-smoke ci
+.PHONY: test test-async test-faults test-mvcc test-obs test-columnar test-parallel bench bench-suite bench-smoke bench-e2e bench-e2e-smoke ci
 
 # Tier-1 verification: the full unit + benchmark test suite.
 test:
@@ -33,12 +33,8 @@ test-obs:
 # The columnar-storage and codegen suites: typed/dictionary encoding units,
 # storage x codegen x tier equivalence sweeps (sharded and unsharded), the
 # zero-codegen_unsupported property gate, and the vectorized-tier units.
-# REPRO_VECTOR_BACKEND=numpy exercises the numpy filter backend when numpy
-# is importable and proves graceful degradation when it is not.
 test-columnar:
 	python -m pytest tests/test_typed_columns.py tests/test_vectorized.py -q
-	REPRO_VECTOR_BACKEND=numpy python -m pytest \
-		tests/test_typed_columns.py tests/test_vectorized.py -q
 
 # The parallel scatter-gather suites: worker-pool units, packed-payload
 # round-trips, the parallel ≡ serial scatter ≡ unsharded equivalence sweep
@@ -56,6 +52,17 @@ bench:
 # The paper-figure benchmark suite (pytest-benchmark timings + tables).
 bench-suite:
 	python -m pytest benchmarks/ -q
+
+# The repository's end-to-end benchmark (BENCHMARK.json): the paper's
+# programs and the analytic SQL statements through Engine, ~2 min; records
+# land in benchmarks/e2e/out/.  `--trace 1` adds the per-layer run.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+# The same workloads at smoke scale (seconds): checks every workload's
+# outputs against its reference, not its timing.
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --scale smoke
 
 # Scaled-down benchmark run used by CI (covers every bench entry, including
 # the vectorized-tier ones — scan_filter_vectorized, hash_join_wide_vectorized,

@@ -127,7 +127,9 @@ DEFAULT_ROWS = 50_000
 REPEATS = 7
 
 
-def build_benchmark_database(rows: int, execution_mode: str = None) -> Database:
+def build_benchmark_database(
+    rows: int, execution_mode: str = "vectorized"
+) -> Database:
     """A deterministic orders/customers database for the microbenchmarks."""
     database = Database(execution_mode=execution_mode)
     database.create_table(
@@ -341,9 +343,8 @@ def bench_codegen(rows: int) -> dict:
     """Fused-pipeline codegen vs the batch-kernel vectorized path.
 
     Both paths run on the vectorized tier over identical tables: the
-    *kernel* executor has codegen disabled (the ``REPRO_VECTOR_CODEGEN=0``
-    escape hatch, applied directly), the *codegen* executor compiles the
-    fused loops.  Row equality against the interpreted tier is asserted,
+    *kernel* executor has ``codegen_enabled`` cleared, the *codegen*
+    executor compiles the fused loops.  Row equality against the interpreted tier is asserted,
     as is that the codegen executor actually served every run from a
     compiled pipeline.  ``dict_filter_strings`` times a string-equality
     filter whose codegen compares dictionary codes, against the kernel

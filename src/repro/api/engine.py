@@ -106,7 +106,6 @@ class EngineBuilder:
         self._admission: Optional[AdmissionController] = None
         self._tracing: Optional[dict] = None
         self._slow_query_threshold: Optional[float] = None
-        self._vector_backend: Optional[str] = None
         self._parallel: Optional[tuple[Optional[int], str]] = None
 
     # -- data sources ----------------------------------------------------
@@ -319,18 +318,6 @@ class EngineBuilder:
         self._retries = policy
         return self
 
-    def vector_backend(self, backend: str) -> "EngineBuilder":
-        """Filter-kernel backend for the vectorized tier.
-
-        ``"numpy"`` evaluates supported filter conjuncts as numpy mask
-        operations over the typed column sidecars; it degrades gracefully
-        to ``"python"`` when numpy is not importable (the backend is an
-        accelerator, never a dependency).  Overrides the
-        ``REPRO_VECTOR_BACKEND`` environment default.
-        """
-        self._vector_backend = backend
-        return self
-
     def parallel(
         self, workers: Optional[int] = None, mode: str = "thread"
     ) -> "EngineBuilder":
@@ -374,10 +361,6 @@ class EngineBuilder:
         if self._amortization != 1.0:
             parameters = parameters.with_amortization(self._amortization)
         database = self._database if self._database is not None else Database()
-        if self._vector_backend is not None:
-            # Before sharding: shard-local executors are built with the
-            # database executor's backend, so the order matters.
-            database.set_vector_backend(self._vector_backend)
         if self._shards is not None:
             count, key_by = self._shards
             if key_by is None:

@@ -337,7 +337,7 @@ class PreparedStatement:
         )
         if (
             self.point_lookup is not None
-            and database.compiled_execution
+            and database.execution_mode != "interpreted"
             and executor is database._executor
         ):
             table = database.tables.get(self.point_lookup.table)
@@ -645,10 +645,8 @@ class Database:
         self,
         server_row_cost: float = DEFAULT_SERVER_ROW_COST,
         *,
-        compiled_execution: bool = True,
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
-        execution_mode: Optional[str] = None,
-        vector_backend: Optional[str] = None,
+        execution_mode: str = "vectorized",
         wal: Any = None,
         mvcc: bool = False,
     ) -> None:
@@ -656,18 +654,7 @@ class Database:
         self.tables: dict[str, Table] = {}
         self.statistics = StatisticsCatalog(self.schema)
         self.server_row_cost = server_row_cost
-        if execution_mode is not None:
-            # An explicit mode wins over the legacy compiled flag; the
-            # point-lookup fast path follows it (enabled unless the
-            # database is fully interpreted).
-            compiled_execution = execution_mode != "interpreted"
-        self.compiled_execution = compiled_execution
-        self._executor = Executor(
-            self.tables,
-            compiled=compiled_execution,
-            mode=execution_mode,
-            vector_backend=vector_backend,
-        )
+        self._executor = Executor(self.tables, mode=execution_mode)
         self.queries_executed = 0
         #: set once a table is sharded; consulted by the executor before
         #: normal execution and by the point-lookup fast path.
@@ -785,11 +772,7 @@ class Database:
         self.invalidate_statements()
         self._executor.invalidate_context_cache()
         if self._router is None:
-            self._router = ShardRouter(
-                self.tables,
-                mode=self._executor.mode,
-                vector_backend=self._executor.vector_backend,
-            )
+            self._router = ShardRouter(self.tables, mode=self._executor.mode)
             self._executor.router = self._router
             if self._parallel_config is not None:
                 self._router.set_parallel(*self._parallel_config)
@@ -1396,19 +1379,6 @@ class Database:
         """The executor's tier selection: vectorized/compiled/interpreted."""
         return self._executor.mode
 
-    def set_vector_backend(self, backend: Optional[str]) -> None:
-        """Select the vectorized tier's filter backend ("python"/"numpy").
-
-        A ``numpy`` request degrades gracefully to pure Python when numpy
-        is not importable.  Rebuilds the vectorized executor and, under
-        sharding, the per-shard executors, so their kernels agree on the
-        backend.
-        """
-        self._executor.set_vector_backend(backend)
-        if self._router is not None:
-            self._router._vector_backend = backend
-            self._router.invalidate()
-
     def set_parallel(
         self, workers: Optional[int] = None, mode: str = "thread"
     ) -> None:
@@ -1458,16 +1428,9 @@ class Database:
             merge_execution_counters(
                 tiers, vectorized, shard_tiers, shard_vectorized
             )
-        # Non-summable annotations ride above the counter merge: the filter
-        # backend names and a census of column encodings across the
-        # currently-built columnar views (empty for never-scanned tables).
-        if executor._vectorized is not None:
-            vectorized["backend"] = {
-                "requested": executor._vectorized.backend_requested,
-                "active": executor._vectorized.backend,
-            }
-        else:
-            vectorized["backend"] = {"requested": None, "active": None}
+        # A non-summable annotation rides above the counter merge: a census
+        # of column encodings across the currently-built columnar views
+        # (empty for never-scanned tables).
         encodings: dict[str, int] = {}
         for table in self.tables.values():
             # Sharded tables scan their partitions, not the aggregate view,

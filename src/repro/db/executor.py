@@ -21,8 +21,10 @@ Three execution modes are supported (``Executor(tables, mode=...)``):
 * **compiled** — every expression used by an operator
   (predicate, projection output, join key, sort key, aggregate argument) is
   lowered *once per operator* to a Python closure via
-  :meth:`repro.db.expressions.Expression.compile`, and the closure is called
-  per row.  Scans precompute their ``alias.column`` key list once instead of
+  :meth:`repro.db.expressions.Expression.compile` — the row scope of the one
+  lowering in :mod:`repro.db.expressions`, generated source ``exec``-compiled
+  once per (resolver context, expression) — and the closure is called per
+  row.  Scans precompute their ``alias.column`` key list once instead of
   formatting qualified keys per row; equi-joins whose build side is a bare
   table scan use the table's lazy secondary hash index
   (:meth:`repro.db.table.Table.index_for`) as the build table, so repeated
@@ -33,20 +35,21 @@ Three execution modes are supported (``Executor(tables, mode=...)``):
   an operator's input is a base-table scan (possibly under a stack of
   filters), its expressions are compiled against the **base row layout**
   (plain ``column -> value`` dicts straight out of the table) using a column
-  resolver, and the qualified ``alias.column`` view is only materialised for
-  rows that actually reach the operator's output.  A filter therefore builds
-  output dicts only for the rows that pass, a grouped aggregate over a scan
-  builds none at all, and an equi-join of two (filtered) scans constructs
-  each output row in a single ``dict(zip(keys, values))`` from the two base
-  rows.  Fused and unfused execution produce identical rows.
+  resolver (``row['col']`` atoms; ``row[0]['col']`` / ``row[1]['col']`` for
+  the two sides of a fused join pair), and the qualified ``alias.column``
+  view is only materialised for rows that actually reach the operator's
+  output.  A filter therefore builds output dicts only for the rows that
+  pass, a grouped aggregate over a scan builds none at all, and an equi-join
+  of two (filtered) scans constructs each output row in a single
+  ``dict(zip(keys, values))`` from the two base rows.  Fused and unfused
+  execution produce identical rows.
 
-* **interpreted** (``Executor(tables, compiled=False)``) — the original
-  tree-walking fallback: ``Expression.evaluate`` per row, per-row qualified
-  key formatting in scans, and no index reuse.  It is kept as the reference
-  implementation for the compiled/interpreted equivalence tests and for the
-  ``benchmarks/bench_engine.py`` speedup measurements, and as the fallback
-  when callers hand the executor expression types the compiler has no
-  lowering for (their ``compile`` falls back to ``evaluate`` transparently).
+* **interpreted** — the original tree-walking path: ``Expression.evaluate``
+  per row, per-row qualified key formatting in scans, and no index reuse.
+  It is kept as the reference implementation for the equivalence tests and
+  for the ``benchmarks/bench_engine.py`` speedup measurements.  (Expression
+  types the lowering does not know call back into ``evaluate`` from inside
+  a compiled closure, transparently.)
 
 All modes produce identical output rows in identical order;
 :attr:`Executor.tier_counts` records which tier served each ``execute``.
@@ -64,7 +67,6 @@ from repro.db.expressions import (
     BinaryOp,
     BooleanOp,
     ColumnRef,
-    ColumnResolver,
     CompiledExpression,
     Expression,
 )
@@ -96,12 +98,8 @@ class Executor:
         self,
         tables: Mapping[str, Table],
         *,
-        compiled: bool = True,
-        mode: Optional[str] = None,
-        vector_backend: Optional[str] = None,
+        mode: str = "vectorized",
     ) -> None:
-        if mode is None:
-            mode = "vectorized" if compiled else "interpreted"
         if mode not in self.MODES:
             raise ValueError(
                 f"unknown execution mode {mode!r}; modes are {self.MODES}"
@@ -147,14 +145,11 @@ class Executor:
         #: "codegen" / "kernel" inside the vectorized tier, otherwise the
         #: row-tier name.  Finer-grained than last_tier, read by EXPLAIN.
         self.last_execution_path: Optional[str] = None
-        #: requested vector backend, remembered so shard-local executors
-        #: can be built with the same acceleration settings.
-        self.vector_backend = vector_backend
         if mode == "vectorized":
             from repro.db.vectorized import VectorizedExecutor
 
             self._vectorized: Optional[VectorizedExecutor] = (
-                VectorizedExecutor(self, backend=vector_backend)
+                VectorizedExecutor(self)
             )
         else:
             self._vectorized = None
@@ -216,19 +211,6 @@ class Executor:
             "subtree_fallbacks": self._vectorized.subtree_fallbacks,
             "fallback_reasons": dict(self._vectorized.fallback_reasons),
         }
-
-    def set_vector_backend(self, backend: Optional[str]) -> None:
-        """Swap the vectorized tier's filter backend ("python"/"numpy").
-
-        Rebuilds the vectorized executor (dropping its plan/pipeline caches
-        and counters), so this is a configuration-time knob, not a per-query
-        one.  A no-op outside vectorized mode beyond remembering the name.
-        """
-        self.vector_backend = backend
-        if self._vectorized is not None:
-            from repro.db.vectorized import VectorizedExecutor
-
-            self._vectorized = VectorizedExecutor(self, backend=backend)
 
     def invalidate_context_cache(self) -> None:
         """Drop every resolver-context compiled closure (call on DDL).
@@ -611,19 +593,15 @@ class Executor:
         def compile_pair(expression: Expression) -> Optional[CompiledExpression]:
             unresolved = False
 
-            def pair_resolver(
-                column: ColumnRef,
-            ) -> Optional[CompiledExpression]:
+            def pair_resolver(column: ColumnRef) -> Optional[str]:
                 nonlocal unresolved
                 # Prefer the left side: a bare name present on both sides
                 # reads the left value on the merged row (_merge_rows lets
                 # left win).
                 if left.owns(column):
-                    getter = operator.itemgetter(column.name)
-                    return lambda pair: getter(pair[0])
+                    return f"row[0][{column.name!r}]"
                 if right.owns(column):
-                    getter = operator.itemgetter(column.name)
-                    return lambda pair: getter(pair[1])
+                    return f"row[1][{column.name!r}]"
                 unresolved = True
                 return None
 
@@ -963,7 +941,6 @@ class _FusedScan:
         "columns",
         "qualified",
         "all_keys",
-        "resolver",
         "values",
     )
 
@@ -983,17 +960,20 @@ class _FusedScan:
         else:
             self.values = operator.itemgetter(*self.columns)
 
-        def resolver(column: ColumnRef) -> Optional[CompiledExpression]:
-            name = column.name
-            if schema.has_column(name) and (
-                column.qualifier is None or column.qualifier == alias
-            ):
-                return operator.itemgetter(name)
-            return None
+    def resolver(self, column: ColumnRef) -> Optional[str]:
+        """The base-row source atom for an owned column (a ColumnResolver).
 
-        self.resolver: ColumnResolver = resolver
+        Base rows carry every schema column, so the subscript cannot raise.
+        """
+        if self.owns(column):
+            return f"row[{column.name!r}]"
+        return None
 
     def compile(self, expression: Expression) -> CompiledExpression:
+        if isinstance(expression, ColumnRef) and self.owns(expression):
+            # A bare owned column (group key, aggregate argument, plain
+            # projection): the C-level getter of the same ``row['col']``.
+            return operator.itemgetter(expression.name)
         return expression.compile(self.resolver)
 
     def base_rows(

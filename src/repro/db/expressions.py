@@ -9,52 +9,48 @@ qualified references resolve against rows whose keys carry the qualifier
 (``"o.o_id"``) first and fall back to the bare name, so the same expression
 works on both base-table rows and join-output rows.
 
-Besides the tree-walking :meth:`Expression.evaluate` interpreter, every node
-supports :meth:`Expression.compile`, which lowers the tree once into a plain
-Python closure ``row -> value``.  The executor compiles each expression once
-per operator and calls the closure per row, avoiding the per-row dispatch and
-attribute lookups of the interpreter while producing byte-identical results
-(including NULL semantics, qualified/unqualified fallback, and errors).
+Besides the tree-walking :meth:`Expression.evaluate` interpreter — the
+reference every other evaluation strategy is tested against — there is
+exactly one lowering of an expression tree to code:
+:func:`lower_expression` emits a Python *source fragment* for the tree, and
+a :class:`LoweringScope` says how the leaves (column references, parameter
+slots, constants) become source atoms.  SQL NULL handling, comparison and
+arithmetic semantics, AND/OR short-circuiting and operand evaluation order
+are stated once, there.  Three scopes instantiate it:
 
-For the vectorized executor (:mod:`repro.db.vectorized`), nodes additionally
-support :meth:`Expression.compile_batch`, which lowers the tree once into a
-*batch kernel* ``batch -> value list``: one call evaluates the expression
-over every row of a column batch, looping in comprehension form over whole
-column arrays instead of dispatching per row.  ``compile_batch`` returns
-``None`` for node types outside the vectorizable subset, which tells the
-executor to fall back to the compiled (row-closure) tier for that subtree.
-Kernels preserve the interpreter's value semantics exactly (NULL handling,
-scalar folding of literals and parameter slots); evaluation-order-dependent
-*error* behaviour (e.g. a division that a short-circuited AND would have
-skipped) is preserved by the executor, which re-runs the query on the
-compiled tier whenever a kernel raises.
+* the **row** scope behind :meth:`Expression.compile` (``row['col']`` atoms
+  from a caller-supplied resolver, a bound generic getter otherwise), used
+  by the compiled row tier;
+* the **batch** scope of :mod:`repro.db.vectorized` (one fused comprehension
+  over a batch's column arrays per expression);
+* the **fused-pipeline** scope of :mod:`repro.db.vectorized` (typed
+  sidecars, dictionary-code compares, null bitmaps).
+
+Generated code must agree with ``evaluate`` on every row, raised errors
+included.  Node types without a lowering (unknown scalar functions, foreign
+:class:`Expression` subclasses) call back into ``evaluate`` in the row scope
+and raise :class:`LoweringError` in the other two, whose callers fall back to
+the row tier.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 Row = Mapping[str, Any]
 
 #: A compiled expression: a closure evaluating one row.
 CompiledExpression = Callable[[Row], Any]
 
-#: A column resolver lets callers that know the row layout supply a direct
-#: getter for a column reference; returning ``None`` falls back to the
-#: generic qualified/bare/suffix resolution of :meth:`ColumnRef.evaluate`.
-ColumnResolver = Callable[["ColumnRef"], Optional[CompiledExpression]]
-
-#: A batch kernel: evaluates an expression over every row of a column batch
-#: (any object with a ``length`` attribute and column-array access supplied
-#: by the resolver) and returns one value list aligned with the batch.
-BatchKernel = Callable[[Any], list]
-
-#: A batch resolver maps a column reference to the kernel producing that
-#: column's value array; returning ``None`` marks the reference (and thus
-#: the whole expression) as not vectorizable in the caller's context.
-BatchResolver = Callable[["ColumnRef"], Optional[BatchKernel]]
+#: A column resolver lets callers that know the row layout supply the source
+#: atom reading a column off the variable ``row`` (``"row['o_id']"``,
+#: ``"row[0]['c_name']"``); the atom must not be able to raise.  Returning
+#: ``None`` falls back to the generic qualified/bare/suffix resolution of
+#: :meth:`ColumnRef.evaluate`.
+ColumnResolver = Callable[["ColumnRef"], Optional[str]]
 
 
 class ExpressionError(Exception):
@@ -71,23 +67,17 @@ class Expression:
     def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
         """Lower the expression to a closure ``row -> value``.
 
-        The closure must agree exactly with :meth:`evaluate` on every row,
-        including raised errors.  The base implementation falls back to the
-        interpreter, so node types without a specialised lowering still work.
+        The closure agrees exactly with :meth:`evaluate` on every row,
+        including raised errors (see :func:`lower_expression`).
         """
-        return self.evaluate
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        """Lower the expression to a kernel ``batch -> value list``.
-
-        The kernel's output must agree element-for-element with calling
-        :meth:`evaluate` on each row of the batch.  Returns ``None`` when
-        this node (or any subexpression) has no vectorized lowering; the
-        caller then falls back to row-at-a-time execution for the subtree.
-        """
-        return None
+        scope = _RowScope(resolver)
+        source = lower_expression(self, scope).src
+        opaque = scope.opaque_calls.get(source)
+        if opaque is not None:
+            return opaque  # the whole tree is one bound call: skip the wrapper
+        return eval(  # noqa: S307 - internal codegen, identifiers repr-escaped
+            f"lambda row: {source}", scope.globals
+        )
 
     def referenced_columns(self) -> set[str]:
         """All column names (possibly qualified) referenced by the expression."""
@@ -106,16 +96,6 @@ class Literal(Expression):
 
     def evaluate(self, row: Row) -> Any:
         return self.value
-
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        value = self.value
-        return lambda row: value
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        value = self.value
-        return lambda batch: [value] * batch.length
 
     def to_sql(self) -> str:
         if isinstance(self.value, str):
@@ -165,45 +145,6 @@ class ColumnRef(Expression):
             f"{sorted(row)}"
         )
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        if resolver is not None:
-            getter = resolver(self)
-            if getter is not None:
-                return getter
-        # Fast path: direct key lookups; the interpreter handles the rare
-        # suffix-fallback and error cases so the semantics stay identical.
-        name = self.name
-        evaluate = self.evaluate
-        if self.qualifier:
-            qualified = f"{self.qualifier}.{name}"
-
-            def getter(row: Row) -> Any:
-                try:
-                    return row[qualified]
-                except KeyError:
-                    pass
-                try:
-                    return row[name]
-                except KeyError:
-                    return evaluate(row)
-
-        else:
-
-            def getter(row: Row) -> Any:
-                try:
-                    return row[name]
-                except KeyError:
-                    return evaluate(row)
-
-        return getter
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        if resolver is None:
-            return None
-        return resolver(self)
-
     def referenced_columns(self) -> set[str]:
         return {self.qualified_name}
 
@@ -241,20 +182,6 @@ class ParameterSlot(Expression):
     def evaluate(self, row: Row) -> Any:
         return self.slots[self.index]
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        slots = self.slots
-        index = self.index
-        return lambda row: slots[index]
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        # The buffer is read at kernel-call time, so a prepared statement's
-        # vectorized plan stays reusable across executions.
-        slots = self.slots
-        index = self.index
-        return lambda batch: [slots[index]] * batch.length
-
     def to_sql(self) -> str:
         return "?"
 
@@ -281,43 +208,11 @@ _BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
 #: Operators with NULL-propagating (rather than NULL-is-false) semantics.
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
 
-#: Operator symbol -> Python source operator, for source-level code
-#: generation (the vectorized tier's fused-pipeline compiler).  Every
-#: operator in :data:`_BINARY_OPS` has an entry.
-BINARY_OP_SOURCE: dict[str, str] = {
+#: Operator symbol -> Python source operator; every operator in
+#: :data:`_BINARY_OPS` has an entry.
+_BINARY_OP_SOURCE: dict[str, str] = {
     op: {"=": "==", "<>": "!="}.get(op, op) for op in _BINARY_OPS
 }
-
-#: Public view of the NULL-propagating operator set (see
-#: :data:`_ARITHMETIC_OPS`); comparison operators instead collapse NULL
-#: operands to ``False``.
-ARITHMETIC_OPS = _ARITHMETIC_OPS
-
-
-def scalar_function(name: str) -> Optional[Callable[..., Any]]:
-    """The scalar-function implementation for ``name``, or ``None``.
-
-    Exposes the same table :class:`FunctionCall` dispatches through, so
-    source-level code generators bind the identical (NULL-tolerant)
-    callables instead of duplicating their semantics.
-    """
-    return _SCALAR_FUNCTIONS.get(name.lower())
-
-
-def _batch_scalar(expression: "Expression") -> Optional[Callable[[], Any]]:
-    """A per-batch scalar reader for literal/parameter operands, else None.
-
-    Batch kernels fold these operands to one read per batch instead of
-    broadcasting them into a full value array.
-    """
-    if isinstance(expression, Literal):
-        value = expression.value
-        return lambda: value
-    if isinstance(expression, ParameterSlot):
-        slots = expression.slots
-        index = expression.index
-        return lambda: slots[index]
-    return None
 
 
 @dataclass(frozen=True)
@@ -339,110 +234,6 @@ class BinaryOp(Expression):
             # SQL three-valued logic collapsed to None/False for simplicity.
             return None if self.op in {"+", "-", "*", "/", "%"} else False
         return _BINARY_OPS[self.op](left, right)
-
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        func = _BINARY_OPS[self.op]
-        null_result = None if self.op in _ARITHMETIC_OPS else False
-        # Fold literal operands into the closure: the common
-        # ``column <op> constant`` shape then costs one lookup per row.
-        if isinstance(self.right, Literal) and self.right.value is not None:
-            left = self.left.compile(resolver)
-            rhs_const = self.right.value
-
-            def run(row: Row) -> Any:
-                lhs = left(row)
-                if lhs is None:
-                    return null_result
-                return func(lhs, rhs_const)
-
-            return run
-        if isinstance(self.left, Literal) and self.left.value is not None:
-            right = self.right.compile(resolver)
-            lhs_const = self.left.value
-
-            def run(row: Row) -> Any:
-                rhs = right(row)
-                if rhs is None:
-                    return null_result
-                return func(lhs_const, rhs)
-
-            return run
-        left = self.left.compile(resolver)
-        right = self.right.compile(resolver)
-
-        def run(row: Row) -> Any:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return null_result
-            return func(lhs, rhs)
-
-        return run
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        func = _BINARY_OPS[self.op]
-        null_result = None if self.op in _ARITHMETIC_OPS else False
-        left_scalar = _batch_scalar(self.left)
-        right_scalar = _batch_scalar(self.right)
-        if left_scalar is not None and right_scalar is not None:
-
-            def run_const(batch: Any) -> list:
-                if batch.length == 0:
-                    return []
-                lhs = left_scalar()
-                rhs = right_scalar()
-                value = (
-                    null_result
-                    if lhs is None or rhs is None
-                    else func(lhs, rhs)
-                )
-                return [value] * batch.length
-
-            return run_const
-        if right_scalar is not None:
-            left = self.left.compile_batch(resolver)
-            if left is None:
-                return None
-
-            def run_right_const(batch: Any) -> list:
-                values = left(batch)
-                rhs = right_scalar()
-                if rhs is None:
-                    return [null_result] * len(values)
-                return [
-                    null_result if v is None else func(v, rhs) for v in values
-                ]
-
-            return run_right_const
-        if left_scalar is not None:
-            right = self.right.compile_batch(resolver)
-            if right is None:
-                return None
-
-            def run_left_const(batch: Any) -> list:
-                values = right(batch)
-                lhs = left_scalar()
-                if lhs is None:
-                    return [null_result] * len(values)
-                return [
-                    null_result if v is None else func(lhs, v) for v in values
-                ]
-
-            return run_left_const
-        left = self.left.compile_batch(resolver)
-        right = self.right.compile_batch(resolver)
-        if left is None or right is None:
-            return None
-
-        def run(batch: Any) -> list:
-            return [
-                null_result if lhs is None or rhs is None else func(lhs, rhs)
-                for lhs, rhs in zip(left(batch), right(batch))
-            ]
-
-        return run
 
     def referenced_columns(self) -> set[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -472,56 +263,6 @@ class BooleanOp(Expression):
         values = (bool(o.evaluate(row)) for o in self.operands)
         return all(values) if self.op == "and" else any(values)
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operands = tuple(o.compile(resolver) for o in self.operands)
-        if self.op == "and":
-
-            def run(row: Row) -> bool:
-                for operand in operands:
-                    if not operand(row):
-                        return False
-                return True
-
-        else:
-
-            def run(row: Row) -> bool:
-                for operand in operands:
-                    if operand(row):
-                        return True
-                return False
-
-        return run
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        operands = []
-        for operand in self.operands:
-            kernel = operand.compile_batch(resolver)
-            if kernel is None:
-                return None
-            operands.append(kernel)
-        first, rest = operands[0], operands[1:]
-        if self.op == "and":
-
-            def run(batch: Any) -> list:
-                result = [bool(v) for v in first(batch)]
-                for kernel in rest:
-                    values = kernel(batch)
-                    result = [r and bool(v) for r, v in zip(result, values)]
-                return result
-
-        else:
-
-            def run(batch: Any) -> list:
-                result = [bool(v) for v in first(batch)]
-                for kernel in rest:
-                    values = kernel(batch)
-                    result = [r or bool(v) for r, v in zip(result, values)]
-                return result
-
-        return run
-
     def referenced_columns(self) -> set[str]:
         cols: set[str] = set()
         for operand in self.operands:
@@ -542,18 +283,6 @@ class Not(Expression):
     def evaluate(self, row: Row) -> Any:
         return not bool(self.operand.evaluate(row))
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operand = self.operand.compile(resolver)
-        return lambda row: not operand(row)
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        operand = self.operand.compile_batch(resolver)
-        if operand is None:
-            return None
-        return lambda batch: [not v for v in operand(batch)]
-
     def referenced_columns(self) -> set[str]:
         return self.operand.referenced_columns()
 
@@ -572,22 +301,6 @@ class IsNull(Expression):
         is_null = self.operand.evaluate(row) is None
         return not is_null if self.negated else is_null
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operand = self.operand.compile(resolver)
-        if self.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        operand = self.operand.compile_batch(resolver)
-        if operand is None:
-            return None
-        if self.negated:
-            return lambda batch: [v is not None for v in operand(batch)]
-        return lambda batch: [v is None for v in operand(batch)]
-
     def referenced_columns(self) -> set[str]:
         return self.operand.referenced_columns()
 
@@ -605,51 +318,6 @@ class InList(Expression):
 
     def evaluate(self, row: Row) -> Any:
         return self.operand.evaluate(row) in self.values
-
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operand = self.operand.compile(resolver)
-        original = self.values
-        try:
-            values = frozenset(original)
-        except TypeError:
-            return lambda row: operand(row) in original
-
-        def run(row: Row) -> bool:
-            value = operand(row)
-            try:
-                return value in values
-            except TypeError:
-                # Unhashable row value: match the interpreter's tuple scan.
-                return value in original
-
-        return run
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        operand = self.operand.compile_batch(resolver)
-        if operand is None:
-            return None
-        original = self.values
-        try:
-            values: Any = frozenset(original)
-        except TypeError:
-            values = None
-
-        def run(batch: Any) -> list:
-            out = []
-            append = out.append
-            for value in operand(batch):
-                if values is None:
-                    append(value in original)
-                    continue
-                try:
-                    append(value in values)
-                except TypeError:
-                    append(value in original)
-            return out
-
-        return run
 
     def referenced_columns(self) -> set[str]:
         return self.operand.referenced_columns()
@@ -681,44 +349,6 @@ class FunctionCall(Expression):
             raise ExpressionError(f"unknown scalar function {self.name!r}")
         return func(*(a.evaluate(row) for a in self.args))
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        func = _SCALAR_FUNCTIONS.get(self.name.lower())
-        if func is None:
-            # Defer the "unknown function" error to call time, matching the
-            # interpreter (which only fails once a row is evaluated).
-            return self.evaluate
-        args = tuple(a.compile(resolver) for a in self.args)
-        return lambda row: func(*(a(row) for a in args))
-
-    def compile_batch(
-        self, resolver: BatchResolver | None = None
-    ) -> Optional[BatchKernel]:
-        func = _SCALAR_FUNCTIONS.get(self.name.lower())
-        if func is None:
-            # No lowering: the caller falls back to the row tiers, which
-            # surface the unknown-function error at evaluation time.
-            return None
-        kernels = []
-        for arg in self.args:
-            kernel = arg.compile_batch(resolver)
-            if kernel is None:
-                return None
-            kernels.append(kernel)
-        if not kernels:
-
-            def run_no_args(batch: Any) -> list:
-                if batch.length == 0:
-                    return []
-                return [func() for _ in range(batch.length)]
-
-            return run_no_args
-
-        def run(batch: Any) -> list:
-            columns = [kernel(batch) for kernel in kernels]
-            return [func(*values) for values in zip(*columns)]
-
-        return run
-
     def referenced_columns(self) -> set[str]:
         cols: set[str] = set()
         for arg in self.args:
@@ -748,8 +378,236 @@ def equals(column: str, value: Any, qualifier: str | None = None) -> BinaryOp:
     return BinaryOp("=", ColumnRef(column, qualifier), Literal(value))
 
 
-def compile_expression(
-    expression: Expression, resolver: ColumnResolver | None = None
-) -> CompiledExpression:
-    """Compile ``expression`` to a closure (see :meth:`Expression.compile`)."""
-    return expression.compile(resolver)
+# -- the one lowering of expressions to code -------------------------------
+
+
+class LoweringError(Exception):
+    """The scope has no code for a leaf or node of the expression."""
+
+
+class Lowered(NamedTuple):
+    """One lowered expression: a source fragment plus its static facts.
+
+    ``trivial`` marks plain variable/constant atoms — the only fragments
+    that can be freely repeated *or skipped* by a parent's null guard,
+    because their evaluation cannot raise.  Anything composite (including a
+    bare comparison, which can raise ``TypeError`` on mixed operands) must
+    be evaluated exactly as often as ``evaluate`` would evaluate it.
+    """
+
+    src: str
+    nullable: bool
+    is_bool: bool
+    trivial: bool
+
+
+class LoweringScope:
+    """Where one generated function's leaves come from.
+
+    A scope owns the function's global bindings and fresh names, and says
+    how a :class:`ColumnRef`, a :class:`ParameterSlot` and a constant become
+    source atoms; :func:`lower_expression` does everything else.
+    """
+
+    def __init__(self) -> None:
+        self.globals: dict[str, Any] = {}
+        self._counter = 0
+
+    def gensym(self, prefix: str) -> str:
+        self._counter += 1
+        return f"{prefix}{self._counter}"
+
+    def bind(self, value: Any) -> str:
+        """Bind ``value`` into the generated function's globals."""
+        var = self.gensym("_b")
+        self.globals[var] = value
+        return var
+
+    def const(self, value: Any) -> str:
+        """A source literal for ``value`` (bound when repr is not exact)."""
+        if value is None or value is True or value is False:
+            return repr(value)
+        kind = type(value)
+        if kind is str:
+            return repr(value)
+        if kind is int or (kind is float and math.isfinite(value)):
+            return repr(value) if value >= 0 else f"({value!r})"
+        return self.bind(value)
+
+    def column(self, column: "ColumnRef") -> Lowered:
+        raise NotImplementedError
+
+    def slot(self, slot: "ParameterSlot") -> Lowered:
+        raise NotImplementedError
+
+    def compare(self, expression: "BinaryOp") -> Optional[Lowered]:
+        """A representation-specific lowering of a comparison, if any."""
+        return None
+
+    def opaque(self, expression: Expression, what: str) -> Lowered:
+        """A node with no lowering (unknown function, foreign subclass)."""
+        raise LoweringError(what)
+
+
+class _RowScope(LoweringScope):
+    """Leaves read off the generated lambda's ``row`` argument."""
+
+    def __init__(self, resolver: ColumnResolver | None) -> None:
+        super().__init__()
+        self._resolver = resolver
+        #: source of each bound ``f(row)`` call -> ``f`` itself.
+        self.opaque_calls: dict[str, CompiledExpression] = {}
+
+    def _call(self, function: CompiledExpression) -> Lowered:
+        source = f"{self.bind(function)}(row)"
+        self.opaque_calls[source] = function
+        return Lowered(source, True, False, False)
+
+    def column(self, column: "ColumnRef") -> Lowered:
+        if self._resolver is not None:
+            atom = self._resolver(column)
+            if atom is not None:
+                return Lowered(atom, True, False, True)
+        return self._call(_generic_getter(column))
+
+    def slot(self, slot: "ParameterSlot") -> Lowered:
+        # Read at call time, so a prepared template stays reusable.
+        return Lowered(f"{self.bind(slot.slots)}[{slot.index}]", True, False, True)
+
+    def opaque(self, expression: Expression, what: str) -> Lowered:
+        # The interpreter raises (or computes) at call time, per row.
+        return self._call(expression.evaluate)
+
+
+def _generic_getter(column: "ColumnRef") -> CompiledExpression:
+    """``row -> value`` for a column whose row layout is not known.
+
+    Direct key lookups first; the interpreter handles the rare
+    suffix-fallback and error cases so the semantics stay identical.
+    """
+    name = column.name
+    evaluate = column.evaluate
+    if not column.qualifier:
+
+        def getter(row: Row) -> Any:
+            try:
+                return row[name]
+            except KeyError:
+                return evaluate(row)
+
+        return getter
+    qualified = f"{column.qualifier}.{name}"
+
+    def qualified_getter(row: Row) -> Any:
+        try:
+            return row[qualified]
+        except KeyError:
+            pass
+        try:
+            return row[name]
+        except KeyError:
+            return evaluate(row)
+
+    return qualified_getter
+
+
+def _membership(values: tuple) -> Callable[[Any], bool]:
+    """``value -> value in values``, hashed when the values allow it."""
+    try:
+        hashed = frozenset(values)
+    except TypeError:
+        return values.__contains__
+
+    def contains(value: Any) -> bool:
+        try:
+            return value in hashed
+        except TypeError:
+            # Unhashable row value: match the interpreter's tuple scan.
+            return value in values
+
+    return contains
+
+
+def lower_expression(expression: Expression, scope: LoweringScope) -> Lowered:
+    """Lower ``expression`` to a Python source fragment within ``scope``.
+
+    The fragment computes exactly what :meth:`Expression.evaluate` computes
+    and raises exactly when it raises: a binary operation evaluates both
+    operands before its NULL check, AND/OR short-circuit left to right, and
+    nothing that can raise is evaluated more or less often than the
+    interpreter would.  NULL guards are elided for operands the scope
+    declares non-nullable.
+    """
+    if isinstance(expression, Literal):
+        value = expression.value
+        return Lowered(
+            scope.const(value), value is None, isinstance(value, bool), True
+        )
+    if isinstance(expression, ColumnRef):
+        return scope.column(expression)
+    if isinstance(expression, ParameterSlot):
+        return scope.slot(expression)
+    if isinstance(expression, BooleanOp):
+        operands = [lower_expression(o, scope) for o in expression.operands]
+        src = f" {expression.op} ".join(
+            o.src if o.is_bool else f"bool({o.src})" for o in operands
+        )
+        return Lowered(f"({src})", False, True, False)
+    if isinstance(expression, Not):
+        operand = lower_expression(expression.operand, scope)
+        return Lowered(f"(not {operand.src})", False, True, False)
+    if isinstance(expression, IsNull):
+        operand = lower_expression(expression.operand, scope)
+        if not operand.nullable:
+            # Never NULL: a constant answer, once the operand has been
+            # evaluated for whatever it may raise.
+            answer = repr(expression.negated)
+            if operand.trivial:
+                return Lowered(answer, False, True, True)
+            return Lowered(f"({operand.src}, {answer})[1]", False, True, False)
+        test = "is not" if expression.negated else "is"
+        return Lowered(f"({operand.src} {test} None)", False, True, False)
+    if isinstance(expression, InList):
+        operand = lower_expression(expression.operand, scope)
+        contains = scope.bind(_membership(expression.values))
+        return Lowered(f"{contains}({operand.src})", False, True, False)
+    if isinstance(expression, FunctionCall):
+        function = _SCALAR_FUNCTIONS.get(expression.name.lower())
+        if function is None:
+            return scope.opaque(expression, expression.name)
+        arguments = [lower_expression(a, scope) for a in expression.args]
+        src = f"{scope.bind(function)}({', '.join(a.src for a in arguments)})"
+        return Lowered(src, True, False, False)
+    if not isinstance(expression, BinaryOp):
+        return scope.opaque(expression, type(expression).__name__)
+    arithmetic = expression.op in _ARITHMETIC_OPS
+    if not arithmetic:
+        special = scope.compare(expression)
+        if special is not None:
+            return special
+    op = _BINARY_OP_SOURCE[expression.op]
+    left = lower_expression(expression.left, scope)
+    right = lower_expression(expression.right, scope)
+    if not left.nullable and not right.nullable:
+        return Lowered(f"({left.src} {op} {right.src})", False, not arithmetic, False)
+    if left.trivial and right.trivial:
+        # Atoms are free to repeat, so no temporaries are needed.
+        prefix = ""
+    else:
+        # A composite operand can raise, and the interpreter always
+        # evaluates both operands before the null check — so evaluate both
+        # into temporaries unconditionally (a tuple display fixes the
+        # order), then guard.
+        temps = (scope.gensym("_t"), scope.gensym("_t"))
+        prefix = f"(({temps[0]} := {left.src}), ({temps[1]} := {right.src}), "
+        left, right = left._replace(src=temps[0]), right._replace(src=temps[1])
+    nullable = [o.src for o in (left, right) if o.nullable]
+    if arithmetic:
+        guard = " or ".join(f"{src} is None" for src in nullable)
+        src = f"(None if {guard} else ({left.src} {op} {right.src}))"
+    else:
+        guard = " and ".join(f"{src} is not None" for src in nullable)
+        src = f"({guard} and {left.src} {op} {right.src})"
+    if prefix:
+        src = f"{prefix}{src})[2]"
+    return Lowered(src, arithmetic, not arithmetic, False)

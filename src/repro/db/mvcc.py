@@ -530,11 +530,7 @@ class MvccManager:
             # Snapshot views are plain materialised tables: no shard router
             # (unrouted execution over the aggregate view is the engine's
             # documented correctness-transparent fallback).
-            executor = Executor(
-                tables,
-                compiled=database.compiled_execution,
-                mode=database._executor.mode,
-            )
+            executor = Executor(tables, mode=database._executor.mode)
         context._executor_cache = (stamp, executor)
         return executor
 

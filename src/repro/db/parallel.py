@@ -321,14 +321,12 @@ _WORKER_PLANS: "OrderedDict[bytes, Any]" = OrderedDict()
 _WORKER_CACHE_LIMIT = 64
 
 
-def _worker_executor(
-    overlay_keys: tuple, mode: str, backend: Optional[str]
-) -> Executor:
-    cache_key = (overlay_keys, mode, backend)
+def _worker_executor(overlay_keys: tuple, mode: str) -> Executor:
+    cache_key = (overlay_keys, mode)
     executor = _WORKER_EXECUTORS.get(cache_key)
     if executor is None:
         overlay = {key[0]: _WORKER_TABLES[key] for key in overlay_keys}
-        executor = Executor(overlay, mode=mode, vector_backend=backend)
+        executor = Executor(overlay, mode=mode)
         if len(_WORKER_EXECUTORS) >= _WORKER_CACHE_LIMIT:
             _WORKER_EXECUTORS.popitem(last=False)
         _WORKER_EXECUTORS[cache_key] = executor
@@ -368,7 +366,7 @@ def _worker_run(blob: bytes) -> bytes:
 
     ``blob`` is a pickled request::
 
-        {"plan": <plan pickle bytes>, "mode": ..., "backend": ...,
+        {"plan": <plan pickle bytes>, "mode": ...,
          "tables": [((name, shard, version), payload-or-None), ...]}
 
     Returns a pickled response: ``{"need": [keys]}`` when shard data for a
@@ -396,9 +394,7 @@ def _worker_run(blob: bytes) -> bytes:
     if need:
         return pickle.dumps({"need": need}, pickle.HIGHEST_PROTOCOL)
     overlay_keys = tuple(key for key, _ in request["tables"])
-    executor = _worker_executor(
-        overlay_keys, request["mode"], request["backend"]
-    )
+    executor = _worker_executor(overlay_keys, request["mode"])
     plan = _worker_plan(request["plan"])
     tiers_before = dict(executor.tier_counts)
     vectorized_before = executor.vectorized_stats

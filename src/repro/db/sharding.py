@@ -486,11 +486,9 @@ class ShardRouter:
         self,
         tables: Mapping[str, Table],
         mode: str,
-        vector_backend: Optional[str] = None,
     ) -> None:
         self._tables = tables
         self._mode = mode
-        self._vector_backend = vector_backend
         #: plan -> _Route, LRU-evicted (plans embed query literals).
         self._routes: OrderedDict[algebra.PlanNode, _Route] = OrderedDict()
         #: (frozenset of substituted names, shard index) -> Executor.
@@ -707,9 +705,7 @@ class ShardRouter:
                 )
                 for name, table in self._tables.items()
             }
-            executor = Executor(
-                overlay, mode=self._mode, vector_backend=self._vector_backend
-            )
+            executor = Executor(overlay, mode=self._mode)
             self._executors[key] = executor
         return executor
 
@@ -899,7 +895,6 @@ class ShardRouter:
                 {
                     "plan": plan_blob,
                     "mode": self._mode,
-                    "backend": self._vector_backend,
                     "tables": keys,
                 }
             )
@@ -1362,7 +1357,7 @@ def _row_preserving_path(nodes: Sequence[algebra.PlanNode]) -> bool:
 #: The summable int counters of a vectorized-stats dict; everything the
 #: executor reports beyond these must be mergeable as fallback_reasons is,
 #: or attached above the merge (Database.execution_stats does the latter
-#: for the backend names and column-encoding census).
+#: for the column-encoding census).
 VECTORIZED_COUNTER_KEYS = (
     "executions",
     "codegen_executions",

@@ -498,7 +498,7 @@ class Table:
         not be mutated by callers.  The vectorized executor scans these
         arrays instead of iterating row dictionaries; each column carries a
         typed/dictionary-encoded sidecar per :meth:`set_storage_mode`, which
-        the codegen and numpy paths specialize on.
+        the fused-pipeline codegen specializes on.
         """
         cached = self._columnar
         if cached is not None and self._columnar_version == self.version:

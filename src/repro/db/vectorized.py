@@ -9,8 +9,9 @@ of streams of per-row dictionaries:
 * **Scans** wrap the table's lazy columnar view (:meth:`repro.db.table.
   Table.columns`) without copying anything: every column is the table's own
   value array with an identity selection.
-* **Filters** evaluate predicate kernels (:meth:`repro.db.expressions.
-  Expression.compile_batch`) over whole columns and *compose selection
+* **Filters** run one generated kernel per conjunct — a fused comprehension
+  over the referenced column arrays, emitted by the batch scope of
+  :func:`repro.db.expressions.lower_expression` — and *compose selection
   vectors*; no row is copied, and AND conjunctions shrink the selection
   stage by stage like the row tier's fused filter chain.
 * **Hash joins** build and probe on key arrays and carry the match as a pair
@@ -21,6 +22,13 @@ of streams of per-row dictionaries:
   the surviving selections into ``{key: value, ...}`` dict displays in a
   single comprehension — eliminating the per-operator dict construction that
   bounds the row tiers on full-width joins.
+
+Expressions reach code through the one lowering in
+:mod:`repro.db.expressions`; this module supplies two of its three scopes
+(:class:`_BatchScope` for the kernels, :class:`_PipelineCompiler` for fused
+``[Project|Aggregate] → Select* → Scan`` loops specialized to each column's
+physical encoding), so a node either scope cannot lower is rejected by the
+other for the same reason.
 
 Operators or expressions outside the vectorizable subset fall back
 *per-subtree* to the compiled tier: the subtree executes as rows, which are
@@ -34,11 +42,9 @@ property-tested row-identical.
 from __future__ import annotations
 
 import heapq
-import math
-import os
 from collections import OrderedDict, defaultdict
 from itertools import repeat
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.db import algebra
 from repro.db.executor import (
@@ -49,20 +55,15 @@ from repro.db.executor import (
     plan_aggregate_arguments,
 )
 from repro.db.expressions import (
-    ARITHMETIC_OPS,
-    BINARY_OP_SOURCE,
-    BatchKernel,
     BinaryOp,
-    BooleanOp,
     ColumnRef,
     Expression,
-    FunctionCall,
-    InList,
-    IsNull,
     Literal,
-    Not,
+    Lowered,
+    LoweringError,
+    LoweringScope,
     ParameterSlot,
-    scalar_function,
+    lower_expression,
 )
 from repro.db.table import Row
 
@@ -498,8 +499,8 @@ def _hash_join_positions(
 
 # -- fused-pipeline code generation ---------------------------------------
 #
-# The batch kernels above still make one full pass over Python lists of
-# boxed values per filter/projection expression.  For the dominant pipeline
+# The batch kernels still make one full pass over Python lists of boxed
+# values per filter/projection expression.  For the dominant pipeline
 # spine — an optional Project or Aggregate over any number of Selects over a
 # single Scan — the executor goes one step further and compiles the *whole
 # pipeline* into one ``exec``-compiled fused loop, specialized to each
@@ -516,15 +517,11 @@ def _hash_join_positions(
 # Compiled pipelines are cached per (plan, column-layout signature): a table
 # rebuild that changes an encoding (or grows a null bitmap) recompiles, a
 # rebuild that keeps the layout reuses the cached function against the fresh
-# column store.  Lowering failures surface as :class:`_CodegenUnsupported`
+# column store.  Lowering failures surface as :class:`LoweringError`
 # and fall back to the batch-kernel path (counted as
 # ``codegen_unsupported``); a *runtime* error in a generated pipeline also
 # re-runs via the kernel path, so error semantics never diverge from the
 # row tiers.
-
-
-class _CodegenUnsupported(Exception):
-    """An eligible pipeline spine contains an unlowerable expression."""
 
 
 #: Shape-cache entry for eligible spines whose expressions cannot be
@@ -594,27 +591,93 @@ def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
     )
 
 
-class _Lowered(NamedTuple):
-    """One lowered expression: a source fragment plus its static facts.
-
-    ``trivial`` marks plain variable/constant atoms — the only fragments
-    that can be freely repeated *or skipped* by a parent's null guard,
-    because their evaluation cannot raise.  Anything composite (including a
-    bare comparison, which can raise ``TypeError`` on mixed operands) must
-    be evaluated exactly as often as the row tiers would evaluate it.
-    """
-
-    src: str
-    nullable: bool
-    is_bool: bool
-    trivial: bool
-
-
 _AGGREGATE_FUNCTIONS = ("count", "sum", "min", "max", "avg")
 
 
-class _PipelineCompiler:
-    """Lowers one pipeline's expressions into Python source fragments.
+class _LoopScope(LoweringScope):
+    """A scope whose columns are the variables of one generated loop.
+
+    Column arrays are zipped by :meth:`loop_clause`; parameter slots (and
+    anything else loop-invariant) are read once in the function prologue.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.globals.update({"_zip": zip, "_range": range})
+        self.prologue: list[str] = []
+        self.zip_names: list[str] = []
+        self.zip_sources: list[str] = []
+        self._buffer_vars: dict[int, str] = {}
+        self._slot_vars: dict[int, str] = {}
+
+    def slot_var(self, slot: ParameterSlot) -> str:
+        """Prologue variable reading a parameter slot's current value."""
+        var = self._slot_vars.get(id(slot))
+        if var is None:
+            buffer_var = self._buffer_vars.get(id(slot.slots))
+            if buffer_var is None:
+                buffer_var = self.bind(slot.slots)
+                self._buffer_vars[id(slot.slots)] = buffer_var
+            var = self.gensym("_p")
+            self._slot_vars[id(slot)] = var
+            self.prologue.append(f"{var} = {buffer_var}[{slot.index}]")
+        return var
+
+    def slot(self, slot: ParameterSlot) -> Lowered:
+        return Lowered(self.slot_var(slot), True, False, True)
+
+    def loop_clause(self, lead: Optional[tuple[str, str]] = None) -> str:
+        """The ``for ...`` clause iterating every referenced column.
+
+        ``lead`` is an extra ``(variable, iterable source)`` zipped first.
+        """
+        names, sources = self.zip_names, self.zip_sources
+        if lead is not None:
+            names, sources = [lead[0], *names], [lead[1], *sources]
+        if not names:
+            return "for _i in _range(_n)"
+        if len(names) == 1:
+            return f"for {names[0]} in {sources[0]}"
+        return f"for {', '.join(names)} in _zip({', '.join(sources)})"
+
+
+class _BatchScope(_LoopScope):
+    """Columns resolve against a :class:`ColumnBatch` at kernel-call time.
+
+    Every column is boxed and nullable as far as the generated code knows:
+    a kernel is cached per plan and sees batches of any layout.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._column_vars: dict[ColumnRef, str] = {}
+
+    def column(self, column: ColumnRef) -> Lowered:
+        var = self._column_vars.get(column)
+        if var is None:
+            var = self.gensym("_v")
+            self._column_vars[column] = var
+            holder = self.gensym("_c")
+            self.prologue.append(
+                f"{holder} = _batch.column_values({self.bind(column)})"
+            )
+            self.zip_names.append(var)
+            self.zip_sources.append(holder)
+        return Lowered(var, True, False, True)
+
+    def kernel(self, body: str) -> Callable[["ColumnBatch"], list]:
+        """Compile ``def _kernel(_batch)``: prologue, then ``body``."""
+        lines = ["def _kernel(_batch):", "    _n = _batch.length"]
+        lines.extend(f"    {line}" for line in self.prologue)
+        lines.append(f"    {body}")
+        exec(  # noqa: S102 - internal codegen, identifiers repr-escaped
+            compile("\n".join(lines), "<kernel>", "exec"), self.globals
+        )
+        return self.globals["_kernel"]
+
+
+class _PipelineCompiler(_LoopScope):
+    """The fused-pipeline scope: one pipeline's columns, by physical layout.
 
     One instance compiles one (pipeline shape, column-layout signature)
     pair: null-guard elision and dictionary code comparison are decided by
@@ -633,19 +696,13 @@ class _PipelineCompiler:
     """
 
     def __init__(self, schema, store) -> None:
+        super().__init__()
         self._schema = schema
         self._store = store
-        self.globals: dict[str, Any] = {"_zip": zip, "_range": range}
-        self.prologue: list[str] = []
-        self.zip_names: list[str] = []
-        self.zip_sources: list[str] = []
         self._column_vars: dict[str, str] = {}
         self._boxed_vars: dict[str, str] = {}
         self._code_vars: dict[str, str] = {}
         self._dict_vars: dict[str, str] = {}
-        self._buffer_vars: dict[int, str] = {}
-        self._slot_vars: dict[int, str] = {}
-        self._counter = 0
         #: when set, column references resolve against these emit-scope
         #: sources (an aggregate's output namespace) instead of the scanned
         #: table's columns — used to lower a projection over an aggregate.
@@ -656,9 +713,11 @@ class _PipelineCompiler:
         #: ``dict.copy`` of those templates.
         self.uses_wide = False
 
-    def gensym(self, prefix: str) -> str:
-        self._counter += 1
-        return f"{prefix}{self._counter}"
+    def column(self, column: ColumnRef) -> Lowered:
+        if self.emit_columns is not None:
+            return Lowered(self._resolve_emit(column), True, False, False)
+        name = self.resolve(column)
+        return Lowered(self.boxed_var(name), self.nullable(name), False, True)
 
     # -- column / parameter access ----------------------------------------
 
@@ -671,7 +730,7 @@ class _PipelineCompiler:
         story here.
         """
         if not self._schema.has_column(column.name):
-            raise _CodegenUnsupported(column.qualified_name)
+            raise LoweringError(column.qualified_name)
         return column.name
 
     def _resolve_emit(self, column: ColumnRef) -> str:
@@ -693,7 +752,7 @@ class _PipelineCompiler:
         matches = [key for key in available if key.endswith(suffix)]
         if len(matches) == 1:
             return available[matches[0]]
-        raise _CodegenUnsupported(column.qualified_name)
+        raise LoweringError(column.qualified_name)
 
     def encoding(self, name: str) -> str:
         if self._store is None:  # trial mode: pessimistic
@@ -744,156 +803,7 @@ class _PipelineCompiler:
             self.prologue.append(f"{var} = {self.column_var(name)}.dictionary")
         return var
 
-    def slot_var(self, slot: ParameterSlot) -> str:
-        """Prologue variable reading a parameter slot's current value."""
-        var = self._slot_vars.get(id(slot))
-        if var is None:
-            buffer_var = self._buffer_vars.get(id(slot.slots))
-            if buffer_var is None:
-                buffer_var = self.bind(slot.slots)
-                self._buffer_vars[id(slot.slots)] = buffer_var
-            var = self.gensym("_p")
-            self._slot_vars[id(slot)] = var
-            self.prologue.append(f"{var} = {buffer_var}[{slot.index}]")
-        return var
-
-    def bind(self, value: Any) -> str:
-        """Bind ``value`` into the generated function's globals."""
-        var = self.gensym("_b")
-        self.globals[var] = value
-        return var
-
-    def const(self, value: Any) -> str:
-        """A source literal for ``value`` (bound when repr is not exact)."""
-        if value is None or value is True or value is False:
-            return repr(value)
-        if isinstance(value, str):
-            return repr(value)
-        if isinstance(value, int):
-            return repr(value) if value >= 0 else f"({value!r})"
-        if isinstance(value, float):
-            if math.isfinite(value):
-                return repr(value) if value >= 0.0 else f"({value!r})"
-            return self.bind(value)
-        return self.bind(value)
-
-    def loop_clause(self) -> str:
-        """The ``for ...`` clause iterating every referenced column."""
-        names, sources = self.zip_names, self.zip_sources
-        if not names:
-            return "for _i in _range(_n)"
-        if len(names) == 1:
-            return f"for {names[0]} in {sources[0]}"
-        return f"for {', '.join(names)} in _zip({', '.join(sources)})"
-
-    # -- expression lowering -----------------------------------------------
-
-    def lower(self, expression: Expression) -> _Lowered:
-        if isinstance(expression, Literal):
-            value = expression.value
-            return _Lowered(
-                self.const(value), value is None, isinstance(value, bool), True
-            )
-        if isinstance(expression, ColumnRef):
-            if self.emit_columns is not None:
-                return _Lowered(self._resolve_emit(expression), True, False, False)
-            name = self.resolve(expression)
-            return _Lowered(self.boxed_var(name), self.nullable(name), False, True)
-        if isinstance(expression, ParameterSlot):
-            return _Lowered(self.slot_var(expression), True, False, True)
-        if isinstance(expression, BinaryOp):
-            return self._lower_binary(expression)
-        if isinstance(expression, BooleanOp):
-            operands = [self.lower(o) for o in expression.operands]
-            joiner = " and " if expression.op == "and" else " or "
-            src = joiner.join(
-                o.src if o.is_bool else f"bool({o.src})" for o in operands
-            )
-            # The row tiers short-circuit AND/OR exactly like this.
-            return _Lowered(f"({src})", False, True, False)
-        if isinstance(expression, Not):
-            operand = self.lower(expression.operand)
-            return _Lowered(f"(not {operand.src})", False, True, False)
-        if isinstance(expression, IsNull):
-            operand = self.lower(expression.operand)
-            test = "is not" if expression.negated else "is"
-            return _Lowered(f"({operand.src} {test} None)", False, True, False)
-        if isinstance(expression, InList):
-            operand = self.lower(expression.operand)
-            try:
-                values: Any = frozenset(expression.values)
-            except TypeError:
-                values = expression.values
-            bound = self.bind(values)
-            # An unhashable *operand value* raises against the frozenset
-            # where the row tiers scan the tuple; that runtime error re-runs
-            # via the kernel path, which reproduces the row-tier result.
-            return _Lowered(f"({operand.src} in {bound})", False, True, False)
-        if isinstance(expression, FunctionCall):
-            function = scalar_function(expression.name)
-            if function is None:
-                raise _CodegenUnsupported(expression.name)
-            arguments = [self.lower(a) for a in expression.args]
-            bound = self.bind(function)
-            src = f"{bound}({', '.join(a.src for a in arguments)})"
-            return _Lowered(src, True, False, False)
-        raise _CodegenUnsupported(type(expression).__name__)
-
-    def _lower_binary(self, expression: BinaryOp) -> _Lowered:
-        arithmetic = expression.op in ARITHMETIC_OPS
-        if not arithmetic:
-            fast = self._dict_compare(expression)
-            if fast is not None:
-                return fast
-        operator_src = BINARY_OP_SOURCE[expression.op]
-        left = self.lower(expression.left)
-        right = self.lower(expression.right)
-        if not left.nullable and not right.nullable:
-            src = f"({left.src} {operator_src} {right.src})"
-            return _Lowered(src, False, not arithmetic, False)
-        if left.trivial and right.trivial:
-            # Atoms are free to repeat, so no temporaries are needed.
-            nullable_atoms = [o for o in (left, right) if o.nullable]
-            if arithmetic:
-                guard = " or ".join(f"{o.src} is None" for o in nullable_atoms)
-                src = (
-                    f"(None if {guard} else "
-                    f"({left.src} {operator_src} {right.src}))"
-                )
-                return _Lowered(src, True, False, False)
-            guard = " and ".join(f"{o.src} is not None" for o in nullable_atoms)
-            src = f"({guard} and {left.src} {operator_src} {right.src})"
-            return _Lowered(src, False, True, False)
-        # A composite operand can raise, and the row tiers always evaluate
-        # both operands before the null check — so evaluate both into
-        # temporaries unconditionally (a tuple display fixes the order),
-        # then guard.
-        left_temp = self.gensym("_t")
-        right_temp = self.gensym("_t")
-        null_checks = []
-        live_checks = []
-        if left.nullable:
-            null_checks.append(f"{left_temp} is None")
-            live_checks.append(f"{left_temp} is not None")
-        if right.nullable:
-            null_checks.append(f"{right_temp} is None")
-            live_checks.append(f"{right_temp} is not None")
-        prefix = f"(({left_temp} := {left.src}), ({right_temp} := {right.src}), "
-        if arithmetic:
-            src = (
-                prefix
-                + f"(None if {' or '.join(null_checks)} else "
-                + f"({left_temp} {operator_src} {right_temp})))[2]"
-            )
-            return _Lowered(src, True, False, False)
-        src = (
-            prefix
-            + f"({' and '.join(live_checks)} and "
-            + f"{left_temp} {operator_src} {right_temp}))[2]"
-        )
-        return _Lowered(src, False, True, False)
-
-    def _dict_compare(self, expression: BinaryOp) -> Optional[_Lowered]:
+    def compare(self, expression: BinaryOp) -> Optional[Lowered]:
         """``dict_col = scalar`` / ``!=`` as a small-int code comparison.
 
         The scalar is translated through the column's dictionary once per
@@ -926,7 +836,7 @@ class _PipelineCompiler:
             value = scalar.value
             if value is None:
                 # NULL never compares equal (or unequal) to anything.
-                return _Lowered("False", False, True, True)
+                return Lowered("False", False, True, True)
             try:
                 hash(value)
             except TypeError:
@@ -935,8 +845,8 @@ class _PipelineCompiler:
                 f"{key} = {holder}.code_of.get({self.const(value)}, -2)"
             )
             if equality:
-                return _Lowered(f"({codes} == {key})", False, True, True)
-            return _Lowered(
+                return Lowered(f"({codes} == {key})", False, True, True)
+            return Lowered(
                 f"({codes} >= 0 and {codes} != {key})", False, True, True
             )
         slot = self.slot_var(scalar)
@@ -944,8 +854,8 @@ class _PipelineCompiler:
             f"{key} = -2 if {slot} is None else {holder}.code_of.get({slot}, -3)"
         )
         if equality:
-            return _Lowered(f"({codes} == {key})", False, True, True)
-        return _Lowered(
+            return Lowered(f"({codes} == {key})", False, True, True)
+        return Lowered(
             f"({codes} >= 0 and {key} != -2 and {codes} != {key})",
             False,
             True,
@@ -967,7 +877,9 @@ def _generate_select(
 ) -> tuple[str, dict, bool]:
     """Source for a Scan → Select* → [Project] pipeline."""
     compiler = _PipelineCompiler(schema, store)
-    conditions = [compiler.lower(conjunct) for conjunct in shape.conjuncts]
+    conditions = [
+        lower_expression(conjunct, compiler) for conjunct in shape.conjuncts
+    ]
     condition = " and ".join(lowered.src for lowered in conditions)
     suffix = f" if {condition}" if condition else ""
     if shape.outputs is None:
@@ -976,19 +888,12 @@ def _generate_select(
         # alias-qualified keys — the kernel scan's key order, and
         # therefore the row tiers').  Only filter columns are zipped.
         compiler.uses_wide = True
-        names, sources = compiler.zip_names, compiler.zip_sources
-        if names:
-            loop = (
-                f"for _r, {', '.join(names)} in "
-                f"_zip(_wide, {', '.join(sources)})"
-            )
-        else:
-            loop = "for _r in _wide"
+        loop = compiler.loop_clause(("_r", "_wide"))
         body = [f"return [_r.copy() {loop}{suffix}]"]
         return _assemble_pipeline(compiler, body)
     items: list[str] = []
     for output in shape.outputs:
-        lowered = compiler.lower(output.expression)
+        lowered = lower_expression(output.expression, compiler)
         items.append(f"{output.name!r}: {lowered.src}")
     body = [
         f"return [{{{', '.join(items)}}} {compiler.loop_clause()}{suffix}]"
@@ -1015,7 +920,7 @@ def _emit_items(
     try:
         items = []
         for output in shape.outputs:
-            lowered = compiler.lower(output.expression)
+            lowered = lower_expression(output.expression, compiler)
             items.append(f"{output.name!r}: {lowered.src}")
         return items
     finally:
@@ -1028,23 +933,25 @@ def _generate_aggregate(
     """Source for a Scan → Select* → Aggregate pipeline (one fused pass)."""
     plan = shape.aggregate
     compiler = _PipelineCompiler(schema, store)
-    conditions = [compiler.lower(conjunct) for conjunct in shape.conjuncts]
+    conditions = [
+        lower_expression(conjunct, compiler) for conjunct in shape.conjuncts
+    ]
     for spec in plan.aggregates:
         if spec.function not in _AGGREGATE_FUNCTIONS:
-            raise _CodegenUnsupported(spec.function)
+            raise LoweringError(spec.function)
     argument_exprs: list[Expression] = []
 
-    def compile_argument(expression: Expression) -> Optional[_Lowered]:
+    def compile_argument(expression: Expression) -> Optional[Lowered]:
         try:
-            lowered = compiler.lower(expression)
-        except _CodegenUnsupported:
+            lowered = lower_expression(expression, compiler)
+        except LoweringError:
             return None
         argument_exprs.append(expression)
         return lowered
 
     planned = plan_aggregate_arguments(plan.aggregates, compile_argument)
     if planned is None:
-        raise _CodegenUnsupported("aggregate argument")
+        raise LoweringError("aggregate argument")
     arguments, spec_slots = planned
     # Distinct (function, slot) partials, exactly like the kernel path, so
     # the emit loop stays slot-compatible with the sharding layer's merge.
@@ -1369,9 +1276,7 @@ class VectorizedExecutor:
     #: Compiled fused-pipeline cache entries kept before LRU eviction.
     PIPELINE_CACHE_LIMIT = 256
 
-    def __init__(self, executor, backend: Optional[str] = None) -> None:
-        from repro.db.vector_backend import make_filter_backend, resolve_backend
-
+    def __init__(self, executor) -> None:
         self._executor = executor
         self._tables = executor._tables
         #: plan -> lowered BatchOp (or the unvectorizable sentinel), LRU.
@@ -1384,17 +1289,9 @@ class VectorizedExecutor:
         self._shapes: OrderedDict[algebra.PlanNode, Any] = OrderedDict()
         #: (plan, column-layout signature) -> compiled fused pipeline, LRU.
         self._pipelines: OrderedDict[tuple, Callable] = OrderedDict()
-        #: whether fused-pipeline codegen is attempted at all (the
-        #: ``REPRO_VECTOR_CODEGEN=0`` escape hatch forces the kernel path).
-        self.codegen_enabled = os.environ.get(
-            "REPRO_VECTOR_CODEGEN", "1"
-        ).lower() not in ("0", "false", "off")
-        #: requested / active kernel filter backend ("python" or "numpy";
-        #: "numpy" silently degrades to "python" when numpy is absent).
-        self.backend_requested, self.backend = resolve_backend(backend)
-        self._filter_backend = make_filter_backend(
-            self.backend, self._count_reason
-        )
+        #: whether fused-pipeline codegen is attempted at all; tests and
+        #: ``benchmarks/bench_engine.py`` clear it to pin the kernel path.
+        self.codegen_enabled = True
         #: queries served entirely by this tier.
         self.executions = 0
         #: of which: served by a compiled fused pipeline.
@@ -1416,10 +1313,9 @@ class VectorizedExecutor:
         #: ``unknown_function`` (an expression with no batch kernel —
         #: unknown scalar functions and foreign expression types),
         #: ``unsupported_operator`` (a plan node outside the vectorized
-        #: subset), ``kernel_error`` (a kernel raised at run time),
+        #: subset), ``kernel_error`` (a kernel raised at run time), and
         #: ``codegen_unsupported`` (an eligible pipeline spine with an
-        #: unlowerable expression ran on the kernel path instead), and
-        #: ``untyped_column`` (the numpy backend declined a boxed column).
+        #: unlowerable expression ran on the kernel path instead).
         self.fallback_reasons: dict[str, int] = {}
         #: reason of the most recent lowering failure (set by _lower).
         self._last_reason = "unsupported_operator"
@@ -1547,7 +1443,7 @@ class VectorizedExecutor:
             try:
                 source, _, _ = _generate_pipeline(shape, table.schema, None)
                 compile(source, "<pipeline-trial>", "exec")
-            except _CodegenUnsupported:
+            except LoweringError:
                 shape = _CODEGEN_UNSUPPORTED
         if cache:
             if len(self._shapes) >= self.OP_CACHE_LIMIT:
@@ -1656,16 +1552,28 @@ class VectorizedExecutor:
 
         return run
 
-    def _kernel(self, expression: Expression) -> Optional[BatchKernel]:
-        return expression.compile_batch(self._resolve_column)
+    @staticmethod
+    def _kernel(
+        expression: Expression, positions: bool = False
+    ) -> Optional[Callable[[ColumnBatch], list]]:
+        """The batch kernel of ``expression``, or ``None`` when unlowerable.
 
-    def _resolve_column(self, column: ColumnRef) -> BatchKernel:
-        """The batch resolver: columns resolve dynamically per batch."""
-
-        def kernel(batch: ColumnBatch) -> list:
-            return batch.column_values(column)
-
-        return kernel
+        One fused comprehension over the batch's column arrays: the value
+        of every row, or — for a filter conjunct (``positions``) — the
+        batch-relative positions of the rows it keeps.  Columns resolve
+        dynamically per batch (:meth:`ColumnBatch.column_values`).
+        """
+        if isinstance(expression, ColumnRef) and not positions:
+            return lambda batch: batch.column_values(expression)
+        scope = _BatchScope()
+        try:
+            source = lower_expression(expression, scope).src
+        except LoweringError:
+            return None
+        if not positions:
+            return scope.kernel(f"return [{source} {scope.loop_clause()}]")
+        loop = scope.loop_clause(("_i", "_range(_n)"))
+        return scope.kernel(f"return [_i {loop} if {source}]")
 
     # -- operators -------------------------------------------------------
 
@@ -1692,22 +1600,12 @@ class VectorizedExecutor:
         return run
 
     def _lower_select(self, plan: algebra.Select) -> Optional[BatchOp]:
-        filter_backend = self._filter_backend
         kernels = []
         for conjunct in _flatten_and(plan.predicate):
-            kernel = self._kernel(conjunct)
+            kernel = self._kernel(conjunct, positions=True)
             if kernel is None:
                 return self._fallback("unknown_function")
-            # The optional vector backend (numpy) may supply a faster
-            # position filter for this conjunct; ``None`` (unsupported
-            # shape, or at run time an untyped column) defers to the
-            # Python kernel, which is always present and authoritative.
-            position_filter = (
-                filter_backend.position_filter(conjunct)
-                if filter_backend is not None
-                else None
-            )
-            kernels.append((kernel, position_filter))
+            kernels.append(kernel)
         child = self._source(plan.child)
 
         def run() -> ColumnBatch:
@@ -1715,17 +1613,10 @@ class VectorizedExecutor:
             # Conjuncts shrink the selection stage by stage: each kernel
             # only sees rows that survived the previous conjunct, which is
             # the batch equivalent of the row tiers' short-circuit AND.
-            for kernel, position_filter in kernels:
+            for kernel in kernels:
                 if batch.length == 0:
                     return batch
-                keep = (
-                    position_filter(batch)
-                    if position_filter is not None
-                    else None
-                )
-                if keep is None:
-                    values = kernel(batch)
-                    keep = [i for i, v in enumerate(values) if v]
+                keep = kernel(batch)
                 if len(keep) != batch.length:
                     batch = batch.take(keep)
             return batch

@@ -155,7 +155,7 @@ def _predict_tier(database: Any, statement: Any, plan: algebra.PlanNode) -> str:
     """The tier the statement is expected to execute on."""
     if (
         statement.point_lookup is not None
-        and database.compiled_execution
+        and database.execution_mode != "interpreted"
         and database._mvcc is None
     ):
         return "point-lookup"

@@ -188,7 +188,7 @@ class TestJoinFixes:
     """Hash-join build skipping and side-resolution robustness."""
 
     def test_empty_probe_side_skips_right_side_entirely(self, simple_database):
-        executor = Executor(simple_database.tables, compiled=False)
+        executor = Executor(simple_database.tables, mode="interpreted")
         scanned = []
         original_scan = Executor._scan
 
@@ -217,7 +217,7 @@ class TestJoinFixes:
     def test_empty_probe_never_builds_table_index(self, simple_database):
         from repro.db.table import Table
 
-        executor = Executor(simple_database.tables, compiled=True)
+        executor = Executor(simple_database.tables, mode="compiled")
         built = []
         original_index_for = Table.index_for
 
@@ -241,13 +241,13 @@ class TestJoinFixes:
             Table.index_for = original_index_for
         assert built == []
 
-    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled", "vectorized"])
     def test_condition_sides_resolve_against_both_samples(
-        self, simple_database, compiled
+        self, simple_database, mode
     ):
         # The equi condition names the right side first; orientation must be
         # derived from both sides' shapes, not just the first left row.
-        executor = Executor(simple_database.tables, compiled=compiled)
+        executor = Executor(simple_database.tables, mode=mode)
         plan = algebra.Join(
             algebra.Scan("department", "d"),
             algebra.Scan("employee", "e"),
@@ -263,8 +263,8 @@ class TestJoinFixes:
             algebra.Scan("department", "d"),
             BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
         )
-        compiled = Executor(simple_database.tables, compiled=True)
-        interpreted = Executor(simple_database.tables, compiled=False)
+        compiled = Executor(simple_database.tables, mode="compiled")
+        interpreted = Executor(simple_database.tables, mode="interpreted")
         assert compiled.execute(plan) == interpreted.execute(plan)
 
     def test_index_join_sees_fresh_rows_after_insert(self):
@@ -289,7 +289,7 @@ class TestJoinFixes:
             algebra.Scan("parent", "p"),
             BinaryOp("=", ColumnRef("pid", "c"), ColumnRef("pid", "p")),
         )
-        executor = Executor(database.tables, compiled=True)
+        executor = Executor(database.tables, mode="compiled")
         assert len(executor.execute(plan)) == 1
         # A mutation must invalidate the cached secondary index.
         database.insert("parent", [{"pid": 2, "label": "b"}])
@@ -298,11 +298,11 @@ class TestJoinFixes:
 
 
 class TestJoinErrorAndCacheBehaviour:
-    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled", "vectorized"])
     def test_unknown_right_table_raises_even_with_empty_probe(
-        self, simple_database, compiled
+        self, simple_database, mode
     ):
-        executor = Executor(simple_database.tables, compiled=compiled)
+        executor = Executor(simple_database.tables, mode=mode)
         plan = algebra.Join(
             algebra.Select(
                 algebra.Scan("employee", "e"), equals("name", "nobody", "e")
@@ -314,7 +314,7 @@ class TestJoinErrorAndCacheBehaviour:
             executor.execute(plan)
 
     def test_compile_cache_is_bounded(self, simple_database):
-        executor = Executor(simple_database.tables, compiled=True)
+        executor = Executor(simple_database.tables, mode="compiled")
         # Predicates above a join are not scan-fused, so each distinct
         # literal lands in the shared compile cache; it must stay bounded.
         join = algebra.Join(

@@ -334,19 +334,73 @@ class TestParallelAccounting:
         finally:
             parallel.close_parallel()
 
-    def test_process_workers_cache_shard_payloads(self):
-        parallel = build_database(shards=SHARDS)
-        parallel.set_parallel(workers=2, mode="process")
+    def test_process_workers_cache_shard_payloads(self, monkeypatch):
+        """Workers cache shard payloads; a scatter ships only what is missing.
+
+        ``ProcessPoolExecutor`` does not pin shard *i* to worker *j*: with
+        several workers a repeat scatter may land a shard on a worker that
+        has not seen it and legitimately re-ship it (and the re-shipped
+        payload may itself land on yet another worker).  What always holds:
+        a scatter sends its plan blobs plus at most one payload per shard,
+        and exactly the plan blobs when nothing had to be seeded.  With one
+        worker every (shard, worker) pair is warm after the cold scatter,
+        so every repeat ships plan blobs only.
+        """
+        import pickle
+
+        from repro.db import sharding
+
         sql = "select o_id from orders where o_total > 40"
-        try:
+        payloads = []
+        real_pack = sharding.pack_table
+        monkeypatch.setattr(
+            sharding,
+            "pack_table",
+            lambda table: payloads.append(table) or real_pack(table),
+        )
+        plan_bytes = []
+        real_run = sharding.ShardExecutorPool.run_process_requests
+
+        def recording_run(pool, requests, provide):
+            plan_bytes.append(
+                sum(
+                    len(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+                    for request in requests
+                )
+            )
+            return real_run(pool, requests, provide)
+
+        monkeypatch.setattr(
+            sharding.ShardExecutorPool, "run_process_requests", recording_run
+        )
+
+        def scatter(parallel) -> tuple[int, int, int]:
+            """(bytes sent, bytes of plan blobs alone, payloads shipped)."""
+            before = len(payloads)
             parallel.execute_sql(sql)
-            first = parallel._router.last_parallel["pickle_bytes"]["sent"]
-            parallel.execute_sql(sql)
-            second = parallel._router.last_parallel["pickle_bytes"]["sent"]
-            # Steady state ships only the plan blobs, not the shard data.
-            assert second < first
-        finally:
-            parallel.close_parallel()
+            sent = parallel._router.last_parallel["pickle_bytes"]["sent"]
+            return sent, plan_bytes[-1], len(payloads) - before
+
+        for workers in (1, 2):
+            parallel = build_database(shards=SHARDS)
+            parallel.set_parallel(workers=workers, mode="process")
+            try:
+                cold_sent, cold_plans, cold_payloads = scatter(parallel)
+                # Cold workers: every shard's payload ships exactly once.
+                assert cold_payloads == SHARDS
+                assert cold_sent > cold_plans
+                for _ in range(3):
+                    sent, plans, shipped = scatter(parallel)
+                    assert plans == cold_plans
+                    if workers == 1:
+                        assert shipped == 0
+                    assert shipped <= SHARDS
+                    if shipped == 0:
+                        assert sent == plans
+                    else:
+                        assert plans < sent <= cold_sent
+            finally:
+                parallel.close_parallel()
 
     def test_serial_mode_never_builds_a_pool(self):
         database = build_database(shards=SHARDS)

@@ -4,8 +4,7 @@ Covers the physical-layout inference (``encode_column`` and the storage-mode
 knob), the lifecycle of the encoded views across mutation and shard
 rehoming, the wide-row template cache, bit-identical results across every
 {storage mode} x {codegen, kernel} x {execution tier} combination (sharded
-and unsharded), the new codegen observability counters, and the optional
-numpy filter backend including its graceful degradation without numpy.
+and unsharded), and the codegen observability counters.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ from array import array
 
 import pytest
 
-from repro.db import vector_backend
 from repro.db.database import Database
 from repro.db.schema import Column, ColumnType
 from repro.db.table import STORAGE_MODES, Table, encode_column
-from repro.db.vector_backend import resolve_backend
 
 
 def make_database(**kwargs) -> Database:
@@ -333,11 +330,11 @@ class TestCodegenObservability:
         assert "executed: vectorized via codegen" in result.render()
         assert result.as_dict()["execution"]["path"] == "codegen"
 
-    def test_execution_stats_include_backend_and_encodings(self):
+    def test_execution_stats_include_encodings(self):
         database = make_database()
         database.execute_sql("select * from orders where o_total > 3.0")
         stats = database.execution_stats()["vectorized"]
-        assert stats["backend"]["requested"] in ("python", "numpy")
+        assert "backend" not in stats
         assert stats["encodings"].get("dict", 0) >= 1
         assert stats["encodings"].get("int64", 0) >= 1
 
@@ -349,90 +346,3 @@ class TestCodegenObservability:
         # One codegen execution counted per shard that ran the pipeline.
         assert stats["codegen_executions"] >= 3
         assert stats["pipelines_compiled"] >= 3
-
-
-class TestVectorBackendResolution:
-    def test_unknown_backend_degrades_to_python(self):
-        assert resolve_backend("arrow") == ("python", "python")
-
-    def test_none_consults_environment(self, monkeypatch):
-        monkeypatch.setenv(vector_backend.BACKEND_ENV, "numpy")
-        requested, active = resolve_backend(None)
-        assert requested == "numpy"
-        assert active == ("numpy" if vector_backend.numpy_available()
-                          else "python")
-
-    def test_numpy_request_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_backend, "_np", None)
-        assert resolve_backend("numpy") == ("numpy", "python")
-        assert vector_backend.make_filter_backend("numpy", lambda r: None) is None
-
-    def test_database_set_vector_backend(self):
-        database = make_database()
-        database.set_vector_backend("numpy")
-        vectorized = database._executor._vectorized
-        assert vectorized.backend_requested == "numpy"
-        expected = (
-            "numpy" if vector_backend.numpy_available() else "python"
-        )
-        assert vectorized.backend == expected
-
-    def test_engine_builder_vector_backend(self):
-        from repro.api.engine import Engine
-
-        engine = (
-            Engine.builder()
-            .orders_workload(num_orders=200)
-            .vector_backend("numpy")
-            .build()
-        )
-        stats = engine.database.execution_stats()["vectorized"]
-        assert stats["backend"]["requested"] == "numpy"
-
-
-@pytest.mark.skipif(
-    not vector_backend.numpy_available(), reason="numpy not installed"
-)
-class TestNumpyFilterBackend:
-    def _database(self) -> Database:
-        database = make_database(vector_backend="numpy")
-        # Force the kernel path so the numpy position filters (a kernel
-        # accelerator) actually run instead of the fused codegen loops.
-        database._executor._vectorized.codegen_enabled = False
-        return database
-
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "select * from orders where o_total > 3.0",
-            "select * from orders where o_total <= 12.0",
-            "select * from orders where o_c_id = 3",
-            "select * from orders where o_status = 'OPEN'",
-            "select * from orders where o_status != 'DONE'",
-            "select * from orders where o_total is null",
-            "select * from orders where o_c_id is not null",
-        ],
-    )
-    def test_numpy_filters_match_python_kernels(self, sql):
-        reference = make_database()
-        reference._executor._vectorized.codegen_enabled = False
-        database = self._database()
-        assert database.execute_sql(sql).rows == reference.execute_sql(sql).rows
-
-    def test_boxed_column_counts_untyped_reason(self):
-        database = self._database()
-        database.table("orders").set_storage_mode("boxed")
-        rows = database.execute_sql(
-            "select * from orders where o_total > 3.0"
-        ).rows
-        assert rows  # python kernel still answered
-        reasons = database.execution_stats()["vectorized"]["fallback_reasons"]
-        assert reasons.get("untyped_column", 0) >= 1
-
-    def test_parameter_slots_read_current_value(self):
-        database = self._database()
-        statement = database.prepare("select * from orders where o_total > ?")
-        low = statement.execute((3.0,)).rows
-        high = statement.execute((12.0,)).rows
-        assert len(high) < len(low)
-        assert all(row["o_total"] > 12.0 for row in high)

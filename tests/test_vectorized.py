@@ -26,7 +26,12 @@ from repro.db.expressions import (
     Not,
 )
 from repro.db.schema import Column, ColumnType
-from repro.db.vectorized import ColumnBatch, _batch_from_rows
+from repro.db.vectorized import (
+    BatchResolutionError,
+    ColumnBatch,
+    VectorizedExecutor,
+    _batch_from_rows,
+)
 
 
 def make_database() -> Database:
@@ -91,20 +96,14 @@ class TestModeSelection:
         assert Executor(database.tables).mode == "vectorized"
         assert database.execution_mode == "vectorized"
 
-    def test_compiled_false_means_interpreted(self):
-        database = make_database()
-        assert Executor(database.tables, compiled=False).mode == "interpreted"
-
     def test_unknown_mode_rejected(self):
         database = make_database()
         with pytest.raises(ValueError, match="unknown execution mode"):
             Executor(database.tables, mode="turbo")
 
-    def test_database_execution_mode_overrides_compiled_flag(self):
-        database = Database(execution_mode="interpreted")
-        assert database.execution_mode == "interpreted"
-        assert database.compiled_execution is False
-        assert Database(execution_mode="compiled").compiled_execution is True
+    def test_database_execution_mode_selects_the_tier(self):
+        for mode in Executor.MODES:
+            assert Database(execution_mode=mode).execution_mode == mode
 
 
 class TestTierCounters:
@@ -606,7 +605,11 @@ class TestColumnarInvalidation:
 
 
 class TestBatchKernels:
-    """compile_batch agrees element-for-element with evaluate."""
+    """The batch scope of the one lowering agrees with evaluate per element.
+
+    (``tests/test_compiled_expressions.py`` sweeps generated expressions
+    through all three scopes; these pin the kernel entry point itself.)
+    """
 
     def batch(self):
         rows = [
@@ -615,9 +618,6 @@ class TestBatchKernels:
             {"a": 3, "b": None, "s": None},
         ]
         return rows, _batch_from_rows(rows)
-
-    def resolver(self, column):
-        return lambda batch: batch.column_values(column)
 
     @pytest.mark.parametrize(
         "expression",
@@ -641,29 +641,40 @@ class TestBatchKernels:
             FunctionCall("upper", (ColumnRef("s"),)),
             FunctionCall("coalesce", (ColumnRef("a"), ColumnRef("b"), Literal(0))),
             Literal(7),
+            ColumnRef("a"),
         ],
     )
     def test_kernel_matches_interpreter(self, expression):
         rows, batch = self.batch()
-        kernel = expression.compile_batch(self.resolver)
+        expected = [expression.evaluate(row) for row in rows]
+        kernel = VectorizedExecutor._kernel(expression)
         assert kernel is not None
-        assert kernel(batch) == [expression.evaluate(row) for row in rows]
+        assert list(kernel(batch)) == expected
+        keep = VectorizedExecutor._kernel(expression, positions=True)
+        assert keep(batch) == [i for i, value in enumerate(expected) if value]
 
     def test_unknown_function_is_not_vectorizable(self):
-        assert FunctionCall("median", (ColumnRef("a"),)).compile_batch(
-            self.resolver
-        ) is None
+        expression = FunctionCall("median", (ColumnRef("a"),))
+        assert VectorizedExecutor._kernel(expression) is None
 
     def test_unsupported_expression_type_is_not_vectorizable(self):
         class Custom(Expression):
             def evaluate(self, row):
                 return 1
 
-        assert Custom().compile_batch(self.resolver) is None
+        assert VectorizedExecutor._kernel(Custom()) is None
         assert (
-            BinaryOp("+", Custom(), ColumnRef("a")).compile_batch(self.resolver)
+            VectorizedExecutor._kernel(BinaryOp("+", Custom(), ColumnRef("a")))
             is None
         )
+
+    def test_missing_column_raises_for_the_row_tier_to_decide(self):
+        rows, batch = self.batch()
+        kernel = VectorizedExecutor._kernel(
+            BinaryOp(">", ColumnRef("nope"), Literal(1))
+        )
+        with pytest.raises(BatchResolutionError):
+            kernel(batch)
 
 
 class TestColumnBatch:
