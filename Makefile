@@ -32,7 +32,10 @@ test-obs:
 
 # The columnar-storage and codegen suites: typed/dictionary encoding units,
 # storage x codegen x tier equivalence sweeps (sharded and unsharded), the
-# zero-codegen_unsupported property gate, and the vectorized-tier units.
+# zero-codegen_unsupported property gate, the maintained-views property
+# (views patched through any write history == freshly built ones, in every
+# storage mode, plus tier and MVCC-snapshot row equality around each write),
+# and the vectorized-tier units.
 test-columnar:
 	python -m pytest tests/test_typed_columns.py tests/test_vectorized.py -q
 
@@ -73,7 +76,10 @@ bench-e2e-smoke:
 # and the concurrency ones — mvcc_reader_writer (snapshot consistency and
 # the reader-latency bound asserted) and admission_open_loop (queueing knee
 # asserted) — and the observability one — tracing_overhead (traced run
-# within 5% of untraced asserted) — and the codegen ones —
+# within 5% of untraced asserted) — and the write-path one —
+# write_then_read (reads after a point UPDATE row-identical to an
+# interpreted-tier copy, no view re-encoded, each UPDATE on its expected
+# access path) — and the codegen ones —
 # scan_filter_codegen, aggregate_codegen, dict_filter_strings (row equality
 # across codegen/kernel/interpreted asserted, and the run fails if any
 # benchmark plan hits a codegen_unsupported fallback); does not overwrite

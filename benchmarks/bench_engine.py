@@ -76,6 +76,12 @@ benchmark families are timed:
   enabled tracing is asserted within 5% of the untraced wall time and a
   disabled tracer asserted free.
 
+* **Write then read** — a one-row PK ``UPDATE`` followed by a wide filter
+  read: first-read-after-write ÷ warm-read and point-``UPDATE`` ÷
+  scan-shaped ``UPDATE`` time, reads asserted row-identical to an
+  interpreted-tier copy, and the storage counters asserted (every view
+  patched in place, no re-encode, each update on its expected path).
+
 * **End-to-end optimizer** — ``CobraOptimizer.optimize()`` wall-clock on the
   Figure 13 motivating program (P0) and all six Wilos patterns, i.e. the
   workloads the opt-time experiment reports.
@@ -1439,6 +1445,87 @@ def bench_tracing_overhead(rows: int) -> dict:
     }
 
 
+WRITE_READ_ROUNDS = 15
+
+
+def bench_write_then_read(rows: int) -> dict:
+    """A one-row PK ``UPDATE`` followed by a wide filter read.
+
+    The ``analytic_sql_after_write`` shape as a microbenchmark: the write
+    patches the built columnar view and scan templates in place, so the
+    first read after it should cost what a warm read costs
+    (``first_read_ratio``), and the ``where o_id = ?`` predicate probes the
+    positional index instead of scanning (``point_vs_scan_update`` times it
+    against the same update behind a compound predicate, which scans).
+    Every write also runs on an interpreted-tier copy — whose updates
+    always scan — and the reads are asserted row-identical; the run fails
+    if a view was re-encoded or an update took the wrong access path.
+    """
+    import gc
+
+    database = build_benchmark_database(rows)
+    reference = build_benchmark_database(rows, "interpreted")
+    read = "select * from orders where o_total >= ? and o_total < ?"
+    window = (170.0, 340.0)
+    point = "update orders set o_total = ? where o_id = ?"
+    scan = "update orders set o_total = ? where o_id = ? and o_id >= 0"
+    timings = {
+        key: float("inf")
+        for key in ("warm_read", "first_read", "point_update", "scan_update")
+    }
+
+    def timed(key: str, run: Callable[[], object]) -> object:
+        started = time.perf_counter()
+        result = run()
+        timings[key] = min(timings[key], time.perf_counter() - started)
+        return result
+
+    database.execute_sql(read, window)  # build the views
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for round_ in range(WRITE_READ_ROUNDS):
+            target = (round_ * 7919) % rows
+            for sql, key in ((scan, "scan_update"), (point, "point_update")):
+                params = (float(200 + round_), target)
+                changed = timed(
+                    key, lambda: database.execute_update_sql(sql, params)
+                )
+                if changed != 1 or reference.execute_update_sql(sql, params) != 1:
+                    raise AssertionError(f"{key} changed {changed} rows")
+            got = timed("first_read", lambda: database.execute_sql(read, window))
+            timed("warm_read", lambda: database.execute_sql(read, window))
+            if round_ in (0, WRITE_READ_ROUNDS - 1):
+                if got.rows != reference.execute_sql(read, window).rows:
+                    raise AssertionError(
+                        "read after write differs from the interpreted tier"
+                    )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    storage = database.execution_stats()["storage"]
+    expected = {
+        "patched_updates": 2 * WRITE_READ_ROUNDS,
+        "column_reencodes": 0,
+        "point_updates": WRITE_READ_ROUNDS,
+        "scan_updates": WRITE_READ_ROUNDS,
+    }
+    if storage != expected:
+        raise AssertionError(f"write path took {storage}, expected {expected}")
+    return {
+        "rounds": WRITE_READ_ROUNDS,
+        "output_rows": len(got.rows),
+        "warm_read_seconds": timings["warm_read"],
+        "first_read_after_write_seconds": timings["first_read"],
+        "first_read_ratio": timings["first_read"] / timings["warm_read"],
+        "point_update_seconds": timings["point_update"],
+        "scan_update_seconds": timings["scan_update"],
+        "point_vs_scan_update": timings["point_update"] / timings["scan_update"],
+        "storage": storage,
+    }
+
+
 def bench_optimizer(wilos_scale: int = 2_000) -> dict:
     """End-to-end ``optimize()`` wall-clock on the Fig. 13 / Wilos workloads."""
     parameters = CostParameters.for_network(FAST_LOCAL)
@@ -1486,6 +1573,7 @@ def main() -> dict:
         "mvcc_reader_writer": bench_mvcc_reader_writer(rows),
         "admission_open_loop": bench_admission_open_loop(rows),
         "tracing_overhead": bench_tracing_overhead(rows),
+        "write_then_read": bench_write_then_read(rows),
         "optimizer": bench_optimizer(),
     }
     report.update(bench_sharded(rows))

@@ -45,7 +45,13 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.db import algebra
 from repro.db.executor import Executor, _FusedScan
-from repro.db.expressions import BinaryOp, ColumnRef, Literal
+from repro.db.expressions import (
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    Literal,
+    ParameterSlot,
+)
 from repro.db.schema import Column, ForeignKey, Schema, TableSchema
 from repro.db.sqlgen import to_sql
 from repro.db.sqlparser import (
@@ -277,7 +283,8 @@ class PreparedStatement:
                 if self.parameter_count
                 else update
             )
-        #: compiled UPDATE template: (predicate closure, [(column, value)]).
+        #: compiled UPDATE template: (predicate closure, {column: value},
+        #: the ``(ColumnRef, value expression)`` of a point predicate or None).
         self._compiled_update: Optional[tuple] = None
         self.point_lookup = (
             self._analyze_point_lookup(plan) if plan is not None else None
@@ -397,15 +404,29 @@ class PreparedStatement:
                     assignments[column] = expression.value
                 else:
                     assignments[column] = expression.compile()
-            self._compiled_update = (predicate, assignments)
-        predicate, assignments = self._compiled_update
-        self.database.queries_executed += 1
+            point = _point_equality(
+                statement.predicate, (ParameterSlot, Literal)
+            )
+            if point is not None and point[0].qualifier is not None:
+                point = None  # stored rows carry bare column names only
+            self._compiled_update = (predicate, assignments, point)
+        predicate, assignments, point = self._compiled_update
+        database = self.database
+        database.queries_executed += 1
         self.executions += 1
+        probe = None
+        if point is not None and database.execution_mode != "interpreted":
+            # The point-UPDATE path: like the point-lookup fast path, the
+            # interpreted tier stays the scan-everything reference.
+            column, value = point
+            probe = (column.name, value.evaluate(None))
         # Route through the database-level chokepoint so the write-ahead
         # log and any active transaction observe the statement.
-        return self.database.update_table(
-            self._exec_update.table, predicate, assignments
+        changed = database.update_table(
+            self._exec_update.table, predicate, assignments, probe
         )
+        self.last_tier = database.last_update_tier
+        return changed
 
     def _bind_slots(self, params: Sequence[Any]) -> None:
         """Write ``params`` into the slot buffer, validating the count."""
@@ -502,22 +523,10 @@ class PreparedStatement:
         scan = plan.child
         if not isinstance(scan, algebra.Scan):
             return None
-        predicate = plan.predicate
-        if not isinstance(predicate, BinaryOp) or predicate.op not in {
-            "=",
-            "==",
-        }:
+        point = _point_equality(plan.predicate, (Parameter, Literal))
+        if point is None:
             return None
-        for column, value in (
-            (predicate.left, predicate.right),
-            (predicate.right, predicate.left),
-        ):
-            if isinstance(column, ColumnRef) and isinstance(
-                value, (Parameter, Literal)
-            ):
-                break
-        else:
-            return None
+        column, value = point
         if isinstance(value, Literal):
             value = value.value
         storage = self.database.tables.get(scan.table)
@@ -540,6 +549,26 @@ class PreparedStatement:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "query" if self.is_query else "update"
         return f"<PreparedStatement {kind} {self.sql!r}>"
+
+
+def _point_equality(
+    predicate: Optional[Expression], value_types: tuple
+) -> Optional[tuple[ColumnRef, Expression]]:
+    """``(column, value)`` when ``predicate`` is ``column = <value>``.
+
+    The point shape shared by the point-lookup fast path and the point
+    ``UPDATE``: one equality, in either order, between a column and a node
+    of ``value_types`` (a parameter, a parameter slot or a literal).
+    """
+    if not isinstance(predicate, BinaryOp) or predicate.op not in {"=", "=="}:
+        return None
+    for column, value in (
+        (predicate.left, predicate.right),
+        (predicate.right, predicate.left),
+    ):
+        if isinstance(column, ColumnRef) and isinstance(value, value_types):
+            return column, value
+    return None
 
 
 def _plan_output_columns(
@@ -601,14 +630,15 @@ class Transaction:
         self.txn_id = txn_id
         self.active = True
         #: undo entries, applied in reverse on rollback:
-        #: ("insert", table, length_before) | ("update", table, before_images)
+        #: ("insert", table, length_before) |
+        #: ("update", table, [(position, before_image)])
         self._undo: list[tuple] = []
 
     def _record_insert(self, table: str, length_before: int) -> None:
         self._undo.append(("insert", table, length_before))
 
     def _record_update(
-        self, table: str, before_images: list[tuple[Row, dict]]
+        self, table: str, before_images: list[tuple[int, dict]]
     ) -> None:
         self._undo.append(("update", table, before_images))
 
@@ -656,6 +686,11 @@ class Database:
         self.server_row_cost = server_row_cost
         self._executor = Executor(self.tables, mode=execution_mode)
         self.queries_executed = 0
+        #: UPDATE statements planned from a positional index probe vs. by
+        #: scanning the table, and the path of the most recent one.
+        self.point_updates = 0
+        self.scan_updates = 0
+        self.last_update_tier: Optional[str] = None
         #: set once a table is sharded; consulted by the executor before
         #: normal execution and by the point-lookup fast path.
         self._router: Optional[ShardRouter] = None
@@ -829,7 +864,13 @@ class Database:
         self._finish_autocommit(auto_txn)
         return len(stored_rows)
 
-    def update_table(self, table: str, predicate, assignments: dict) -> int:
+    def update_table(
+        self,
+        table: str,
+        predicate,
+        assignments: dict,
+        probe: Optional[tuple[str, Any]] = None,
+    ) -> int:
         """Statement-atomic UPDATE on ``table`` with WAL + transaction hooks.
 
         Runs the two-phase update: :meth:`repro.db.table.Table.plan_update`
@@ -839,69 +880,70 @@ class Database:
         for rollback, and only then are the changes applied.  This is the
         single UPDATE chokepoint: prepared statements, cursors, and the
         application runtime all route through it.
+
+        ``probe`` — ``(column, value)`` when the whole predicate is
+        ``column = value`` — lets the plan phase take its candidate rows
+        from the table's positional index instead of scanning; the
+        predicate is still evaluated on every candidate.
         """
         storage = self.table(table)
-        mvcc = self._mvcc
-        txn, wal = self._txn, self._wal
-        if mvcc is not None:
-            if txn is not None:
-                # Planned against the transaction's snapshot view and
-                # buffered; applied (and conflict-checked) at commit time.
-                return mvcc.txn_update(txn, table, predicate, assignments)
-            planned = storage.plan_update(predicate, assignments)
-            if not planned:
-                return 0
+        mvcc, txn = self._mvcc, self._txn
+        if mvcc is not None and txn is not None:
+            # Planned against the transaction's snapshot view and
+            # buffered; applied (and conflict-checked) at commit time.
+            return mvcc.txn_update(txn, table, predicate, assignments, probe)
+        planned = self._plan_update(storage, predicate, assignments, probe)
+        if not planned:
+            return 0
+        if mvcc is not None or txn is not None:
+            rows = storage.rows
             before_images = [
                 (
                     position,
-                    {column: row[column] for column in new_values},
+                    {column: rows[position][column] for column in new_values},
                 )
-                for position, row, new_values in planned
+                for position, new_values in planned
             ]
-            auto_txn = self._log_write(
-                lambda txn_id: UpdateRecord(
-                    txn_id,
-                    table,
-                    tuple(
-                        (position, dict(new_values))
-                        for position, _, new_values in planned
-                    ),
-                )
-            )
-            storage.apply_update(
-                (row, new_values) for _, row, new_values in planned
-            )
-            self._finish_autocommit(auto_txn)
-            mvcc.note_update(table, before_images, len(planned))
-            return len(planned)
-        if txn is None and wal is None:
-            return storage.update_rows(predicate, assignments)
-        planned = storage.plan_update(predicate, assignments)
-        if not planned:
-            return 0
-        if txn is not None:
-            txn._record_update(
-                table,
-                [
-                    (row, {column: row[column] for column in new_values})
-                    for _, row, new_values in planned
-                ],
-            )
+            if txn is not None:
+                txn._record_update(table, before_images)
         auto_txn = self._log_write(
             lambda txn_id: UpdateRecord(
                 txn_id,
                 table,
                 tuple(
                     (position, dict(new_values))
-                    for position, _, new_values in planned
+                    for position, new_values in planned
                 ),
             )
         )
-        storage.apply_update(
-            (row, new_values) for _, row, new_values in planned
-        )
+        storage.apply_update(planned)
         self._finish_autocommit(auto_txn)
+        if mvcc is not None:
+            mvcc.note_update(table, before_images, len(planned))
         return len(planned)
+
+    def _plan_update(
+        self,
+        storage: Table,
+        predicate,
+        assignments: dict,
+        probe: Optional[tuple[str, Any]],
+    ) -> list[tuple[int, dict]]:
+        """Plan an UPDATE over ``storage``, probing its index when possible.
+
+        Counts which access path ran (``point_updates`` / ``scan_updates``)
+        and leaves it in :attr:`last_update_tier` for the connection's span.
+        """
+        positions = None
+        if probe is not None:
+            positions = storage.positions_for(*probe)
+        if positions is None:
+            self.scan_updates += 1
+            self.last_update_tier = "update"
+        else:
+            self.point_updates += 1
+            self.last_update_tier = "point-update"
+        return storage.plan_update(predicate, assignments, positions)
 
     # -- durability and transactions --------------------------------------
 
@@ -977,7 +1019,7 @@ class Database:
         the commit record landed) and aborted transactions are discarded, so
         recovery yields exactly the last committed state.  Inserts re-adopt
         the logged stored rows; updates re-apply their physical changes
-        through :meth:`repro.db.table.Table.apply_update_at`, which on a
+        through :meth:`repro.db.table.Table.apply_update`, which on a
         sharded table rehomes shard-key moves exactly like the live path.
 
         ``kwargs`` are forwarded to the :class:`Database` constructor
@@ -1002,7 +1044,7 @@ class Database:
                 for row in record.rows:
                     storage.insert_stored(dict(row))
             elif isinstance(record, UpdateRecord):
-                database.table(record.table).apply_update_at(
+                database.table(record.table).apply_update(
                     (position, dict(new_values))
                     for position, new_values in record.changes
                 )
@@ -1443,6 +1485,29 @@ class Database:
             "mode": executor.mode,
             "tiers": tiers,
             "vectorized": vectorized,
+            "storage": self.storage_stats(),
+        }
+
+    def storage_stats(self) -> dict[str, int]:
+        """Which write path ran: view maintenance and UPDATE access paths.
+
+        ``patched_updates`` counts row changes patched into an
+        already-built columnar view and ``column_reencodes`` single columns
+        lazily re-encoded because a write did not fit (both summed over
+        tables and shard partitions); ``point_updates`` / ``scan_updates``
+        count UPDATE statements planned from a positional-index probe vs.
+        a full scan.
+        """
+        patched = reencodes = 0
+        for table in self.tables.values():
+            for view in (table, *getattr(table, "shards", ())):
+                patched += view.patched_updates
+                reencodes += view.column_reencodes
+        return {
+            "patched_updates": patched,
+            "column_reencodes": reencodes,
+            "point_updates": self.point_updates,
+            "scan_updates": self.scan_updates,
         }
 
     def sharding_stats(self) -> dict:

@@ -315,7 +315,12 @@ class MvccManager:
         return count
 
     def txn_update(
-        self, ctx: _ReadContext, table: str, predicate, assignments: dict
+        self,
+        ctx: _ReadContext,
+        table: str,
+        predicate,
+        assignments: dict,
+        probe: Optional[tuple[str, Any]] = None,
     ) -> int:
         """Plan an UPDATE against the transaction's view and buffer it.
 
@@ -329,11 +334,13 @@ class MvccManager:
         """
         txn = self._check_writable(ctx)
         view, visible = self._table_view(txn, table)
-        planned = view.plan_update(predicate, assignments)
+        planned = self.database._plan_update(
+            view, predicate, assignments, probe
+        )
         if not planned:
             return 0
         writes = txn._writes.setdefault(table, _TableWrites())
-        for position, _row, new_values in planned:
+        for position, new_values in planned:
             if position < visible:
                 writes.updates.setdefault(position, {}).update(new_values)
             else:
@@ -410,7 +417,7 @@ class MvccManager:
                     )
                     for position, new_values in updates
                 ]
-                storage.apply_update_at(updates)
+                storage.apply_update(updates)
                 self._push_undo(
                     name, _UndoEntry(commit_ts, "update", before, len(before))
                 )
@@ -586,8 +593,7 @@ class MvccManager:
                     rows[position] = {**rows[position], **new_values}
             rows.extend(writes.pending)
         view = Table(storage.schema)
-        for row in rows:
-            view.adopt_row(row)
+        view.adopt_rows(rows)
         return view, visible
 
     # -- vacuum ------------------------------------------------------------

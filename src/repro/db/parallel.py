@@ -302,7 +302,6 @@ def unpack_table(payload: tuple, version: int) -> Table:
         table._pk_index = {row[primary_key]: row for row in table.rows}
     table.version = version
     table._columnar = columns
-    table._columnar_version = version
     return table
 
 

@@ -141,6 +141,9 @@ class ShardedTable(Table):
         #: the shard partitions; plain Tables sharing this table's schema
         #: and (by reference) its stored row dicts.
         self.shards: list[Table] = [Table(schema) for _ in range(shard_count)]
+        #: lazy aggregate position -> (shard, local position) map; see
+        #: :meth:`_row_placement`.
+        self._placement: Optional[list[tuple[int, int]]] = None
 
     # -- routing ---------------------------------------------------------
 
@@ -156,22 +159,27 @@ class ShardedTable(Table):
 
     def insert_stored(self, row: Row) -> Row:
         stored = super().insert_stored(row)
-        self.shards[self.shard_index(stored[self.shard_key])].adopt_row(stored)
+        index = self.shard_index(stored[self.shard_key])
+        shard = self.shards[index]
+        if self._placement is not None:
+            self._placement.append((index, len(shard.rows)))
+        shard.adopt_row(stored)
         return stored
 
     def clear(self) -> None:
         super().clear()
         for shard in self.shards:
             shard.clear()
+        self._placement = None
 
     def apply_update(self, changes) -> int:
         # The shard partitions share the stored dicts, so the update itself
-        # is visible there immediately; only their caches (and, if the shard
-        # key or primary key moved, their row placement) need repair.  This
-        # hook covers every update route identically — live ``update_rows``,
-        # transaction-rollback before-images, and WAL replay via
-        # ``apply_update_at`` — so a replayed shard-key update rehomes the
-        # row exactly like the live path did.
+        # is visible there immediately; their views (and, if the shard key
+        # or primary key moved, their row placement) need repair.  This
+        # hook covers every update route identically — live
+        # ``update_rows``, transaction-rollback before-images, MVCC commit
+        # and WAL replay — so a replayed shard-key update rehomes the row
+        # exactly like the live path did.
         changes = list(changes)
         primary_key = self.schema.primary_key
         rehome = any(
@@ -180,26 +188,55 @@ class ShardedTable(Table):
             for _, new_values in changes
         )
         updated = super().apply_update(changes)
-        if updated:
-            self._sync_shards(rehome=rehome)
+        if rehome:
+            self._rehome()
+        elif updated:
+            # Only the partitions owning a changed row are touched: each
+            # patches its own views at the row's shard-local position.
+            placement = self._row_placement()
+            by_shard: dict[int, list[tuple[int, dict]]] = {}
+            for position, new_values in changes:
+                index, local = placement[position]
+                by_shard.setdefault(index, []).append((local, new_values))
+            for index, local_changes in by_shard.items():
+                self.shards[index].apply_update(local_changes)
         return updated
 
     def truncate_to(self, length: int) -> int:
         removed = super().truncate_to(length)
         if removed:
-            self._sync_shards(rehome=True)
+            self._rehome()
         return removed
 
-    def _sync_shards(self, rehome: bool) -> None:
-        if not rehome:
-            for shard in self.shards:
-                shard._invalidate_caches()
-            return
+    def _row_placement(self) -> list[tuple[int, int]]:
+        """Aggregate position -> ``(shard index, shard-local position)``.
+
+        Every partition keeps its rows in aggregate order, so a row's local
+        position is the number of earlier rows homed in the same shard.
+        Built on the first update, extended by inserts, dropped by a
+        re-home; read-only tables never build it.
+        """
+        placement = self._placement
+        if placement is None:
+            key = self.shard_key
+            counts = [0] * self.shard_count
+            placement = self._placement = []
+            for row in self.rows:
+                index = self.shard_index(row[key])
+                placement.append((index, counts[index]))
+                counts[index] += 1
+        return placement
+
+    def _rehome(self) -> None:
+        """Refile every row into the partition its shard key hashes to."""
         key = self.shard_key
-        for shard in self.shards:
-            shard.clear()
+        homes: list[list[Row]] = [[] for _ in self.shards]
         for row in self.rows:
-            self.shards[self.shard_index(row[key])].adopt_row(row)
+            homes[self.shard_index(row[key])].append(row)
+        for shard, rows in zip(self.shards, homes):
+            shard.clear()
+            shard.adopt_rows(rows)
+        self._placement = None
 
     # -- storage ---------------------------------------------------------
 

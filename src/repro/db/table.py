@@ -5,20 +5,29 @@ Rows are stored as plain dictionaries mapping column name to value.  A
 optional hash index on the primary key for point lookups (used by the ORM
 substrate for lazy loads and by the executor for indexed joins).
 
-Beyond the primary-key index, tables maintain *lazy secondary hash indexes*
-(:meth:`Table.index_for`) mapping a column value to the list of rows holding
-it, and cache per-column distinct counts.  Both are built on first use and
-invalidated whenever the table mutates (insert, update, clear), tracked by a
-monotonically increasing :attr:`Table.version`.  The executor uses secondary
-indexes for index-nested-loop joins and hash-join build sides; the statistics
-catalog uses the cached distinct counts.
+Beyond the primary-key index, tables keep *derived views*, each built lazily
+on first use: secondary hash indexes (:meth:`Table.index_for`, column value
+-> rows holding it; the executor's index-nested-loop joins and hash-join
+build sides), positional bucket indexes (:meth:`Table.positions_for`, column
+value -> row positions; the candidate source of a point ``UPDATE``), cached
+per-column distinct counts (the statistics catalog), the *columnar view*
+(:meth:`Table.columns`, one :class:`ColumnData` per column aligned by row
+position, which the vectorized executor scans instead of row dictionaries)
+and the full-width scan-output templates (:meth:`Table.wide_rows`).
 
-Tables also expose a *columnar view* (:meth:`Table.columns`): one value list
-per column, aligned by row position.  Like the secondary indexes it is built
-lazily on first use and rebuilt when :attr:`Table.version` moves, so the
-row dicts remain the single mutation/validation surface while the vectorized
-executor (:mod:`repro.db.vectorized`) scans whole columns without touching
-per-row dictionaries.
+The row dicts remain the single mutation/validation surface, and every
+mutation is **positional**: an insert appends, an update is a list of
+``(position, new_values)`` changes (:meth:`Table.apply_update` — the one
+hook behind autocommit updates, transaction rollback before-images, MVCC
+commit and WAL replay).  A mutation bumps :attr:`Table.version` (external
+caches key on it) and then *maintains* the built views instead of dropping
+them: an append extends every built view, an update patches the columnar
+view, the templates and the primary-key index in place and drops only the
+secondary / positional indexes and distinct counts of the *assigned*
+columns.  A column is re-encoded — that one column, on the next
+:meth:`Table.columns` call — only when a written value does not fit its
+encoding.  ``clear`` / ``truncate_to`` / ``adopt_rows`` drop the views; the
+full build survives only as the lazy first build.
 """
 
 from __future__ import annotations
@@ -133,6 +142,66 @@ def encode_column(values: list, mode: str) -> ColumnData:
     return data
 
 
+def _store_value(data: ColumnData, position: int, value: Any) -> bool:
+    """Write ``value`` at ``position`` of a built column, sidecars included.
+
+    ``position == len(data)`` appends.  Returns ``False`` when the value
+    does not fit the column's encoding — a type the sidecar cannot hold, an
+    int wider than 64 bits, the first NULL of a null-free column (the
+    bitmap's presence is part of the layout compiled pipelines specialize
+    on) — in which case the column is left for :func:`encode_column` to
+    rebuild.  A new dictionary string gets the next free code; a cleared
+    NULL leaves its (now possibly all-zero) bitmap in place, so a patched
+    column keeps its layout.
+    """
+    typed, codes, nulls = data.typed, data.codes, data.nulls
+    if position == len(data):
+        data.append(value)
+        if typed is not None:
+            typed.append(0)
+        elif codes is not None:
+            codes.append(-1)
+        if nulls is not None and position >> 3 == len(nulls):
+            nulls.append(0)
+    else:
+        data[position] = value
+    encoding = data.encoding
+    if encoding == "boxed":
+        return True
+    if value is None:
+        if nulls is None:
+            return False
+        nulls[position >> 3] |= 1 << (position & 7)
+        if typed is not None:
+            typed[position] = 0
+        else:
+            codes[position] = -1
+        return True
+    if encoding == "dict":
+        if type(value) is not str:
+            return False
+        code = data.code_of.get(value)
+        if code is None:
+            dictionary = data.dictionary
+            # Overwritten strings stay in the dictionary; rebuild before
+            # the dead entries outnumber the rows.
+            if len(dictionary) > 2 * len(data) + 16:
+                return False
+            code = data.code_of[value] = len(dictionary)
+            dictionary.append(value)
+        codes[position] = code
+    elif type(value) is not (int if encoding == "int64" else float):
+        return False
+    else:
+        try:
+            typed[position] = value
+        except OverflowError:
+            return False
+    if nulls is not None:
+        nulls[position >> 3] &= ~(1 << (position & 7)) & 0xFF
+    return True
+
+
 def _slice_nulls(
     nulls: Optional[bytearray], start: int, stop: int
 ) -> Optional[bytes]:
@@ -223,6 +292,37 @@ def unpack_column(payload: tuple) -> ColumnData:
     return data
 
 
+def _wide_row(row: Row, qualified: list[str]) -> Row:
+    """One scan-output template: ``row``'s bare keys, then the qualified."""
+    # Stored rows hold every schema column in declaration order
+    # (prepare_row guarantees it), so values() aligns with ``qualified``.
+    wide = dict(row)
+    wide.update(zip(qualified, row.values()))
+    return wide
+
+
+def _file(indexes: dict[str, dict], row: Row, entry: Any) -> None:
+    """Append ``entry`` to the bucket of ``row``'s value in each built index.
+
+    NULLs are not indexed.  An index that cannot hold the value (it is
+    unhashable) is dropped; its next lazy build raises as it always did.
+    """
+    for column in list(indexes):
+        value = row[column]
+        if value is None:
+            continue
+        index = indexes[column]
+        try:
+            bucket = index.get(value)
+        except TypeError:
+            del indexes[column]
+            continue
+        if bucket is None:
+            index[value] = [entry]
+        else:
+            bucket.append(entry)
+
+
 class Table:
     """An in-memory table: a schema plus a list of rows."""
 
@@ -234,21 +334,28 @@ class Table:
         )
         #: column name -> {value: [rows]} lazy secondary indexes.
         self._indexes: dict[str, dict[Any, list[Row]]] = {}
+        #: column name -> {value: [row positions]} lazy positional indexes.
+        self._positions: dict[str, dict[Any, list[int]]] = {}
         #: column name -> cached distinct non-null value count.
         self._distinct_cache: dict[str, int] = {}
-        #: cached columnar view (column name -> :class:`ColumnData`) and the
-        #: table version it was built against; rebuilt lazily when stale.
+        #: the built columnar view (column name -> :class:`ColumnData`),
+        #: maintained in place by every mutation once built.
         self._columnar: Optional[dict[str, ColumnData]] = None
-        self._columnar_version: int = -1
-        #: physical representation picked on columnar rebuild; see
+        #: columns of the built view a write did not fit; re-encoded from
+        #: the rows by the next :meth:`columns` call.
+        self._reencode: set[str] = set()
+        #: physical representation of the columnar view; see
         #: :data:`STORAGE_MODES` and :meth:`set_storage_mode`.
         self._storage_mode: str = "dictionary"
-        #: alias -> cached full-width output rows (bare + qualified keys)
-        #: for that scan alias, plus the version they were built against.
+        #: alias -> built full-width output rows (bare + qualified keys)
+        #: for that scan alias, maintained in place like the columnar view.
         self._wide_rows: dict[str, list[Row]] = {}
-        self._wide_version: int = -1
         #: bumped on every mutation; external caches may key on this.
         self.version: int = 0
+        #: row changes patched into an already-built columnar view, and
+        #: single columns lazily re-encoded because a write did not fit.
+        self.patched_updates: int = 0
+        self.column_reencodes: int = 0
 
     # -- mutation --------------------------------------------------------
 
@@ -277,12 +384,7 @@ class Table:
         Subclasses hook here for additional filing (the sharded table files
         the stored dict into its home partition as well).
         """
-        self.rows.append(stored)
-        if self._pk_index is not None:
-            key = stored[self.schema.primary_key]
-            self._pk_index[key] = stored
-        self._invalidate_caches()
-        return stored
+        return self.adopt_row(stored)
 
     def insert(self, row: Row) -> Row:
         """Insert one row (a mapping of column name to value).
@@ -307,32 +409,65 @@ class Table:
         dict both in its aggregate view and in the owning shard partition, so
         in-place updates are visible through every view without copying.  The
         caller is responsible for having validated ``stored`` against this
-        table's schema (shard partitions share the parent's schema).
+        table's schema (shard partitions share the parent's schema).  Every
+        built view is extended by the new row.
         """
+        position = len(self.rows)
         self.rows.append(stored)
         if self._pk_index is not None:
             self._pk_index[stored[self.schema.primary_key]] = stored
-        self._invalidate_caches()
+        self.version += 1
+        if self._distinct_cache:
+            self._distinct_cache.clear()
+        if self._columnar is not None:
+            self._write_columns(position, stored)
+        if self._wide_rows:
+            for alias, wide in self._wide_rows.items():
+                wide.append(_wide_row(stored, self._qualified(alias)))
+        if self._indexes:
+            _file(self._indexes, stored, stored)
+        if self._positions:
+            _file(self._positions, stored, position)
         return stored
+
+    def adopt_rows(self, rows: Iterable[Row]) -> int:
+        """Bulk :meth:`adopt_row`: one version bump for the whole batch.
+
+        A bulk load rebuilds views faster than it extends them row by row,
+        so the built views are dropped instead of maintained.
+        """
+        before = len(self.rows)
+        self.rows.extend(rows)
+        if self._pk_index is not None:
+            primary_key = self.schema.primary_key
+            for stored in self.rows[before:]:
+                self._pk_index[stored[primary_key]] = stored
+        self._drop_views()
+        return len(self.rows) - before
 
     def clear(self) -> None:
         """Remove all rows."""
         self.rows.clear()
         if self._pk_index is not None:
             self._pk_index.clear()
-        self._invalidate_caches()
+        self._drop_views()
 
     def plan_update(
-        self, predicate, assignments: dict
-    ) -> list[tuple[int, Row, dict]]:
+        self,
+        predicate,
+        assignments: dict,
+        positions: Optional[Iterable[int]] = None,
+    ) -> list[tuple[int, dict]]:
         """Phase one of an update: compute every change **without mutating**.
 
-        Evaluates ``predicate`` and the assignment expressions against every
-        row's pre-statement state and returns ``(position, row, new_values)``
-        triples for the rows that match.  Any error — an unknown column, a
-        predicate or assignment callable raising mid-scan — surfaces here,
-        *before* anything has been written, which is what makes UPDATE
-        statements atomic: a failed statement leaves the table untouched.
+        Evaluates ``predicate`` and the assignment expressions against the
+        pre-statement state of every row — or, when ``positions`` is given
+        (ascending candidates from :meth:`positions_for`), of those rows
+        only — and returns ``(position, new_values)`` pairs for the rows
+        that match.  Any error — an unknown column, a predicate or
+        assignment callable raising mid-scan — surfaces here, *before*
+        anything has been written, which is what makes UPDATE statements
+        atomic: a failed statement leaves the table untouched.
 
         Because nothing is applied during this phase, every row naturally
         sees the pre-update state — SQL's simultaneous-assignment semantics
@@ -347,52 +482,66 @@ class Table:
                     f"unknown column {column!r} in update on table "
                     f"{self.schema.name!r}"
                 )
-        planned: list[tuple[int, Row, dict]] = []
-        for position, row in enumerate(self.rows):
+        rows = self.rows
+        planned: list[tuple[int, dict]] = []
+        for position in range(len(rows)) if positions is None else positions:
+            row = rows[position]
             if not predicate(row):
                 continue
             new_values = {
                 column: (value(row) if callable(value) else value)
                 for column, value in assignments.items()
             }
-            planned.append((position, row, new_values))
+            planned.append((position, new_values))
         return planned
 
-    def apply_update(self, changes: Iterable[tuple[Row, dict]]) -> int:
-        """Phase two of an update: apply precomputed ``(row, new_values)``.
+    def apply_update(self, changes: Iterable[tuple[int, dict]]) -> int:
+        """Phase two of an update: apply ``(position, new_values)`` changes.
 
-        The values were computed (and validated) by :meth:`plan_update`, so
-        application cannot fail; primary-key moves are re-indexed exactly as
-        before.  Also used in reverse by transaction rollback (applying the
-        before-images) and by WAL replay (via :meth:`apply_update_at`).
-        """
-        primary_key = self.schema.primary_key
-        updated = 0
-        for row, new_values in changes:
-            old_key = row[primary_key] if primary_key else None
-            row.update(new_values)
-            if self._pk_index is not None and row[primary_key] != old_key:
-                # The update moved the row to a new primary key: drop the
-                # stale entry (unless another row already claimed it) and
-                # index the row under its new key.
-                if self._pk_index.get(old_key) is row:
-                    del self._pk_index[old_key]
-                self._pk_index[row[primary_key]] = row
-            updated += 1
-        if updated:
-            self._invalidate_caches()
-        return updated
-
-    def apply_update_at(self, changes: Iterable[tuple[int, dict]]) -> int:
-        """Apply ``(row position, new_values)`` changes (WAL replay path).
-
-        Positions refer to :attr:`rows` order, which is stable because
-        storage is append-only and replay applies records in log order.
+        The one mutation hook behind every update route: the live path (the
+        values were computed and validated by :meth:`plan_update`, so
+        application cannot fail), transaction rollback (the before-images),
+        MVCC commit and WAL replay — positions refer to :attr:`rows` order,
+        which is stable because storage is append-only and replay applies
+        records in log order.  Built views are patched in place: the
+        columnar view and the scan templates cell by cell, the primary-key
+        index on a key move; only the secondary / positional indexes and
+        distinct counts of the assigned columns are dropped.
         """
         rows = self.rows
-        return self.apply_update(
-            (rows[position], new_values) for position, new_values in changes
-        )
+        primary_key = self.schema.primary_key
+        pk_index = self._pk_index
+        patch_columns = self._columnar is not None
+        assigned: set[str] = set()
+        updated = 0
+        for position, new_values in changes:
+            row = rows[position]
+            if pk_index is not None and primary_key in new_values:
+                old_key, new_key = row[primary_key], new_values[primary_key]
+                if new_key != old_key:
+                    # The update moves the row to a new primary key: drop
+                    # the stale entry (unless another row already claimed
+                    # it) and index the row under its new key.
+                    if pk_index.get(old_key) is row:
+                        del pk_index[old_key]
+                    pk_index[new_key] = row
+            row.update(new_values)
+            assigned.update(new_values)
+            if patch_columns:
+                self._write_columns(position, new_values)
+                self.patched_updates += 1
+            for alias, wide in self._wide_rows.items():
+                template = wide[position]
+                for name, value in new_values.items():
+                    template[name] = template[f"{alias}.{name}"] = value
+            updated += 1
+        if updated:
+            self.version += 1
+            for column in assigned:
+                self._indexes.pop(column, None)
+                self._positions.pop(column, None)
+                self._distinct_cache.pop(column, None)
+        return updated
 
     def update_rows(self, predicate, assignments: dict) -> int:
         """Update rows matching ``predicate`` (a callable on a row dict).
@@ -409,10 +558,7 @@ class Table:
         (write them all), so an error raised by the predicate or by an
         assignment on any row leaves the table completely unchanged.
         """
-        planned = self.plan_update(predicate, assignments)
-        return self.apply_update(
-            (row, new_values) for _, row, new_values in planned
-        )
+        return self.apply_update(self.plan_update(predicate, assignments))
 
     def truncate_to(self, length: int) -> int:
         """Remove every row past ``length`` (transaction-rollback undo).
@@ -430,18 +576,36 @@ class Table:
             for row in removed:
                 if self._pk_index.get(row[primary_key]) is row:
                     del self._pk_index[row[primary_key]]
-        self._invalidate_caches()
+        self._drop_views()
         return len(removed)
 
-    def _invalidate_caches(self) -> None:
+    def _write_columns(self, position: int, values: dict) -> None:
+        """Write ``values`` at ``position`` of the built columnar view.
+
+        A column the value does not fit is queued for re-encoding.  So is
+        any boxed column outside ``boxed`` mode: whether it stays boxed
+        depends on all of its values, which only a re-encode looks at.
+        """
+        store = self._columnar
+        pending = self._reencode
+        refit_boxed = self._storage_mode != "boxed"
+        for name, value in values.items():
+            if name in pending:
+                continue
+            data = store[name]
+            if not _store_value(data, position, value) or (
+                refit_boxed and data.encoding == "boxed"
+            ):
+                pending.add(name)
+
+    def _drop_views(self) -> None:
         self.version += 1
-        if self._indexes:
-            self._indexes.clear()
-        if self._distinct_cache:
-            self._distinct_cache.clear()
+        self._indexes.clear()
+        self._positions.clear()
+        self._distinct_cache.clear()
         self._columnar = None
-        if self._wide_rows:
-            self._wide_rows.clear()
+        self._reencode.clear()
+        self._wide_rows.clear()
 
     # -- access ----------------------------------------------------------
 
@@ -468,9 +632,10 @@ class Table:
     def index_for(self, column: str) -> dict[Any, list[Row]]:
         """Secondary hash index: column value -> rows holding it.
 
-        Built lazily on first use and cached until the table mutates.  NULL
-        values are not indexed (they never match an equi-join key).  The
-        returned rows are the stored dicts; callers must not mutate them.
+        Built lazily on first use; afterwards inserts append to its buckets
+        and only an update assigning ``column`` drops it.  NULL values are
+        not indexed (they never match an equi-join key).  The returned rows
+        are the stored dicts; callers must not mutate them.
         """
         index = self._indexes.get(column)
         if index is None:
@@ -488,67 +653,95 @@ class Table:
             self._indexes[column] = index
         return index
 
+    def positions_for(self, column: str, value: Any) -> Optional[list[int]]:
+        """Ascending positions of the rows whose ``column`` may equal ``value``.
+
+        The candidate source of a point ``UPDATE``: a positional bucket
+        index with :meth:`index_for`'s lifecycle.  A *bucket* index, never
+        the primary-key index — primary keys are not enforced unique.  Hash
+        lookup finds every row a Python ``==`` would (equal builtin values
+        hash equally), possibly more never fewer, so callers still evaluate
+        their predicate on each candidate.  Returns ``None`` when the column
+        is unknown or ``value`` or a stored value is unhashable; the caller
+        scans instead.
+        """
+        index = self._positions.get(column)
+        try:
+            if index is None:
+                if not self.schema.has_column(column):
+                    return None  # the scan raises what it always raised
+                index = {}
+                for position, row in enumerate(self.rows):
+                    stored = row[column]
+                    if stored is not None:
+                        index.setdefault(stored, []).append(position)
+                self._positions[column] = index
+            return index.get(value, ())
+        except TypeError:
+            return None
+
     def columns(self) -> dict[str, ColumnData]:
         """Columnar view: column name -> :class:`ColumnData`, aligned by row.
 
-        Built lazily from the row dicts on first use and cached until the
-        table mutates (checked against :attr:`version`, like
-        :meth:`index_for`).  Row dicts remain the mutation surface; the
-        returned columns are positionally aligned with :attr:`rows` and must
-        not be mutated by callers.  The vectorized executor scans these
+        Built from the row dicts on first use; afterwards every mutation
+        maintains it in place (the same dict is handed out again), and this
+        call only re-encodes the columns a write did not fit.  Row dicts
+        remain the mutation surface; the returned columns are positionally
+        aligned with :attr:`rows`, must not be mutated by callers, and —
+        because the next write patches them — are only valid within the
+        statement that asked for them.  The vectorized executor scans these
         arrays instead of iterating row dictionaries; each column carries a
         typed/dictionary-encoded sidecar per :meth:`set_storage_mode`, which
         the fused-pipeline codegen specializes on.
         """
-        cached = self._columnar
-        if cached is not None and self._columnar_version == self.version:
-            return cached
+        store = self._columnar
+        if store is None:
+            names = self.schema.column_names
+        elif self._reencode:
+            names = tuple(self._reencode)
+            self.column_reencodes += len(names)
+        else:
+            return store
         rows = self.rows
         mode = self._storage_mode
-        store = {
+        fresh = {
             name: encode_column([row[name] for row in rows], mode)
-            for name in self.schema.column_names
+            for name in names
         }
-        self._columnar = store
-        self._columnar_version = self.version
+        if store is None:
+            self._columnar = store = fresh
+        else:
+            store.update(fresh)
+            self._reencode.clear()
         return store
 
     def wide_rows(self, alias: str) -> list[Row]:
-        """Full-width scan output rows for ``alias``, cached per version.
+        """Full-width scan output rows for ``alias``, built once per alias.
 
         A scan materializes each row with its bare keys followed by the
         alias-qualified keys.  Codegen select pipelines emit survivors as
         ``dict.copy`` of these prebuilt templates — a single C-level copy
         per output row instead of an 8-entry dict display — so the
-        templates are cached here next to the columnar view and share its
-        lifecycle: any mutation bumps :attr:`version` and drops them.
-        Callers receive copies, never these dicts.
+        templates are kept here next to the columnar view and share its
+        lifecycle: inserts append a template, updates patch the assigned
+        cells.  Callers receive copies, never these dicts.
         """
-        if self._wide_version != self.version:
-            if self._wide_rows:
-                self._wide_rows.clear()
-            self._wide_version = self.version
         cached = self._wide_rows.get(alias)
         if cached is None:
-            qualified = [
-                f"{alias}.{name}" for name in self.schema.column_names
-            ]
-            cached = []
-            append = cached.append
-            for row in self.rows:
-                # Stored rows hold every schema column in declaration
-                # order (prepare_row guarantees it), so values() aligns.
-                wide = dict(row)
-                wide.update(zip(qualified, row.values()))
-                append(wide)
+            qualified = self._qualified(alias)
+            cached = [_wide_row(row, qualified) for row in self.rows]
             self._wide_rows[alias] = cached
         return cached
+
+    def _qualified(self, alias: str) -> list[str]:
+        return [f"{alias}.{name}" for name in self.schema.column_names]
 
     def set_storage_mode(self, mode: str) -> None:
         """Choose the columnar representation (see :data:`STORAGE_MODES`).
 
-        Takes effect on the next columnar rebuild; the row dicts are
-        untouched, so this is purely a physical-layout knob.
+        Drops the built columnar view, so the next :meth:`columns` call
+        builds it in the new mode; the row dicts are untouched, so this is
+        purely a physical-layout knob.
         """
         if mode not in STORAGE_MODES:
             raise ValueError(
@@ -558,6 +751,7 @@ class Table:
         if mode != self._storage_mode:
             self._storage_mode = mode
             self._columnar = None
+            self._reencode.clear()
 
     @property
     def storage_mode(self) -> str:
@@ -566,14 +760,16 @@ class Table:
     def column_encodings(self) -> dict[str, str]:
         """Encoding per column of the *currently built* columnar view.
 
-        Reads only the cached view — it never triggers a rebuild — so it is
-        safe to call from stats paths without side effects.  Returns an
-        empty dict when no fresh columnar view exists.
+        Reads only the built view — it never triggers a build or a
+        re-encode — so it is safe to call from stats paths without side
+        effects.  Columns awaiting a re-encode are left out; empty when the
+        view was never built.
         """
-        cached = self._columnar
-        if cached is None or self._columnar_version != self.version:
-            return {}
-        return {name: column.encoding for name, column in cached.items()}
+        return {
+            name: column.encoding
+            for name, column in (self._columnar or {}).items()
+            if name not in self._reencode
+        }
 
     @property
     def row_width(self) -> int:

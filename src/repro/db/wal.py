@@ -21,7 +21,7 @@ Inserts log the **normalised stored form** of every row (what
 two-phase update (:meth:`repro.db.table.Table.plan_update`).  Storage is
 append-only (rollback is a truncation, never a hole), so row positions are
 stable identifiers under replay.  Replaying an :class:`UpdateRecord` goes
-through the same :meth:`~repro.db.table.Table.apply_update_at` hook the
+through the same :meth:`~repro.db.table.Table.apply_update` hook the
 live engine uses — on a :class:`~repro.db.sharding.ShardedTable` that hook
 rehomes shard-key moves, so replayed updates place rows in partitions
 exactly like the live path did.

@@ -949,7 +949,12 @@ class SimulatedConnection:
         if tracer is not None and tracer.active:
             if sql is not None:
                 tracer.set_sql(sql)
-            tracer.add_span("execute", 0.0, tier="update", rows_changed=changed)
+            tracer.add_span(
+                "execute",
+                0.0,
+                tier=self.database.last_update_tier,
+                rows_changed=changed,
+            )
             tracer.add_span(
                 "network_round_trip", self.network.round_trip_seconds
             )

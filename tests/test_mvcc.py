@@ -169,6 +169,19 @@ class TestSnapshotVisibility:
         # After close the snapshot's horizon is released.
         assert database.mvcc_stats()["active_snapshots"] == 0
 
+    def test_snapshot_view_is_adopted_in_one_version_bump(self):
+        database = make_database(mvcc=True)
+        live = database.table("items")
+        with database.snapshot() as snap:
+            database.execute_update_sql(
+                "update items set qty = 99 where item_id = 2"
+            )
+            view, visible = database._mvcc._table_view(snap, "items")
+            assert view is not live and visible == len(live.rows)
+            assert view.version == 1  # one bulk adopt, not one bump per row
+            assert view.rows[2]["qty"] == 10 and live.rows[2]["qty"] == 99
+            assert view.rows[3] is live.rows[3]  # untouched rows are shared
+
     def test_reader_opened_before_concurrent_txn_commit(self):
         """The ISSUE's interleaving: a reader opened before a concurrent
         transaction commits keeps seeing the old rows."""

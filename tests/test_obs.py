@@ -364,6 +364,22 @@ class TestEngineTracing:
         assert stats["tracing"]["enabled"] is True
         assert stats["tracing"]["traces_recorded"] == 2
 
+    def test_update_span_names_the_access_path(self):
+        engine = make_engine()
+        connection = engine.connect()
+        connection.execute_update(
+            "update orders set o_quantity = 1 where o_id = ?", (3,)
+        )
+        connection.execute_update(
+            "update orders set o_quantity = 2 where o_id = 3 and o_quantity = 1"
+        )
+        point, scan = engine.tracer.traces
+        assert point.find("execute").attributes["tier"] == "point-update"
+        assert scan.find("execute").attributes["tier"] == "update"
+        storage = engine.metrics().as_dict()["views"]["execution"]["storage"]
+        assert storage["point_updates"] == 1 and storage["scan_updates"] == 1
+        assert engine.stats()["execution"]["storage"] == storage
+
     def test_traced_query_root_equals_charged_latency(self):
         engine = make_engine()
         connection = engine.connect()

@@ -269,3 +269,147 @@ class TestPreparedStatementConstruction:
         database = make_database()
         with pytest.raises(ValueError, match="exactly one"):
             PreparedStatement(database, "select 1")
+
+
+class TestPointUpdate:
+    """A ``where column = <?|literal>`` UPDATE probes the positional index.
+
+    The interpreted tier never probes (it is the scan-everything reference,
+    as for the point-lookup fast path), so every case runs the same
+    statements on both and compares rows changed, the resulting table and
+    the raised error.
+    """
+
+    @staticmethod
+    def pair(extra_rows=()):
+        probing, scanning = make_database(), make_database(mode="interpreted")
+        for database in (probing, scanning):
+            database.insert("items", extra_rows)
+            # Reads first, so the probing side patches built views.
+            database.execute_sql("select * from items where grp >= 1")
+            database.table("items").index_for("grp")
+        return probing, scanning
+
+    @staticmethod
+    def run(database, sql, params=()):
+        try:
+            return database.execute_update_sql(sql, params)
+        except Exception as exc:  # noqa: BLE001 - compared across the pair
+            return type(exc)
+
+    def assert_agree(self, probing, scanning, sql, params=()):
+        outcome = self.run(probing, sql, params)
+        assert outcome == self.run(scanning, sql, params)
+        assert probing.table("items").rows == scanning.table("items").rows
+        select = "select * from items where grp >= 0"
+        assert (
+            probing.execute_sql(select).rows == scanning.execute_sql(select).rows
+        )
+        return outcome
+
+    def test_probe_and_scan_are_counted_apart(self):
+        probing, scanning = self.pair()
+        sql = "update items set grp = ? where item_id = ?"
+        assert self.assert_agree(probing, scanning, sql, (9, 7)) == 1
+        assert probing.prepare(sql).last_tier == "point-update"
+        assert scanning.prepare(sql).last_tier == "update"
+        storage = probing.execution_stats()["storage"]
+        assert storage["point_updates"] == 1 and storage["scan_updates"] == 0
+        assert storage["patched_updates"] == 1
+        assert storage["column_reencodes"] == 0
+        storage = scanning.execution_stats()["storage"]
+        assert storage["point_updates"] == 0 and storage["scan_updates"] == 1
+        # A compound predicate is not the point shape: it scans.
+        self.assert_agree(
+            probing, scanning, "update items set grp = 1 where item_id = 7 and grp = 9"
+        )
+        assert probing.storage_stats()["scan_updates"] == 1
+
+    def test_literal_on_either_side(self):
+        probing, scanning = self.pair()
+        assert self.assert_agree(
+            probing, scanning, "update items set label = 'x' where 5 = item_id"
+        ) == 1
+        assert probing.storage_stats()["point_updates"] == 1
+
+    def test_duplicate_primary_keys_update_every_holder(self):
+        duplicates = [
+            {"item_id": 7, "label": "again", "grp": 2},
+            {"item_id": 7, "label": "thrice", "grp": 3},
+        ]
+        probing, scanning = self.pair(duplicates)
+        sql = "update items set grp = ? where item_id = ?"
+        assert self.assert_agree(probing, scanning, sql, (50, 7)) == 3
+        assert probing.storage_stats()["point_updates"] == 1
+
+    @pytest.mark.parametrize(
+        "value, changed", [(2.0, 1), (True, 1), ("2", 0), (None, 0), (99, 0)]
+    )
+    def test_odd_parameter_values(self, value, changed):
+        probing, scanning = self.pair()
+        sql = "update items set label = 'hit' where item_id = ?"
+        assert self.assert_agree(probing, scanning, sql, (value,)) == changed
+        assert probing.storage_stats()["point_updates"] == 1
+
+    def test_unhashable_parameter_falls_back_to_the_scan(self):
+        probing, scanning = self.pair()
+        sql = "update items set label = 'hit' where item_id = ?"
+        assert self.assert_agree(probing, scanning, sql, ([2],)) == 0
+        storage = probing.storage_stats()
+        assert storage["point_updates"] == 0 and storage["scan_updates"] == 1
+
+    def test_unknown_column_raises_what_the_scan_raises(self):
+        probing, scanning = self.pair()
+        outcome = self.assert_agree(
+            probing, scanning, "update items set grp = 1 where nope = 3"
+        )
+        assert isinstance(outcome, type) and issubclass(outcome, Exception)
+
+    def test_primary_key_move_is_reindexed(self):
+        probing, scanning = self.pair()
+        move = "update items set item_id = item_id + 100 where item_id = ?"
+        assert self.assert_agree(probing, scanning, move, (3,)) == 1
+        for database in (probing, scanning):
+            table = database.table("items")
+            assert table.lookup_pk(3) is None
+            assert table.lookup_pk(103)["label"] == "item3"
+        # The positional index on the assigned column was dropped, so the
+        # next probe sees the row under its new key only.
+        touch = "update items set grp = 77 where item_id = ?"
+        assert self.assert_agree(probing, scanning, touch, (3,)) == 0
+        assert self.assert_agree(probing, scanning, touch, (103,)) == 1
+        assert probing.storage_stats()["point_updates"] == 3
+
+    def test_raising_assignment_leaves_the_table_untouched(self):
+        probing, scanning = self.pair()
+        before = [dict(row) for row in probing.table("items").rows]
+        version = probing.table("items").version
+        sql = "update items set grp = 10 / (grp - grp) where item_id = ?"
+        assert self.assert_agree(probing, scanning, sql, (4,)) is ZeroDivisionError
+        assert probing.table("items").rows == before
+        assert probing.table("items").version == version
+        # No row matches: the assignment is never evaluated on either path.
+        assert self.assert_agree(probing, scanning, sql, (999,)) == 0
+
+    def test_point_update_inside_transactions(self):
+        for kwargs in ({}, {"mvcc": True}):
+            database = Database(**kwargs)
+            database.create_table(
+                "items",
+                [Column("item_id", ColumnType.INT), Column("grp", ColumnType.INT)],
+                primary_key="item_id",
+            )
+            database.insert("items", [{"item_id": i, "grp": 0} for i in range(6)])
+            database.execute_sql("select * from items where grp = 0")
+            sql = "update items set grp = ? where item_id = ?"
+            txn = database.begin()
+            assert database.execute_update_sql(sql, (5, 2)) == 1
+            txn.rollback()
+            assert database.table("items").columns()["grp"] == [0] * 6
+            with database.begin():
+                assert database.execute_update_sql(sql, (7, 3)) == 1
+            assert database.table("items").columns()["grp"] == [0, 0, 0, 7, 0, 0]
+            assert database.execute_sql(
+                "select item_id from items where grp = 7"
+            ).rows == [{"item_id": 3}]
+            assert database.storage_stats()["point_updates"] == 2

@@ -122,6 +122,47 @@ class TestShardedTableStorage:
             for row in shard.rows:
                 assert table.shard_index(row["id"]) == index
 
+    def test_update_touches_only_the_partitions_owning_a_changed_row(self):
+        table = make_sharded()
+        views = [shard.columns() for shard in table.shards]
+        versions = [shard.version for shard in table.shards]
+        table.update_rows(lambda row: row["id"] in (7, 11), {"label": "x"})
+        owners = {table.shard_index(7), table.shard_index(11)}
+        for index, shard in enumerate(table.shards):
+            # Every partition hands out the same view object: the owners
+            # patched theirs in place, the others were never touched.
+            assert shard.columns() is views[index]
+            assert (shard.version != versions[index]) == (index in owners)
+            assert shard.patched_updates == sum(
+                1 for key in (7, 11) if table.shard_index(key) == index
+            )
+            assert shard.columns()["label"] == [r["label"] for r in shard.rows]
+            assert shard.column_reencodes == 0
+        assert table.columns()["label"][7] == "x"
+
+    def test_placement_survives_inserts_and_rehoming(self):
+        table = make_sharded(shards=3, rows=12)
+        for shard in table.shards:
+            shard.columns()
+        table.update_rows(lambda row: row["id"] == 4, {"bucket": 40})
+        table.insert({"id": 12, "bucket": 0, "label": "late"})
+        table.update_rows(lambda row: row["id"] == 12, {"bucket": 41})
+        table.update_rows(lambda row: row["id"] == 5, {"id": 1005})  # re-home
+        table.update_rows(lambda row: row["id"] == 1005, {"bucket": 42})
+        table.insert({"id": 13, "bucket": 0, "label": "later"})
+        table.truncate_to(13)  # re-home again
+        table.update_rows(lambda row: row["id"] == 12, {"label": "kept"})
+        for shard in table.shards:
+            store = shard.columns()
+            for name in ("id", "bucket", "label"):
+                assert store[name] == [row[name] for row in shard.rows]
+        assert sorted(
+            (row["id"], row["bucket"])
+            for shard in table.shards
+            for row in shard.rows
+            if row["bucket"] >= 40
+        ) == [(4, 40), (12, 41), (1005, 42)]
+
     def test_clear_empties_every_partition(self):
         table = make_sharded()
         table.clear()
@@ -764,6 +805,57 @@ class TestShardedExecutionModes:
                 (k, repr(v)) for k, v in r.items()
             )
             assert sorted(got, key=key) == sorted(want, key=key), (mode, sql)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "compiled", "interpreted"])
+    def test_sharded_matches_unsharded_after_interleaved_writes(self, mode):
+        sharded = build_database(shards=4, mode=mode)
+        unsharded = build_database(mode=mode)
+        queries = (
+            "select * from orders where o_c_id = 3",
+            "select * from orders where o_total > 50",
+            "select o_c_id, count(*), sum(o_total) from orders group by o_c_id",
+            "select o.o_id, c.c_tier from orders o join customers c "
+            "on o.o_c_id = c.c_id where o.o_total > 20",
+        )
+        writes = (
+            ("update orders set o_total = ? where o_id = ?", (500, 17)),
+            ("update orders set o_total = o_total + 1 where o_c_id = ?", (3,)),
+            ("update orders set o_total = ? where o_id = ?", (None, 18)),
+            ("update orders set o_c_id = ? where o_id = ?", (3, 40)),  # re-home
+            ("update orders set o_id = ? where o_id = ?", (1041, 41)),  # PK move
+            ("update orders set o_total = ? where o_id = ?", (7, 1041)),
+            ("update customers set c_tier = ? where c_id = ?", (9, 3)),
+        )
+        key = lambda r: sorted((k, repr(v)) for k, v in r.items())  # noqa: E731
+        for round_, (sql, params) in enumerate(writes):
+            # Reads first: every partition's views are built when patched.
+            for database in (sharded, unsharded):
+                for query in queries:
+                    database.execute_sql(query)
+            assert sharded.execute_update_sql(
+                sql, params
+            ) == unsharded.execute_update_sql(sql, params)
+            row = {"o_id": 200 + round_, "o_c_id": round_, "o_total": round_}
+            sharded.insert("orders", [row])
+            unsharded.insert("orders", [row])
+            assert sharded.table("orders").rows == unsharded.table("orders").rows
+            for query in queries:
+                got = sharded.execute_sql(query).rows
+                want = unsharded.execute_sql(query).rows
+                assert sorted(got, key=key) == sorted(want, key=key), (sql, query)
+            for shard in sharded.table("orders").shards:
+                store = shard.columns()
+                for name, data in store.items():
+                    assert data == [r[name] for r in shard.rows]
+        storage = sharded.execution_stats()["storage"]
+        assert storage == {
+            **unsharded.execution_stats()["storage"],
+            "patched_updates": storage["patched_updates"],
+            "column_reencodes": storage["column_reencodes"],
+        }
+        if mode == "vectorized":
+            # Aggregate view and owning partitions were both patched.
+            assert storage["patched_updates"] > 0
 
     def test_execution_stats_fold_in_shard_executor_counters(self):
         database = build_database(shards=4, mode="vectorized")

@@ -4,14 +4,18 @@ Covers the physical-layout inference (``encode_column`` and the storage-mode
 knob), the lifecycle of the encoded views across mutation and shard
 rehoming, the wide-row template cache, bit-identical results across every
 {storage mode} x {codegen, kernel} x {execution tier} combination (sharded
-and unsharded), and the codegen observability counters.
+and unsharded), the codegen observability counters, and the property that
+views maintained in place through any write history equal freshly built
+ones.
 """
 
 from __future__ import annotations
 
+import copy
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db.database import Database
 from repro.db.schema import Column, ColumnType
@@ -194,7 +198,8 @@ class TestEncodedViewLifecycle:
         table.insert({"o_id": 9001, "o_c_id": 1, "o_total": 2.0,
                       "o_status": "NEW"})
         assert table.version > before
-        assert table.column_encodings() == {}  # stale view dropped
+        # The built view was extended, not dropped.
+        assert table.column_encodings()["o_status"] == "dict"
         store = table.columns()
         assert store["o_status"].encoding == "dict"
         assert store["o_status"].dictionary[-1] == "NEW"
@@ -225,9 +230,83 @@ class TestEncodedViewLifecycle:
         assert first[0]["o.o_id"] == first[0]["o_id"]
         table.insert({"o_id": 9002, "o_c_id": 2, "o_total": 1.0,
                       "o_status": "OPEN"})
-        rebuilt = table.wide_rows("o")
-        assert rebuilt is not first
-        assert len(rebuilt) == len(table.rows)
+        extended = table.wide_rows("o")
+        assert len(extended) == len(table.rows)
+        assert extended[-1]["o.o_id"] == extended[-1]["o_id"] == 9002
+        assert list(extended[-1]) == list(extended[0])
+
+
+    def test_writes_that_fit_patch_and_misfits_reencode_one_column(self):
+        table = make_database().table("orders")
+        store = table.columns()
+        status, o_id = store["o_status"], store["o_id"]
+        assert o_id.nulls is None and status.nulls is None
+
+        def write(o_id_value, **values):
+            table.update_rows(lambda row: row["o_id"] == o_id_value, values)
+            return table.columns()
+
+        # A new dictionary string and an in-range int fit: same objects.
+        assert write(3, o_status="FRESH") is store
+        assert store["o_status"] is status and status[3] == "FRESH"
+        assert status.dictionary[status.codes[3]] == "FRESH"
+        assert table.column_reencodes == 0 and table.patched_updates == 1
+        # The first NULL of a null-free column needs a bitmap: one column
+        # is re-encoded, lazily, and the view dict is still the same.
+        table.update_rows(lambda row: row["o_id"] == 4, {"o_status": None})
+        assert table.column_encodings().keys() == store.keys() - {"o_status"}
+        assert table.column_reencodes == 0
+        assert table.columns() is store and table.column_reencodes == 1
+        assert store["o_status"] is not status
+        assert store["o_status"].nulls is not None and store["o_id"] is o_id
+        # Later NULLs (and clearing them) patch; the bitmap stays, so the
+        # layout signature compiled pipelines key on does not move.
+        status = store["o_status"]
+        write(5, o_status=None)
+        write(4, o_status="OPEN")
+        write(5, o_status="OPEN")
+        assert store["o_status"] is status and not any(status.nulls)
+        assert table.column_reencodes == 1
+        # A type change or a 64-bit overflow boxes that column only.
+        write(6, o_c_id=2**70)
+        assert store["o_c_id"].encoding == "boxed"
+        assert store["o_total"].encoding == "float64"
+        assert table.column_reencodes == 2
+
+    def test_dead_dictionary_entries_are_compacted(self):
+        table = make_database().table("orders")
+        table.columns()
+        for round_ in range(3 * len(table.rows)):
+            table.update_rows(
+                lambda row: row["o_id"] == 0, {"o_status": f"s{round_}"}
+            )
+        status = table.columns()["o_status"]
+        assert len(status.dictionary) <= 2 * len(table.rows) + 17
+        assert table.column_reencodes >= 1
+        assert status.dictionary[status.codes[0]] == status[0] == f"s{round_}"
+
+    def test_unhashable_insert_drops_only_the_index_it_cannot_join(self):
+        table = make_database().table("orders")
+        by_customer = table.index_for("o_c_id")
+        table.index_for("o_status")
+        assert table.positions_for("o_status", "OPEN")
+        table.insert({"o_id": 9003, "o_c_id": 1, "o_total": 1.0,
+                      "o_status": ["unhashable"]})
+        assert table.index_for("o_c_id") is by_customer
+        assert by_customer[1][-1]["o_id"] == 9003
+        with pytest.raises(TypeError):
+            table.index_for("o_status")
+        assert table.positions_for("o_status", "OPEN") is None
+
+    def test_adopt_rows_bumps_the_version_once(self):
+        source = make_database().table("orders")
+        table = Table(source.schema)
+        before = table.version
+        assert table.adopt_rows(source.rows) == len(source.rows)
+        assert table.version == before + 1
+        assert table.rows[0] is source.rows[0]
+        assert table.lookup_pk(5) == source.lookup_pk(5)
+        assert table.columns()["o_id"] == source.columns()["o_id"]
 
 
 class TestStorageTierEquivalence:
@@ -346,3 +425,357 @@ class TestCodegenObservability:
         # One codegen execution counted per shard that ran the pipeline.
         assert stats["codegen_executions"] >= 3
         assert stats["pipelines_compiled"] >= 3
+
+
+# -- maintained views == rebuilt views ----------------------------------------
+
+_NATURAL = {
+    "k": st.one_of(st.integers(-2, 6), st.none()),
+    "f": st.one_of(st.sampled_from([0.5, 2.0, -1.25, 7.0]), st.none()),
+    "s": st.one_of(st.sampled_from(["a", "b", "new-1", "new-2"]), st.none()),
+}
+#: values of every kind for any column: type changes, bools, 64-bit overflow.
+_ANYTHING = st.one_of(
+    st.integers(-2, 6),
+    st.none(),
+    st.sampled_from([0.5, 2.0]),
+    st.sampled_from(["a", "zz"]),
+    st.just(True),
+    st.just(2**70),
+)
+
+
+def _simple_writes(column_values):
+    """Insert / multi-row update / point update / PK move, as op tuples.
+
+    ``column_values`` maps each of ``k`` / ``f`` / ``s`` to the strategy its
+    written values are drawn from.
+    """
+    row = st.tuples(
+        st.one_of(st.none(), st.integers(0, 30)),  # None: fresh id; n: reuse one
+        column_values["k"],
+        column_values["f"],
+        column_values["s"],
+    )
+    target = st.integers(0, 30)
+    return st.one_of(
+        st.tuples(st.just("insert"), st.lists(row, min_size=1, max_size=3)),
+        st.tuples(
+            st.just("update"),
+            st.integers(1, 4),
+            st.integers(0, 3),
+            st.fixed_dictionaries({}, optional=column_values).filter(len),
+        ),
+        st.sampled_from(sorted(column_values)).flatmap(
+            lambda column: st.tuples(
+                st.just("point"), st.just(column), column_values[column], target
+            )
+        ),
+        st.tuples(st.just("move"), target, st.integers(0, 40)),
+    )
+
+
+def _histories(column_values):
+    simple = _simple_writes(column_values)
+    return st.lists(
+        st.one_of(
+            simple,
+            simple,
+            st.tuples(
+                st.just("txn"), st.booleans(), st.lists(simple, max_size=4)
+            ),
+            st.just(("recover",)),
+            st.just(("read",)),
+            st.just(("read",)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+_T_COLUMNS = [
+    Column("id", ColumnType.INT),
+    Column("k", ColumnType.INT),
+    Column("f", ColumnType.FLOAT),
+    Column("s", ColumnType.STRING, width=8),
+]
+
+
+def _history_database(storage: str, **kwargs) -> Database:
+    database = Database(wal=True, **kwargs)
+    database.create_table("t", _T_COLUMNS, primary_key="id")
+    database.create_table(
+        "u",
+        [Column("k", ColumnType.INT), Column("label", ColumnType.STRING, width=8)],
+        primary_key="k",
+    )
+    database.insert(
+        "t",
+        [
+            {"id": i, "k": i % 3, "f": float(i), "s": "ab"[i % 2]}
+            for i in range(6)
+        ],
+    )
+    database.insert("u", [{"k": k, "label": f"u{k}"} for k in range(5)])
+    for table in database.tables.values():
+        table.set_storage_mode(storage)
+    return database
+
+
+def _existing_id(model, n):
+    return model[n % len(model)]["id"] if model else n
+
+
+def _apply_write(database: Database, model: list, op: tuple) -> str:
+    """Run one simple write on ``database`` and on the plain-list model.
+
+    Returns the counter the write must have bumped: ``"scan_updates"`` for
+    a callable predicate, ``"point_updates"`` for ``where id = ?``, else
+    ``"inserts"``.
+    """
+    kind = op[0]
+    if kind == "insert":
+        rows = []
+        for reuse, k, f, s in op[1]:
+            taken = [row["id"] for row in model + rows]
+            new_id = (
+                max([i for i in taken if type(i) is int], default=0) + 1
+                if reuse is None
+                else _existing_id(model, reuse)  # a duplicate primary key
+            )
+            rows.append({"id": new_id, "k": k, "f": f, "s": s})
+        database.insert("t", rows)
+        model.extend(dict(row) for row in rows)
+        return "inserts"
+    if kind == "update":
+        _, modulus, remainder, values = op
+
+        def predicate(row):
+            return row["id"] % modulus == remainder % modulus
+
+        changed = database.update_table("t", predicate, dict(values))
+        matched = [row for row in model if predicate(row)]
+        assert changed == len(matched)
+        for row in matched:
+            row.update(values)
+        return "scan_updates"
+    if kind == "point":
+        _, column, value, target = op
+    else:
+        (_, target, value), column = op, "id"
+    old_id = _existing_id(model, target)
+    changed = database.execute_update_sql(
+        f"update t set {column} = ? where id = ?", (value, old_id)
+    )
+    matched = [row for row in model if row["id"] == old_id]
+    assert changed == len(matched)
+    for row in matched:
+        row[column] = value
+    return "point_updates"
+
+
+def _bit(nulls, position):
+    return nulls is not None and bool(nulls[position >> 3] & (1 << (position & 7)))
+
+
+def _assert_column_consistent(data, values, fresh):
+    """Boxed values and every sidecar of ``data`` spell exactly ``values``."""
+    assert list(data) == values
+    assert [type(v) for v in data] == [type(v) for v in values]
+    # The one layout a maintained column may keep that a rebuild would not:
+    # a typed column whose values have all become NULL (a rebuild sees no
+    # kind and boxes it), and a null bitmap with no bit left set.
+    if any(v is not None for v in values) or data.encoding == "boxed":
+        assert data.encoding == fresh.encoding
+    if data.encoding == "boxed":
+        assert data.typed is data.codes is data.nulls is None
+        return
+    if data.nulls is None:
+        assert None not in values
+    else:
+        assert len(data.nulls) == (len(values) + 7) // 8
+    for position, value in enumerate(values):
+        assert _bit(data.nulls, position) == (value is None)
+        if data.encoding == "dict":
+            code = data.codes[position]
+            assert (code == -1) if value is None else (
+                data.dictionary[code] == value and data.code_of[value] == code
+            )
+        else:
+            stored = data.typed[position]
+            assert stored == (0 if value is None else value)
+    if data.encoding == "dict":
+        assert len(data.codes) == len(values) and data.typed is None
+        assert len(data.code_of) == len(data.dictionary)
+    else:
+        assert len(data.typed) == len(values) and data.codes is None
+        assert data.typed.typecode == ("q" if data.encoding == "int64" else "d")
+
+
+def _duplicated_ids(model):
+    seen, twice = set(), set()
+    for row in model:
+        (twice if row["id"] in seen else seen).add(row["id"])
+    return twice
+
+
+def _assert_views_match_rebuild(table, model, contested=()):
+    """Every derived view of ``table`` equals a fresh table's over ``model``.
+
+    Primary keys are not enforced unique, and which holder of a duplicated
+    key the primary-key index answers with depends on the write order, not
+    on the rows — so ``contested`` keys (ever held by two rows at once) are
+    left out of the lookup comparison.
+    """
+    assert table.rows == model
+    fresh = Table(table.schema)
+    fresh.set_storage_mode(table.storage_mode)
+    fresh.adopt_rows(copy.deepcopy(model))
+    store, fresh_store = table.columns(), fresh.columns()
+    assert list(store) == list(fresh_store)
+    for name, data in store.items():
+        _assert_column_consistent(
+            data, [row[name] for row in model], fresh_store[name]
+        )
+    assert table.column_encodings() == {
+        name: data.encoding for name, data in store.items()
+    }
+    for alias in ("t", "x"):
+        wide, fresh_wide = table.wide_rows(alias), fresh.wide_rows(alias)
+        assert [list(row.items()) for row in wide] == [
+            list(row.items()) for row in fresh_wide
+        ]
+    position_of = {id(row): position for position, row in enumerate(table.rows)}
+    for name in table.schema.column_names:
+        assert table.distinct_count(name) == fresh.distinct_count(name)
+        index, fresh_index = table.index_for(name), fresh.index_for(name)
+        assert index == fresh_index
+        for value, bucket in index.items():
+            positions = [position_of[id(row)] for row in bucket]
+            assert positions == sorted(positions)  # bucket order = row order
+            assert positions == table.positions_for(name, value)
+            assert positions == fresh.positions_for(name, value)
+        assert table.positions_for(name, "no such value") == ()
+    for row in model:
+        if row["id"] not in contested:
+            assert table.lookup_pk(row["id"]) == fresh.lookup_pk(row["id"])
+
+
+class TestMaintainedViews:
+    """Views patched through any write history equal freshly built ones."""
+
+    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        history=_histories(
+            {name: st.one_of(values, _ANYTHING) for name, values in _NATURAL.items()}
+        ),
+        data=st.data(),
+    )
+    def test_patched_views_equal_rebuilt_views(self, storage, history, data):
+        database = _history_database(storage)
+        model = [dict(row) for row in database.table("t").rows]
+        contested: set = set()
+        ran = {"inserts": 0, "scan_updates": 0, "point_updates": 0}
+        reencodes = 0
+
+        def write(op):
+            ran[_apply_write(database, model, op)] += 1
+            contested.update(_duplicated_ids(model))
+
+        for op in history:
+            if op[0] == "read":
+                _assert_views_match_rebuild(database.table("t"), model, contested)
+            elif op[0] == "recover":
+                # Crash: only the log survives; replay is positional too.
+                reencodes += database.storage_stats()["column_reencodes"]
+                database = Database.recover(database.wal)
+                database.table("t").set_storage_mode(storage)
+                ran.update(scan_updates=0, point_updates=0)
+            elif op[0] == "txn":
+                _, commit, writes = op
+                saved = copy.deepcopy(model)
+                txn = database.begin()
+                for inner in writes:
+                    write(inner)
+                    if data.draw(st.booleans(), label="read inside txn"):
+                        _assert_views_match_rebuild(
+                            database.table("t"), model, contested
+                        )
+                if commit:
+                    txn.commit()
+                else:
+                    txn.rollback()
+                    model[:] = saved
+            else:
+                write(op)
+        _assert_views_match_rebuild(database.table("t"), model, contested)
+        # Which path ran is observable: every UPDATE was planned by exactly
+        # one access path, and boxed columns always fit their encoding.
+        stats = database.execution_stats()["storage"]
+        assert stats["scan_updates"] == ran["scan_updates"]
+        assert stats["point_updates"] == ran["point_updates"]
+        assert stats["patched_updates"] == database.table("t").patched_updates
+        if storage == "boxed":
+            assert reencodes + stats["column_reencodes"] == 0
+
+    QUERIES = (
+        "select * from t where k > 1",
+        "select id, s from t where s = 'a'",
+        "select k, count(*) as n, sum(f) as total from t group by k",
+        "select t.id, u.label from t join u on t.k = u.k",
+    )
+
+    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    @settings(max_examples=25, deadline=None)
+    @given(history=_histories(_NATURAL))
+    def test_queries_identical_across_tiers_and_snapshots(self, storage, history):
+        modes = ("vectorized", "compiled", "interpreted")
+        databases = {
+            mode: _history_database(storage, execution_mode=mode, mvcc=True)
+            for mode in modes
+        }
+        models = {mode: [dict(r) for r in databases[mode].table("t").rows] for mode in modes}
+
+        def answers(database):
+            return [database.execute_sql(sql).rows for sql in self.QUERIES]
+
+        for op in history:
+            if op[0] == "read":
+                continue
+            if op[0] == "recover":
+                for mode in modes:
+                    databases[mode] = Database.recover(
+                        databases[mode].wal, execution_mode=mode, mvcc=True
+                    )
+                    for table in databases[mode].tables.values():
+                        table.set_storage_mode(storage)
+            else:
+                # Reads before the write build the views the write patches;
+                # the snapshot must keep answering from the pre-write state.
+                before = answers(databases["interpreted"])
+                snapshot = databases["vectorized"].snapshot()
+                for mode in modes:
+                    database, model = databases[mode], models[mode]
+                    if op[0] == "txn":
+                        _, commit, writes = op
+                        saved = copy.deepcopy(model)
+                        txn = database.begin()
+                        for write in writes:
+                            _apply_write(database, model, write)
+                        if commit:
+                            txn.commit()
+                        else:
+                            txn.rollback()
+                            model[:] = saved
+                    else:
+                        _apply_write(database, model, op)
+                    assert database.table("t").rows == model
+                assert [snapshot.execute(sql).rows for sql in self.QUERIES] == before
+                snapshot.close()
+            reference = answers(databases["interpreted"])
+            for mode in ("vectorized", "compiled"):
+                assert answers(databases[mode]) == reference
+        vectorized = databases["vectorized"].execution_stats()["vectorized"]
+        assert vectorized["codegen_errors"] == 0
+        assert "codegen_unsupported" not in vectorized["fallback_reasons"]
