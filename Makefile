@@ -42,9 +42,8 @@ test-columnar:
 # The parallel scatter-gather suites: worker-pool units, packed-payload
 # round-trips, the parallel ≡ serial scatter ≡ unsharded equivalence sweep
 # across all three tiers in thread and process pool modes (fallback plans
-# and mid-scatter errors included), sorted-run merging, out-of-order
-# partial-aggregate merging, counter accounting, and the parallel trace
-# breakdown.
+# and mid-scatter errors included), sorted-run merging, pool-mode aggregate
+# group order, counter accounting, and the parallel trace breakdown.
 test-parallel:
 	python -m pytest tests/test_parallel.py -q
 

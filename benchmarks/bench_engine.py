@@ -46,7 +46,9 @@ benchmark families are timed:
   router's single-shard routed class (and the shard-aware prepared fast
   path) against the same plan forced through scatter-gather;
   ``sharded_scan_filter`` and ``sharded_aggregate`` time scatter-gather
-  filtering and partial-aggregate merging against unsharded execution.
+  filtering and per-shard aggregation against unsharded execution, and
+  ``sharded_aggregate_many_groups`` the aggregate whose groups each span
+  every shard (PK-keyed shards, grouped per customer, through a cursor).
   Result equality (routed ≡ scatter ≡ unsharded, as row sets) is asserted
   as part of the run.
 
@@ -677,10 +679,13 @@ def bench_sharded(rows: int) -> dict:
     * ``sharded_scan_filter`` — a non-shard-key filter, which *must*
       scatter, timed against the same plan on an unsharded database
       (the cost of distribution when no pruning is possible).
-    * ``sharded_aggregate`` — a grouped aggregate executed as per-shard
-      partial aggregates merged at the gather node, against the unsharded
-      single-pass aggregation.  Integer aggregates, so results are asserted
-      exactly equal.
+    * ``sharded_aggregate`` — a grouped aggregate executed per shard (one
+      group state threaded through the shards' fused loops), against the
+      unsharded single-pass aggregation.  It groups on the shard key, so
+      every group lives in one partition.  Integer aggregates, so results
+      are asserted exactly equal.
+    * ``sharded_aggregate_many_groups`` — see
+      :func:`_bench_sharded_many_groups`.
     """
     from repro.db.expressions import ParameterSlot
 
@@ -789,7 +794,7 @@ def bench_sharded(rows: int) -> dict:
         ),
     }
 
-    # -- sharded_aggregate: partial aggregates merged at the gather -------
+    # -- sharded_aggregate: per-shard aggregation vs unsharded -------------
     aggregate_plan = algebra.Aggregate(
         algebra.Scan("orders"),
         group_by=(ColumnRef("o_c_id"),),
@@ -802,13 +807,13 @@ def bench_sharded(rows: int) -> dict:
     )
     sharded_rows = sharded._executor.execute(aggregate_plan)
     unsharded_rows = unsharded._executor.execute(aggregate_plan)
-    # Integer partials merge exactly; only group order may differ.
+    # Integer aggregates are exact; only group order may differ.
     if _normalized(sharded_rows) != _normalized(unsharded_rows):
         raise AssertionError("sharded and unsharded aggregates differ")
     local_before = router.stats.local
     sharded._executor.execute(aggregate_plan)
     if router.stats.local == local_before:
-        raise AssertionError("aggregate did not run as per-shard partials")
+        raise AssertionError("aggregate did not run shard-local")
     groups = len(sharded_rows)
     del sharded_rows, unsharded_rows
     sharded_agg_s = _best_time(lambda: sharded._executor.execute(aggregate_plan))
@@ -829,6 +834,56 @@ def bench_sharded(rows: int) -> dict:
         "sharded_point_lookup": point_lookup,
         "sharded_scan_filter": scan_filter,
         "sharded_aggregate": aggregate,
+        "sharded_aggregate_many_groups": _bench_sharded_many_groups(rows),
+    }
+
+
+def _bench_sharded_many_groups(rows: int) -> dict:
+    """A filtered aggregate whose ~rows/10 groups each span every shard.
+
+    ``sharded_aggregate`` groups on the shard key, so each group lives in
+    one partition and the gather has nothing to combine.  Here ``orders``
+    is sharded on its primary key and grouped per customer, through
+    ``Engine.cursor()``: every group has rows in every shard, which is
+    where a row-partial gather pays for ``shards x groups`` partial rows
+    and the threaded group state does not.  ``o_total`` holds whole
+    numbers, so float sums are exact in any order and results are asserted
+    equal.
+    """
+    from repro.api.engine import Engine
+
+    sql = (
+        "select o_c_id, count(*), sum(o_total) from orders "
+        "where o_total >= ? and o_total < ? group by o_c_id"
+    )
+    params = (100.0, 800.0)  # ~70 % of the rows
+    database = build_benchmark_database(rows)
+    database.shard_table("orders", "o_id", SHARD_COUNT)
+    database.analyze()
+    with Engine.builder().database(database).build() as sharded, (
+        Engine.builder().database(build_benchmark_database(rows)).build()
+    ) as unsharded:
+        cursors = {"sharded": sharded.cursor(), "unsharded": unsharded.cursor()}
+
+        def runner(cursor):
+            return lambda: cursor.execute(sql, params).fetchall()
+
+        fetched = {label: runner(cursor)() for label, cursor in cursors.items()}
+        if _normalized(fetched["sharded"]) != _normalized(fetched["unsharded"]):
+            raise AssertionError("sharded and unsharded many-group aggregates differ")
+        if database.sharding_stats()["threaded_aggregates"] == 0:
+            raise AssertionError("many-group aggregate did not thread one state")
+        groups = len(fetched["sharded"])
+        del fetched
+        timings = _interleaved_best(
+            {label: runner(cursor) for label, cursor in cursors.items()}
+        )
+    return {
+        "groups": groups,
+        "shards": SHARD_COUNT,
+        "unsharded_seconds": timings["unsharded"],
+        "sharded_seconds": timings["sharded"],
+        "relative_overhead": timings["sharded"] / timings["unsharded"],
     }
 
 

@@ -491,6 +491,8 @@ class Engine:
             )
         if "execution" not in registry.views:
             registry.register_view("execution", self.database.execution_stats)
+        if "sharding" not in registry.views:
+            registry.register_view("sharding", self.database.sharding_stats)
         if "feedback" not in registry.views:
             registry.register_view(
                 "feedback", self.database.statistics.feedback_stats

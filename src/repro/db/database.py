@@ -67,6 +67,7 @@ from repro.db.sqlparser import (
 )
 from repro.db.sharding import (
     ShardedTable,
+    ShardingStats,
     ShardRouter,
     merge_execution_counters,
 )
@@ -1516,18 +1517,18 @@ class Database:
         ``routed`` counts single-shard executions (point predicates on the
         shard key, including the prepared point-lookup fast path),
         ``local`` counts shard-local parallel executions (co-partitioned
-        equi-joins and partial-aggregate merges), ``scatter`` counts
+        equi-joins and per-shard aggregates), ``scatter`` counts
         scatter-gather executions, and ``fallback`` counts plans over
-        sharded tables that ran unrouted against the aggregate view.  All
-        zeros (and an empty ``tables`` map) when nothing is sharded.
+        sharded tables that ran unrouted against the aggregate view.  Of
+        the ``local`` aggregates, ``threaded_aggregates`` folded every
+        shard's fused loop into one group state and ``merged_aggregates``
+        merged per-shard partial rows.  All zeros (and an empty ``tables``
+        map) when nothing is sharded.
         """
         router = self._router
         if router is None:
             return {
-                "routed": 0,
-                "local": 0,
-                "scatter": 0,
-                "fallback": 0,
+                **ShardingStats().as_dict(),
                 "tables": {},
                 "parallel": {"mode": "serial", "workers": 1, "scatters": 0},
             }

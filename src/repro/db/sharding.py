@@ -26,10 +26,17 @@ This module makes partitioned storage a first-class layer of the engine:
     fired anyway.
   - **shard-local parallel** — co-partitioned equi-joins on the shard key
     run join-per-shard; grouped/scalar aggregations over a distributable
-    child run as per-shard *partial* aggregates (avg decomposed into
-    sum + count) merged at the gather node with the same
+    child run per shard.  Serially on the vectorized tier, a
+    ``[Project →] Aggregate → Select* → Scan`` subtree threads **one**
+    group state through every shard's fused loop and emits once
+    (:class:`~repro.db.vectorized.AggregateCarry`: no partial rows).
+    Everything else — the row tiers, the batch kernels, aggregates over
+    joins, the pool modes, and any shard that declines or errors — runs
+    per-shard *partial* aggregates (avg decomposed into sum + count)
+    merged at the gather node with the same
     :data:`~repro.db.vectorized.AGGREGATE_MERGERS` kernels the vectorized
-    tier accumulates with.
+    tier accumulates with.  Both gathers emit groups in first-encounter
+    order over the shards in order.
   - **scatter-gather** — everything else distributable: the plan executes
     per shard and the results are concatenated at a gather node, in shard
     order.  On the vectorized tier the gather ships
@@ -51,13 +58,15 @@ identical across the three tiers, and matches unsharded execution up to
 row order (exactly, after a ``Sort`` whose keys are total; up to ties
 otherwise — the usual distributed-engine contract).  Floating-point sums
 may likewise differ in the last ulp because per-shard partials reassociate
-the addition.
+the addition (and a threaded state adds in shard order, not insertion
+order).
 """
 
 from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
+from itertools import chain
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -85,6 +94,7 @@ from repro.db.schema import TableSchema
 from repro.db.table import Row, Table
 from repro.db.vectorized import (
     AGGREGATE_MERGERS,
+    AggregateCarry,
     batch_output_rows,
     finalize_avg,
     gather_batches,
@@ -264,23 +274,25 @@ class ShardedTable(Table):
 
 
 class ShardingStats:
-    """Counters for the router's execution classes."""
+    """Counters for the router's execution classes, and for which gather
+    a shard-local aggregate took (``threaded_aggregates`` +
+    ``merged_aggregates`` is the aggregate share of ``local``)."""
 
-    __slots__ = ("routed", "local", "scatter", "fallback")
+    __slots__ = (
+        "routed",
+        "local",
+        "scatter",
+        "fallback",
+        "threaded_aggregates",
+        "merged_aggregates",
+    )
 
     def __init__(self) -> None:
-        self.routed = 0
-        self.local = 0
-        self.scatter = 0
-        self.fallback = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "routed": self.routed,
-            "local": self.local,
-            "scatter": self.scatter,
-            "fallback": self.fallback,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _Route:
@@ -290,7 +302,10 @@ class _Route:
     classification time) the gather node applies after collecting the
     per-shard results — the root ``Sort`` of a scatter, or the
     ``Select`` / ``Project`` / ``Sort`` spine sitting above a partially
-    aggregated node.
+    aggregated node.  A ``local-aggregate`` route also carries the
+    ``[Project →] Aggregate`` subtree as ``node``, for the threaded gather
+    that runs it as one fused pipeline per shard, and ``node_post``, the
+    part of ``post`` above that subtree.
 
     ``merge`` is the parallel-gather alternative to a root-``Sort``
     ``post``: the *original* plan (Sort included, so each shard returns a
@@ -306,6 +321,7 @@ class _Route:
         "getter",
         "node",
         "post",
+        "node_post",
         "partial",
         "merge",
     )
@@ -319,6 +335,7 @@ class _Route:
         getter: Optional[Callable[[], Any]] = None,
         node: Optional[algebra.PlanNode] = None,
         post: tuple = (),
+        node_post: tuple = (),
         partial: Optional["_PartialAggregate"] = None,
         merge: Optional[tuple] = None,
     ) -> None:
@@ -328,13 +345,16 @@ class _Route:
         self.getter = getter
         self.node = node
         self.post = post
+        self.node_post = node_post
         self.partial = partial
         self.merge = merge
 
-    def apply_post(self, rows: list[Row]) -> list[Row]:
-        for transform in self.post:
-            rows = transform(rows)
-        return rows
+
+def _apply(transforms: tuple, rows: list[Row]) -> list[Row]:
+    """Run a route's gather-side transforms (``post`` / ``node_post``)."""
+    for transform in transforms:
+        rows = transform(rows)
+    return rows
 
 
 #: Routing decisions cached for plans that do not touch sharded tables.
@@ -412,64 +432,6 @@ class _PartialAggregate:
                     state[name] = merge(state[name], row[name])
         out_rows: list[Row] = []
         for key, state in states.items():
-            out: Row = {}
-            for column, value in zip(group_by, key):
-                out[column.name] = value
-                out[column.qualified_name] = value
-            for name, function, partials in self.emitters:
-                if function == "avg":
-                    out[name] = finalize_avg(
-                        state[partials[0]], state[partials[1]]
-                    )
-                else:
-                    out[name] = state[name]
-            out_rows.append(out)
-        return out_rows
-
-    def merge_indexed(
-        self, indexed: Iterable[tuple[int, list[Row]]]
-    ) -> list[Row]:
-        """Merge per-shard partial rows arriving in *any* completion order.
-
-        The parallel scatter hands shard results to the gather as they
-        finish, not in shard order.  Each group's state still folds
-        incrementally (sum/count/min/max merges are commutative), and the
-        emission order is recovered afterwards: groups emit sorted by
-        their earliest ``(shard index, row position)`` encounter — exactly
-        the first-encounter order :meth:`merge` produces over the
-        shard-ordered concatenation.  Float sums may reassociate, per the
-        module ordering contract.
-        """
-        group_by = self.group_by
-        states: dict[tuple, tuple[tuple[int, int], Row]] = {}
-        for shard, rows in indexed:
-            for position, row in enumerate(rows):
-                key = tuple(
-                    row[column.qualified_name] for column in group_by
-                )
-                entry = states.get(key)
-                if entry is None:
-                    states[key] = ((shard, position), dict(row))
-                    continue
-                order, state = entry
-                if (shard, position) < order:
-                    states[key] = ((shard, position), state)
-                for name, function, partials in self.emitters:
-                    if function == "avg":
-                        sum_name, count_name = partials
-                        state[sum_name] = AGGREGATE_MERGERS["sum"](
-                            state[sum_name], row[sum_name]
-                        )
-                        state[count_name] = AGGREGATE_MERGERS["count"](
-                            state[count_name], row[count_name]
-                        )
-                    else:
-                        merge = AGGREGATE_MERGERS[function]
-                        state[name] = merge(state[name], row[name])
-        out_rows: list[Row] = []
-        for key, (_, state) in sorted(
-            states.items(), key=lambda item: item[1][0]
-        ):
             out: Row = {}
             for column, value in zip(group_by, key):
                 out[column.name] = value
@@ -613,17 +575,28 @@ class ShardRouter:
         self.last_parallel = None
         parallel = self._pool is not None and count > 1
         if kind == "local-aggregate":
-            partial = route.partial
-            if parallel:
-                indexed = self._parallel_scatter(
-                    partial.plan, route.names, count
-                )
-                merged = partial.merge_indexed(indexed)
+            rows = None
+            if not parallel and self._mode == "vectorized":
+                rows = self._thread_aggregate(route, count)
+            if rows is not None:
+                self.stats.threaded_aggregates += 1
+                self.last_route["gather"] = "threaded state"
             else:
-                merged = partial.merge(
-                    self._scatter(partial.plan, route.names, count)
-                )
-            rows = route.apply_post(merged)
+                partial = route.partial
+                if parallel:
+                    shard_rows: Iterable[Row] = chain.from_iterable(
+                        shard
+                        for _, shard in self._parallel_scatter(
+                            partial.plan, route.names, count
+                        )
+                    )
+                else:
+                    shard_rows = self._scatter(
+                        partial.plan, route.names, count
+                    )
+                rows = _apply(route.post, partial.merge(shard_rows))
+                self.stats.merged_aggregates += 1
+                self.last_route["gather"] = "merged partials"
             self.stats.local += 1
             if self.last_parallel is not None:
                 self.last_route["parallel"] = self.last_parallel
@@ -643,10 +616,10 @@ class ShardRouter:
             gathered: list[Row] = []
             for _, shard_rows in indexed:
                 gathered.extend(shard_rows)
-            rows = route.apply_post(gathered)
+            rows = _apply(route.post, gathered)
         else:
-            rows = route.apply_post(
-                self._scatter(route.node, route.names, count)
+            rows = _apply(
+                route.post, self._scatter(route.node, route.names, count)
             )
         if kind == "local-join":
             self.stats.local += 1
@@ -754,9 +727,7 @@ class ShardRouter:
         if self._mode == "vectorized":
             rows = self._scatter_codegen(executors, node)
             if rows is not None:
-                self.last_tier = "vectorized"
-                self.last_fallback_reason = None
-                self.last_execution_path = "codegen"
+                self._mark_codegen(executors)
                 return rows
             rows = self._scatter_batches(executors, node)
             if rows is not None:
@@ -801,11 +772,40 @@ class ShardRouter:
             if shard_rows is None:
                 return None
             rows.extend(shard_rows)
+        return rows
+
+    def _thread_aggregate(self, route: _Route, count: int) -> Optional[list[Row]]:
+        """Codegen gather of a shard-local aggregate: no partial rows.
+
+        Shard 0's fused loop, shard 1's, … fold into **one** group state
+        (keyed by group *values* — each partition has its own dictionary),
+        which the last shard's call emits once, outer ``Project`` and
+        ``avg`` included; groups come out in first-encounter order over
+        the shards in order, exactly what ``merge`` emits.  A decline or
+        error on any shard drops the state and returns ``None``: the whole
+        statement re-runs on the partial-row path.
+        """
+        executors = [self._shard_executor(route.names, i) for i in range(count)]
+        carry = AggregateCarry()
+        rows = None
+        for index, executor in enumerate(executors):
+            rows = executor._vectorized.try_codegen_rows(
+                route.node, carry, emit=index == count - 1
+            )
+            if rows is None:
+                return None
+        self._mark_codegen(executors)
+        return _apply(route.node_post, rows)
+
+    def _mark_codegen(self, executors: Sequence[Executor]) -> None:
+        """Count one codegen execution per shard and set the call markers."""
         for executor in executors:
             executor._vectorized.executions += 1
             executor._vectorized.codegen_executions += 1
             executor.tier_counts["vectorized"] += 1
-        return rows
+        self.last_tier = "vectorized"
+        self.last_fallback_reason = None
+        self.last_execution_path = "codegen"
 
     def _scatter_batches(
         self, executors: Sequence[Executor], node: algebra.PlanNode
@@ -1039,10 +1039,16 @@ class ShardRouter:
             child_class = self._distribute(node.child)
             if child_class is None or not child_class[1]:
                 return _FALLBACK
+            post = tuple(self._compile_spine(spine))
+            # SQL aggregates parse as Project(Aggregate), which one fused
+            # pipeline covers; only the spine above it stays a transform.
+            fused = bool(spine) and isinstance(spine[-1], algebra.Project)
             return _Route(
                 "local-aggregate",
                 names=child_class[1],
-                post=tuple(self._compile_spine(spine)),
+                node=spine[-1] if fused else node,
+                post=post,
+                node_post=post[1:] if fused else post,
                 partial=_PartialAggregate(node),
             )
         # Scatter / co-partitioned join: Select and Project distribute into

@@ -713,6 +713,18 @@ class _PipelineCompiler(_LoopScope):
         #: ``dict.copy`` of those templates.
         self.uses_wide = False
 
+    def begin_emit(self) -> list[str]:
+        """Close the accumulate half of an aggregate pipeline.
+
+        Returns its prologue and starts an empty one: emit is a function of
+        its own, so it re-reads the parameter slots and columns it needs.
+        """
+        prologue = self.prologue
+        self.prologue = []
+        self._slot_vars = {}
+        self._column_vars = {}
+        return prologue
+
     def column(self, column: ColumnRef) -> Lowered:
         if self.emit_columns is not None:
             return Lowered(self._resolve_emit(column), True, False, False)
@@ -863,12 +875,18 @@ class _PipelineCompiler(_LoopScope):
         )
 
 
+def _indent(lines: Iterable[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
+
+
 def _assemble_pipeline(
     compiler: _PipelineCompiler, body: list[str]
 ) -> tuple[str, dict, bool]:
-    lines = ["def _pipeline(_cols, _n, _wide):"]
-    lines.extend(f"    {line}" for line in compiler.prologue)
-    lines.extend(f"    {line}" for line in body)
+    lines = [
+        "def _pipeline(_cols, _n, _wide):",
+        *_indent(compiler.prologue),
+        *_indent(body),
+    ]
     return "\n".join(lines), compiler.globals, compiler.uses_wide
 
 
@@ -928,9 +946,26 @@ def _emit_items(
 
 
 def _generate_aggregate(
-    shape: _PipelineShape, schema, store
-) -> tuple[str, dict]:
-    """Source for a Scan → Select* → Aggregate pipeline (one fused pass)."""
+    shape: _PipelineShape, schema, store, shared: bool
+) -> tuple[str, dict, bool]:
+    """Source for a Scan → Select* → Aggregate pipeline, in two halves.
+
+    ``_accumulate(_state, _cols, _n)`` is the fused pass: it folds one
+    table's surviving rows into ``_state`` — per-group value lists in the
+    single-argument strategy, per-group cell lists otherwise, a tuple of
+    plain accumulators for scalar aggregates — and returns it.
+    ``_emit(_state, _cols)`` turns a state into the output rows (``avg``
+    finalisation and an outer ``Project`` included); ``_init()`` makes the
+    empty state.  A state may pass through several tables' ``_accumulate``
+    before one ``_emit`` (the sharding layer threads it through the shard
+    partitions) provided their pipelines agree on ``_state_key``: the
+    source of ``_init`` and ``_emit``, i.e. every layout-dependent decision
+    about what a state holds and which invariants emit relies on.
+
+    ``shared`` says the state will outlive this table, so group keys must be
+    *values*; otherwise a dictionary column groups on this store's small-int
+    codes and ``_emit`` decodes them through ``_cols``.
+    """
     plan = shape.aggregate
     compiler = _PipelineCompiler(schema, store)
     conditions = [
@@ -1001,20 +1036,21 @@ def _generate_aggregate(
             "float64",
         )
 
-    grouped = bool(plan.group_by)
     condition = " and ".join(lowered.src for lowered in conditions)
-    body: list[str] = []
-    if grouped:
+    row: list[str] = []  # the loop body: one surviving row into the state
+    if condition:
+        row.append(f"if not ({condition}):")
+        row.append("    continue")
+    if plan.group_by:
         group_srcs: list[str] = []
+        #: (bare key, qualified key, dictionary column to decode through)
         group_emits: list[tuple[str, str, Optional[str]]] = []
         for column in plan.group_by:
             name = compiler.resolve(column)
-            if compiler.encoding(name) == "dict":
+            if not shared and compiler.encoding(name) == "dict":
                 # Group on the injective small-int codes; decode at emit.
                 group_srcs.append(compiler.codes_var(name))
-                group_emits.append(
-                    (column.name, column.qualified_name, compiler.dictionary_var(name))
-                )
+                group_emits.append((column.name, column.qualified_name, name))
             else:
                 group_srcs.append(compiler.boxed_var(name))
                 group_emits.append((column.name, column.qualified_name, None))
@@ -1034,13 +1070,8 @@ def _generate_aggregate(
         single = len(arguments) == 1
         if single and needs_sizes and arguments[0].nullable:
             single = False  # len(values) would miss NULL-argument rows
-        loop: list[str] = []
-        if condition:
-            loop.append(f"if not ({condition}):")
-            loop.append("    continue")
-        loop.extend(value_assigns)
+        row.extend(value_assigns)
         reductions: list[str] = []
-        available: dict[str, str] = {}
         compiler.globals["_defaultdict"] = defaultdict
         if single:
             compiler.globals.update(
@@ -1056,11 +1087,11 @@ def _generate_aggregate(
             value = value_srcs[0]
             guard = arguments[0].nullable
             if guard:
-                loop.append(f"_l = _ids[{key_src}]")
-                loop.append(f"if {value} is not None:")
-                loop.append(f"    _lap(_l, {value})")
+                row.append(f"_l = _ids[{key_src}]")
+                row.append(f"if {value} is not None:")
+                row.append(f"    _lap(_l, {value})")
             else:
-                loop.append(f"_lap(_ids[{key_src}], {value})")
+                row.append(f"_lap(_ids[{key_src}], {value})")
             state_var = "_l"
             for index, (function, _) in enumerate(partial_keys):
                 if function == "count":
@@ -1127,22 +1158,23 @@ def _generate_aggregate(
                 if size_cell is None:
                     size_cell = len(partial_keys)
                     inits.append("0")
-            loop.append(f"_st = _ids[{key_src}]")
+            row.append(f"_st = _ids[{key_src}]")
             if size_cell is not None and size_cell >= len(partial_keys):
-                loop.append(f"_st[{size_cell}] += 1")
+                row.append(f"_st[{size_cell}] += 1")
             for slot, lines in updates.items():
                 if arguments[slot].nullable:
-                    loop.append(f"if {value_srcs[slot]} is not None:")
-                    loop.extend(f"    {line}" for line in lines)
+                    row.append(f"if {value_srcs[slot]} is not None:")
+                    row.extend(_indent(lines))
                 else:
-                    loop.extend(lines)
+                    row.extend(lines)
             state_var = "_st"
             size_src = f"_st[{size_cell}]" if size_cell is not None else "0"
             partial_src = [f"_st[{i}]" for i in range(len(partial_keys))]
             factory = f"lambda: [{', '.join(inits)}]"
-        body.append(f"_ids = _defaultdict({factory})")
-        body.append(f"{compiler.loop_clause()}:")
-        body.extend(f"    {line}" for line in loop)
+        state = "_ids"
+        init = [f"_ids = _defaultdict({factory})"]
+        accumulate = [f"{compiler.loop_clause()}:", *_indent(row)]
+        prologue = compiler.begin_emit()
         # Emit: one output row per group, in first-encounter order.
         key_names = [f"_k{i}" for i in range(len(group_srcs))]
         if len(key_names) == 1:
@@ -1152,12 +1184,12 @@ def _generate_aggregate(
         # The aggregate's output namespace, as the row tiers build it:
         # group columns (bare and qualified keys) first, then spec outputs;
         # later assignments overwrite, exactly like row-dict insertion.
-        for key_name, (bare, qualified, dictionary) in zip(key_names, group_emits):
-            value = (
-                key_name
-                if dictionary is None
-                else f"({dictionary}[{key_name}] if {key_name} >= 0 else None)"
-            )
+        available: dict[str, str] = {}
+        for key_name, (bare, qualified, encoded) in zip(key_names, group_emits):
+            value = key_name
+            if encoded is not None:
+                dictionary = compiler.dictionary_var(encoded)
+                value = f"({dictionary}[{key_name}] if {key_name} >= 0 else None)"
             available[bare] = value
             available[qualified] = value
         for name, kind, indices in emitters:
@@ -1181,62 +1213,58 @@ def _generate_aggregate(
             else:
                 available[name] = partial_src[indices[0]]
         emit_items = _emit_items(compiler, shape, available)
-        body.append("_out = []")
-        body.append("_emit = _out.append")
-        body.append(f"for {unpack}, {state_var} in _ids.items():")
-        body.extend(f"    {line}" for line in reductions)
-        body.append(f"    _emit({{{', '.join(emit_items)}}})")
-        body.append("return _out")
-        return _assemble_pipeline(compiler, body)
-    # Scalar aggregation: plain accumulator locals, always one output row.
-    if not condition and not partial_keys:
-        # count(*)-only over an unfiltered scan: the answer is the row count.
-        available = {name: "_n" for name, _, _ in emitters}
-        emit_items = _emit_items(compiler, shape, available)
-        body.append(f"return [{{{', '.join(emit_items)}}}]")
-        return _assemble_pipeline(compiler, body)
-    inits = []
+        emit = [
+            "_out = []",
+            "_row = _out.append",
+            f"for {unpack}, {state_var} in _ids.items():",
+            *_indent(reductions),
+            f"    _row({{{', '.join(emit_items)}}})",
+            "return _out",
+        ]
+        return _assemble_aggregate(
+            compiler, prologue, state, init, accumulate, emit
+        )
+    # Scalar aggregation: plain accumulators, always one output row.
+    init = ["_sz = 0"] if needs_sizes else []
+    state_vars = ["_sz"] if needs_sizes else []
     updates = {}
     for index, (function, slot) in enumerate(partial_keys):
         value = value_srcs[slot]
-        state = f"_s{index}"
+        var = f"_s{index}"
+        state_vars.append(var)
         if function == "count":
-            inits.append(f"{state} = 0")
-            updates.setdefault(slot, []).append(f"{state} += 1")
+            init.append(f"{var} = 0")
+            updates.setdefault(slot, []).append(f"{var} += 1")
         elif function == "sum":
-            inits.append(f"{state} = None")
+            init.append(f"{var} = None")
             updates.setdefault(slot, []).append(
-                f"{state} = (0 + {value}) if {state} is None else {state} + {value}"
+                f"{var} = (0 + {value}) if {var} is None else {var} + {value}"
             )
         else:
             comparator = "<" if function == "min" else ">"
-            inits.append(f"{state} = None")
+            init.append(f"{var} = None")
             updates.setdefault(slot, []).extend(
                 [
-                    f"if {state} is None or {value} {comparator} {state}:",
-                    f"    {state} = {value}",
+                    f"if {var} is None or {value} {comparator} {var}:",
+                    f"    {var} = {value}",
                 ]
             )
-    if needs_sizes:
-        body.append("_sz = 0")
-    body.extend(inits)
-    body.append(f"{compiler.loop_clause()}:")
-    loop = []
-    if condition:
-        loop.append(f"if not ({condition}):")
-        loop.append("    continue")
-    if needs_sizes:
-        loop.append("_sz += 1")
-    loop.extend(value_assigns)
-    for slot, lines in updates.items():
-        if arguments[slot].nullable:
-            loop.append(f"if {value_srcs[slot]} is not None:")
-            loop.extend(f"    {line}" for line in lines)
-        else:
-            loop.extend(lines)
-    if not loop:
-        loop.append("pass")
-    body.extend(f"    {line}" for line in loop)
+    state = f"({''.join(f'{var}, ' for var in state_vars)})"
+    if needs_sizes and not condition and not partial_keys:
+        # count(*)-only over an unfiltered scan: no loop, just the row count.
+        accumulate = ["_sz += _n"]
+    else:
+        if needs_sizes:
+            row.append("_sz += 1")
+        row.extend(value_assigns)
+        for slot, lines in updates.items():
+            if arguments[slot].nullable:
+                row.append(f"if {value_srcs[slot]} is not None:")
+                row.extend(_indent(lines))
+            else:
+                row.extend(lines)
+        accumulate = [f"{compiler.loop_clause()}:", *_indent(row or ["pass"])]
+    prologue = compiler.begin_emit()
     available = {}
     for name, kind, indices in emitters:
         if kind == "size":
@@ -1249,16 +1277,76 @@ def _generate_aggregate(
         else:
             available[name] = f"_s{indices[0]}"
     emit_items = _emit_items(compiler, shape, available)
-    body.append(f"return [{{{', '.join(emit_items)}}}]")
-    return _assemble_pipeline(compiler, body)
+    emit = [f"return [{{{', '.join(emit_items)}}}]"]
+    return _assemble_aggregate(compiler, prologue, state, init, accumulate, emit)
+
+
+def _assemble_aggregate(
+    compiler: _PipelineCompiler,
+    prologue: list[str],
+    state: str,
+    init: list[str],
+    accumulate: list[str],
+    emit: list[str],
+) -> tuple[str, dict, bool]:
+    """The three functions of an aggregate pipeline; ``compiler.prologue``
+    is emit's own (see :meth:`_PipelineCompiler.begin_emit`)."""
+    state_half = [
+        "def _init():",
+        *_indent([*init, f"return {state}"]),
+        "def _emit(_state, _cols):",
+        *_indent([f"{state} = _state", *compiler.prologue, *emit]),
+    ]
+    lines = [
+        *state_half,
+        "def _accumulate(_state, _cols, _n):",
+        *_indent(
+            [f"{state} = _state", *prologue, *accumulate, f"return {state}"]
+        ),
+    ]
+    compiler.globals["_state_key"] = "\n".join(state_half)
+    return "\n".join(lines), compiler.globals, False
 
 
 def _generate_pipeline(
-    shape: _PipelineShape, schema, store
+    shape: _PipelineShape, schema, store, shared: bool = False
 ) -> tuple[str, dict, bool]:
     if shape.aggregate is not None:
-        return _generate_aggregate(shape, schema, store)
+        return _generate_aggregate(shape, schema, store, shared)
     return _generate_select(shape, schema, store)
+
+
+class _AggregatePipeline:
+    """A compiled aggregate pipeline: the generated ``_init`` /
+    ``_accumulate`` / ``_emit`` and the ``_state_key`` two pipelines must
+    share to fold into one state.  Called like a select pipeline it runs
+    all three over one table."""
+
+    __slots__ = ("init", "accumulate", "emit", "state_key")
+
+    def __init__(self, bindings: dict) -> None:
+        self.init = bindings["_init"]
+        self.accumulate = bindings["_accumulate"]
+        self.emit = bindings["_emit"]
+        self.state_key = bindings["_state_key"]
+
+    def __call__(self, cols: dict, n: int, wide: Any) -> list[Row]:
+        return self.emit(self.accumulate(self.init(), cols, n), cols)
+
+
+class AggregateCarry:
+    """One aggregate's group state on its way through several tables.
+
+    Passed to :meth:`VectorizedExecutor.try_codegen_rows` once per table:
+    the first non-empty table's pipeline creates the state and owns the
+    emit, every later one folds its rows into the same state.
+    """
+
+    __slots__ = ("pipeline", "state")
+
+    def __init__(self) -> None:
+        self.pipeline: Optional[_AggregatePipeline] = None
+        self.state: Any = None
 
 
 class VectorizedExecutor:
@@ -1368,7 +1456,12 @@ class VectorizedExecutor:
         self.last_path = "kernel"
         return rows
 
-    def try_codegen_rows(self, plan: algebra.PlanNode) -> Optional[list[Row]]:
+    def try_codegen_rows(
+        self,
+        plan: algebra.PlanNode,
+        carry: Optional[AggregateCarry] = None,
+        emit: bool = True,
+    ) -> Any:
         """Run ``plan`` through a compiled fused pipeline, or ``None``.
 
         Returns the output rows on success and ``None`` whenever the plan
@@ -1381,6 +1474,14 @@ class VectorizedExecutor:
         re-run reproduces row-tier error semantics).  Does *not* touch the
         execution counters — callers (``try_execute``, the sharding layer's
         scatter) account for successes themselves.
+
+        With a ``carry`` the plan must be an aggregate spine, and this
+        table's rows fold into the carried state instead of a fresh one
+        (``None`` also when this table's layout compiles to a state the
+        carry's pipeline cannot share).  ``emit=False`` leaves the state in
+        the carry for the next table and returns the carry; the last
+        table's call emits the output rows from it.  After ``None`` the
+        carry holds a partial fold and must be discarded.
         """
         if not self.codegen_enabled:
             return None
@@ -1391,6 +1492,8 @@ class VectorizedExecutor:
             if shape is _CODEGEN_UNSUPPORTED:
                 self._count_reason("codegen_unsupported")
                 return None
+            if carry is not None and shape.aggregate is None:
+                return None
             table = self._tables.get(shape.table)
             if table is None:
                 return None
@@ -1400,10 +1503,25 @@ class VectorizedExecutor:
                 for data in store.values()
             )
             pipeline, uses_wide = self._pipeline_fn(
-                plan, shape, table, store, signature
+                plan, shape, table, store, signature, carry is not None
             )
-            wide = table.wide_rows(shape.alias) if uses_wide else None
-            return pipeline(store, len(table.rows), wide)
+            n = len(table.rows)
+            if carry is None:
+                wide = table.wide_rows(shape.alias) if uses_wide else None
+                return pipeline(store, n, wide)
+            # An empty table folds nothing, whatever its (all-boxed) layout.
+            if n:
+                if carry.pipeline is None:
+                    carry.pipeline = pipeline
+                    carry.state = pipeline.init()
+                elif carry.pipeline.state_key != pipeline.state_key:
+                    return None
+                carry.state = pipeline.accumulate(carry.state, store, n)
+            if not emit:
+                return carry
+            if carry.pipeline is None:  # every table was empty
+                return pipeline.emit(pipeline.init(), None)
+            return carry.pipeline.emit(carry.state, None)
         except Exception:
             self.codegen_errors += 1
             return None
@@ -1458,30 +1576,35 @@ class VectorizedExecutor:
         table,
         store: dict,
         signature: tuple,
+        shared: bool = False,
     ) -> tuple[Callable, bool]:
-        key = (plan, signature)
+        key = (plan, signature, shared)
         try:
             pipeline = self._pipelines.get(key)
         except TypeError:  # unhashable literal buried in the plan
-            return self._compile_pipeline(shape, table.schema, store)
+            return self._compile_pipeline(shape, table.schema, store, shared)
         if pipeline is not None:
             self._pipelines.move_to_end(key)
             self.codegen_cache_hits += 1
             return pipeline
-        pipeline = self._compile_pipeline(shape, table.schema, store)
+        pipeline = self._compile_pipeline(shape, table.schema, store, shared)
         if len(self._pipelines) >= self.PIPELINE_CACHE_LIMIT:
             self._pipelines.popitem(last=False)
         self._pipelines[key] = pipeline
         return pipeline
 
     def _compile_pipeline(
-        self, shape: _PipelineShape, schema, store: dict
+        self, shape: _PipelineShape, schema, store: dict, shared: bool = False
     ) -> tuple[Callable, bool]:
-        source, bindings, uses_wide = _generate_pipeline(shape, schema, store)
+        source, bindings, uses_wide = _generate_pipeline(
+            shape, schema, store, shared
+        )
         exec(  # noqa: S102 - internal codegen, identifiers repr-escaped
             compile(source, "<pipeline>", "exec"), bindings
         )
         self.pipelines_compiled += 1
+        if shape.aggregate is not None:
+            return _AggregatePipeline(bindings), uses_wide
         return bindings["_pipeline"], uses_wide
 
     # -- lowering --------------------------------------------------------

@@ -88,7 +88,9 @@ class ExplainResult:
     analyzed: bool
     #: EXPLAIN ANALYZE only: how the execution actually ran — the serving
     #: tier, the concrete path ("codegen" / "kernel" / row tier /
-    #: "point-lookup"), and the vectorized fallback reason, if any.
+    #: "point-lookup"), the vectorized fallback reason, if any, and for a
+    #: sharded aggregate which gather ran ("threaded state" / "merged
+    #: partials").
     execution: Optional[dict] = None
 
     @property
@@ -131,6 +133,9 @@ class ExplainResult:
             if reason is not None:
                 line += f" (fallback: {reason})"
             lines.append(line)
+            gather = self.execution.get("gather")
+            if gather is not None:
+                lines.append(f"gather: {gather}")
         label_width = max(
             len("  " * entry.depth + f"{entry.operator}({entry.detail})")
             for entry in self.entries
@@ -233,6 +238,8 @@ def explain_statement(
             "path": statement.last_execution_path,
             "fallback_reason": statement.last_fallback_reason,
         }
+        if statement.last_route and "gather" in statement.last_route:
+            execution["gather"] = statement.last_route["gather"]
         executor = (
             database._executor
             if database._mvcc is None

@@ -6,8 +6,8 @@ ColumnBatch payloads that cross the process boundary, the parallel ≡
 serial scatter ≡ unsharded equivalence property across all three
 execution tiers in thread and process modes (including theta-join /
 unknown-function fallback plans and a shard whose predicate raises
-mid-scatter), the sorted-run k-way merge at the gather node, out-of-order
-partial-aggregate merging, counter accounting, the engine facade wiring
+mid-scatter), the sorted-run k-way merge at the gather node, the group order
+of pool-mode aggregates, counter accounting, the engine facade wiring
 (``EngineBuilder.parallel``, ``Engine.stats()["sharding"]["parallel"]``,
 CLI ``--workers``), and the parallel-scatter trace breakdown.
 """
@@ -29,7 +29,6 @@ from repro.db.parallel import (
     unpack_table,
 )
 from repro.db.schema import Column, ColumnType
-from repro.db.sharding import _PartialAggregate
 from repro.db.table import Table
 from repro.db.vectorized import merge_sorted_runs
 
@@ -461,48 +460,27 @@ class TestSortedRunMerge:
             parallel.close_parallel()
 
 
-# -- out-of-order partial-aggregate merge --------------------------------------
+# -- partial-aggregate gather order --------------------------------------------
 
 
-class TestMergeIndexed:
-    def make_partial(self) -> _PartialAggregate:
-        aggregate = algebra.Aggregate(
-            algebra.Scan("orders"),
-            (ColumnRef("o_c_id"),),
-            (
-                algebra.AggregateSpec("count", None, "n"),
-                algebra.AggregateSpec("sum", ColumnRef("o_total"), "s"),
-                algebra.AggregateSpec("avg", ColumnRef("o_total"), "a"),
-            ),
+class TestAggregateGatherOrder:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_pool_aggregates_emit_groups_in_serial_scatter_order(self, mode):
+        # Groups on a column that is not the shard key, so every group's
+        # rows are spread over the shards: the gather decides the order.
+        sql = (
+            "select o_total, count(*) as n, sum(o_id) as s, avg(o_id) as a "
+            "from orders where o_id >= 7 group by o_total"
         )
-        return _PartialAggregate(aggregate)
-
-    def shard_partials(self) -> list:
-        database = build_database(shards=SHARDS)
-        partial = self.make_partial()
-        router = database._executor.router
-        runs = []
-        for index in range(SHARDS):
-            executor = router._shard_executor(frozenset({"orders"}), index)
-            runs.append(executor.execute(partial.plan))
-        return partial, runs
-
-    def test_out_of_order_merge_equals_in_order_merge(self):
-        partial, runs = self.shard_partials()
-        in_order = partial.merge(
-            [row for run in runs for row in run]
-        )
-        shuffled = [(3, runs[3]), (1, runs[1]), (0, runs[0]), (2, runs[2])]
-        assert partial.merge_indexed(shuffled) == in_order
-
-    def test_group_emission_keeps_first_encounter_order(self):
-        partial, runs = self.shard_partials()
-        in_order = partial.merge([row for run in runs for row in run])
-        reversed_pairs = list(enumerate(runs))[::-1]
-        merged = partial.merge_indexed(reversed_pairs)
-        assert [row["o_c_id"] for row in merged] == [
-            row["o_c_id"] for row in in_order
-        ]
+        serial = build_database(shards=SHARDS)
+        parallel = build_database(shards=SHARDS)
+        parallel.set_parallel(workers=2, mode=mode)
+        try:
+            expected = serial.execute_sql(sql).rows
+            assert len(expected) > SHARDS
+            assert parallel.execute_sql(sql).rows == expected
+        finally:
+            parallel.close_parallel()
 
 
 # -- engine facade and CLI -----------------------------------------------------

@@ -12,11 +12,18 @@ configuration (``EngineBuilder.shards`` and ``Engine.stats()["sharding"]``).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Engine
 from repro.db import algebra
 from repro.db.database import Database
-from repro.db.expressions import BinaryOp, ColumnRef, FunctionCall, Literal
+from repro.db.expressions import (
+    BinaryOp,
+    ColumnRef,
+    FunctionCall,
+    Literal,
+    ParameterSlot,
+)
 from repro.db.schema import Column, ColumnType, SchemaError
 from repro.db.sharding import ShardedTable, ShardingError, shard_index
 from repro.db.table import Table
@@ -527,6 +534,8 @@ class TestDatabaseSharding:
             "local": 0,
             "scatter": 0,
             "fallback": 0,
+            "threaded_aggregates": 0,
+            "merged_aggregates": 0,
             "tables": {},
             "parallel": {"mode": "serial", "workers": 1, "scatters": 0},
         }
@@ -918,3 +927,347 @@ class TestShardedExecutionModes:
         assert all(
             executor._vectorized.executions >= 1 for executor in shard_executors
         )
+
+
+# -- threaded aggregate state vs partial-row merge ------------------------------
+
+MODES = ("vectorized", "compiled", "interpreted")
+LABELS = ("red", "green", "blue", "cyan")
+AGG_TABLE = frozenset({"t"})
+
+
+def build_agg_database(rows, shards: int = 0, mode: str = "vectorized"):
+    database = Database(execution_mode=mode)
+    database.create_table(
+        "t",
+        [
+            Column("id", ColumnType.INT),
+            Column("g", ColumnType.INT),
+            Column("s", ColumnType.STRING, width=8),
+            Column("v", ColumnType.INT),
+            Column("w", ColumnType.INT),
+            Column("f", ColumnType.FLOAT),
+        ],
+        primary_key="id",
+    )
+    database.insert("t", (dict(row) for row in rows))
+    if shards:
+        database.shard_table("t", "id", shards)
+    database.analyze()
+    return database
+
+
+def shard_executors(database: Database) -> list:
+    router = database._router
+    count = router._shard_count(AGG_TABLE)
+    return [router._shard_executor(AGG_TABLE, i) for i in range(count)]
+
+
+def pin_row_merge(database: Database) -> None:
+    """Every shard executor on the batch kernels: no threaded state."""
+    for executor in shard_executors(database):
+        if executor._vectorized is not None:
+            executor._vectorized.codegen_enabled = False
+
+
+def close_to(got, want) -> bool:
+    if isinstance(got, float) and isinstance(want, float):
+        return got == pytest.approx(want, rel=1e-9)
+    return got == want and type(got) is type(want)
+
+
+def rows_close(got: list, want: list) -> bool:
+    return len(got) == len(want) and all(
+        a.keys() == b.keys() and all(close_to(a[k], b[k]) for k in a)
+        for a, b in zip(got, want)
+    )
+
+
+def by_group(rows: list, keys: list) -> list:
+    """Rows ordered by their (unique, possibly NULL) group-key values."""
+    return sorted(
+        rows,
+        key=lambda row: [
+            (row[key] is None, "" if row[key] is None else str(row[key]))
+            for key in keys
+        ],
+    )
+
+
+AGGREGATES = [
+    ("count", None),
+    ("count", "w"),
+    ("count", "v"),
+    ("sum", "v"),
+    ("sum", "w"),
+    ("sum", "f"),
+    ("min", "w"),
+    ("max", "v"),
+    ("max", "f"),
+    ("min", "s"),
+    ("avg", "v"),
+    ("avg", "w"),
+    ("avg", "f"),
+]
+
+agg_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": st.integers(0, 47),
+            "g": st.one_of(st.none(), st.integers(0, 2)),
+            "s": st.one_of(st.none(), st.sampled_from(LABELS)),
+            "v": st.integers(-5, 20),
+            "w": st.one_of(st.none(), st.integers(-50, 50)),
+            # quarters: float sums are exact whatever the addition order
+            "f": st.one_of(
+                st.none(), st.integers(-40, 40).map(lambda q: q / 4)
+            ),
+        }
+    ),
+    max_size=30,
+)
+
+
+@st.composite
+def aggregate_case(draw):
+    """(rows, plan, slots, parameter values, output group-key names)."""
+    rows = draw(agg_rows)
+    # spread 8 homes every row in shard 0 of 8 (seven empty shards),
+    # spread 4 in shards 0 and 4; spread 1 uses them all.
+    spread = draw(st.sampled_from([1, 1, 4, 8]))
+    rows = [dict(row, id=row["id"] * spread) for row in rows]
+    if spread == 1 and draw(st.booleans()):
+        # Shard i's first string is LABELS[i % 4]: per-shard dictionaries
+        # assign the same code to different strings.
+        rows = [
+            {"id": i, "g": i % 3, "s": LABELS[i % 4], "v": i, "w": None, "f": 0.5}
+            for i in range(8)
+        ] + rows
+    group = draw(st.sampled_from([(), ("g",), ("s",), ("g", "s"), ("s", "g")]))
+    chosen = draw(st.lists(st.sampled_from(AGGREGATES), min_size=1, max_size=4))
+    specs = [
+        algebra.AggregateSpec(
+            function, None if column is None else ColumnRef(column), f"a{i}"
+        )
+        for i, (function, column) in enumerate(chosen)
+    ]
+    specs.append(algebra.AggregateSpec("count", None, "n"))
+    slots = [None]
+    plan = algebra.Aggregate(
+        algebra.Select(
+            algebra.Scan("t"),
+            BinaryOp(">=", ColumnRef("v"), ParameterSlot(0, slots)),
+        ),
+        tuple(ColumnRef(column) for column in group),
+        tuple(specs),
+    )
+    names = {name: name for name in (*group, *(spec.name for spec in specs))}
+    if draw(st.booleans()):  # the parser's Project: reorder and rename
+        names = {name: f"o_{name}" for name in reversed(names)}
+        plan = algebra.Project(
+            plan,
+            tuple(
+                algebra.OutputColumn(ColumnRef(name), renamed)
+                for name, renamed in names.items()
+            ),
+        )
+    if draw(st.booleans()):  # HAVING
+        plan = algebra.Select(
+            plan, BinaryOp(">=", ColumnRef(names["n"]), Literal(2))
+        )
+    if draw(st.booleans()):
+        plan = algebra.Sort(
+            plan,
+            (algebra.SortKey(ColumnRef(names["a0"]), draw(st.booleans())),),
+        )
+    values = draw(st.lists(st.integers(-6, 12), min_size=2, max_size=2))
+    return rows, plan, slots, values, [names[column] for column in group]
+
+
+class TestThreadedAggregateProperty:
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=60, deadline=None)
+    @given(case=aggregate_case())
+    def test_threaded_equals_row_merge_equals_unsharded(self, mode, case):
+        rows, plan, slots, values, group_keys = case
+        unsharded = build_agg_database(rows, mode=mode)
+        for shards in (1, 8):
+            threaded = build_agg_database(rows, shards, mode)
+            merged = build_agg_database(rows, shards, mode)
+            pin_row_merge(merged)
+            for execution, value in enumerate(values, start=1):
+                slots[0] = value  # same prepared template, new parameter
+                got = threaded._executor.execute(plan)
+                want = merged._executor.execute(plan)
+                assert rows_close(got, want), (got, want)
+                reference = unsharded._executor.execute(plan)
+                assert rows_close(
+                    by_group(got, group_keys), by_group(reference, group_keys)
+                ), (got, reference)
+                stats = threaded.sharding_stats()
+                assert stats["local"] == execution
+                assert (
+                    stats["threaded_aggregates"] + stats["merged_aggregates"]
+                    == execution
+                )
+                if mode != "vectorized":
+                    assert stats["threaded_aggregates"] == 0
+                assert merged.sharding_stats()["merged_aggregates"] == execution
+
+
+def spread_rows(count: int = 64) -> list:
+    """Every group (on ``g`` or ``s``) has rows in every one of 8 shards."""
+    return [
+        {
+            "id": i,
+            "g": (i // 8) % 3,
+            "s": LABELS[(i + i // 8) % 4],
+            "v": i % 11,
+            "w": (i * 7) % 13,
+            "f": i / 4,
+        }
+        for i in range(count)
+    ]
+
+
+GROUPED_SQL = (
+    "select s, count(*), sum(w), avg(f), min(v), max(w) from t "
+    "where v >= 2 group by s"
+)
+
+
+class TestThreadedAggregate:
+    def test_per_shard_dictionaries_differ_and_keys_are_values(self):
+        database = build_agg_database(spread_rows(), shards=8)
+        first = [
+            shard.columns()["s"].dictionary[0]
+            for shard in database.table("t").shards
+        ]
+        assert len(set(first)) > 1  # code 0 is not one string everywhere
+        unsharded = build_agg_database(spread_rows())
+        got = database.execute_sql(GROUPED_SQL).rows
+        assert database.sharding_stats()["threaded_aggregates"] == 1
+        assert by_group(got, ["s"]) == by_group(
+            unsharded.execute_sql(GROUPED_SQL).rows, ["s"]
+        )
+
+    def test_counters_and_explain_say_which_gather_ran(self):
+        engine = Engine.builder().database(
+            build_agg_database(spread_rows(), shards=8)
+        ).build()
+        database = engine.database
+        database.execute_sql(GROUPED_SQL)
+        sharding = engine.stats()["sharding"]
+        assert sharding["local"] == 1
+        assert sharding["threaded_aggregates"] == 1
+        assert sharding["merged_aggregates"] == 0
+        for executor in shard_executors(database):
+            assert executor._vectorized.executions == 1
+            assert executor._vectorized.codegen_executions == 1
+            assert executor.tier_counts["vectorized"] == 1
+        views = engine.metrics().as_dict()["views"]
+        assert views["sharding"]["threaded_aggregates"] == 1
+        report = database.explain_analyze(GROUPED_SQL).render()
+        assert "executed: vectorized via codegen" in report
+        assert "gather: threaded state" in report
+        pin_row_merge(database)
+        merged_before = database.sharding_stats()["merged_aggregates"]
+        database.execute_sql(GROUPED_SQL)
+        sharding = engine.stats()["sharding"]
+        assert sharding["merged_aggregates"] == merged_before + 1
+        report = database.explain_analyze(GROUPED_SQL).render()
+        assert "executed: vectorized via kernel" in report
+        assert "gather: merged partials" in report
+        # A pool takes the partial-row gather, whatever the tier.
+        pooled = build_agg_database(spread_rows(), shards=8)
+        pooled.set_parallel(workers=2, mode="thread")
+        try:
+            pooled.execute_sql(GROUPED_SQL)
+            assert pooled.sharding_stats()["merged_aggregates"] == 1
+            assert pooled.sharding_stats()["threaded_aggregates"] == 0
+        finally:
+            pooled.close_parallel()
+
+    def test_spine_above_the_fused_subtree_runs_as_post(self):
+        sql = (
+            "select g, count(*) as n, avg(w) as a from t group by g "
+            "order by n desc, g"
+        )
+        database = build_agg_database(spread_rows(60), shards=8)
+        unsharded = build_agg_database(spread_rows(60))
+        assert database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
+        assert database.sharding_stats()["threaded_aggregates"] == 1
+
+    def test_layouts_that_disagree_on_the_state_fall_back_to_merging(self):
+        # Only shard 0 holds a NULL ``w``: its pipeline guards avg's count,
+        # the other shards' pipelines do not — one state cannot serve both.
+        rows = spread_rows()
+        rows[0]["w"] = None
+        database = build_agg_database(rows, shards=8)
+        unsharded = build_agg_database(rows)
+        sql = "select g, avg(w) from t group by g"
+        assert by_group(database.execute_sql(sql).rows, ["g"]) == by_group(
+            unsharded.execute_sql(sql).rows, ["g"]
+        )
+        stats = database.sharding_stats()
+        assert (stats["threaded_aggregates"], stats["merged_aggregates"]) == (0, 1)
+        # count(w) alone keeps the same value-list state on every layout.
+        sql = "select g, count(w) from t group by g"
+        assert by_group(database.execute_sql(sql).rows, ["g"]) == by_group(
+            unsharded.execute_sql(sql).rows, ["g"]
+        )
+        assert database.sharding_stats()["threaded_aggregates"] == 1
+        errors = database.execution_stats()["vectorized"]["codegen_errors"]
+        assert errors == 0  # a decline, not an error
+
+
+class TestThreadedAggregateDeclines:
+    def reference_rows(self) -> list:
+        reference = build_agg_database(spread_rows(), shards=8)
+        pin_row_merge(reference)
+        rows = reference.execute_sql(GROUPED_SQL).rows
+        unsharded = build_agg_database(spread_rows())
+        assert by_group(rows, ["s"]) == by_group(
+            unsharded.execute_sql(GROUPED_SQL).rows, ["s"]
+        )
+        return rows
+
+    def test_codegen_off_on_one_shard_takes_the_row_merge_path(self):
+        database = build_agg_database(spread_rows(), shards=8)
+        executors = shard_executors(database)
+        executors[5]._vectorized.codegen_enabled = False
+        assert database.execute_sql(GROUPED_SQL).rows == self.reference_rows()
+        stats = database.sharding_stats()
+        assert stats["local"] == 1
+        assert (stats["threaded_aggregates"], stats["merged_aggregates"]) == (0, 1)
+        for executor in executors:
+            # One (kernel) execution per shard: the abandoned fold of
+            # shards 0-4 counts nothing.
+            assert executor._vectorized.executions == 1
+            assert executor._vectorized.codegen_executions == 0
+            assert executor.tier_counts["vectorized"] == 1
+        vectorized = database.execution_stats()["vectorized"]
+        assert vectorized["codegen_errors"] == 0
+        assert vectorized["fallbacks"] == 0
+
+    def test_pipeline_raising_on_shard_3_takes_the_row_merge_path(self):
+        database = build_agg_database(spread_rows(), shards=8)
+        database.execute_sql(GROUPED_SQL)  # compiles the shard pipelines
+        executors = shard_executors(database)
+        (pipeline, _), = executors[3]._vectorized._pipelines.values()
+
+        def broken(state, columns, count):
+            raise RuntimeError("shard 3 is broken")
+
+        pipeline.accumulate = broken
+        assert database.execute_sql(GROUPED_SQL).rows == self.reference_rows()
+        stats = database.sharding_stats()
+        assert stats["local"] == 2
+        assert (stats["threaded_aggregates"], stats["merged_aggregates"]) == (1, 1)
+        assert [
+            executor._vectorized.codegen_errors for executor in executors
+        ] == [0, 0, 0, 1, 0, 0, 0, 0]
+        for executor in executors:
+            assert executor._vectorized.executions == 2
+            assert executor._vectorized.codegen_executions == 2
+            assert executor._vectorized.fallbacks == 0
