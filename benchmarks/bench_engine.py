@@ -1333,11 +1333,7 @@ def bench_admission_open_loop(rows: int) -> dict:
         Engine.builder().database(database).network(SLOW_REMOTE).build()
     )
     probe = probe_engine.connect()
-    _, service_seconds = probe._with_faults(
-        "query",
-        lambda: probe._measure_prepared(probe.prepare(read_sql), (0,)),
-        idempotent=True,
-    )
+    _, service_seconds = probe.exchange(probe.prepare(read_sql), (0,))
     capacity = ADMISSION_LIMIT / service_seconds
 
     runs: dict = {}

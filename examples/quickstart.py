@@ -79,7 +79,7 @@ def snapshot_reads_demo() -> None:
     print(f"snapshot saw o_quantity={before}, still sees {snap_view}")
     print(f"a fresh read sees the committed update: {live_view}")
     assert snap_view == before and live_view == 999
-    stats = engine.stats()["mvcc"]
+    stats = engine.metrics().views["mvcc"]()
     print(
         f"mvcc counters: versions_created={stats['versions_created']} "
         f"snapshots_taken={stats['snapshots_taken']} "

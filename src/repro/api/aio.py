@@ -32,8 +32,12 @@ Usage::
     rows = await asyncio.gather(client(1), client(2), client(3))
     aengine.elapsed                        # ≈ max client latency, not sum
 
-Execution and results are byte-identical to the synchronous path — only the
-clock accounting differs.
+Execution, results, counters, fault handling and errors are the
+synchronous path's by construction: every awaitable here runs the wrapped
+:class:`~repro.net.connection.SimulatedConnection`'s uncharged exchange of
+the same request (and :class:`AsyncCursor` drives a synchronous
+:class:`~repro.net.connection.Cursor`'s dispatch and result state) — this
+module contributes only :func:`_overlap`, the clock discipline.
 """
 
 from __future__ import annotations
@@ -44,41 +48,36 @@ from typing import Any, AsyncIterator, Iterable, Optional, Sequence, TYPE_CHECKI
 from repro.db.database import PreparedStatement, QueryResult, Transaction
 from repro.net.clock import VirtualClock
 from repro.net.connection import (
+    EXCHANGE_ERRORS,
     Cursor,
-    CursorError,
     Pipeline,
     PipelineResult,
     SimulatedConnection,
-    _install_executemany_results,
 )
-from repro.db.mvcc import SerializationError
-from repro.net.faults import AmbiguousCommitError, FaultError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.engine import Engine
 
 
-async def _overlap(connection: SimulatedConnection, measure):
+async def _overlap(connection: SimulatedConnection, exchange, *args):
     """Run one in-flight request with overlapping clock accounting.
 
-    ``measure`` performs the server-side work and returns ``(value,
-    elapsed)`` *without* touching the clock.  The request's start time is
-    captured first, then control is yielded to the event loop so every
-    request issued in the same scheduling round captures the same start
-    before anyone advances the clock; finally the clock moves forward to
-    this request's completion time.  Concurrent requests thus cost
-    ``max(durations)``, sequential ones remain additive.
+    ``exchange`` is one of the connection's uncharged exchanges: it performs
+    the server-side work and returns ``(value, elapsed)`` *without* touching
+    the clock.  The request's start time is captured first, then control is
+    yielded to the event loop so every request issued in the same scheduling
+    round captures the same start before anyone advances the clock; finally
+    the clock moves forward to this request's completion time.  Concurrent
+    requests thus cost ``max(durations)``, sequential ones remain additive.
 
-    A surfaced fault (:class:`repro.net.faults.FaultError` /
-    :class:`repro.net.faults.AmbiguousCommitError`) carries
-    ``virtual_elapsed`` — the virtual time the failed exchange burned,
-    retries and backoff included — which overlaps the clock the same way
-    before the exception propagates.
+    A failed exchange carries ``virtual_elapsed`` — the virtual time it
+    burned, retries and backoff included — which overlaps the clock the
+    same way before the exception propagates.
     """
     start = connection.clock.now
     try:
-        value, elapsed = measure()
-    except (FaultError, AmbiguousCommitError) as exc:
+        value, elapsed = exchange(*args)
+    except EXCHANGE_ERRORS as exc:
         await asyncio.sleep(0)
         connection.clock.advance_to(start + exc.virtual_elapsed)
         raise
@@ -102,7 +101,10 @@ class AsyncConnection:
 
     Wraps one :class:`SimulatedConnection` whose clock is (typically) shared
     with every other connection of the same :class:`AsyncEngine`, which is
-    what lets in-flight requests overlap.
+    what lets in-flight requests overlap.  Every method is the wrapped
+    connection's uncharged exchange of the same name under :func:`_overlap`,
+    so results, counters, fault handling and errors are the synchronous
+    connection's by construction.
     """
 
     def __init__(self, connection: SimulatedConnection) -> None:
@@ -115,7 +117,7 @@ class AsyncConnection:
     ) -> QueryResult:
         """Execute a SELECT; overlaps with other in-flight requests."""
         return await self.execute_prepared(
-            self._connection.prepare(sql), params
+            self._connection.prepare_query(sql), params
         )
 
     async def execute_prepared(
@@ -124,14 +126,7 @@ class AsyncConnection:
         """Execute an already-prepared SELECT with overlap accounting."""
         connection = self._connection
         return await _overlap(
-            connection,
-            lambda: connection._with_faults(
-                "query",
-                lambda: connection._measure_prepared(
-                    statement, tuple(params)
-                ),
-                idempotent=True,
-            ),
+            connection, connection.exchange, statement, tuple(params)
         )
 
     async def execute_update(
@@ -139,29 +134,16 @@ class AsyncConnection:
     ) -> int:
         """Execute an UPDATE; overlaps with other in-flight requests."""
         return await self.execute_update_prepared(
-            self._connection.prepare(sql), params
+            self._connection.prepare_update(sql, params), params
         )
 
     async def execute_update_prepared(
         self, statement: PreparedStatement, params: Sequence[Any] = ()
     ) -> int:
-        """Execute an already-prepared UPDATE with overlap accounting.
-
-        Writes are not idempotent: under an active fault policy a
-        response-path fault surfaces as
-        :class:`repro.net.faults.AmbiguousCommitError` rather than being
-        retried, exactly like the synchronous path.
-        """
+        """Execute an already-prepared UPDATE with overlap accounting."""
         connection = self._connection
         return await _overlap(
-            connection,
-            lambda: connection._with_faults(
-                "update",
-                lambda: connection._measure_update_prepared(
-                    statement, tuple(params)
-                ),
-                idempotent=False,
-            ),
+            connection, connection.exchange, statement, tuple(params)
         )
 
     async def execute_lookup(
@@ -180,19 +162,9 @@ class AsyncConnection:
 
     async def begin(self) -> Transaction:
         """Open a server transaction on this connection (one round trip)."""
-        connection = self._connection
-        connection._check_open()
-
-        def measure() -> tuple[Transaction, float]:
-            txn = connection.database.begin()
-            connection._txn = txn
-            connection.stats.round_trips += 1
-            connection.stats.network_time += (
-                connection.network.round_trip_seconds
-            )
-            return txn, connection.network.round_trip_seconds
-
-        return await _overlap(connection, measure)
+        return await _overlap(
+            self._connection, self._connection.exchange_begin
+        )
 
     async def commit(self) -> None:
         """Commit the open transaction (no-op without one, per PEP 249).
@@ -202,63 +174,11 @@ class AsyncConnection:
         conflict as :class:`repro.db.mvcc.SerializationError` — see
         :meth:`repro.net.connection.SimulatedConnection.commit`.
         """
-        connection = self._connection
-        connection._check_open()
-        txn = connection._txn
-        if txn is None or not txn.active:
-            connection._txn = None
-            return
-        try:
-            await _overlap(
-                connection,
-                lambda: connection._with_faults(
-                    "commit",
-                    lambda: connection._measure_commit(txn),
-                    idempotent=False,
-                ),
-            )
-        except SerializationError:
-            # First-committer-wins: the server aborted this transaction.
-            # Charge the failed exchange's round trip with overlap
-            # accounting and drop the reference, mirroring the sync path.
-            connection._txn = None
-            rtt = connection.network.round_trip_seconds
-            connection.clock.advance_to(connection.clock.now + rtt)
-            connection.stats.round_trips += 1
-            connection.stats.network_time += rtt
-            if connection.faults is not None:
-                connection.faults.stats.serialization_conflicts += 1
-            raise
-        except AmbiguousCommitError:
-            # The server committed; only the reply was lost — drop the
-            # finished transaction reference.
-            connection._txn = None
-            raise
-        except FaultError:
-            # The COMMIT never reached the server: the transaction is still
-            # active server-side, so keep the reference for
-            # rollback()/close() to release.
-            raise
-        connection._txn = None
+        await _overlap(self._connection, self._connection.exchange_commit)
 
     async def rollback(self) -> None:
         """Roll back the open transaction (no-op without one, not faulted)."""
-        connection = self._connection
-        connection._check_open()
-        txn = connection._txn
-        connection._txn = None
-        if txn is None or not txn.active:
-            return
-
-        def measure() -> tuple[None, float]:
-            txn.rollback()
-            connection.stats.round_trips += 1
-            connection.stats.network_time += (
-                connection.network.round_trip_seconds
-            )
-            return None, connection.network.round_trip_seconds
-
-        await _overlap(connection, measure)
+        await _overlap(self._connection, self._connection.exchange_rollback)
 
     # -- derived objects -------------------------------------------------
 
@@ -335,8 +255,8 @@ class AsyncPipeline:
         is charged, every handle is filled (results, error, or aborted
         marker), and the first statement error is re-raised.
         """
-        connection = self._pipeline.connection
-        error = await _overlap(connection, self._pipeline._measure_flush)
+        pipeline = self._pipeline
+        error = await _overlap(pipeline.connection, pipeline.exchange)
         if error is not None:
             raise error
 
@@ -353,19 +273,31 @@ class AsyncPipeline:
 class AsyncCursor:
     """An async PEP 249-shaped cursor: ``await execute`` / ``fetch*``.
 
-    Result-set semantics (``description``, ``rowcount``, fetch order) are
-    identical to the synchronous :class:`repro.net.connection.Cursor`; only
-    the clock accounting is asynchronous.
+    Statement dispatch (``BEGIN`` / ``COMMIT`` / ``ROLLBACK`` included) and
+    the result-set state are a synchronous
+    :class:`repro.net.connection.Cursor`'s; this class only awaits the
+    :class:`AsyncConnection` method that cursor routes a statement to.
     """
 
     def __init__(self, connection: AsyncConnection) -> None:
         self.connection = connection
-        self.arraysize = 1
-        self.description: Optional[list[tuple]] = None
-        self.rowcount = -1
-        self._rows: Optional[list[dict]] = None
-        self._index = 0
-        self._closed = False
+        self._cursor = Cursor(connection.raw)
+
+    @property
+    def description(self) -> Optional[list[tuple]]:
+        return self._cursor.description
+
+    @property
+    def rowcount(self) -> int:
+        return self._cursor.rowcount
+
+    @property
+    def arraysize(self) -> int:
+        return self._cursor.arraysize
+
+    @arraysize.setter
+    def arraysize(self, size: int) -> None:
+        self._cursor.arraysize = size
 
     # -- execution -------------------------------------------------------
 
@@ -373,72 +305,47 @@ class AsyncCursor:
         self, sql: str, params: Sequence[Any] = ()
     ) -> "AsyncCursor":
         """Prepare (or re-use) and execute one SQL statement."""
-        self._check_open()
-        statement = self.connection._connection.prepare(sql)
-        return await self.execute_prepared(statement, params)
+        return await self._run(*self._cursor._route(sql, params))
 
     async def execute_prepared(
         self, statement: PreparedStatement, params: Sequence[Any] = ()
     ) -> "AsyncCursor":
         """Execute an already-prepared statement through this cursor."""
-        self._check_open()
-        if statement.is_query:
-            result = await self.connection.execute_prepared(statement, params)
-            self._rows = result.rows
-            self._index = 0
-            self.rowcount = result.cardinality
-            self.description = Cursor._describe(result, statement)
-        else:
-            changed = await self.connection.execute_update_prepared(
-                statement, params
-            )
-            self._rows = None
-            self._index = 0
-            self.rowcount = changed
-            self.description = None
+        return await self._run(
+            *self._cursor._route_prepared(statement, params)
+        )
+
+    async def _run(
+        self, method: str, args: tuple, statement: Optional[PreparedStatement]
+    ) -> "AsyncCursor":
+        value = await getattr(self.connection, method)(*args)
+        self._cursor._install(statement, value)
         return self
 
     async def executemany(
         self, sql: str, seq_of_params: Iterable[Sequence[Any]]
     ) -> "AsyncCursor":
         """Execute once per parameter tuple — pipelined into one round trip."""
-        self._check_open()
-        statement = self.connection._connection.prepare(sql)
-        pipeline = self.connection.pipeline()
-        handles = [
-            pipeline.execute_prepared(statement, params)
-            for params in seq_of_params
-        ]
-        await pipeline.flush()
-        _install_executemany_results(self, statement, handles)
+        pipeline, statement, handles = self._cursor._queue_many(
+            sql, seq_of_params
+        )
+        await AsyncPipeline(pipeline).flush()
+        self._cursor._install_many(statement, handles)
         return self
 
     # -- fetching --------------------------------------------------------
 
     async def fetchone(self) -> Optional[dict]:
         """Next row of the result set, or ``None`` when exhausted."""
-        rows = self._result_set()
-        if self._index >= len(rows):
-            return None
-        row = rows[self._index]
-        self._index += 1
-        return row
+        return self._cursor.fetchone()
 
     async def fetchmany(self, size: Optional[int] = None) -> list[dict]:
         """The next ``size`` rows (default :attr:`arraysize`)."""
-        rows = self._result_set()
-        if size is None:
-            size = self.arraysize
-        chunk = rows[self._index : self._index + size]
-        self._index += len(chunk)
-        return chunk
+        return self._cursor.fetchmany(size)
 
     async def fetchall(self) -> list[dict]:
         """Every remaining row of the result set."""
-        rows = self._result_set()
-        chunk = rows[self._index :]
-        self._index = len(rows)
-        return chunk
+        return self._cursor.fetchall()
 
     async def __aiter__(self) -> AsyncIterator[dict]:
         while True:
@@ -451,27 +358,13 @@ class AsyncCursor:
 
     def close(self) -> None:
         """Release the result set; subsequent operations raise."""
-        self._closed = True
-        self._rows = None
-        self.description = None
+        self._cursor.close()
 
     async def __aenter__(self) -> "AsyncCursor":
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         self.close()
-
-    # -- internals -------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise CursorError("cursor is closed")
-
-    def _result_set(self) -> list[dict]:
-        self._check_open()
-        if self._rows is None:
-            raise CursorError("no result set: execute a SELECT first")
-        return self._rows
 
 
 class AsyncEngine:

@@ -33,6 +33,7 @@ share the same server, exactly like clients of a real database.
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence, TYPE_CHECKING, Union
 
@@ -47,7 +48,7 @@ from repro.db.wal import WriteAheadLog
 from repro.net.admission import AdmissionController
 from repro.net.clock import VirtualClock
 from repro.net.connection import ConnectionStats, Cursor, SimulatedConnection
-from repro.net.faults import FaultPolicy, FaultStats, RetryPolicy
+from repro.net.faults import FaultPolicy, RetryPolicy
 from repro.net.network import PRESETS, NetworkConditions
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -465,7 +466,8 @@ class Engine:
         self._connection: Optional[SimulatedConnection] = None
         #: open connections handed out by this engine (closed on close());
         #: individually-closed ones are pruned on the next connect, their
-        #: counters folded into _retired_stats so stats() stays complete.
+        #: counters folded into _retired_stats so the network view stays
+        #: complete.
         self._connections: list[SimulatedConnection] = []
         self._retired_stats = ConnectionStats()
         self._total_connections = 0
@@ -475,36 +477,49 @@ class Engine:
         """Register live subsystem counter views on the metrics registry.
 
         Views are zero-cost until rendered: each one re-reads the
-        subsystem's own stats dict when ``metrics().as_dict()`` is built.
+        subsystem's own counters when ``metrics().as_dict()`` is built.  A
+        subsystem that is not configured (WAL, MVCC, admission, faults,
+        tracing) has no view.
         """
+        database = self.database
+        cache = database.statement_cache
+        views = {
+            "statement_cache": lambda: {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "evictions": cache.evictions,
+                "invalidations": cache.invalidations,
+            },
+            "network": self._network_stats,
+            "database": lambda: {
+                "queries_executed": database.queries_executed,
+                "transactions": database.transaction_stats(),
+            },
+            "execution": database.execution_stats,
+            "sharding": database.sharding_stats,
+        }
+        if self.faults is not None:
+            views["faults"] = self.faults.stats.as_dict
         registry = self._metrics
-        if "statement_cache" not in registry.views:
-            cache = self.database.statement_cache
-            registry.register_view(
-                "statement_cache",
-                lambda: {
-                    "hits": cache.hits,
-                    "misses": cache.misses,
-                    "evictions": cache.evictions,
-                    "invalidations": cache.invalidations,
-                },
-            )
-        if "execution" not in registry.views:
-            registry.register_view("execution", self.database.execution_stats)
-        if "sharding" not in registry.views:
-            registry.register_view("sharding", self.database.sharding_stats)
-        if "feedback" not in registry.views:
-            registry.register_view(
-                "feedback", self.database.statistics.feedback_stats
-            )
-        wal = self.database.wal
+        for name, view in views.items():
+            if name not in registry.views:
+                registry.register_view(name, view)
+        wal = database.wal
         if wal is not None and "wal" not in registry.views:
             wal.register_metrics(registry)
-        mvcc = self.database._mvcc
+        mvcc = database._mvcc
         if mvcc is not None and "mvcc" not in registry.views:
             mvcc.register_metrics(registry)
         if self.admission is not None and "admission" not in registry.views:
             self.admission.register_metrics(registry)
+
+    def _network_stats(self) -> dict:
+        """The ``network`` view: every handed-out connection's counters
+        summed, closed and pruned connections included."""
+        total = replace(self._retired_stats)
+        for connection in self._connections:
+            total.add(connection.stats)
+        return {"connections": self._total_connections, **asdict(total)}
 
     @staticmethod
     def builder() -> EngineBuilder:
@@ -549,21 +564,12 @@ class Engine:
 
         Keeps a long-lived engine bounded under connection churn (one
         short-lived connection per request) without losing their counters
-        from :meth:`stats`.
+        from the ``network`` metrics view.
         """
         live: list[SimulatedConnection] = []
-        retired = self._retired_stats
         for connection in self._connections:
             if connection.closed:
-                stats = connection.stats
-                retired.queries += stats.queries
-                retired.round_trips += stats.round_trips
-                retired.batches += stats.batches
-                retired.rows_transferred += stats.rows_transferred
-                retired.bytes_transferred += stats.bytes_transferred
-                retired.network_time += stats.network_time
-                retired.server_time += stats.server_time
-                retired.queue_time += stats.queue_time
+                self._retired_stats.add(connection.stats)
             else:
                 live.append(connection)
         self._connections = live
@@ -630,85 +636,13 @@ class Engine:
     def metrics(self) -> MetricsRegistry:
         """The engine's metrics registry (instruments + subsystem views).
 
-        Always present, even with tracing off — subsystems register their
-        counters as live views at engine construction, and the tracer (when
-        enabled) mirrors per-kind latency histograms into it.  Rendered by
+        The one counter surface: every configured subsystem registers its
+        counters as a live view at engine construction
+        (``metrics().views[name]()``), and the tracer (when enabled) mirrors
+        per-kind latency histograms into it.  Rendered by
         ``repro.cli --metrics``.
         """
         return self._metrics
-
-    def stats(self) -> dict:
-        """One aggregated snapshot of engine-level counters.
-
-        Combines the prepared-statement cache counters with the network
-        counters of every connection this engine handed out (including the
-        shared default connection), plus the server-side executed-query
-        count and the executor's per-tier execution counters (vectorized /
-        compiled / interpreted).  Surfaced by ``repro.cli --stats``.
-        """
-        cache = self.database.statement_cache
-        retired = self._retired_stats
-        queries = retired.queries
-        round_trips = retired.round_trips
-        batches = retired.batches
-        rows = retired.rows_transferred
-        transferred = retired.bytes_transferred
-        network_time = retired.network_time
-        server_time = retired.server_time
-        queue_time = retired.queue_time
-        for connection in self._connections:
-            stats = connection.stats
-            queries += stats.queries
-            round_trips += stats.round_trips
-            batches += stats.batches
-            rows += stats.rows_transferred
-            transferred += stats.bytes_transferred
-            network_time += stats.network_time
-            server_time += stats.server_time
-            queue_time += stats.queue_time
-        return {
-            "statement_cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "invalidations": cache.invalidations,
-            },
-            "network": {
-                "connections": self._total_connections,
-                "queries": queries,
-                "round_trips": round_trips,
-                "batches": batches,
-                "rows_transferred": rows,
-                "bytes_transferred": transferred,
-                "network_time": network_time,
-                "server_time": server_time,
-                "queue_time": queue_time,
-            },
-            "database": {
-                "queries_executed": self.database.queries_executed,
-            },
-            "execution": self.database.execution_stats(),
-            "sharding": self.database.sharding_stats(),
-            "wal": self.database.wal_stats(),
-            "mvcc": self.database.mvcc_stats(),
-            "admission": (
-                self.admission.as_dict()
-                if self.admission is not None
-                else {"enabled": False}
-            ),
-            "faults": (
-                self.faults.stats.as_dict()
-                if self.faults is not None
-                else FaultStats().as_dict()
-            ),
-            "tracing": (
-                self.tracer.stats_dict()
-                if self.tracer is not None
-                else {"enabled": False}
-            ),
-            "metrics": self._metrics.summary(),
-            "feedback": self.database.statistics.feedback_stats(),
-        }
 
     # -- ORM and application runtime -------------------------------------
 

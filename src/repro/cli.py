@@ -7,7 +7,7 @@ Usage::
         [--amortization AF] [--workload orders|wilos] [--scale N]
         [--shards N] [--wal] [--mvcc] [--admission N]
         [--fault-rate P] [--fault-seed N]
-        [--show-alternatives] [--heuristic] [--stats]
+        [--show-alternatives] [--heuristic] [--trace] [--metrics]
 
     python -m repro.cli experiment fig13a|fig13b|fig13c|fig14|fig15|fig16|opt-time
         [--scale N] [--divisor N]
@@ -147,14 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the deterministic fault injector",
     )
     optimize.add_argument(
-        "--stats",
-        action="store_true",
-        help=(
-            "print aggregated engine statistics (statement cache, network, "
-            "WAL, fault/retry counters)"
-        ),
-    )
-    optimize.add_argument(
         "--trace",
         action="store_true",
         help=(
@@ -177,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print the metrics registry snapshot: counters, gauges, "
-            "latency histograms, and subsystem views"
+            "latency histograms, and one view per configured subsystem "
+            "(statement cache, network, execution, sharding, WAL, MVCC, "
+            "admission, fault/retry counters)"
         ),
     )
 
@@ -279,8 +273,6 @@ def run_optimize(args: argparse.Namespace, out) -> int:
         print("\nheuristic (always push to SQL) rewrite:", file=out)
         print(outcome.rewritten_source, file=out)
 
-    if args.stats:
-        _print_stats(engine, out)
     if args.trace or args.slow_query_threshold is not None:
         _print_traces(engine, out)
     if args.metrics:
@@ -303,19 +295,6 @@ def _emit_counters(prefix: str, counters: dict, out) -> None:
             print(f"  {path:<30}: {value}", file=out)
 
 
-def _print_stats(engine: Engine, out) -> None:
-    """Render ``engine.stats()`` as aligned ``group.counter : value`` lines.
-
-    Nested counter groups (the executor's per-tier and vectorized
-    fallback-reason counters, the sharding routed/local/scatter counts, the
-    tracing and metrics summaries) flatten into dotted paths, one counter
-    per line, sorted at every level so the output is diff-stable.
-    """
-    print("\nengine statistics:", file=out)
-    for group, counters in sorted(engine.stats().items()):
-        _emit_counters(group, counters, out)
-
-
 def _print_traces(engine: Engine, out) -> None:
     """Render the tracer's recorded traces and the slow-query log."""
     print("\nquery traces:", file=out)
@@ -333,7 +312,13 @@ def _print_traces(engine: Engine, out) -> None:
 
 
 def _print_metrics(engine: Engine, out) -> None:
-    """Render ``engine.metrics()`` as sorted dotted counter lines."""
+    """Render ``engine.metrics()`` as aligned ``group.counter : value`` lines.
+
+    Nested counter groups (the executor's per-tier and vectorized
+    fallback-reason counters, the sharding routed/local/scatter counts)
+    flatten into dotted paths, one counter per line, sorted at every level
+    so the output is diff-stable.
+    """
     print("\nmetrics:", file=out)
     for group, values in sorted(engine.metrics().as_dict().items()):
         if values:

@@ -255,6 +255,8 @@ class PreparedStatement:
         self.sql = sql
         self.plan = plan
         self.update = update
+        #: True for SELECT statements, False for UPDATE statements.
+        self.is_query = plan is not None
         self.schema_generation = database.schema_generation
         if plan is not None:
             self.parameter_count = count_parameters(plan)
@@ -303,20 +305,9 @@ class PreparedStatement:
         #: how the rows were actually produced: "codegen" / "kernel" inside
         #: the vectorized tier, the row-tier name, or "point-lookup".
         self.last_execution_path: Optional[str] = None
-        #: runtime-feedback drift: traced executions whose actual output
-        #: cardinality disagreed with the optimizer's estimate by more than
-        #: the catalog's DRIFT_RATIO (either direction).
-        self.drift_events = 0
         self._estimate: Optional[QueryEstimate] = None
         self._row_width: Optional[int] = None
         self._stamp: Optional[tuple] = None
-
-    # -- properties ------------------------------------------------------
-
-    @property
-    def is_query(self) -> bool:
-        """True for SELECT statements, False for UPDATE statements."""
-        return self.plan is not None
 
     # -- execution -------------------------------------------------------
 
@@ -439,23 +430,6 @@ class PreparedStatement:
         slots = self._slots
         for index in range(count):
             slots[index] = params[index]
-
-    # -- runtime feedback ------------------------------------------------
-
-    def observe_actual(self, actual_rows: int) -> bool:
-        """Offer an executed cardinality to the statistics catalog.
-
-        Called from the traced execution path with the actual result size;
-        bumps this statement's :attr:`drift_events` when the observation
-        disagrees with the plan-keyed estimate beyond the catalog's drift
-        ratio.  Returns whether the observation drifted.
-        """
-        if self.plan is None:
-            return False
-        drifted = self.database.statistics.observe(self.plan, actual_rows)
-        if drifted:
-            self.drift_events += 1
-        return drifted
 
     # -- estimation ------------------------------------------------------
 
@@ -1170,22 +1144,18 @@ class Database:
             return {"enabled": False}
         return self._mvcc.stats_dict()
 
-    def wal_stats(self) -> dict:
-        """WAL record/commit counters plus transaction activity counters."""
-        stats: dict[str, Any] = {"enabled": self._wal is not None}
-        if self._wal is not None:
-            stats.update(self._wal.stats.as_dict())
+    def transaction_stats(self) -> dict:
+        """Transaction activity counters (WAL or not, MVCC or not)."""
         if self._mvcc is not None:
             active = self._mvcc.active_transactions()
         else:
             active = 1 if self._txn is not None else 0
-        stats["transactions"] = {
+        return {
             "begun": self.txn_stats.begun,
             "committed": self.txn_stats.committed,
             "rolled_back": self.txn_stats.rolled_back,
             "active": active,
         }
-        return stats
 
     # -- durability internals ---------------------------------------------
 
@@ -1347,8 +1317,7 @@ class Database:
         """EXPLAIN ANALYZE: execute ``sql`` and annotate each operator with
         the actual row count and modeled virtual time next to the
         estimates.  The root's actual row count is exactly the executed
-        result size; the observation is fed back to the statistics catalog
-        (see :meth:`StatisticsCatalog.observe`).
+        result size.
         """
         from repro.obs.explain import explain_statement
 
@@ -1367,15 +1336,15 @@ class Database:
         self.queries_executed += 1
         return QueryResult(rows=rows, row_width=width, sql=sql or to_sql(plan))
 
-    def execute_update_sql(self, sql: str, params: Sequence[Any] = ()) -> int:
-        """Execute an UPDATE statement; returns the number of rows changed.
+    def prepare_update(
+        self, sql: str, params: Sequence[Any] = ()
+    ) -> PreparedStatement:
+        """Prepare an UPDATE text that ``params`` can execute.
 
-        The statement is parsed by :func:`repro.db.sqlparser.parse_update`
-        (and cached like any prepared statement), so multiple SET
-        assignments, expressions over the updated row (``set n = n + 1``),
-        compound WHERE predicates, and positional parameters on both sides
-        all work.  Statements that do not parse keep raising the historical
-        ``unsupported UPDATE statement`` error.
+        The one statement of the raw-SQL UPDATE error contract: text that
+        does not parse, or parses as a SELECT, raises the historical
+        ``unsupported UPDATE statement`` :class:`ValueError`; too few
+        parameters raise ``missing parameter``.
         """
         try:
             statement = self.prepare(sql)
@@ -1383,10 +1352,21 @@ class Database:
             raise ValueError(f"unsupported UPDATE statement: {sql!r}") from exc
         if statement.is_query:
             raise ValueError(f"unsupported UPDATE statement: {sql!r}")
-        params = tuple(params)
         if statement.parameter_count > len(params):
             raise ValueError("missing parameter for UPDATE statement")
-        return statement.execute_update(params)
+        return statement
+
+    def execute_update_sql(self, sql: str, params: Sequence[Any] = ()) -> int:
+        """Execute an UPDATE statement; returns the number of rows changed.
+
+        The statement is parsed by :func:`repro.db.sqlparser.parse_update`
+        (and cached like any prepared statement), so multiple SET
+        assignments, expressions over the updated row (``set n = n + 1``),
+        compound WHERE predicates, and positional parameters on both sides
+        all work.
+        """
+        params = tuple(params)
+        return self.prepare_update(sql, params).execute_update(params)
 
     # -- estimation ------------------------------------------------------
 
@@ -1460,8 +1440,8 @@ class Database:
         (``fallback_reasons``).  Under sharding, routed / shard-local /
         scatter executions run on per-shard executors — their counters are
         folded in here (one count per shard that executed), so tier and
-        fallback observability survives sharding.  Surfaced by
-        ``Engine.stats()``.
+        fallback observability survives sharding.  Surfaced as the
+        ``execution`` view of ``Engine.metrics()``.
         """
         executor = self._executor
         tiers = dict(executor.tier_counts)

@@ -25,7 +25,8 @@ The engine's storage stays exactly what it was — append-only row dicts in
   (retryable — the transaction is rolled back, nothing was applied).
 * **Vacuum** reclaims undo entries older than the oldest live snapshot
   (they can never be needed again) and runs automatically whenever a
-  context finishes; counters land in ``Engine.stats()["mvcc"]``.
+  context finishes; counters land in the ``mvcc`` view of
+  ``Engine.metrics()``.
 
 WAL integration: a transaction's records are appended at commit time —
 updates then inserts per table, followed by the :class:`CommitRecord` — so
@@ -57,11 +58,14 @@ class SerializationError(Exception):
 
     #: marker consumed by retry helpers: safe to re-run the transaction.
     retryable = True
+    #: virtual seconds the refused COMMIT burned; the connection's commit
+    #: exchange sets it so drivers charge it like any failed exchange.
+    virtual_elapsed = 0.0
 
 
 @dataclass
 class MvccStats:
-    """Counters for the MVCC subsystem (``Engine.stats()["mvcc"]``)."""
+    """Counters for the MVCC subsystem (``Engine.metrics()``'s ``mvcc`` view)."""
 
     versions_created: int = 0
     versions_reclaimed: int = 0

@@ -77,26 +77,6 @@ class StatisticsCatalog:
         # statistics change.
         self._cardinality_cache: dict[algebra.PlanNode, float] = {}
         self._width_cache: dict[algebra.PlanNode, int] = {}
-        # id(plan) -> runtime observation record (see observe()); bounded.
-        # Keyed by identity, not structure: observations arrive on the hot
-        # execution path where a recursive plan hash per query would be
-        # measurable tracing overhead, and the caller (a prepared
-        # statement's long-lived plan object) is identity-stable.  Each
-        # record keeps a strong reference to its plan so the id cannot be
-        # recycled while the record lives.
-        self._observations: dict[int, dict] = {}
-        #: bumped when estimates invalidate; observation records re-derive
-        #: their cached estimate lazily when their epoch falls behind.
-        self._estimate_epoch = 0
-        #: runtime cardinalities offered back to the catalog, and how many
-        #: of them disagreed with the estimate by more than DRIFT_RATIO.
-        self.observation_count = 0
-        self.drift_events = 0
-
-    #: estimate-vs-actual ratio beyond which an observation counts as drift.
-    DRIFT_RATIO = 2.0
-    #: plans tracked individually before the oldest record is dropped.
-    OBSERVATION_LIMIT = 512
 
     # -- maintenance -----------------------------------------------------
 
@@ -170,63 +150,10 @@ class StatisticsCatalog:
     def _invalidate_estimates(self) -> None:
         self._cardinality_cache.clear()
         self._width_cache.clear()
-        self._estimate_epoch += 1
 
     def table_stats(self, table: str) -> TableStatistics:
         """Statistics for ``table`` (empty statistics if never analysed)."""
         return self._stats.get(table, TableStatistics())
-
-    # -- runtime feedback ------------------------------------------------
-
-    def observe(self, plan: algebra.PlanNode, actual_rows: float) -> bool:
-        """Record the actual output cardinality a run of ``plan`` produced.
-
-        Returns True when the observation *drifted*: the optimizer's
-        estimate and the runtime actual disagree by more than
-        :data:`DRIFT_RATIO` in either direction.  This is the mechanism
-        half of the optimizer/runtime feedback loop — observations and
-        drift are counted (globally and per plan) for a future
-        re-optimization policy to act on; nothing is re-planned here.
-        """
-        record = self._observations.get(id(plan))
-        if record is None:
-            if len(self._observations) >= self.OBSERVATION_LIMIT:
-                self._observations.pop(next(iter(self._observations)))
-            record = {"plan": plan, "observations": 0, "drift_events": 0}
-            self._observations[id(plan)] = record
-        if record.get("epoch") != self._estimate_epoch:
-            record["epoch"] = self._estimate_epoch
-            record["last_estimate"] = self.estimate_cardinality(plan)
-        estimate = record["last_estimate"]
-        ratio = max(float(actual_rows), 1.0) / max(estimate, 1.0)
-        drifted = ratio >= self.DRIFT_RATIO or ratio <= 1.0 / self.DRIFT_RATIO
-        self.observation_count += 1
-        if drifted:
-            self.drift_events += 1
-        record["observations"] += 1
-        record["last_actual"] = float(actual_rows)
-        if drifted:
-            record["drift_events"] += 1
-        return drifted
-
-    def observed(self, plan: algebra.PlanNode) -> Optional[dict]:
-        """The per-plan observation record, or ``None`` if untracked."""
-        record = self._observations.get(id(plan))
-        if record is None:
-            return None
-        return {
-            key: value
-            for key, value in record.items()
-            if key not in ("plan", "epoch")
-        }
-
-    def feedback_stats(self) -> dict:
-        """Counters for the runtime-feedback mechanism."""
-        return {
-            "observations": self.observation_count,
-            "drift_events": self.drift_events,
-            "plans_tracked": len(self._observations),
-        }
 
     # -- estimation ------------------------------------------------------
 

@@ -188,7 +188,7 @@ class AdmissionController:
         registry.register_view("admission", self.as_dict)
 
     def as_dict(self) -> dict:
-        """Configuration plus counters (``Engine.stats()["admission"]``)."""
+        """Configuration plus counters (the ``admission`` metrics view)."""
         return {
             "enabled": True,
             "limit": self.limit,

@@ -49,6 +49,26 @@ before it keeps its valid result, the failing handle carries the error, and
 the statements after it are marked aborted — readable per handle via
 :attr:`PipelineResult.error`.
 
+Exchanges and drivers
+---------------------
+
+Every request is one **uncharged exchange**:
+:meth:`SimulatedConnection.exchange` (a statement — query or update,
+decided from ``statement.is_query``), :meth:`Pipeline.exchange` (a batch),
+and :meth:`SimulatedConnection.exchange_begin` / ``exchange_commit`` /
+``exchange_rollback``.  An exchange does the server-side work under the
+connection's MVCC scope, passes admission control, runs under the
+fault/retry policies with its own operation name and idempotency, books
+``ConnectionStats`` / ``FaultStats`` and trace spans, and returns ``(value,
+elapsed)`` **without touching the clock**; one that fails after burning
+virtual time raises one of :data:`EXCHANGE_ERRORS` carrying
+``virtual_elapsed``.  What remains for a *driver* is its clock discipline:
+the methods of this class advance the clock by ``elapsed`` (sequential),
+:mod:`repro.api.aio` advances it *to* ``start + elapsed`` (overlapping
+in-flight requests), and :mod:`repro.workloads.loadgen` keeps arrival-time
+bookkeeping (open loop) — so results, counters and fault handling cannot
+differ between them.
+
 Transactions and robustness
 ---------------------------
 
@@ -71,7 +91,7 @@ from __future__ import annotations
 
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.db.database import (
@@ -81,6 +101,7 @@ from repro.db.database import (
     Transaction,
 )
 from repro.db.mvcc import SerializationError
+from repro.db.sqlparser import SQLSyntaxError
 from repro.net.admission import AdmissionController
 from repro.net.clock import VirtualClock
 from repro.net.faults import (
@@ -97,6 +118,13 @@ _TXN_RE = re.compile(
     r"^\s*(begin|commit|rollback)(?:\s+(?:transaction|work))?\s*;?\s*$",
     re.IGNORECASE,
 )
+
+#: the ways an exchange fails after burning virtual time: each carries
+#: ``virtual_elapsed``, which the driver charges before re-raising.
+EXCHANGE_ERRORS = (FaultError, AmbiguousCommitError, SerializationError)
+
+#: the server scope of an MVCC-off exchange (stateless, so one is enough).
+_NO_SCOPE = nullcontext()
 
 
 @dataclass
@@ -123,6 +151,12 @@ class ConnectionStats:
         self.network_time = 0.0
         self.server_time = 0.0
         self.queue_time = 0.0
+
+    def add(self, other: "ConnectionStats") -> None:
+        """Fold another connection's counters into this one."""
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class CursorError(Exception):
@@ -167,43 +201,13 @@ class Cursor:
         queries: they route to the connection's transaction methods and
         leave the cursor without a result set.
         """
-        self._check_open()
-        match = _TXN_RE.match(sql)
-        if match is not None:
-            word = match.group(1).lower()
-            if word == "begin":
-                self.connection.begin()
-            elif word == "commit":
-                self.connection.commit()
-            else:
-                self.connection.rollback()
-            self._rows = None
-            self._index = 0
-            self.rowcount = -1
-            self.description = None
-            return self
-        return self.execute_prepared(self.connection.prepare(sql), params)
+        return self._run(*self._route(sql, params))
 
     def execute_prepared(
         self, statement: PreparedStatement, params: Sequence[Any] = ()
     ) -> "Cursor":
         """Execute an already-prepared statement through this cursor."""
-        self._check_open()
-        if statement.is_query:
-            result = self.connection.execute_prepared(statement, tuple(params))
-            self._rows = result.rows
-            self._index = 0
-            self.rowcount = result.cardinality
-            self.description = self._describe(result, statement)
-        else:
-            changed = self.connection.execute_update_prepared(
-                statement, tuple(params)
-            )
-            self._rows = None
-            self._index = 0
-            self.rowcount = changed
-            self.description = None
-        return self
+        return self._run(*self._route_prepared(statement, params))
 
     def executemany(
         self, sql: str, seq_of_params: Iterable[Sequence[Any]]
@@ -216,6 +220,62 @@ class Cursor:
         statements ``rowcount`` accumulates the total rows changed; for
         SELECTs the result set of the *last* execution is retained.
         """
+        pipeline, statement, handles = self._queue_many(sql, seq_of_params)
+        pipeline.flush()
+        self._install_many(statement, handles)
+        return self
+
+    # -- statement dispatch and result state (shared with AsyncCursor) ----
+    #
+    # The async cursor owns no dispatch and no result set: it asks these
+    # which connection method a statement maps to, awaits the same-named
+    # method of its AsyncConnection, and installs the outcome here.
+
+    def _route(self, sql: str, params: Sequence[Any]) -> tuple:
+        """``(connection method name, its arguments, statement)`` for one
+        SQL text; transaction control has no statement."""
+        self._check_open()
+        match = _TXN_RE.match(sql)
+        if match is not None:
+            return match.group(1).lower(), (), None
+        return self._route_prepared(self.connection.prepare(sql), params)
+
+    def _route_prepared(
+        self, statement: PreparedStatement, params: Sequence[Any]
+    ) -> tuple:
+        self._check_open()
+        method = (
+            "execute_prepared"
+            if statement.is_query
+            else "execute_update_prepared"
+        )
+        return method, (statement, tuple(params)), statement
+
+    def _run(
+        self, method: str, args: tuple, statement: Optional[PreparedStatement]
+    ) -> "Cursor":
+        self._install(statement, getattr(self.connection, method)(*args))
+        return self
+
+    def _install(
+        self, statement: Optional[PreparedStatement], value: Any
+    ) -> None:
+        """Install one exchange's outcome: a SELECT's result set, an
+        UPDATE's rowcount, or (``statement`` None) no result at all."""
+        self._index = 0
+        if statement is not None and statement.is_query:
+            self._rows = value.rows
+            self.rowcount = value.cardinality
+            self.description = self._describe(value, statement)
+        else:
+            self._rows = None
+            self.rowcount = -1 if statement is None else value
+            self.description = None
+
+    def _queue_many(
+        self, sql: str, seq_of_params: Iterable[Sequence[Any]]
+    ) -> tuple:
+        """Queue one execution per tuple: ``(pipeline, statement, handles)``."""
         self._check_open()
         statement = self.connection.prepare(sql)
         pipeline = self.connection.pipeline()
@@ -223,9 +283,24 @@ class Cursor:
             pipeline.execute_prepared(statement, params)
             for params in seq_of_params
         ]
-        pipeline.flush()
-        _install_executemany_results(self, statement, handles)
-        return self
+        return pipeline, statement, handles
+
+    def _install_many(
+        self, statement: PreparedStatement, handles: list["PipelineResult"]
+    ) -> None:
+        """Install a flushed executemany batch: a SELECT keeps the *last*
+        execution's result set, an UPDATE the total rows changed.  An empty
+        batch leaves a SELECT cursor untouched and zeroes an UPDATE cursor's
+        rowcount, like the per-tuple loop it replaced."""
+        if not handles:
+            if not statement.is_query:
+                self.rowcount = 0
+        elif statement.is_query:
+            self._install(statement, handles[-1].result)
+        else:
+            self._install(
+                statement, sum(handle.rowcount for handle in handles)
+            )
 
     # -- fetching --------------------------------------------------------
 
@@ -306,33 +381,6 @@ class Cursor:
         return [(name, None, None, None, None, None, None) for name in names]
 
 
-def _install_executemany_results(
-    cursor, statement: PreparedStatement, handles: list["PipelineResult"]
-) -> None:
-    """Install a flushed executemany batch into a cursor's result state.
-
-    Shared by the sync and async cursors so their semantics cannot drift:
-    for SELECTs the *last* execution's result set (and description) is
-    retained; for UPDATEs ``rowcount`` accumulates the total rows changed
-    and the result set is cleared.  An empty batch leaves a SELECT cursor's
-    previous state untouched and sets an UPDATE cursor's rowcount to 0,
-    matching the historical per-tuple loop.
-    """
-    if statement.is_query:
-        if handles:
-            last = handles[-1]
-            cursor._rows = last.rows
-            cursor._index = 0
-            cursor.rowcount = last.rowcount
-            cursor.description = Cursor._describe(last.result, statement)
-    else:
-        if handles:
-            cursor._rows = None
-            cursor._index = 0
-            cursor.description = None
-        cursor.rowcount = sum(handle.rowcount for handle in handles)
-
-
 class SimulatedConnection:
     """Executes SQL against a :class:`Database` over a simulated network."""
 
@@ -411,6 +459,25 @@ class SimulatedConnection:
         self._check_open()
         return self.database.prepare(sql)
 
+    def prepare_query(self, sql: str) -> PreparedStatement:
+        """Prepare a SELECT text, rejecting anything else: a prepared
+        statement runs as what it *is*, so a write must not slip in
+        through a read entry point."""
+        statement = self.prepare(sql)
+        if not statement.is_query:
+            raise SQLSyntaxError(
+                f"prepared UPDATE cannot be executed as a query: {sql!r}"
+            )
+        return statement
+
+    def prepare_update(
+        self, sql: str, params: Sequence[Any] = ()
+    ) -> PreparedStatement:
+        """Prepare an UPDATE text, rejecting anything else, with the errors
+        of :meth:`repro.db.database.Database.prepare_update`."""
+        self._check_open()
+        return self.database.prepare_update(sql, params)
+
     def cursor(self) -> Cursor:
         """A new PEP 249-shaped cursor over this connection."""
         self._check_open()
@@ -421,7 +488,93 @@ class SimulatedConnection:
         self._check_open()
         return Pipeline(self)
 
-    # -- transactions ----------------------------------------------------
+    # -- the sequential driver --------------------------------------------
+    #
+    # Every public statement/transaction method below is one uncharged
+    # exchange plus this clock discipline; the async and open-loop drivers
+    # (repro.api.aio, repro.workloads.loadgen) run the same exchanges under
+    # theirs.
+
+    def _charge(self, exchange: Callable[..., tuple], *args: Any) -> Any:
+        """Run one exchange and advance the clock by what it took.
+
+        A failed exchange is charged the virtual time it burned before the
+        error propagates, so a surfaced fault keeps the clock honest.
+        """
+        try:
+            value, elapsed = exchange(*args)
+        except EXCHANGE_ERRORS as exc:
+            self.clock.advance(exc.virtual_elapsed)
+            raise
+        self.clock.advance(elapsed)
+        return value
+
+    def execute_query(
+        self, sql: str, params: Sequence[Any] = ()
+    ) -> QueryResult:
+        """Execute a SELECT and charge round trip + server + transfer time."""
+        return self.execute_prepared(self.prepare_query(sql), params)
+
+    def execute_prepared(
+        self, statement: PreparedStatement, params: Sequence[Any] = ()
+    ) -> QueryResult:
+        """Execute a prepared SELECT with full network cost accounting.
+
+        One prepared plan serves both execution and cost estimation, so the
+        statement text is parsed exactly once over the statement's lifetime.
+        (The exchange runs a prepared statement as what it is: handed an
+        UPDATE, this is :meth:`execute_update_prepared`.)
+        """
+        return self._charge(self.exchange, statement, params)
+
+    def execute_update(self, sql: str, params: Sequence[Any] = ()) -> int:
+        """Execute an UPDATE over the network (one round trip, tiny payload).
+
+        Anything that is not a well-formed UPDATE with enough parameters is
+        rejected before it reaches the wire (:meth:`prepare_update`).
+        """
+        return self._charge(
+            self.exchange, self.prepare_update(sql, params), params
+        )
+
+    def execute_update_prepared(
+        self, statement: PreparedStatement, params: Sequence[Any] = ()
+    ) -> int:
+        """Execute a prepared UPDATE over the network."""
+        return self._charge(self.exchange, statement, params)
+
+    def execute_lookup(
+        self, table: str, key_column: str, key_value: Any
+    ) -> QueryResult:
+        """Point lookup: ``SELECT * FROM table WHERE key_column = ?``.
+
+        This is the query shape the ORM issues for lazy loads, i.e. the N+1
+        select pattern.  The prepared statement is cached per
+        ``(table, key_column)``, so the hot loop performs no SQL string
+        building and no statement-cache text lookup.
+        """
+        statement = self.lookup_statement(table, key_column)
+        return self.execute_prepared(statement, (key_value,))
+
+    def lookup_statement(
+        self, table: str, key_column: str
+    ) -> PreparedStatement:
+        """The cached prepared point-lookup statement for one (table, column).
+
+        Statements prepared before a DDL change (``create_table``) are
+        re-prepared, because their plan analysis may be stale.
+        """
+        key = (table, key_column)
+        statement = self._lookup_statements.get(key)
+        if (
+            statement is None
+            or statement.schema_generation != self.database.schema_generation
+        ):
+            statement = self.database.prepare(
+                f"select * from {table} where {key_column} = ?"
+            )
+            self._lookup_statements[key] = statement
+        return statement
 
     @property
     def in_transaction(self) -> bool:
@@ -435,11 +588,7 @@ class SimulatedConnection:
         is already active anywhere on the server — the engine is
         single-writer.
         """
-        self._check_open()
-        txn = self.database.begin()
-        self._txn = txn
-        self._charge_control_round_trip()
-        return txn
+        return self._charge(self.exchange_begin)
 
     def commit(self) -> None:
         """Commit the connection's open transaction (PEP 249 ``commit``).
@@ -456,73 +605,16 @@ class SimulatedConnection:
         the connection drops its reference — retry by running the whole
         transaction again (see :meth:`run_transaction`).
         """
-        self._check_open()
-        txn = self._txn
-        if txn is None or not txn.active:
-            self._txn = None
-            return
-        try:
-            self._run_sync(
-                "commit", lambda: self._measure_commit(txn), idempotent=False
-            )
-        except SerializationError:
-            # The server resolved the conflict by aborting this transaction
-            # (never a silent rollback of committed versions).  The exchange
-            # still burned a round trip.
-            self._txn = None
-            self._charge_control_round_trip()
-            if self.faults is not None:
-                self.faults.stats.serialization_conflicts += 1
-            raise
-        except AmbiguousCommitError:
-            # The server *did* commit; only the reply was lost.  The
-            # transaction is finished server-side, so drop the reference.
-            self._txn = None
-            raise
-        except FaultError:
-            # Request-path fault with retries exhausted: the COMMIT never
-            # reached the server and the transaction is still active there.
-            # Keep the reference so rollback()/close() can release it —
-            # clearing it here would wedge the single-writer server forever.
-            raise
-        self._txn = None
+        self._charge(self.exchange_commit)
 
-    def _measure_commit(self, txn) -> tuple[None, float]:
-        """Commit the server transaction; return ``(None, elapsed)`` without
-        advancing the clock (shared by the sync and async commit paths).
+    def rollback(self) -> None:
+        """Roll back the connection's open transaction (PEP 249 shape).
 
-        :class:`~repro.db.mvcc.SerializationError` propagates from
-        ``txn.commit()`` before any time is recorded — the caller charges
-        the failed exchange's round trip.  With a WAL attached the elapsed
-        time includes the commit's flush cost, which group commit
-        (:meth:`repro.db.wal.WriteAheadLog.commit_flush`) may waive.
+        A no-op without an open transaction.  Rollback is not fault-injected:
+        it is the recovery action itself, so the simulation keeps it
+        reliable (like BEGIN).
         """
-        self._check_open()
-        txn.commit()
-        elapsed = self.network.round_trip_seconds
-        wal = self.database.wal
-        flush_cost = 0.0
-        if wal is not None:
-            flush_cost = wal.commit_flush(self.clock.now)
-            elapsed += flush_cost
-        self.stats.round_trips += 1
-        self.stats.network_time += self.network.round_trip_seconds
-        tracer = self._tracer
-        if tracer is not None and tracer.active:
-            tracer.add_span(
-                "network_round_trip", self.network.round_trip_seconds
-            )
-            if wal is not None:
-                # A zero-cost flush while the log has real flush latency
-                # means this commit rode along on a recent group commit.
-                tracer.add_span(
-                    "wal_flush",
-                    flush_cost,
-                    group_commit_ride_along=(
-                        flush_cost == 0.0 and wal.flush_seconds > 0.0
-                    ),
-                )
-        return None, elapsed
+        self._charge(self.exchange_rollback)
 
     def run_transaction(
         self,
@@ -567,64 +659,104 @@ class SimulatedConnection:
                 continue
             return value
 
-    def rollback(self) -> None:
-        """Roll back the connection's open transaction (PEP 249 shape).
+    # -- the uncharged exchange API ----------------------------------------
+    #
+    # One exchange per kind of request.  Each does the server-side work,
+    # books ConnectionStats / FaultStats / spans, and returns ``(value,
+    # elapsed)`` WITHOUT touching the clock; a failure that burned virtual
+    # time raises one of EXCHANGE_ERRORS carrying ``virtual_elapsed``.  The
+    # batch exchange is :meth:`Pipeline.exchange`.
 
-        A no-op without an open transaction.  Rollback is not fault-injected:
-        it is the recovery action itself, so the simulation keeps it
-        reliable (like BEGIN).
+    def exchange(
+        self, statement: PreparedStatement, params: Sequence[Any] = ()
+    ) -> tuple[Any, float]:
+        """One statement: ``(QueryResult | rows changed, elapsed)``.
+
+        A SELECT is idempotent, so the fault layer may re-send it on any
+        injected fault; an UPDATE whose reply is lost surfaces
+        :class:`~repro.net.faults.AmbiguousCommitError` instead.
         """
+        if statement.is_query:
+            return self._guarded(
+                "query", True, self._serve_query, statement, params
+            )
+        return self._guarded(
+            "update", False, self._serve_update, statement, params
+        )
+
+    def exchange_begin(self) -> tuple[Transaction, float]:
+        """BEGIN: one reliable round trip (never fault-injected)."""
+        self._check_open()
+        self._txn = txn = self.database.begin()
+        return txn, self._control_round_trip()
+
+    def exchange_commit(self) -> tuple[None, float]:
+        """COMMIT: also decides what each outcome leaves in ``_txn``."""
         self._check_open()
         txn = self._txn
-        self._txn = None
         if txn is None or not txn.active:
-            return
-        txn.rollback()
-        self._charge_control_round_trip()
+            self._txn = None
+            return None, 0.0
+        try:
+            outcome = self._guarded("commit", False, self._serve_commit, txn)
+        except SerializationError:
+            # The server resolved the conflict by aborting this transaction
+            # (never a silent rollback of committed versions).
+            self._txn = None
+            if self.faults is not None:
+                self.faults.stats.serialization_conflicts += 1
+            raise
+        except AmbiguousCommitError:
+            # The server *did* commit (or abort); only the reply was lost.
+            # The transaction is finished server-side, so drop the reference.
+            self._txn = None
+            raise
+        # A FaultError passes through with the reference kept: the COMMIT
+        # never reached the server, the transaction is still active there,
+        # and clearing it would wedge the single-writer server forever —
+        # rollback()/close() must still be able to release it.
+        self._txn = None
+        return outcome
 
-    def _charge_control_round_trip(self) -> None:
-        """Charge one round trip for a transaction-control exchange."""
-        self.clock.advance(self.network.round_trip_seconds)
-        self.stats.round_trips += 1
-        self.stats.network_time += self.network.round_trip_seconds
+    def exchange_rollback(self) -> tuple[None, float]:
+        """ROLLBACK: a reliable round trip, free without a transaction."""
+        self._check_open()
+        txn, self._txn = self._txn, None
+        if txn is None or not txn.active:
+            return None, 0.0
+        txn.rollback()
+        return None, self._control_round_trip()
 
     # -- fault injection and retry ----------------------------------------
 
-    def _with_faults(
+    def _guarded(
         self,
         operation: str,
-        measure: Callable[[], tuple],
-        *,
         idempotent: bool,
+        serve: Callable[..., tuple],
+        *args: Any,
     ) -> tuple:
-        """Run one exchange under the fault/retry policies, traced.
+        """Run ``serve(*args)`` under the fault/retry policies, traced.
 
-        ``measure`` performs the server-side work and returns ``(value,
-        elapsed)`` without touching the clock; this wrapper returns the same
-        shape with ``elapsed`` extended by every fault cost and backoff
-        sleep along the way, so callers charge the clock exactly once.
-
-        Every statement exchange funnels through here — the sequential
-        path (:meth:`_run_sync`), the async overlap path, and the open-loop
-        load generator — so this is also where a :class:`QueryTrace` is
-        opened and finished: the trace's root span duration IS the elapsed
-        time the caller charges, whichever charging discipline it uses.
+        ``serve`` performs the server-side work and returns ``(value,
+        elapsed)``; this returns the same shape with ``elapsed`` extended
+        by every fault cost and backoff sleep along the way, so drivers
+        charge the clock exactly once.  The trace's root span duration IS
+        that elapsed time, whichever charging discipline the driver uses.
         """
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
-            return self._exchange(operation, measure, idempotent=idempotent)
+            if self.faults is None:
+                return serve(*args)
+            return self._retrying(operation, idempotent, serve, args)
         trace = tracer.start(operation)
         try:
-            value, elapsed = self._exchange(
-                operation, measure, idempotent=idempotent
-            )
-        except SerializationError as exc:
-            # MVCC first-committer-wins loss: mark the conflict so the
-            # trace explains the aborted commit.
-            trace.add_span("mvcc_conflict", 0.0, error=str(exc))
-            tracer.finish_error(trace, exc)
-            raise
+            value, elapsed = self._retrying(operation, idempotent, serve, args)
         except BaseException as exc:
+            if isinstance(exc, SerializationError):
+                # MVCC first-committer-wins loss: mark the conflict so the
+                # trace explains the aborted commit.
+                trace.add_span("mvcc_conflict", 0.0, error=str(exc))
             tracer.finish_error(
                 trace, exc, getattr(exc, "virtual_elapsed", 0.0)
             )
@@ -632,14 +764,14 @@ class SimulatedConnection:
         tracer.finish(trace, elapsed)
         return value, elapsed
 
-    def _exchange(
+    def _retrying(
         self,
         operation: str,
-        measure: Callable[[], tuple],
-        *,
         idempotent: bool,
+        serve: Callable[..., tuple],
+        args: tuple,
     ) -> tuple:
-        """The fault/retry half of :meth:`_with_faults`.
+        """The fault/retry half of :meth:`_guarded`.
 
         Fault handling follows the delivery split: a request-path fault
         never reached the server, so it is retryable for any operation; a
@@ -651,7 +783,7 @@ class SimulatedConnection:
         """
         policy = self.faults
         if policy is None:
-            return measure()
+            return serve(*args)
         retry = self.retries
         round_trip = self.network.round_trip_seconds
         elapsed_total = 0.0
@@ -660,10 +792,10 @@ class SimulatedConnection:
             fault = policy.inject(operation, round_trip)
             if fault is None:
                 try:
-                    value, elapsed = measure()
-                except FaultError as exc:
-                    # An admission-queue timeout raised inside the exchange:
-                    # fold in the time earlier injected faults burned.
+                    value, elapsed = serve(*args)
+                except (FaultError, SerializationError) as exc:
+                    # An admission-queue timeout or a refused COMMIT: fold
+                    # in the time earlier injected faults burned.
                     exc.virtual_elapsed += elapsed_total
                     raise
                 return value, elapsed_total + elapsed
@@ -682,13 +814,13 @@ class SimulatedConnection:
                 # reply was lost.  Execute it for real so server state
                 # reflects what actually happened.
                 try:
-                    _, elapsed = measure()
+                    _, elapsed = serve(*args)
                 except SerializationError as exc:
                     # An MVCC commit that lost first-committer-wins while
                     # its reply was lost: the server aborted it, but this
                     # client cannot distinguish that from a commit — so it
                     # surfaces as ambiguous, never as a silent rollback.
-                    elapsed_total += round_trip
+                    elapsed_total += exc.virtual_elapsed
                     policy.stats.ambiguous += 1
                     error = AmbiguousCommitError(
                         f"reply to {operation} lost in flight: the server "
@@ -722,29 +854,7 @@ class SimulatedConnection:
                 tracer.add_span("retry_backoff", backoff, attempt=attempt)
             attempt += 1
 
-    def _run_sync(
-        self,
-        operation: str,
-        measure: Callable[[], tuple],
-        *,
-        idempotent: bool,
-    ) -> Any:
-        """Fault-wrap ``measure`` and charge the clock sequentially.
-
-        The failure path charges ``virtual_elapsed`` before re-raising, so
-        a surfaced fault still accounts for the time it consumed.
-        """
-        try:
-            value, elapsed = self._with_faults(
-                operation, measure, idempotent=idempotent
-            )
-        except (FaultError, AmbiguousCommitError) as exc:
-            self.clock.advance(exc.virtual_elapsed)
-            raise
-        self.clock.advance(elapsed)
-        return value
-
-    # -- server-side scoping and admission --------------------------------
+    # -- server-side work: scoping, admission, bookkeeping ------------------
 
     def _server_context(self):
         """The MVCC read context this exchange executes under.
@@ -757,7 +867,7 @@ class SimulatedConnection:
         transaction never leaks into another connection's reads.
         """
         if self.database._mvcc is None:
-            return nullcontext()
+            return _NO_SCOPE
         txn = self._txn
         if txn is not None and getattr(txn, "active", False):
             return self.database.using(txn)
@@ -766,7 +876,7 @@ class SimulatedConnection:
     def _admit(self, service_seconds: float) -> float:
         """Pass one exchange through admission control.
 
-        Returns queue wait + service time — the elapsed time the caller
+        Returns queue wait + service time — the elapsed time the driver
         should charge — after booking a server slot.  Raises
         :class:`~repro.net.faults.RequestTimeoutError` when the queue wait
         would exceed the controller's timeout.  Without a controller the
@@ -784,57 +894,37 @@ class SimulatedConnection:
             tracer.add_span("admission_wait", wait)
         return service_seconds + wait
 
-    # -- query execution -------------------------------------------------
+    def _control_round_trip(self) -> float:
+        """Book one transaction-control round trip; returns its duration."""
+        round_trip = self.network.round_trip_seconds
+        self.stats.round_trips += 1
+        self.stats.network_time += round_trip
+        tracer = self._tracer
+        if tracer is not None and tracer.active:
+            tracer.add_span("network_round_trip", round_trip)
+        return round_trip
 
-    def execute_query(
-        self, sql: str, params: Sequence[Any] = ()
-    ) -> QueryResult:
-        """Execute a SELECT and charge round trip + server + transfer time."""
-        self._check_open()
-        return self.execute_prepared(self.database.prepare(sql), params)
-
-    def execute_prepared(
-        self, statement: PreparedStatement, params: Sequence[Any] = ()
-    ) -> QueryResult:
-        """Execute a prepared SELECT with full network cost accounting.
-
-        One prepared plan serves both execution and cost estimation, so the
-        statement text is parsed exactly once over the statement's lifetime
-        (the pre-prepared-statement driver parsed every call twice: once to
-        execute, once to estimate).  SELECTs are idempotent, so the fault
-        layer may retry them on any injected fault.
-        """
-        return self._run_sync(
-            "query",
-            lambda: self._measure_prepared(statement, params),
-            idempotent=True,
-        )
-
-    def _measure_prepared(
-        self, statement: PreparedStatement, params: Sequence[Any] = ()
+    def _serve_query(
+        self, statement: PreparedStatement, params: Sequence[Any]
     ) -> tuple[QueryResult, float]:
-        """Execute a prepared SELECT; return (result, elapsed) without
-        advancing the clock.
-
-        Statistics are recorded here; the caller decides how the elapsed
-        time hits the clock — ``advance`` for the sequential path,
-        ``advance_to(start + elapsed)`` for overlapping async requests.
-        """
+        """Execute a prepared SELECT server-side: ``(result, elapsed)``."""
         self._check_open()
         with self._server_context():
             result = statement.execute(params)
             estimate = statement.estimate(params)
         # Use the actual cardinality for transfer accounting but the
         # optimizer estimate for server-side time (first/last row).
-        transfer_time = self.network.transfer_time(result.byte_size)
+        network = self.network
+        transfer_time = network.transfer_time(result.byte_size)
         server_first = estimate.first_row_time
         server_rest = max(0.0, estimate.last_row_time - estimate.first_row_time)
-        elapsed = (
-            self.network.round_trip_seconds
-            + server_first
-            + max(transfer_time, server_rest)
-        )
-        self._record(result, transfer_time, server_first + server_rest)
+        stats = self.stats
+        stats.queries += 1
+        stats.round_trips += 1
+        stats.rows_transferred += result.cardinality
+        stats.bytes_transferred += result.byte_size
+        stats.network_time += network.round_trip_seconds + transfer_time
+        stats.server_time += server_first + server_rest
         tracer = self._tracer
         if tracer is not None and tracer.active:
             self._trace_query(
@@ -846,7 +936,11 @@ class SimulatedConnection:
                 server_first,
                 server_rest,
             )
-        return result, self._admit(elapsed)
+        return result, self._admit(
+            network.round_trip_seconds
+            + server_first
+            + max(transfer_time, server_rest)
+        )
 
     def _trace_query(
         self,
@@ -865,8 +959,7 @@ class SimulatedConnection:
         model charged, with the overlapping components carried as
         attributes.  Together with the round-trip span (and any admission
         wait recorded by :meth:`_admit`) the children partition the root
-        exactly.  The actual cardinality is also offered back to the
-        statistics catalog here — runtime feedback rides on tracing.
+        exactly.
         """
         tracer.set_sql(statement.sql)
         trace = tracer.current
@@ -898,114 +991,64 @@ class SimulatedConnection:
             execute.attributes["fallback_reason"] = (
                 statement.last_fallback_reason
             )
-        statement.observe_actual(result.cardinality)
 
-    def execute_update(self, sql: str, params: Sequence[Any] = ()) -> int:
-        """Execute an UPDATE over the network (one round trip, tiny payload).
-
-        Writes are not idempotent: a response-path fault (executed
-        server-side, reply lost) surfaces as
-        :class:`~repro.net.faults.AmbiguousCommitError` instead of retrying.
-        """
-        self._check_open()
-        return self._run_sync(
-            "update",
-            lambda: self._measure_update(
-                lambda: self.database.execute_update_sql(sql, params), sql=sql
-            ),
-            idempotent=False,
-        )
-
-    def execute_update_prepared(
-        self, statement: PreparedStatement, params: Sequence[Any] = ()
-    ) -> int:
-        """Execute a prepared UPDATE over the network."""
-        return self._run_sync(
-            "update",
-            lambda: self._measure_update_prepared(statement, params),
-            idempotent=False,
-        )
-
-    def _measure_update_prepared(
-        self, statement: PreparedStatement, params: Sequence[Any] = ()
+    def _serve_update(
+        self, statement: PreparedStatement, params: Sequence[Any]
     ) -> tuple[int, float]:
-        """Execute a prepared UPDATE; return (changed, elapsed) without
-        advancing the clock (async counterpart of the sequential charge)."""
-        return self._measure_update(
-            lambda: statement.execute_update(params), sql=statement.sql
-        )
-
-    def _measure_update(
-        self, run: Callable[[], int], sql: Optional[str] = None
-    ) -> tuple[int, float]:
-        """Execute one UPDATE exchange; return (changed, elapsed)."""
+        """Execute a prepared UPDATE server-side: ``(changed, elapsed)``."""
         self._check_open()
         with self._server_context():
-            changed = run()
+            changed = statement.execute_update(params)
+        round_trip = self.network.round_trip_seconds
         self.stats.queries += 1
         self.stats.round_trips += 1
-        self.stats.network_time += self.network.round_trip_seconds
+        self.stats.network_time += round_trip
         tracer = self._tracer
         if tracer is not None and tracer.active:
-            if sql is not None:
-                tracer.set_sql(sql)
+            tracer.set_sql(statement.sql)
             tracer.add_span(
                 "execute",
                 0.0,
                 tier=self.database.last_update_tier,
                 rows_changed=changed,
             )
-            tracer.add_span(
-                "network_round_trip", self.network.round_trip_seconds
-            )
-        return changed, self._admit(self.network.round_trip_seconds)
+            tracer.add_span("network_round_trip", round_trip)
+        return changed, self._admit(round_trip)
 
-    def execute_lookup(
-        self, table: str, key_column: str, key_value: Any
-    ) -> QueryResult:
-        """Point lookup: ``SELECT * FROM table WHERE key_column = ?``.
+    def _serve_commit(self, txn: Transaction) -> tuple[None, float]:
+        """Commit the server transaction: ``(None, elapsed)``.
 
-        This is the query shape the ORM issues for lazy loads, i.e. the N+1
-        select pattern.  The prepared statement is cached per
-        ``(table, key_column)``, so the hot loop performs no SQL string
-        building and no statement-cache text lookup.
+        A refused commit (:class:`~repro.db.mvcc.SerializationError`) still
+        burned its round trip and says so through ``virtual_elapsed``.
+        With a WAL attached the elapsed time includes the commit's flush
+        cost, which group commit
+        (:meth:`repro.db.wal.WriteAheadLog.commit_flush`) may waive.
         """
-        statement = self.lookup_statement(table, key_column)
-        return self.execute_prepared(statement, (key_value,))
-
-    def lookup_statement(
-        self, table: str, key_column: str
-    ) -> PreparedStatement:
-        """The cached prepared point-lookup statement for one (table, column).
-
-        Statements prepared before a DDL change (``create_table``) are
-        re-prepared, because their plan analysis may be stale.
-        """
-        key = (table, key_column)
-        statement = self._lookup_statements.get(key)
-        if (
-            statement is None
-            or statement.schema_generation != self.database.schema_generation
-        ):
-            statement = self.database.prepare(
-                f"select * from {table} where {key_column} = ?"
-            )
-            self._lookup_statements[key] = statement
-        return statement
+        self._check_open()
+        try:
+            txn.commit()
+        except SerializationError as exc:
+            exc.virtual_elapsed = self._control_round_trip()
+            raise
+        elapsed = self._control_round_trip()
+        wal = self.database.wal
+        if wal is not None:
+            flush_cost = wal.commit_flush(self.clock.now)
+            elapsed += flush_cost
+            tracer = self._tracer
+            if tracer is not None and tracer.active:
+                # A zero-cost flush while the log has real flush latency
+                # means this commit rode along on a recent group commit.
+                tracer.add_span(
+                    "wal_flush",
+                    flush_cost,
+                    group_commit_ride_along=(
+                        flush_cost == 0.0 and wal.flush_seconds > 0.0
+                    ),
+                )
+        return None, elapsed
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _record(
-        self, result: QueryResult, transfer_time: float, server_time: float
-    ) -> None:
-        self.stats.queries += 1
-        self.stats.round_trips += 1
-        self.stats.rows_transferred += result.cardinality
-        self.stats.bytes_transferred += result.byte_size
-        self.stats.network_time += (
-            self.network.round_trip_seconds + transfer_time
-        )
-        self.stats.server_time += server_time
 
     @property
     def elapsed(self) -> float:
@@ -1164,43 +1207,32 @@ class Pipeline:
         statement error is re-raised.
         """
         handles = list(self._queue)
-        connection = self.connection
-        try:
-            error, elapsed = self._measure_flush()
-        except (FaultError, AmbiguousCommitError) as exc:
-            connection.clock.advance(exc.virtual_elapsed)
-            raise
-        if handles:
-            connection.clock.advance(elapsed)
+        error = self.connection._charge(self.exchange)
         if error is not None:
             raise error
         return handles
 
-    def _measure_flush(self) -> tuple[Optional[BaseException], float]:
-        """Execute the queued batch under the fault layer; return
-        ``(first statement error, elapsed)`` without advancing the clock
-        (the async path overlaps the elapsed time instead).
+    def exchange(self) -> tuple[Optional[BaseException], float]:
+        """The uncharged batch exchange: ``(first statement error, elapsed)``.
 
         An empty queue costs nothing — no round trip is charged.  A batch
         of SELECTs is idempotent and may be re-sent on any injected fault;
         a batch containing a write gets the ambiguous-commit treatment on
-        response-path faults.  Terminal faults raise with
-        ``virtual_elapsed`` set, like every fault-wrapped exchange.
+        response-path faults.
         """
         connection = self.connection
         connection._check_open()
-        handles = self._queue
-        self._queue = []
+        handles, self._queue = self._queue, []
         if not handles:
             return None, 0.0
-        idempotent = all(handle.statement.is_query for handle in handles)
-        return connection._with_faults(
+        return connection._guarded(
             "pipeline",
-            lambda: self._measure_batch(handles),
-            idempotent=idempotent,
+            all(handle.statement.is_query for handle in handles),
+            self._serve_batch,
+            handles,
         )
 
-    def _measure_batch(
+    def _serve_batch(
         self, handles: list[PipelineResult]
     ) -> tuple[Optional[BaseException], float]:
         """One server-side execution of a batch; return (error, elapsed).

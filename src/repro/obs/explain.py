@@ -8,8 +8,7 @@ and the execution tier the plan is predicted to run on.
 
 ``EXPLAIN ANALYZE`` additionally executes the statement and annotates every
 operator with the row count it *actually* produced and the virtual server
-time modeled for that work — estimates and actuals side by side, which is
-the observation feeding :meth:`repro.db.statistics.StatisticsCatalog.observe`.
+time modeled for that work — estimates and actuals side by side.
 Per-operator actuals re-execute each subtree (the engine is deterministic,
 so subtree results equal what the full run saw); the root's actual row
 count is taken from the statement's own result, so it matches the executed
@@ -284,9 +283,6 @@ def explain_statement(
                     estimated_rows=entry.estimated_rows,
                 )
             tracer.finish(result_trace, total_time)
-        # Feed the observation back to the statistics catalog so the drift
-        # counters see EXPLAIN ANALYZE runs too.
-        statement.observe_actual(len(result.rows))
 
     return ExplainResult(
         sql=sql,

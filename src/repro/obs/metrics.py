@@ -1,11 +1,12 @@
 """Metrics primitives: counters, gauges, and fixed-bucket histograms.
 
 The :class:`MetricsRegistry` is the single registration point for runtime
-metrics.  Subsystems either own first-class instruments (counters, gauges,
-histograms created through the registry) or expose their legacy stat dicts
-as *views* — zero-cost callbacks evaluated only when a snapshot is taken —
-so ``Engine.stats()`` remains a compatibility surface while
-``Engine.metrics()`` exports everything through one structure.
+metrics, and ``Engine.metrics()`` the only counter surface.  Subsystems
+either own first-class instruments (counters, gauges, histograms created
+through the registry) or expose their own stat dicts as *views* — zero-cost
+callbacks evaluated only when a snapshot is taken
+(``registry.views[name]()`` for one, ``as_dict()["views"]`` for all); a
+subsystem that is not configured registers no view.
 
 Histograms use fixed bucket upper bounds (Prometheus-style ``le`` buckets)
 for export.  Percentiles over bucketed data are only as precise as the
@@ -217,7 +218,7 @@ class MetricsRegistry:
         )
 
     def register_view(self, name: str, fn: Callable[[], dict]) -> None:
-        """Expose a legacy stats dict under ``name``, evaluated lazily."""
+        """Expose a subsystem's stats dict under ``name``, evaluated lazily."""
         self._views[name] = fn
 
     @property

@@ -13,12 +13,12 @@ Mechanics
 
 Arrivals advance the shared :class:`~repro.net.clock.VirtualClock` to each
 request's arrival instant (`advance_to`, monotone); each request's own
-virtual latency — network, server, and any admission-queue wait — is
-*measured* through the connection's fault-wrapped ``_measure_*`` paths
-without advancing the clock, exactly like the async overlap path, so
-concurrent in-flight requests cost max-latency rather than sum.  After the
-last completion the clock advances to the makespan, giving an honest
-throughput (operations / makespan).
+virtual latency — network, server, and any admission-queue wait — is what
+the connection's uncharged exchanges (``exchange`` / ``exchange_begin`` /
+``exchange_commit``) return, so nothing advances the clock mid-flight and
+concurrent in-flight requests cost max-latency rather than sum, exactly
+like the async overlap path.  After the last completion the clock advances
+to the makespan, giving an honest throughput (operations / makespan).
 
 The mix is configurable: ``read_fraction`` of operations run ``read_sql``;
 the rest run ``write_sql``, either autocommit or (``write_transaction=True``)
@@ -193,23 +193,20 @@ class OpenLoopLoadGenerator:
             is_read = write_statement is None or (
                 rng.random() < self.read_fraction
             )
+            conflicted = False
             try:
                 if is_read:
-                    elapsed = self._run_read(read_statement, rng)
-                    report.reads += 1
-                    read_latencies.observe(elapsed)
+                    elapsed = connection.exchange(
+                        read_statement, self._resolve(self.read_params, rng)
+                    )[1]
                 elif self.write_transaction:
                     elapsed, conflicted = self._run_write_transaction(
                         write_statement, rng
                     )
-                    report.writes += 1
-                    if conflicted:
-                        report.conflicts += 1
-                    write_latencies.observe(elapsed)
                 else:
-                    elapsed = self._run_write(write_statement, rng)
-                    report.writes += 1
-                    write_latencies.observe(elapsed)
+                    elapsed = connection.exchange(
+                        write_statement, self._resolve(self.write_params, rng)
+                    )[1]
             except (FaultError, AmbiguousCommitError) as exc:
                 # Rejected by the server (admission-queue timeout) or a
                 # terminal injected fault: the exchange still burned
@@ -219,6 +216,14 @@ class OpenLoopLoadGenerator:
                 makespan = max(makespan, arrival + exc.virtual_elapsed)
                 continue
             report.operations += 1
+            if conflicted:
+                report.conflicts += 1
+            if is_read:
+                report.reads += 1
+                read_latencies.observe(elapsed)
+            else:
+                report.writes += 1
+                write_latencies.observe(elapsed)
             latencies.observe(elapsed)
             makespan = max(makespan, arrival + elapsed)
         clock.advance_to(makespan)
@@ -230,76 +235,28 @@ class OpenLoopLoadGenerator:
         report.write_latency = LatencySummary.from_histogram(write_latencies)
         return report
 
-    # -- one operation each ----------------------------------------------
-
-    def _run_read(self, statement, rng: random.Random) -> float:
-        connection = self.connection
-        params = self._resolve(self.read_params, rng)
-        _, elapsed = connection._with_faults(
-            "query",
-            lambda: connection._measure_prepared(statement, params),
-            idempotent=True,
-        )
-        return elapsed
-
-    def _run_write(self, statement, rng: random.Random) -> float:
-        connection = self.connection
-        params = self._resolve(self.write_params, rng)
-        _, elapsed = connection._with_faults(
-            "update",
-            lambda: connection._measure_update_prepared(statement, params),
-            idempotent=False,
-        )
-        return elapsed
-
     def _run_write_transaction(
         self, statement, rng: random.Random
     ) -> tuple[float, bool]:
-        """BEGIN / UPDATE / COMMIT without advancing the clock mid-flight.
+        """BEGIN / UPDATE / COMMIT as one operation: ``(elapsed, conflicted)``.
 
-        Returns ``(elapsed, conflicted)``; a first-committer-wins loss
-        counts as a completed (conflicted) operation whose latency includes
-        the failed commit's round trip.
+        A first-committer-wins loss counts as a completed (conflicted)
+        operation whose latency includes the refused commit's round trip;
+        any other failure abandons the transaction with a ROLLBACK and is
+        rejected with the whole operation's virtual time.
         """
         connection = self.connection
-        stats = connection.stats
-        round_trip = connection.network.round_trip_seconds
         params = self._resolve(self.write_params, rng)
-        txn = connection.database.begin()
-        connection._txn = txn
-        stats.round_trips += 1
-        stats.network_time += round_trip
-        elapsed = round_trip
-        conflicted = False
+        elapsed = connection.exchange_begin()[1]
         try:
-            _, update_elapsed = connection._with_faults(
-                "update",
-                lambda: connection._measure_update_prepared(
-                    statement, params
-                ),
-                idempotent=False,
-            )
-            elapsed += update_elapsed
-            try:
-                _, commit_elapsed = connection._with_faults(
-                    "commit",
-                    lambda: connection._measure_commit(txn),
-                    idempotent=False,
-                )
-                elapsed += commit_elapsed
-            except SerializationError:
-                conflicted = True
-                elapsed += round_trip
-                stats.round_trips += 1
-                stats.network_time += round_trip
-                if connection.faults is not None:
-                    connection.faults.stats.serialization_conflicts += 1
-        finally:
-            if connection._txn is txn:
-                connection._txn = None
-            if txn.active:
-                txn.rollback()
-        return elapsed, conflicted
+            elapsed += connection.exchange(statement, params)[1]
+            elapsed += connection.exchange_commit()[1]
+        except SerializationError as exc:
+            return elapsed + exc.virtual_elapsed, True
+        except (FaultError, AmbiguousCommitError) as exc:
+            exc.virtual_elapsed += elapsed + connection.exchange_rollback()[1]
+            raise
+        return elapsed, False
 
     @staticmethod
     def _resolve(source: ParamSource, rng: random.Random) -> tuple:

@@ -193,7 +193,7 @@ class TestAsyncSaturation:
         elapsed = self._run_fleet(engine, self.CLIENTS)
         waves = self.CLIENTS / self.LIMIT
         assert elapsed == pytest.approx(waves * service, rel=1e-6)
-        admission = engine.stats()["admission"]
+        admission = engine.metrics().views["admission"]()
         assert admission["enabled"] is True
         assert admission["admitted"] == self.CLIENTS
         assert admission["queued"] == self.CLIENTS - self.LIMIT
@@ -202,7 +202,7 @@ class TestAsyncSaturation:
     def test_queue_time_surfaces_in_engine_stats(self):
         engine = make_engine(limit=self.LIMIT)
         self._run_fleet(engine, self.CLIENTS)
-        stats = engine.stats()
+        stats = engine.metrics().as_dict()["views"]
         assert stats["network"]["queue_time"] > 0.0
         assert stats["network"]["queue_time"] == pytest.approx(
             stats["admission"]["queue_seconds"]
@@ -236,11 +236,11 @@ class TestAsyncSaturation:
         # clients facing a >= 2-service wait are rejected.
         assert outcomes.count("ok") == 2
         assert outcomes.count("timeout") == 2
-        assert engine.stats()["admission"]["queue_timeouts"] == 2
+        assert engine.metrics().views["admission"]()["queue_timeouts"] == 2
 
-    def test_engine_without_admission_reports_disabled(self):
+    def test_engine_without_admission_has_no_view(self):
         engine = make_engine()
-        assert engine.stats()["admission"] == {"enabled": False}
+        assert "admission" not in engine.metrics().views
 
 
 class TestLatencySummary:
@@ -366,9 +366,8 @@ class TestOpenLoopLoadGenerator:
         assert report.rejected > 0
         assert report.operations + report.rejected == 40
         assert report.latency.count == report.operations
-        assert (
-            engine.stats()["admission"]["queue_timeouts"] == report.rejected
-        )
+        admission = engine.metrics().views["admission"]()
+        assert admission["queue_timeouts"] == report.rejected
 
     def test_zero_operations_report_is_empty(self):
         report = self._loadgen(make_engine(), operations=0).run()

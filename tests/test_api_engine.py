@@ -207,7 +207,7 @@ class TestEngineStats:
         with connection.pipeline() as pipe:
             pipe.execute("select * from orders where o_id = ?", (4,))
             pipe.execute("select * from orders where o_id = ?", (5,))
-        stats = engine.stats()
+        stats = engine.metrics().as_dict()["views"]
         assert stats["statement_cache"]["misses"] == 1
         assert stats["statement_cache"]["hits"] >= 3
         assert stats["network"]["connections"] == 1
@@ -226,7 +226,7 @@ class TestEngineStats:
         )
         for _ in range(3):
             engine.connect().execute_query("select * from customer")
-        stats = engine.stats()
+        stats = engine.metrics().as_dict()["views"]
         assert stats["network"]["connections"] == 3
         assert stats["network"]["queries"] == 3
 
@@ -243,7 +243,7 @@ class TestEngineStats:
         # Churned connections are folded into the retired totals, so the
         # tracking list stays bounded while stats() remain complete.
         assert len(engine._connections) <= 1
-        stats = engine.stats()
+        stats = engine.metrics().as_dict()["views"]
         assert stats["network"]["connections"] == 5
         assert stats["network"]["queries"] == 5
 

@@ -55,7 +55,7 @@ class TestOptimizeCommand:
         assert "heuristic (always push to SQL) rewrite" in text
         assert "sql-join" in text and "prefetch" in text
 
-    def test_optimize_stats_flag_prints_engine_statistics(self, program_file):
+    def test_optimize_metrics_flag_prints_engine_statistics(self, program_file):
         out = io.StringIO()
         code = main(
             [
@@ -63,19 +63,21 @@ class TestOptimizeCommand:
                 str(program_file),
                 "--scale",
                 "300",
-                "--stats",
+                "--metrics",
             ],
             out=out,
         )
         text = out.getvalue()
         assert code == 0
-        assert "engine statistics:" in text
-        assert "statement_cache.hits" in text
-        assert "statement_cache.misses" in text
-        assert "network.round_trips" in text
-        assert "database.queries_executed" in text
+        assert "metrics:" in text
+        assert "views.statement_cache.hits" in text
+        assert "views.statement_cache.misses" in text
+        assert "views.network.round_trips" in text
+        assert "views.database.queries_executed" in text
+        # Unconfigured subsystems have no view at all.
+        assert "views.wal." not in text and "views.faults." not in text
 
-    def test_optimize_wal_and_fault_flags_render_in_stats(self, program_file):
+    def test_optimize_wal_and_fault_flags_render_in_metrics(self, program_file):
         out = io.StringIO()
         code = main(
             [
@@ -88,16 +90,16 @@ class TestOptimizeCommand:
                 "0.1",
                 "--fault-seed",
                 "7",
-                "--stats",
+                "--metrics",
             ],
             out=out,
         )
         text = out.getvalue()
         assert code == 0
-        assert "wal.enabled" in text
-        assert "wal.records" in text
-        assert "faults.injected" in text
-        assert "faults.retries" in text
+        assert "views.wal.records" in text
+        assert "views.wal.commits" in text
+        assert "views.faults.injected" in text
+        assert "views.faults.retries" in text
 
     def test_optimize_with_wilos_workload_and_af(self, tmp_path):
         path = tmp_path / "pattern_d.py"

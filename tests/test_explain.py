@@ -5,9 +5,8 @@ cardinality estimates, the shard router's classification, and the
 predicted execution tier — without executing anything.  ``explain_analyze``
 executes the statement and annotates each operator with the row count it
 actually produced and the modeled virtual time; the root's actual row
-count must equal the executed result size *exactly*, and the run both
-records an ``explain_analyze`` trace (when tracing is on) and feeds the
-statistics catalog's drift counters.
+count must equal the executed result size *exactly*, and the run
+records an ``explain_analyze`` trace (when tracing is on).
 """
 
 from __future__ import annotations
@@ -153,14 +152,6 @@ class TestExplainAnalyze:
             assert span.name == f"operator:{entry.operator}"
             assert span.attributes["rows"] == entry.actual_rows
             assert span.duration == entry.actual_time
-
-    def test_analyze_feeds_the_statistics_catalog(self):
-        engine = make_engine()
-        database = engine.database
-        before = database.statistics.feedback_stats()["observations"]
-        database.explain_analyze("select * from orders where o_id < 10")
-        after = database.statistics.feedback_stats()["observations"]
-        assert after == before + 1
 
     def test_analyze_without_tracer_still_produces_actuals(self):
         engine = make_engine(shards=2, tracing=False)

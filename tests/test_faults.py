@@ -23,7 +23,6 @@ from repro.net.faults import (
     ConnectionDroppedError,
     FaultError,
     FaultPolicy,
-    FaultStats,
     RequestTimeoutError,
     RetryPolicy,
     TransientServerError,
@@ -371,12 +370,13 @@ class TestConvergence:
         assert stats.ambiguous == 0
         # The faulty run paid for its faults in virtual time.
         assert (
-            faulty_engine.stats()["faults"]["injected"] == stats.injected
+            faulty_engine.metrics().views["faults"]()["injected"]
+            == stats.injected
         )
 
-    def test_fault_free_engine_reports_zero_fault_stats(self):
+    def test_fault_free_engine_has_no_faults_view(self):
         engine = Engine.builder().database(make_database()).build()
-        assert engine.stats()["faults"] == FaultStats().as_dict()
+        assert "faults" not in engine.metrics().views
 
 
 class TestAsyncFaultPaths:

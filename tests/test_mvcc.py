@@ -500,7 +500,7 @@ class TestFaultIntegration:
                 rival.commit()
 
         connection.run_transaction(work)
-        stats = engine.stats()["faults"]
+        stats = engine.metrics().views["faults"]()
         assert stats["serialization_conflicts"] >= 1
         assert stats["serialization_retries"] >= 1
         assert stats["injected"] == (
@@ -583,7 +583,7 @@ class TestRecovery:
             engine.database.execute_update_sql(
                 "update items set qty = 3 where item_id = 1"
             )
-        stats = engine.stats()["mvcc"]
+        stats = engine.metrics().views["mvcc"]()
         assert stats["enabled"] is True
         assert stats["snapshots_taken"] == 1
         assert stats["versions_created"] == 1

@@ -5,10 +5,8 @@ Covers the metrics primitives (:class:`~repro.obs.metrics.Counter`,
 :class:`~repro.obs.metrics.MetricsRegistry`), the tracer surface
 (:class:`~repro.obs.trace.Span`, :class:`~repro.obs.trace.QueryTrace`,
 :class:`~repro.obs.trace.Tracer` with its slow-query log and prepare-note
-attribution), the engine facade wiring (``EngineBuilder.tracing``,
-``Engine.metrics()``, the tracing/metrics/feedback sections of
-``Engine.stats()``), and the runtime-feedback hooks on the statistics
-catalog (:meth:`~repro.db.statistics.StatisticsCatalog.observe`).
+attribution), and the engine facade wiring (``EngineBuilder.tracing``,
+``Engine.metrics()`` and its ``tracer`` view).
 """
 
 from __future__ import annotations
@@ -347,7 +345,7 @@ class TestEngineTracing:
     def test_untraced_engine_has_no_tracer(self):
         engine = make_engine(tracing=False)
         assert engine.tracer is None
-        assert engine.stats()["tracing"] == {"enabled": False}
+        assert "tracer" not in engine.metrics().views
 
     def test_traced_engine_records_per_statement_traces(self):
         engine = make_engine()
@@ -360,9 +358,9 @@ class TestEngineTracing:
         assert kinds == ["query", "update"]
         for trace in engine.tracer.traces:
             trace.check_accounting()
-        stats = engine.stats()
-        assert stats["tracing"]["enabled"] is True
-        assert stats["tracing"]["traces_recorded"] == 2
+        stats = engine.metrics().as_dict()["views"]
+        assert stats["tracer"]["enabled"] is True
+        assert stats["tracer"]["traces_recorded"] == 2
 
     def test_update_span_names_the_access_path(self):
         engine = make_engine()
@@ -378,7 +376,6 @@ class TestEngineTracing:
         assert scan.find("execute").attributes["tier"] == "update"
         storage = engine.metrics().as_dict()["views"]["execution"]["storage"]
         assert storage["point_updates"] == 1 and storage["scan_updates"] == 1
-        assert engine.stats()["execution"]["storage"] == storage
 
     def test_traced_query_root_equals_charged_latency(self):
         engine = make_engine()
@@ -413,9 +410,9 @@ class TestEngineTracing:
     def test_metrics_views_cover_the_subsystems(self):
         engine = make_engine()
         views = engine.metrics().as_dict()["views"]
-        for name in ("execution", "feedback", "statement_cache", "tracer"):
+        for name in ("execution", "network", "statement_cache", "tracer"):
             assert name in views, name
-        assert engine.stats()["metrics"]["views"] >= 4
+        assert engine.metrics().summary()["views"] >= 4
 
     def test_slow_query_threshold_builder_knob(self):
         # slow-remote round trips are 10ms+: a 1ms threshold catches every
@@ -431,7 +428,7 @@ class TestEngineTracing:
         connection = engine.connect()
         connection.execute_query("select * from orders where o_id < 5")
         assert engine.tracer.slow_queries_recorded == 1
-        assert engine.stats()["tracing"]["slow_queries"] == 1
+        assert engine.metrics().views["tracer"]()["slow_queries"] == 1
 
     def test_disabled_tracer_records_nothing(self):
         engine = make_engine(enabled=False)
@@ -439,78 +436,3 @@ class TestEngineTracing:
         connection.execute_query("select * from orders where o_id < 10")
         assert engine.tracer is not None
         assert engine.tracer.traces_recorded == 0
-
-
-# -- runtime feedback ----------------------------------------------------------
-
-
-class TestFeedbackHooks:
-    def test_observe_counts_only_genuine_drift(self):
-        engine = make_engine(tracing=False)
-        statistics = engine.database.statistics
-        statement = engine.database.prepare(
-            "select * from orders where o_id < 10"
-        )
-        plan = statement.plan
-        estimate = statistics.estimate_cardinality(plan)
-        assert statistics.observe(plan, estimate) is False
-        assert statistics.observe(plan, estimate * 10.0) is True
-        assert statistics.observe(plan, estimate / 10.0) is True
-        record = statistics.observed(plan)
-        assert record["observations"] == 3
-        assert record["drift_events"] == 2
-        assert statistics.feedback_stats() == {
-            "observations": 3,
-            "drift_events": 2,
-            "plans_tracked": 1,
-        }
-
-    def test_traced_execution_feeds_the_catalog(self):
-        engine = make_engine()
-        connection = engine.connect()
-        connection.execute_query("select * from orders where o_id < 10")
-        feedback = engine.stats()["feedback"]
-        assert feedback["observations"] == 1
-        assert feedback["plans_tracked"] == 1
-
-    def test_statement_drift_counter_rides_on_observe_actual(self):
-        engine = make_engine(tracing=False)
-        statement = engine.database.prepare(
-            "select * from orders where o_id < 10"
-        )
-        estimate = statement.estimate().cardinality
-        assert statement.observe_actual(int(estimate)) is False
-        assert statement.observe_actual(int(estimate * 100) + 100) is True
-        assert statement.drift_events == 1
-
-    def test_analyze_invalidates_cached_estimates(self):
-        engine = make_engine(tracing=False)
-        database = engine.database
-        statistics = database.statistics
-        statement = database.prepare("select * from orders")
-        plan = statement.plan
-        baseline = statistics.estimate_cardinality(plan)
-        assert statistics.observe(plan, baseline) is False
-        # Grow the table 10x and re-analyze: the cached per-plan estimate
-        # must refresh, so the old cardinality now reads as drift.
-        rows = [
-            {
-                "o_id": 10_000 + i,
-                "o_customer_sk": i % 12,
-                "o_item_sk": i % 7,
-                "o_quantity": 1,
-                "o_list_price": 10.0,
-                "o_sales_price": 9.0,
-                "o_wholesale_cost": 5.0,
-                "o_ext_ship_cost": 1.0,
-                "o_net_paid": 9.0,
-                "o_net_profit": 4.0,
-                "o_order_date": 20260101,
-                "o_status": "OPEN",
-                "o_comment": "x",
-            }
-            for i in range(1200)
-        ]
-        database.insert("orders", rows)
-        database.analyze()
-        assert statistics.observe(plan, baseline) is True

@@ -8,8 +8,8 @@ execution tiers in thread and process modes (including theta-join /
 unknown-function fallback plans and a shard whose predicate raises
 mid-scatter), the sorted-run k-way merge at the gather node, the group order
 of pool-mode aggregates, counter accounting, the engine facade wiring
-(``EngineBuilder.parallel``, ``Engine.stats()["sharding"]["parallel"]``,
-CLI ``--workers``), and the parallel-scatter trace breakdown.
+(``EngineBuilder.parallel``, the ``sharding`` metrics view's ``parallel``
+section, CLI ``--workers``), and the parallel-scatter trace breakdown.
 """
 
 from __future__ import annotations
@@ -500,7 +500,7 @@ class TestEngineFacade:
         engine = self.make_engine(workers=2)
         connection = engine.connect()
         connection.execute_query("select * from orders where o_quantity > 2")
-        stats = engine.stats()["sharding"]["parallel"]
+        stats = engine.metrics().views["sharding"]()["parallel"]
         assert stats["mode"] == "thread"
         assert stats["workers"] == 2
         assert stats["scatters"] >= 1
@@ -519,7 +519,8 @@ class TestEngineFacade:
         engine = self.make_engine(mode="serial")
         connection = engine.connect()
         connection.execute_query("select * from orders where o_quantity > 2")
-        assert engine.stats()["sharding"]["parallel"]["mode"] == "serial"
+        parallel = engine.metrics().views["sharding"]()["parallel"]
+        assert parallel["mode"] == "serial"
         engine.close()
 
     def test_cli_workers_flag_configures_the_pool(self, tmp_path):

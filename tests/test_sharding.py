@@ -6,7 +6,7 @@ rows additionally filed in their hash partitions), the three routing
 classes (single-shard routed / shard-local parallel / scatter-gather) with
 their counters, partial-aggregate merging, statistics aggregation, the
 shard-aware prepared point-lookup fast path, and the engine-facade
-configuration (``EngineBuilder.shards`` and ``Engine.stats()["sharding"]``).
+configuration (``EngineBuilder.shards`` and the ``sharding`` metrics view).
 """
 
 from __future__ import annotations
@@ -739,7 +739,7 @@ class TestEngineFacade:
             )
             .build()
         )
-        sharding = engine.stats()["sharding"]
+        sharding = engine.metrics().views["sharding"]()
         assert sharding["tables"] == {"orders": 4, "customer": 4}
 
     def test_builder_shards_default_primary_keys(self):
@@ -749,7 +749,7 @@ class TestEngineFacade:
             .shards(3)
             .build()
         )
-        tables = engine.stats()["sharding"]["tables"]
+        tables = engine.metrics().views["sharding"]()["tables"]
         assert tables.get("orders") == 3
         assert tables.get("customer") == 3
 
@@ -773,7 +773,7 @@ class TestEngineFacade:
             cursor.fetchall()
             cursor.execute("select count(*) from orders")
             cursor.fetchall()
-        sharding = engine.stats()["sharding"]
+        sharding = engine.metrics().views["sharding"]()
         assert sharding["routed"] >= 1
         assert sharding["local"] >= 1
 
@@ -1157,7 +1157,7 @@ class TestThreadedAggregate:
         ).build()
         database = engine.database
         database.execute_sql(GROUPED_SQL)
-        sharding = engine.stats()["sharding"]
+        sharding = engine.metrics().views["sharding"]()
         assert sharding["local"] == 1
         assert sharding["threaded_aggregates"] == 1
         assert sharding["merged_aggregates"] == 0
@@ -1173,7 +1173,7 @@ class TestThreadedAggregate:
         pin_row_merge(database)
         merged_before = database.sharding_stats()["merged_aggregates"]
         database.execute_sql(GROUPED_SQL)
-        sharding = engine.stats()["sharding"]
+        sharding = engine.metrics().views["sharding"]()
         assert sharding["merged_aggregates"] == merged_before + 1
         report = database.explain_analyze(GROUPED_SQL).render()
         assert "executed: vectorized via kernel" in report

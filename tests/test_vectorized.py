@@ -247,12 +247,10 @@ class TestFallbackReasons:
         database.execute_plan(plan)
         reasons = database.execution_stats()["vectorized"]["fallback_reasons"]
         assert reasons == {"theta_join": 1}
-        assert (
-            engine.stats()["execution"]["vectorized"]["fallback_reasons"]
-            == reasons
-        )
+        vectorized = engine.metrics().views["execution"]()["vectorized"]
+        assert vectorized["fallback_reasons"] == reasons
 
-    def test_cli_stats_render_fallback_reasons(self, tmp_path, capsys):
+    def test_cli_metrics_render_fallback_reasons(self, tmp_path, capsys):
         import io
 
         from repro import cli
@@ -264,7 +262,7 @@ class TestFallbackReasons:
         )
         out = io.StringIO()
         cli.main(
-            ["optimize", str(program), "--stats", "--shards", "2"], out=out
+            ["optimize", str(program), "--metrics", "--shards", "2"], out=out
         )
         rendered = out.getvalue()
         assert "execution.vectorized.fallback_reasons" in rendered
@@ -567,7 +565,7 @@ class TestPreparedStatementsVectorized:
         with engine.cursor() as cursor:
             cursor.execute("select o_id from orders where o_total > ?", (1.0,))
             cursor.fetchall()
-        stats = engine.stats()
+        stats = engine.metrics().as_dict()["views"]
         assert stats["execution"]["mode"] == "vectorized"
         assert stats["execution"]["tiers"]["vectorized"] >= 1
         engine.close()
