@@ -57,9 +57,11 @@ bench-suite:
 
 # The repository's end-to-end benchmark (BENCHMARK.json): the paper's
 # programs and the analytic SQL statements through Engine, ~2 min; records
-# land in benchmarks/e2e/out/.  `--trace 1` adds the per-layer run.
+# land in benchmarks/e2e/out/ and one line per workload is appended to the
+# tracked trajectory BENCH_e2e.jsonl.  `--trace 1` adds the per-layer run.
 bench-e2e:
 	python3 benchmarks/e2e/run.py
+	python3 benchmarks/record_e2e.py
 
 # The same workloads at smoke scale (seconds): checks every workload's
 # outputs against its reference, not its timing.

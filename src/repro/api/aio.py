@@ -82,17 +82,7 @@ async def _overlap(connection: SimulatedConnection, exchange, *args):
         connection.clock.advance_to(start + exc.virtual_elapsed)
         raise
     await asyncio.sleep(0)
-    before = connection.clock.now
     connection.clock.advance_to(start + elapsed)
-    tracer = connection._tracer
-    if tracer is not None and tracer.enabled:
-        # The trace recorded the request's own duration; note how much of
-        # it the shared clock actually charged after overlapping with the
-        # other in-flight requests of this scheduling round.
-        charged = connection.clock.now - before
-        tracer.annotate_last(
-            overlap_start=start, overlap_charged=charged
-        )
     return value
 
 

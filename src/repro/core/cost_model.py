@@ -25,7 +25,7 @@ Node costs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.regions import (
@@ -71,19 +71,6 @@ class CostParameters:
     def with_amortization(self, factor: float) -> "CostParameters":
         """A copy of the parameters with a different amortization factor."""
         return replace(self, amortization_factor=factor)
-
-
-@dataclass
-class CostBreakdown:
-    """Optional per-component accounting used for reports and tests."""
-
-    query_time: float = 0.0
-    transfer_time: float = 0.0
-    statement_time: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.query_time + self.transfer_time + self.statement_time
 
 
 class CostModel:

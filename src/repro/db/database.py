@@ -307,7 +307,11 @@ class PreparedStatement:
         self.last_execution_path: Optional[str] = None
         self._estimate: Optional[QueryEstimate] = None
         self._row_width: Optional[int] = None
-        self._stamp: Optional[tuple] = None
+        #: what the cached estimate was computed against: the statistics
+        #: generation and the referenced tables' versions (one int for a
+        #: one-table statement, a tuple otherwise).
+        self._stamp_generation = -1
+        self._stamp_versions: Any = None
 
     # -- execution -------------------------------------------------------
 
@@ -323,6 +327,9 @@ class PreparedStatement:
             raise SQLSyntaxError(
                 f"prepared UPDATE cannot be executed as a query: {self.sql!r}"
             )
+        # A SELECT moves neither table versions nor statistics, so one
+        # revalidation up front holds for the whole execution.
+        self._revalidate()
         database = self.database
         mvcc = database._mvcc
         # Reads run against the ambient context's snapshot view when MVCC
@@ -355,7 +362,9 @@ class PreparedStatement:
                     self.last_fallback_reason = None
                     self.last_execution_path = "point-lookup"
                     return QueryResult(
-                        rows=rows, row_width=self.row_width(), sql=self.sql
+                        rows=rows,
+                        row_width=self._current_row_width(),
+                        sql=self.sql,
                     )
         if self.parameter_count:
             self._bind_slots(params)
@@ -368,7 +377,20 @@ class PreparedStatement:
         self.last_route = (
             executor.router.last_route if executor.router is not None else None
         )
-        return QueryResult(rows=rows, row_width=self.row_width(), sql=self.sql)
+        return QueryResult(
+            rows=rows, row_width=self._current_row_width(), sql=self.sql
+        )
+
+    def execute_with_estimate(
+        self, params: Sequence[Any] = ()
+    ) -> tuple[QueryResult, QueryEstimate]:
+        """:meth:`execute` plus :meth:`estimate`, revalidated once.
+
+        The server-side serving path needs both for every SELECT; the
+        estimate reuses the revalidation :meth:`execute` just did.
+        """
+        result = self.execute(params)
+        return result, self._current_estimate()
 
     def execute_update(self, params: Sequence[Any] = ()) -> int:
         """Execute the prepared UPDATE; returns the number of rows changed.
@@ -446,19 +468,12 @@ class PreparedStatement:
                 f"prepared UPDATE has no query estimate: {self.sql!r}"
             )
         self._revalidate()
-        if self._estimate is None:
-            self._estimate = self.database.estimate_plan(self.plan)
-            self.estimates_computed += 1
-        return self._estimate
+        return self._current_estimate()
 
     def row_width(self) -> int:
         """Estimated output row width in bytes (cached with the estimate)."""
         self._revalidate()
-        if self._row_width is None:
-            self._row_width = self.database.statistics.estimate_row_width(
-                self.plan
-            )
-        return self._row_width
+        return self._current_row_width()
 
     def output_columns(self) -> Optional[list[str]]:
         """Statically-known output column names of the prepared query.
@@ -473,19 +488,40 @@ class PreparedStatement:
 
     # -- internals -------------------------------------------------------
 
+    def _current_estimate(self) -> QueryEstimate:
+        """The cached estimate, computed if absent (caller revalidated)."""
+        if self._estimate is None:
+            self._estimate = self.database.estimate_plan(self.plan)
+            self.estimates_computed += 1
+        return self._estimate
+
+    def _current_row_width(self) -> int:
+        """The cached row width, computed if absent (caller revalidated)."""
+        if self._row_width is None:
+            self._row_width = self.database.statistics.estimate_row_width(
+                self.plan
+            )
+        return self._row_width
+
     def _revalidate(self) -> None:
         """Drop cached estimates when statistics or table contents moved."""
         database = self.database
-        stamp = (
-            database.stats_generation,
-            tuple(
+        if len(self.tables) == 1:
+            table = database.tables.get(self.tables[0])
+            versions = None if table is None else table.version
+        else:
+            versions = tuple(
                 table.version
                 for name in self.tables
                 if (table := database.tables.get(name)) is not None
-            ),
-        )
-        if stamp != self._stamp:
-            self._stamp = stamp
+            )
+        generation = database.stats_generation
+        if (
+            generation != self._stamp_generation
+            or versions != self._stamp_versions
+        ):
+            self._stamp_generation = generation
+            self._stamp_versions = versions
             self._estimate = None
             self._row_width = None
 
@@ -1097,11 +1133,6 @@ class Database:
         if self._mvcc is not None:
             return self._mvcc.active_transactions() > 0
         return self._txn is not None
-
-    @property
-    def current_transaction(self) -> Optional[Transaction]:
-        """The active explicit transaction (the ambient context under MVCC)."""
-        return self._txn
 
     @property
     def mvcc_enabled(self) -> bool:

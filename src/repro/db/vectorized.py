@@ -297,20 +297,6 @@ def gather_batches(batches: Sequence[ColumnBatch]) -> Optional[ColumnBatch]:
     return ColumnBatch(columns, sum(batch.length for batch in live), key_order, rows)
 
 
-def gather_completed_batches(
-    indexed: Iterable[tuple[int, ColumnBatch]],
-) -> Optional[ColumnBatch]:
-    """Gather ``(shard index, batch)`` pairs arriving in completion order.
-
-    The parallel scatter hands batches over as workers finish, in whatever
-    order the pool completes them; the gather stays order-preserving by
-    reassembling shard order before concatenating, so the output is
-    bit-identical to the sequential scatter's :func:`gather_batches`.
-    """
-    pairs = sorted(indexed, key=lambda pair: pair[0])
-    return gather_batches([batch for _, batch in pairs])
-
-
 def merge_sorted_runs(
     runs: Sequence[list[Row]], key: Callable[[Row], Any]
 ) -> list[Row]:

@@ -64,11 +64,6 @@ class AccumulatorSpec:
     fir_node: Optional[fir.FIRNode] = None
     depends_on: set = field(default_factory=set)
 
-    @property
-    def is_simple_column_sum(self) -> bool:
-        """True for ``acc = acc + <column of the query tuple>`` updates."""
-        return self.kind == "scalar" and self.operator in {"+", "max", "min"}
-
 
 @dataclass
 class NestedJoinInfo:
@@ -99,11 +94,6 @@ class FoldInfo:
     #: statements kept verbatim in rewrites (e.g. recursive calls): rules that
     #: replace the whole loop must not apply when any are present.
     opaque_statements: list = field(default_factory=list)
-
-    @property
-    def has_lookup(self) -> bool:
-        """True when the loop performs per-iteration lookup queries."""
-        return bool(self.bindings)
 
     @property
     def has_opaque_statements(self) -> bool:

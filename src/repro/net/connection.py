@@ -910,8 +910,7 @@ class SimulatedConnection:
         """Execute a prepared SELECT server-side: ``(result, elapsed)``."""
         self._check_open()
         with self._server_context():
-            result = statement.execute(params)
-            estimate = statement.estimate(params)
+            result, estimate = statement.execute_with_estimate(params)
         # Use the actual cardinality for transfer accounting but the
         # optimizer estimate for server-side time (first/last row).
         network = self.network
@@ -1256,8 +1255,9 @@ class Pipeline:
             try:
                 with connection._server_context():
                     if statement.is_query:
-                        result = statement.execute(handle._params)
-                        estimate = statement.estimate(handle._params)
+                        result, estimate = statement.execute_with_estimate(
+                            handle._params
+                        )
                     else:
                         handle._rowcount = statement.execute_update(
                             handle._params

@@ -326,11 +326,6 @@ class Tracer:
         else:
             self._last_prepare = (sql, cache_hit)
 
-    def annotate_last(self, **attributes: Any) -> None:
-        """Attach attributes to the most recently finished trace's root."""
-        if self.traces:
-            self.traces[-1].root.attributes.update(attributes)
-
     # -- reporting ---------------------------------------------------------
 
     def stats_dict(self) -> dict:

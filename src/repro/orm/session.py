@@ -26,24 +26,33 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from repro.net.connection import SimulatedConnection
-from repro.orm.mapping import EntityDefinition, MappingError, MappingRegistry
+from repro.orm.mapping import EntityDefinition, MappingRegistry
 
 
 class EntityObject:
-    """A mapped row: column values as attributes plus lazy relations."""
+    """A mapped row: column values as attributes plus lazy relations.
+
+    The instance ``__dict__`` *is* the entity's bare-column row, adopted
+    from the session without a copy, so a column read is a plain attribute
+    lookup and ``__getattr__`` runs only for relations and unknown names.
+    ``row``, ``id``, ``entity_name`` and ``get`` are data descriptors, so
+    they win over a mapped column of the same name, which stays readable
+    through ``row`` and ``get``.
+    """
+
+    __slots__ = ("_session", "_definition", "__dict__")
 
     def __init__(
         self, session: "Session", definition: EntityDefinition, row: dict
     ) -> None:
-        # Use object.__setattr__ to avoid recursing through __getattr__.
-        object.__setattr__(self, "_session", session)
-        object.__setattr__(self, "_definition", definition)
-        object.__setattr__(self, "_row", dict(row))
+        self._session = session
+        self._definition = definition
+        self.__dict__ = row
 
     @property
     def row(self) -> dict:
         """The underlying row values (a copy is not taken; do not mutate)."""
-        return self._row
+        return self.__dict__
 
     @property
     def entity_name(self) -> str:
@@ -53,15 +62,12 @@ class EntityObject:
     @property
     def id(self) -> Any:
         """Primary key value of this object."""
-        return self._row.get(self._definition.id_column)
+        return self.__dict__.get(self._definition.id_column)
 
     def __getattr__(self, name: str) -> Any:
-        row = object.__getattribute__(self, "_row")
-        if name in row:
-            return row[name]
         definition = object.__getattribute__(self, "_definition")
         if definition.has_relation(name):
-            session = object.__getattribute__(self, "_session")
+            session = self._session
             return session._load_relation(self, definition.relation(name))
         raise AttributeError(
             f"{definition.entity} object has no attribute or mapped column "
@@ -70,7 +76,10 @@ class EntityObject:
 
     def get(self, name: str, default: Any = None) -> Any:
         """Dictionary-style access to a mapped column."""
-        return self._row.get(name, default)
+        return self.__dict__.get(name, default)
+
+    # A property, so a mapped column named ``get`` cannot shadow the method.
+    get = property(get.__get__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.entity_name} id={self.id!r}>"
@@ -86,6 +95,8 @@ class Session:
         self.connection = connection
         # First-level cache: (entity, primary key) -> EntityObject.
         self._cache: dict[tuple[str, Any], EntityObject] = {}
+        # (entity, row width) -> the bare (undotted) column names of its rows.
+        self._bare_columns: dict[tuple[str, int], tuple[str, ...]] = {}
         self.lazy_loads = 0
         self.cache_hits = 0
         #: pipelined prefetch batches issued (each is one round trip).
@@ -179,8 +190,14 @@ class Session:
         if cached is not None:
             return cached
         # Strip the executor's qualified duplicate keys ("alias.column").
-        clean = {k: v for k, v in row.items() if "." not in k}
-        obj = EntityObject(self, definition, clean)
+        # Rows of one entity and width share their keys, so the bare keys
+        # are found in the first such row, not scanned per row.
+        shape = (definition.entity, len(row))
+        bare = self._bare_columns.get(shape)
+        if bare is None:
+            bare = tuple(k for k in row if "." not in k)
+            self._bare_columns[shape] = bare
+        obj = EntityObject(self, definition, {k: row[k] for k in bare})
         if key is not None:
             self._cache[(definition.entity, key)] = obj
         return obj
@@ -190,7 +207,7 @@ class Session:
     ) -> Optional[EntityObject]:
         """Lazily load a many-to-one target, hitting the cache first."""
         target_def = self.registry.entity(relation.target_entity)
-        fk_value = source.get(relation.join_column)
+        fk_value = source.__dict__.get(relation.join_column)
         if fk_value is None:
             return None
         cached = self._cache.get((relation.target_entity, fk_value))
@@ -218,10 +235,3 @@ class Session:
     def cache_size(self) -> int:
         """Number of objects currently held in the first-level cache."""
         return len(self._cache)
-
-    def definition_for(self, entity: str) -> EntityDefinition:
-        """Expose mapping lookups for the region analysis."""
-        try:
-            return self.registry.entity(entity)
-        except MappingError:
-            raise

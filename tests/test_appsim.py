@@ -1,10 +1,14 @@
 """Unit tests for the client cache and the application runtime."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.appsim.cache import CacheError, ClientCache
 from repro.appsim.runtime import AppRuntime
 from repro.net.network import FAST_LOCAL, SLOW_REMOTE
+from repro.orm.mapping import EntityDefinition
+from repro.orm.session import EntityObject
 from repro.workloads import tpcds
 
 
@@ -50,6 +54,90 @@ class TestClientCache:
         cached = cache.cache_by_column(orders, "o_id")
         assert cached == len(orders)
         assert cache.lookup(orders[0].o_id, "o_id") is orders[0]
+
+
+#: ``None`` keys, a row missing the column, and repeated keys 1 and 2.
+_ROWS = [
+    {"k": 1, "v": "a"},
+    {"k": None, "v": "b"},
+    {"k": 2, "v": "c"},
+    {"v": "d"},
+    {"k": 1, "v": "e"},
+    {"k": 2, "v": "f"},
+    {"k": 3, "v": "g"},
+]
+
+_ENTITY = EntityDefinition("Row", "rows", "k")
+
+
+def _as_entity(row: dict) -> EntityObject:
+    return EntityObject(None, _ENTITY, dict(row))
+
+
+def _as_mixed(rows: list) -> list:
+    shapes = (dict, MappingProxyType, _as_entity)
+    return [shapes[i % 3](row) for i, row in enumerate(rows)]
+
+
+_SHAPES = {
+    "dicts": lambda rows: [dict(row) for row in rows],
+    "mapping": lambda rows: [MappingProxyType(row) for row in rows],
+    "entities": lambda rows: [_as_entity(row) for row in rows],
+    "generator": lambda rows: (dict(row) for row in rows),
+    "mixed": _as_mixed,
+}
+
+
+def _values(cached) -> object:
+    """The ``v`` column of a cached row, or of each row of a cached group."""
+    if isinstance(cached, list):
+        return [row.get("v") for row in cached]
+    return None if cached is None else cached.get("v")
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+class TestCacheRowShapes:
+    """Every row shape builds the same regions with the same counts."""
+
+    def test_cache_by_column_last_row_wins(self, shape):
+        cache = ClientCache()
+        assert cache.cache_by_column(_SHAPES[shape](_ROWS), "k", "r") == 5
+        assert cache.region_size("r") == 3
+        assert [_values(cache.lookup(key, "r")) for key in (1, 2, 3)] == [
+            "e",
+            "f",
+            "g",
+        ]
+        assert cache.lookup(None, "r") is None
+
+    def test_groups_keep_input_order(self, shape):
+        cache = ClientCache()
+        rows = _SHAPES[shape](_ROWS)
+        assert cache.cache_groups_by_column(rows, "k", "g") == 5
+        assert cache.region_size("g") == 3
+        groups = [cache.lookup_group(key, "g") for key in (1, 2, 3)]
+        assert [_values(group) for group in groups] == [
+            ["a", "e"],
+            ["c", "f"],
+            ["g"],
+        ]
+        assert cache.lookup_group(None, "g") == []
+
+    def test_missing_column_caches_nothing(self, shape):
+        make = _SHAPES[shape]
+        cache = ClientCache()
+        assert cache.cache_by_column(make(_ROWS), "nope", "r") == 0
+        assert cache.cache_groups_by_column(make(_ROWS), "nope", "g") == 0
+        assert cache.has_region("r") and cache.region_size("r") == 0
+        assert cache.has_region("g") and cache.region_size("g") == 0
+
+    def test_cached_rows_are_the_input_objects(self, shape):
+        rows = list(_SHAPES[shape](_ROWS))
+        cache = ClientCache()
+        cache.cache_by_column(rows, "k", "r")
+        cache.cache_groups_by_column(rows, "k", "g")
+        assert cache.lookup(3, "r") is rows[-1]
+        assert cache.lookup_group(3, "g")[0] is rows[-1]
 
 
 class TestAppRuntime:

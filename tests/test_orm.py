@@ -131,3 +131,97 @@ class TestSession:
         assert session.cache_size >= 1
         session.clear()
         assert session.cache_size == 0
+
+
+def _collision_runtime() -> AppRuntime:
+    """Parts whose columns are named like EntityObject's own attributes."""
+    from repro.db.database import Database
+    from repro.db.schema import Column, ColumnType
+
+    database = Database()
+    database.create_table(
+        "part",
+        [
+            Column("part_sk", ColumnType.INT),
+            Column("get", ColumnType.STRING),
+            Column("row", ColumnType.STRING),
+            Column("id", ColumnType.INT),
+        ],
+        primary_key="part_sk",
+    )
+    database.insert(
+        "part",
+        [
+            {"part_sk": key, "get": f"g{key}", "row": f"r{key}", "id": -key}
+            for key in (1, 2)
+        ],
+    )
+    database.analyze()
+    registry = MappingRegistry()
+    registry.register(EntityDefinition("Part", "part", "part_sk"))
+    return AppRuntime(database=database, network=FAST_LOCAL, registry=registry)
+
+
+class TestEntityContract:
+    """What an entity exposes, independent of how it stores its columns."""
+
+    def test_column_read(self, session):
+        order = session.get("Order", 1)
+        assert order.o_id == 1
+        assert order.o_customer_sk == order.row["o_customer_sk"]
+
+    def test_relation_lazy_load_then_identity_cache_hit(self, orders_runtime):
+        orders_runtime.reset()
+        session = orders_runtime.orm
+        order = session.get("Order", 1)
+        customer = order.customer
+        assert session.lazy_loads == 1
+        assert customer.entity_name == "Customer"
+        assert customer.c_customer_sk == order.o_customer_sk
+        assert order.customer is customer
+        assert session.get("Customer", order.o_customer_sk) is customer
+        assert session.lazy_loads == 1
+        assert session.cache_hits == 2
+
+    def test_get_with_default(self, session):
+        order = session.get("Order", 1)
+        assert order.get("o_id") == 1
+        assert order.get("o_missing") is None
+        assert order.get("o_missing", 7) == 7
+        assert order.get("customer", "x") == "x"  # relations are not columns
+
+    def test_row_holds_bare_columns_only(self, orders_runtime):
+        session = orders_runtime.orm
+        order = session.get("Order", 1)
+        columns = orders_runtime.database.table("orders").schema.column_names
+        assert list(order.row) == list(columns)
+        assert not any("." in key for key in order.row)
+        loaded = session.load_all("Customer")[0]
+        assert not any("." in key for key in loaded.row)
+
+    def test_id_is_the_primary_key(self, session):
+        assert session.get("Order", 3).id == 3
+        assert session.get("Customer", 4).id == 4
+
+    def test_unknown_attribute_message(self, session):
+        order = session.get("Order", 1)
+        with pytest.raises(AttributeError) as raised:
+            _ = order.o_nothing
+        assert str(raised.value) == (
+            "Order object has no attribute or mapped column 'o_nothing'"
+        )
+        assert not hasattr(order, "o_nothing")
+        assert getattr(order, "o_nothing", 5) == 5
+
+    def test_columns_named_like_entity_attributes(self):
+        session = _collision_runtime().orm
+        part = session.get("Part", 2)
+        # The entity's own attributes win over same-named mapped columns,
+        # which stay reachable through ``row`` and ``get``.
+        assert part.id == 2
+        assert part.get("get") == "g2"
+        assert part.get("row") == "r2"
+        assert part.get("id") == -2
+        assert part.row == {"part_sk": 2, "get": "g2", "row": "r2", "id": -2}
+        assert part.part_sk == 2
+        assert part.entity_name == "Part"
