@@ -81,7 +81,8 @@ bench-e2e-smoke:
 # write_then_read (reads after a point UPDATE row-identical to an
 # interpreted-tier copy, no view re-encoded, each UPDATE on its expected
 # access path) — and the codegen ones —
-# scan_filter_codegen, aggregate_codegen, dict_filter_strings (row equality
+# scan_filter_codegen, aggregate_codegen, sort_limit_codegen (the fused
+# top-k), dict_filter_strings (row equality
 # across codegen/kernel/interpreted asserted, and the run fails if any
 # benchmark plan hits a codegen_unsupported fallback); does not overwrite
 # BENCH_engine.json.

@@ -13,8 +13,9 @@ benchmark families are timed:
   the interpreted baseline (and over the compiled row tier); vectorized
   results are asserted row-identical to the interpreted ones.  The
   ``*_codegen`` entries (``scan_filter_codegen``, ``aggregate_codegen``,
-  ``dict_filter_strings``) time the fused-pipeline codegen path against the
-  batch-kernel path on the same plans (interleaved min-of so allocator
+  ``sort_limit_codegen`` — the fused top-k — and ``dict_filter_strings``)
+  time the fused-pipeline codegen path against the batch-kernel path on
+  the same plans (interleaved min-of so allocator
   drift hits both equally), asserting row equality and that codegen
   actually served the run; ``dict_filter_strings`` additionally compares a
   string-equality filter over the dictionary-encoded column against the
@@ -344,7 +345,34 @@ def _interleaved_best(
 
 
 #: Plans timed codegen-vs-kernel (both run on the vectorized tier).
-CODEGEN_PLANS = ("scan_filter", "aggregate")
+CODEGEN_PLANS = ("scan_filter", "aggregate", "sort_limit")
+
+
+def sort_limit_plan(rows: int) -> algebra.PlanNode:
+    """``select o_id, o_total from orders where o_c_id < ? order by o_total
+    desc, o_id limit 100`` over half the orders: the fused top-k's shape."""
+    customers = max(rows // 10, 1)
+    return algebra.Limit(
+        algebra.Sort(
+            algebra.Project(
+                algebra.Select(
+                    algebra.Scan("orders", "o"),
+                    BinaryOp(
+                        "<", ColumnRef("o_c_id", "o"), Literal(customers // 2)
+                    ),
+                ),
+                (
+                    algebra.OutputColumn(ColumnRef("o_id", "o"), "o_id"),
+                    algebra.OutputColumn(ColumnRef("o_total", "o"), "o_total"),
+                ),
+            ),
+            (
+                algebra.SortKey(ColumnRef("o_total"), False),
+                algebra.SortKey(ColumnRef("o_id"), True),
+            ),
+        ),
+        100,
+    )
 
 
 def bench_codegen(rows: int) -> dict:
@@ -354,16 +382,18 @@ def bench_codegen(rows: int) -> dict:
     *kernel* executor has ``codegen_enabled`` cleared, the *codegen*
     executor compiles the fused loops.  Row equality against the interpreted tier is asserted,
     as is that the codegen executor actually served every run from a
-    compiled pipeline.  ``dict_filter_strings`` times a string-equality
-    filter whose codegen compares dictionary codes, against the kernel
-    path and against the same pipeline with strings stored boxed.
+    compiled pipeline.  ``sort_limit`` is ``ORDER BY … LIMIT 100``: the
+    fused top-k against the kernels' full sort.  ``dict_filter_strings``
+    times a string-equality filter whose codegen compares dictionary
+    codes, against the kernel path and against the same pipeline with
+    strings stored boxed.
     """
     database = build_benchmark_database(rows)
     interpreted = Executor(database.tables, mode="interpreted")
     kernel = Executor(database.tables, mode="vectorized")
     kernel._vectorized.codegen_enabled = False
     codegen = Executor(database.tables, mode="vectorized")
-    plans = executor_plans()
+    plans = {**executor_plans(), "sort_limit": sort_limit_plan(rows)}
     results: dict = {}
     for name in CODEGEN_PLANS:
         plan = plans[name]
@@ -398,6 +428,8 @@ def bench_codegen(rows: int) -> dict:
         raise AssertionError("a benchmark plan was codegen-unsupported")
     if kernel._vectorized.codegen_executions:
         raise AssertionError("kernel baseline unexpectedly ran codegen")
+    if not codegen._vectorized.topk_executions:
+        raise AssertionError("sort_limit never took the fused top-k path")
 
     # -- dict_filter_strings: dictionary codes vs boxed strings ----------
     dict_plan = algebra.Select(

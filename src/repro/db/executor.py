@@ -194,22 +194,26 @@ class Executor:
             return {
                 "executions": 0,
                 "codegen_executions": 0,
+                "topk_executions": 0,
                 "pipelines_compiled": 0,
                 "codegen_cache_hits": 0,
                 "codegen_errors": 0,
                 "fallbacks": 0,
                 "subtree_fallbacks": 0,
                 "fallback_reasons": {},
+                "topk_declines": {},
             }
         return {
             "executions": self._vectorized.executions,
             "codegen_executions": self._vectorized.codegen_executions,
+            "topk_executions": self._vectorized.topk_executions,
             "pipelines_compiled": self._vectorized.pipelines_compiled,
             "codegen_cache_hits": self._vectorized.codegen_cache_hits,
             "codegen_errors": self._vectorized.codegen_errors,
             "fallbacks": self._vectorized.fallbacks,
             "subtree_fallbacks": self._vectorized.subtree_fallbacks,
             "fallback_reasons": dict(self._vectorized.fallback_reasons),
+            "topk_declines": dict(self._vectorized.topk_declines),
         }
 
     def invalidate_context_cache(self) -> None:
@@ -1122,6 +1126,43 @@ def _sort_key(value: Any) -> tuple:
     if isinstance(value, (int, float)):
         return (1, value)
     return (2, str(value))
+
+
+class _Descending:
+    """Inverts one sort-key component inside a composite key tuple.
+
+    Ascending tuple comparison over wrapped components orders them
+    descending while the other components keep their direction.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Descending) and other.key == self.key
+
+
+def _descending_sort_key(value: Any) -> _Descending:
+    return _Descending(_sort_key(value))
+
+
+def sort_key_function(ascending: bool) -> Callable[[Any], Any]:
+    """One ORDER BY key's component of a single composite sort key.
+
+    The tiers sort by the last key first with stable sorts (``reverse=True``
+    for ``DESC``, which keeps ties in input order).  That order equals one
+    ascending sort on ``(component(key₁), …, component(keyₙ))`` followed by
+    input position, where a component is :func:`_sort_key` of the value,
+    wrapped in :class:`_Descending` for ``DESC``.  The shard router's k-way
+    merge key and the vectorized tier's fused top-k both build their keys
+    from this.
+    """
+    return _sort_key if ascending else _descending_sort_key
 
 
 def _compute_aggregate(function: str, values: list) -> Any:

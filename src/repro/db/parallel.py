@@ -351,12 +351,13 @@ def _counter_delta(after: dict, before: dict) -> dict:
     for key, value in after.items():
         if isinstance(value, int):
             delta[key] = value - before.get(key, 0)
-    before_reasons = before.get("fallback_reasons", {})
-    delta["fallback_reasons"] = {
-        reason: count - before_reasons.get(reason, 0)
-        for reason, count in after.get("fallback_reasons", {}).items()
-        if count - before_reasons.get(reason, 0)
-    }
+        elif isinstance(value, dict):  # reason -> count
+            before_reasons = before.get(key, {})
+            delta[key] = {
+                reason: count - before_reasons.get(reason, 0)
+                for reason, count in value.items()
+                if count - before_reasons.get(reason, 0)
+            }
     return delta
 
 
@@ -436,11 +437,10 @@ def fold_worker_counters(
     if target is None or not vectorized:
         return
     for key, value in vectorized.items():
-        if key == "fallback_reasons":
+        if isinstance(value, dict):  # reason -> count
+            reasons = getattr(target, key)
             for reason, count in value.items():
-                target.fallback_reasons[reason] = (
-                    target.fallback_reasons.get(reason, 0) + count
-                )
+                reasons[reason] = reasons.get(reason, 0) + count
         elif isinstance(value, int) and value:
             setattr(target, key, getattr(target, key) + value)
 

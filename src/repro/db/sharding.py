@@ -77,6 +77,7 @@ from repro.db.executor import (
     _equi_join_columns,
     _flatten_and,
     _sort_key,
+    sort_key_function,
 )
 from repro.db.expressions import (
     BinaryOp,
@@ -445,26 +446,6 @@ class _PartialAggregate:
                     out[name] = state[name]
             out_rows.append(out)
         return out_rows
-
-
-class _Descending:
-    """Inverts one sort-key component inside a k-way merge key tuple.
-
-    ``heapq.merge`` compares whole key tuples ascending; wrapping a
-    component flips its comparison so a ``DESC`` sort key merges
-    correctly while the other components keep their direction.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Descending) and other.key == self.key
 
 
 class ShardRouter:
@@ -1136,21 +1117,18 @@ class ShardRouter:
         """A single total-order key for k-way merging sorted shard runs.
 
         Equivalent to :meth:`_compile_sort`'s stable multi-pass sort: one
-        tuple over all sort keys, with ``DESC`` components wrapped in
-        :class:`_Descending` so ascending tuple comparison realises the
-        mixed-direction order.  ``heapq.merge`` is stable by input order
-        on ties, and runs are merged in shard-index order, so tie order
-        matches the serial concatenate-then-stable-sort exactly.
+        tuple of :func:`~repro.db.executor.sort_key_function` components.
+        ``heapq.merge`` is stable by input order on ties, and runs are
+        merged in shard-index order, so tie order matches the serial
+        concatenate-then-stable-sort exactly.
         """
-        keys = [(key.column.compile(), key.ascending) for key in sort.keys]
+        keys = [
+            (key.column.compile(), sort_key_function(key.ascending))
+            for key in sort.keys
+        ]
 
         def merge_key(row: Row) -> tuple:
-            return tuple(
-                _sort_key(evaluate(row))
-                if ascending
-                else _Descending(_sort_key(evaluate(row)))
-                for evaluate, ascending in keys
-            )
+            return tuple(component(evaluate(row)) for evaluate, component in keys)
 
         return merge_key
 
@@ -1398,23 +1376,27 @@ def _row_preserving_path(nodes: Sequence[algebra.PlanNode]) -> bool:
 
 
 #: The summable int counters of a vectorized-stats dict; everything the
-#: executor reports beyond these must be mergeable as fallback_reasons is,
-#: or attached above the merge (Database.execution_stats does the latter
-#: for the column-encoding census).
+#: executor reports beyond these must be a reason -> count dict listed in
+#: VECTORIZED_REASON_KEYS, or attached above the merge
+#: (Database.execution_stats does the latter for the column-encoding census).
 VECTORIZED_COUNTER_KEYS = (
     "executions",
     "codegen_executions",
+    "topk_executions",
     "pipelines_compiled",
     "codegen_cache_hits",
     "codegen_errors",
     "fallbacks",
     "subtree_fallbacks",
 )
+#: The reason -> count dicts of a vectorized-stats dict, merged per reason.
+VECTORIZED_REASON_KEYS = ("fallback_reasons", "topk_declines")
 
 
 def _zero_vectorized_counters() -> dict[str, Any]:
     zeros: dict[str, Any] = dict.fromkeys(VECTORIZED_COUNTER_KEYS, 0)
-    zeros["fallback_reasons"] = {}
+    for key in VECTORIZED_REASON_KEYS:
+        zeros[key] = {}
     return zeros
 
 
@@ -1434,9 +1416,10 @@ def merge_execution_counters(
         tiers_into[tier] = tiers_into.get(tier, 0) + count
     for key in VECTORIZED_COUNTER_KEYS:
         vectorized_into[key] += vectorized_from.get(key, 0)
-    reasons = vectorized_into["fallback_reasons"]
-    for reason, count in vectorized_from["fallback_reasons"].items():
-        reasons[reason] = reasons.get(reason, 0) + count
+    for key in VECTORIZED_REASON_KEYS:
+        reasons = vectorized_into[key]
+        for reason, count in vectorized_from[key].items():
+            reasons[reason] = reasons.get(reason, 0) + count
 
 
 def _renames_column(plan: algebra.PlanNode, name: str) -> bool:

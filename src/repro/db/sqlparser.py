@@ -20,7 +20,10 @@ Supported grammar (case insensitive keywords)::
 
 The parser produces a relational algebra tree (:mod:`repro.db.algebra`):
 Scan → Join* → Select → Aggregate → Project → Sort → Limit, mirroring SQL
-semantics closely enough for the workloads in the paper.  UPDATE statements
+semantics closely enough for the workloads in the paper.  When a
+non-aggregate query orders by a column its select list drops, the Sort goes
+below the Project instead (… → Select → Sort → Project → Limit), where
+SQLite too resolves such keys: against the table.  UPDATE statements
 parse to :class:`UpdateStatement` — a table name, SET assignments whose
 right-hand sides are full expressions (so ``set visits = visits + 1`` works),
 and an optional WHERE predicate; both sides support positional ``?``
@@ -39,6 +42,7 @@ from repro.db.expressions import (
     BooleanOp,
     ColumnRef,
     Expression,
+    ExpressionError,
     FunctionCall,
     InList,
     IsNull,
@@ -500,6 +504,11 @@ class _Parser:
             if select_items != "*" and outputs:
                 plan = algebra.Project(plan, tuple(outputs))
         elif select_items != "*" and outputs:
+            if _sorts_below_projection(order_keys, outputs):
+                # ORDER BY a column the projection drops: sort the rows
+                # while they still carry it.
+                plan = algebra.Sort(plan, tuple(order_keys))
+                order_keys = []
             plan = algebra.Project(plan, tuple(outputs))
 
         if order_keys:
@@ -522,6 +531,29 @@ class _AggregateCall(Expression):
     def to_sql(self) -> str:
         arg = self.argument.to_sql() if self.argument is not None else "*"
         return f"{self.function}({arg})"
+
+
+def _sorts_below_projection(
+    order_keys: list[algebra.SortKey], outputs: list[algebra.OutputColumn]
+) -> bool:
+    """Whether the Sort must run on the rows before the projection.
+
+    True when some ORDER BY key names no projected column, and every key
+    that does names an output that is that very column reference, so the
+    key reads the same value below the projection.  Otherwise the Sort
+    stays above it.
+    """
+    projected = {output.name: output.expression for output in outputs}
+    dropped = False
+    for key in order_keys:
+        try:
+            expression = key.column.evaluate(projected)
+        except ExpressionError:
+            dropped = True
+            continue
+        if expression != key.column:
+            return False
+    return dropped
 
 
 def _default_output_name(expression: Expression, position: int) -> str:

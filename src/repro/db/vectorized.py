@@ -26,9 +26,9 @@ of streams of per-row dictionaries:
 Expressions reach code through the one lowering in
 :mod:`repro.db.expressions`; this module supplies two of its three scopes
 (:class:`_BatchScope` for the kernels, :class:`_PipelineCompiler` for fused
-``[Project|Aggregate] → Select* → Scan`` loops specialized to each column's
-physical encoding), so a node either scope cannot lower is rejected by the
-other for the same reason.
+``[Project|Aggregate] → Select* → Scan`` and top-k ``Limit → Sort → …``
+loops specialized to each column's physical encoding), so a node either
+scope cannot lower is rejected by the other for the same reason.
 
 Operators or expressions outside the vectorizable subset fall back
 *per-subtree* to the compiled tier: the subtree executes as rows, which are
@@ -53,6 +53,7 @@ from repro.db.executor import (
     _flatten_and,
     _sort_key,
     plan_aggregate_arguments,
+    sort_key_function,
 )
 from repro.db.expressions import (
     BinaryOp,
@@ -488,8 +489,9 @@ def _hash_join_positions(
 # The batch kernels still make one full pass over Python lists of boxed
 # values per filter/projection expression.  For the dominant pipeline
 # spine — an optional Project or Aggregate over any number of Selects over a
-# single Scan — the executor goes one step further and compiles the *whole
-# pipeline* into one ``exec``-compiled fused loop, specialized to each
+# single Scan, optionally under ``ORDER BY … LIMIT k`` — the executor goes
+# one step further and compiles the *whole pipeline* into one
+# ``exec``-compiled fused loop, specialized to each
 # referenced column's physical representation (see
 # :class:`repro.db.table.ColumnData`):
 #
@@ -512,7 +514,8 @@ def _hash_join_positions(
 
 #: Shape-cache entry for eligible spines whose expressions cannot be
 #: lowered; distinct from ``None`` ("not a pipeline spine at all" — joins,
-#: sorts and limits stay on the kernel path without counting anything).
+#: sorts without a limit and limits without a sort stay on the kernel path
+#: without counting anything).
 _CODEGEN_UNSUPPORTED = object()
 
 #: Shape-cache miss marker (``None`` and the sentinel above are both
@@ -521,9 +524,23 @@ _SHAPE_MISSING = object()
 
 
 class _PipelineShape:
-    """The analyzed spine of a codegen-eligible plan."""
+    """The analyzed spine of a codegen-eligible plan.
 
-    __slots__ = ("table", "alias", "conjuncts", "outputs", "aggregate")
+    A top-k spine also carries its ``ORDER BY`` keys, its ``LIMIT`` count
+    and whether the keys name the projection's outputs (``Sort`` above
+    ``Project``, the parser's plan) or the scanned table's columns.
+    """
+
+    __slots__ = (
+        "table",
+        "alias",
+        "conjuncts",
+        "outputs",
+        "aggregate",
+        "order",
+        "limit",
+        "order_over_outputs",
+    )
 
     def __init__(
         self,
@@ -532,25 +549,55 @@ class _PipelineShape:
         conjuncts: tuple[Expression, ...],
         outputs: Optional[tuple[algebra.OutputColumn, ...]],
         aggregate: Optional[algebra.Aggregate],
+        order: Optional[tuple[algebra.SortKey, ...]] = None,
+        limit: int = 0,
+        order_over_outputs: bool = False,
     ) -> None:
         self.table = table
         self.alias = alias
         self.conjuncts = conjuncts
         self.outputs = outputs
         self.aggregate = aggregate
+        self.order = order
+        self.limit = limit
+        self.order_over_outputs = order_over_outputs
 
 
 def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
-    """Peel ``plan`` into a [Project | Aggregate] → Select* → Scan spine.
+    """Peel ``plan`` into a fused spine, or return ``None``.
 
-    Returns ``None`` for every other shape.  Sorts in particular must stay
-    ineligible: prepared statements rely on sorted plans populating the
-    batch-kernel cache (``_ops``).
+    The spines are ``[Project | Aggregate] → Select* → Scan`` and the top-k
+    ``Limit(k > 0) → Sort → [Project] → Select* → Scan`` (or ``Limit →
+    Project → Sort → …`` when the keys name table columns the projection
+    drops).  Every other shape returns ``None``; a ``Sort`` without a
+    ``Limit`` in particular stays on the batch kernels, where prepared
+    statements rely on sorted plans populating the kernel cache (``_ops``).
     """
     outputs: Optional[tuple[algebra.OutputColumn, ...]] = None
     aggregate: Optional[algebra.Aggregate] = None
+    order: Optional[tuple[algebra.SortKey, ...]] = None
+    limit = 0
+    order_over_outputs = False
     node = plan
-    if isinstance(node, algebra.Aggregate):
+    if isinstance(node, algebra.Limit):
+        limit = node.count
+        node = node.child
+        if isinstance(node, algebra.Project) and isinstance(
+            node.child, algebra.Sort
+        ):
+            outputs = node.outputs
+            order = node.child.keys
+            node = node.child.child
+        elif isinstance(node, algebra.Sort):
+            order = node.keys
+            node = node.child
+            if isinstance(node, algebra.Project):
+                outputs = node.outputs
+                order_over_outputs = True
+                node = node.child
+        if order is None or limit == 0:
+            return None
+    elif isinstance(node, algebra.Aggregate):
         aggregate = node
         node = node.child
     elif isinstance(node, algebra.Project):
@@ -573,7 +620,14 @@ def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
     for predicate in predicates:
         conjuncts.extend(_flatten_and(predicate))
     return _PipelineShape(
-        node.table, node.effective_alias, tuple(conjuncts), outputs, aggregate
+        node.table,
+        node.effective_alias,
+        tuple(conjuncts),
+        outputs,
+        aggregate,
+        order,
+        limit,
+        order_over_outputs,
     )
 
 
@@ -732,25 +786,8 @@ class _PipelineCompiler(_LoopScope):
         return column.name
 
     def _resolve_emit(self, column: ColumnRef) -> str:
-        """Resolve a reference against the emit-scope namespace.
-
-        Mirrors :meth:`ColumnRef.evaluate` over the aggregate's output row:
-        qualified key first, then the bare name, then a unique ``.name``
-        suffix; anything missing or ambiguous refuses (the row tiers raise
-        their own error for it).
-        """
-        available = self.emit_columns
-        if column.qualifier:
-            qualified = f"{column.qualifier}.{column.name}"
-            if qualified in available:
-                return available[qualified]
-        if column.name in available:
-            return available[column.name]
-        suffix = f".{column.name}"
-        matches = [key for key in available if key.endswith(suffix)]
-        if len(matches) == 1:
-            return available[matches[0]]
-        raise LoweringError(column.qualified_name)
+        """Resolve a reference against the emit-scope namespace."""
+        return self.emit_columns[_output_key(column, self.emit_columns)]
 
     def encoding(self, name: str) -> str:
         if self._store is None:  # trial mode: pessimistic
@@ -861,6 +898,27 @@ class _PipelineCompiler(_LoopScope):
         )
 
 
+def _output_key(column: ColumnRef, available: Iterable[str]) -> str:
+    """The key of an output row that ``column`` reads, or refuse.
+
+    Mirrors :meth:`ColumnRef.evaluate` over a row with keys ``available``:
+    qualified key first, then the bare name, then a unique ``.name``
+    suffix; anything missing or ambiguous refuses (the row tiers raise
+    their own error for it).
+    """
+    if column.qualifier:
+        qualified = f"{column.qualifier}.{column.name}"
+        if qualified in available:
+            return qualified
+    if column.name in available:
+        return column.name
+    suffix = f".{column.name}"
+    matches = [key for key in available if key.endswith(suffix)]
+    if len(matches) == 1:
+        return matches[0]
+    raise LoweringError(column.qualified_name)
+
+
 def _indent(lines: Iterable[str]) -> list[str]:
     return [f"    {line}" for line in lines]
 
@@ -901,6 +959,120 @@ def _generate_select(
         items.append(f"{output.name!r}: {lowered.src}")
     body = [
         f"return [{{{', '.join(items)}}} {compiler.loop_clause()}{suffix}]"
+    ]
+    return _assemble_pipeline(compiler, body)
+
+
+class _NaNSortKey(Exception):
+    """A fused top-k met a NaN sort key.
+
+    ``heapq`` and ``list.sort`` order NaN differently (NaN compares false
+    both ways), so the statement re-runs on the batch kernels, whose full
+    sort every tier shares.
+    """
+
+
+def _nan_sort_key() -> Any:
+    raise _NaNSortKey
+
+
+def _sort_component(
+    compiler: _PipelineCompiler, expression: Expression, ascending: bool
+) -> str:
+    """One ORDER BY key's component of the top-k composite key.
+
+    A typed (``int64`` / ``float64``), null-free column contributes its
+    raw value, negated for ``DESC``; anything else contributes
+    :func:`~repro.db.executor.sort_key_function`'s component.  Either way
+    a NaN value raises :class:`_NaNSortKey`.
+    """
+    lowered = lower_expression(expression, compiler)
+    value = lowered.src
+    if isinstance(expression, ColumnRef):
+        name = compiler.resolve(expression)
+        encoding = compiler.encoding(name)
+        if encoding in ("int64", "float64") and not compiler.nullable(name):
+            raw = value if ascending else f"-{value}"
+            if encoding == "int64":
+                return raw
+            return f"({raw} if {value} == {value} else _nan())"
+    component = compiler.bind(sort_key_function(ascending))
+    if lowered.trivial:
+        return f"({component}({value}) if {value} == {value} else _nan())"
+    temp = compiler.gensym("_t")
+    return (
+        f"({component}({temp}) if ({temp} := {value}) == {temp} else _nan())"
+    )
+
+
+def _generate_topk(
+    shape: _PipelineShape, schema, store
+) -> tuple[str, dict, bool]:
+    """Source for a ``Limit → Sort`` over a Scan → Select* → [Project] spine.
+
+    One loop filters like a select pipeline and feeds each survivor's
+    composite key ``(key₁′, …, keyₙ′, position)`` to ``heapq.nsmallest``;
+    only the k winners become rows, re-reading their columns by position.
+    Position last breaks ties by input order, which is what the tiers'
+    stable multi-pass sort does, so the rows and their order equal a full
+    sort's first k.  Projection outputs that are not sort keys and could
+    raise are evaluated for every survivor as well, exactly as the kernel
+    path evaluates them.
+    """
+    compiler = _PipelineCompiler(schema, store)
+    compiler.globals.update(
+        {"_nsmallest": heapq.nsmallest, "_nan": _nan_sort_key}
+    )
+    conditions = [
+        lower_expression(conjunct, compiler).src for conjunct in shape.conjuncts
+    ]
+    outputs = shape.outputs
+    by_name = {output.name: output for output in outputs or ()}
+    keyed: set[str] = set()
+    components = []
+    for key in shape.order:
+        expression = key.column
+        if shape.order_over_outputs:
+            name = _output_key(key.column, by_name)
+            keyed.add(name)
+            expression = by_name[name].expression
+        components.append(_sort_component(compiler, expression, key.ascending))
+    checked = [
+        lower_expression(output.expression, compiler).src
+        for output in outputs or ()
+        if output.name not in keyed
+        and not isinstance(output.expression, (ColumnRef, Literal, ParameterSlot))
+    ]
+    if checked:
+        # A tuple display is never None: this only evaluates the outputs.
+        conditions.append(f"({', '.join(checked)},) is not None")
+    suffix = f" if {' and '.join(conditions)}" if conditions else ""
+    loop = compiler.loop_clause(("_i", "_range(_n)"))
+    # Output columns lowered from here on are read by the winners only.
+    if outputs is None:
+        # The scan's row layout: bare keys, then alias-qualified keys.
+        names = schema.column_names
+        values = [compiler.boxed_var(name) for name in names]
+        items = [f"{name!r}: {value}" for name, value in zip(names, values)]
+        items += [
+            f"{f'{shape.alias}.{name}'!r}: {value}"
+            for name, value in zip(names, values)
+        ]
+    else:
+        items = [
+            f"{output.name!r}: {lower_expression(output.expression, compiler).src}"
+            for output in outputs
+        ]
+    rebind = ""
+    if compiler.zip_names:
+        targets = ", ".join(compiler.zip_names)
+        cells = ", ".join(f"{src}[_i]" for src in compiler.zip_sources)
+        rebind = f" for ({targets},) in (({cells},),)"
+    body = [
+        f"_top = _nsmallest({shape.limit},"
+        f" (({', '.join(components)}, _i) {loop}{suffix}))",
+        f"return [{{{', '.join(items)}}}"
+        f" for _i in [_k[-1] for _k in _top]{rebind}]",
     ]
     return _assemble_pipeline(compiler, body)
 
@@ -1299,6 +1471,8 @@ def _generate_pipeline(
 ) -> tuple[str, dict, bool]:
     if shape.aggregate is not None:
         return _generate_aggregate(shape, schema, store, shared)
+    if shape.order is not None:
+        return _generate_topk(shape, schema, store)
     return _generate_select(shape, schema, store)
 
 
@@ -1370,6 +1544,13 @@ class VectorizedExecutor:
         self.executions = 0
         #: of which: served by a compiled fused pipeline.
         self.codegen_executions = 0
+        #: of which: ``ORDER BY … LIMIT k`` served by a fused top-k loop.
+        self.topk_executions = 0
+        #: top-k spines that ran on the batch kernels instead, by reason:
+        #: ``nan_key`` (a NaN sort key; heap and full sort disagree on it),
+        #: ``unsupported`` (an unlowerable expression) and ``error`` (the
+        #: generated loop raised; also counted in ``codegen_errors``).
+        self.topk_declines: dict[str, int] = {}
         #: fused pipelines compiled (cache misses on a supported shape).
         self.pipelines_compiled = 0
         #: fused-pipeline cache hits.
@@ -1397,8 +1578,8 @@ class VectorizedExecutor:
         #: after a vectorized success.  Read by the executor's per-call
         #: tier markers (tracing / EXPLAIN).
         self.last_fallback_reason: Optional[str] = None
-        #: how the most recent vectorized success ran: ``"codegen"`` or
-        #: ``"kernel"``; ``None`` after a fallback.
+        #: how the most recent vectorized success ran: ``"codegen"``,
+        #: ``"codegen (top-k)"`` or ``"kernel"``; ``None`` after a fallback.
         self.last_path: Optional[str] = None
 
     # -- public API ------------------------------------------------------
@@ -1417,7 +1598,11 @@ class VectorizedExecutor:
             self.executions += 1
             self.codegen_executions += 1
             self.last_fallback_reason = None
-            self.last_path = "codegen"
+            if isinstance(plan, algebra.Limit):  # the only Limit spine
+                self.topk_executions += 1
+                self.last_path = "codegen (top-k)"
+            else:
+                self.last_path = "codegen"
             return rows
         op = self._op(plan)
         if op is None:
@@ -1452,14 +1637,16 @@ class VectorizedExecutor:
 
         Returns the output rows on success and ``None`` whenever the plan
         must take the batch-kernel path instead: codegen disabled, the plan
-        is not a [Project | Aggregate] → Select* → Scan spine, the spine
+        is not a spine :func:`_analyze_pipeline` accepts, the spine
         contains an unlowerable expression (counted as
         ``codegen_unsupported``), the scanned table is missing (the kernel
-        path raises the row-tier error), or the generated code failed at
-        compile or run time (counted in ``codegen_errors``; the kernel
-        re-run reproduces row-tier error semantics).  Does *not* touch the
-        execution counters — callers (``try_execute``, the sharding layer's
-        scatter) account for successes themselves.
+        path raises the row-tier error), a top-k met a NaN sort key, or the
+        generated code failed at compile or run time (counted in
+        ``codegen_errors``; the kernel re-run reproduces row-tier error
+        semantics).  A top-k spine's declines are also counted by reason
+        in ``topk_declines``.  Does *not* touch the execution counters —
+        callers (``try_execute``, the sharding layer's scatter) account for
+        successes themselves.
 
         With a ``carry`` the plan must be an aggregate spine, and this
         table's rows fold into the carried state instead of a fresh one
@@ -1477,6 +1664,8 @@ class VectorizedExecutor:
                 return None
             if shape is _CODEGEN_UNSUPPORTED:
                 self._count_reason("codegen_unsupported")
+                if isinstance(plan, algebra.Limit):
+                    self._count_topk_decline("unsupported")
                 return None
             if carry is not None and shape.aggregate is None:
                 return None
@@ -1508,8 +1697,13 @@ class VectorizedExecutor:
             if carry.pipeline is None:  # every table was empty
                 return pipeline.emit(pipeline.init(), None)
             return carry.pipeline.emit(carry.state, None)
+        except _NaNSortKey:
+            self._count_topk_decline("nan_key")
+            return None
         except Exception:
             self.codegen_errors += 1
+            if isinstance(plan, algebra.Limit):
+                self._count_topk_decline("error")
             return None
 
     def invalidate(self) -> None:
@@ -1597,6 +1791,9 @@ class VectorizedExecutor:
 
     def _count_reason(self, reason: str) -> None:
         self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
+
+    def _count_topk_decline(self, reason: str) -> None:
+        self.topk_declines[reason] = self.topk_declines.get(reason, 0) + 1
 
     def _fallback(self, reason: str) -> None:
         """Record why the current lowering failed; returns ``None``."""

@@ -12,13 +12,18 @@ ones.
 from __future__ import annotations
 
 import copy
+import sqlite3
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.db import algebra
 from repro.db.database import Database
+from repro.db.expressions import ExpressionError
 from repro.db.schema import Column, ColumnType
+from repro.db.sqlgen import to_sql
+from repro.db.sqlparser import parse_sql
 from repro.db.table import STORAGE_MODES, Table, encode_column
 
 
@@ -80,8 +85,8 @@ CODEGEN_QUERIES = [
     "o_c_id, o_status",
 ]
 
-#: Shapes beyond the codegen subset (joins, sorts): kernel or row-tier
-#: served, included in the equivalence sweep only.
+#: Shapes beyond the select/aggregate spines (joins; the sort under a
+#: limit runs as a fused top-k), included in the equivalence sweep only.
 EXTRA_QUERIES = [
     "select o.o_id, c.c_name from orders o join customers c "
     "on o.o_c_id = c.c_id where o.o_total > 8.0",
@@ -779,3 +784,239 @@ class TestMaintainedViews:
         vectorized = databases["vectorized"].execution_stats()["vectorized"]
         assert vectorized["codegen_errors"] == 0
         assert "codegen_unsupported" not in vectorized["fallback_reasons"]
+
+
+# -- fused top-k (ORDER BY ... LIMIT k) ---------------------------------------
+
+_NAN = float("nan")
+#: per-column value strategies: typed ints with duplicates, typed floats
+#: with ±0.0 and a rare NaN, a mixed int/float/bool column (always boxed),
+#: dictionary strings (case-distinct), bools and a nullable int column.
+_TOPK_COLUMNS = {
+    "a": st.integers(-2, 2),
+    "f": st.sampled_from([0.0, -0.0, 1.5, -2.5, 3.0, 1.5, -1.0, _NAN]),
+    "m": st.one_of(
+        st.integers(-1, 1),
+        st.sampled_from([0.5, -0.0, 1.0, _NAN]),
+        st.booleans(),
+        st.none(),
+    ),
+    "s": st.one_of(st.sampled_from(["x", "y", "Y", "zz"]), st.none()),
+    "b": st.one_of(st.booleans(), st.none()),
+    "n": st.one_of(st.integers(0, 2), st.none()),
+}
+_TOPK_KEYS = ("id", *_TOPK_COLUMNS)
+_TOPK_PROJECTIONS = ("*", "id, a, s", "s, id", "f, m, b, n")
+
+
+def _topk_database(rows, storage, mode="vectorized", shards=0):
+    database = Database(execution_mode=mode)
+    database.create_table(
+        "t",
+        [Column("id", ColumnType.INT)]
+        + [Column(name, ColumnType.INT) for name in _TOPK_COLUMNS],
+        primary_key="id",
+    )
+    database.insert("t", [{"id": i, **row} for i, row in enumerate(rows)])
+    if shards:
+        database.shard_table("t", "id", shards)
+    database.table("t").set_storage_mode(storage)
+    return database
+
+
+def _has_nan(value):
+    return isinstance(value, float) and value != value
+
+
+class TestFusedTopK:
+    """``Limit → Sort`` spines: one fused loop into ``heapq.nsmallest``."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(
+        rows=[dict.fromkeys(_TOPK_COLUMNS, 1)] * 4,
+        storage="dictionary",
+        shards=3,
+        keys=[("m", False), ("f", True)],
+        projection="s, id",
+        k_choice="1",
+        lows=(-2, 1),
+        nan_at=2,
+    )
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries(_TOPK_COLUMNS), min_size=1, max_size=10
+        ),
+        storage=st.sampled_from(STORAGE_MODES),
+        shards=st.sampled_from([0, 3]),
+        keys=st.lists(
+            st.tuples(st.sampled_from(_TOPK_KEYS), st.booleans()),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda key: key[0],
+        ),
+        projection=st.sampled_from(_TOPK_PROJECTIONS),
+        k_choice=st.sampled_from(["n-1", "1", "n", "n+3", "0"]),
+        lows=st.tuples(st.integers(-3, 2), st.integers(-3, 2)),
+        nan_at=st.one_of(st.none(), st.integers(0, 9)),
+    )
+    def test_top_k_equals_full_sort_then_slice(
+        self, rows, storage, shards, keys, projection, k_choice, lows, nan_at
+    ):
+        rows = [dict(row) for row in rows]
+        if nan_at is not None:  # a NaN in a row every filter keeps
+            rows[nan_at % len(rows)].update(a=2, f=_NAN, m=_NAN)
+        n = len(rows)
+        k = max(0, {"0": 0, "1": 1, "n-1": n - 1, "n": n, "n+3": n + 3}[k_choice])
+        order = ", ".join(f"{c}{'' if asc else ' desc'}" for c, asc in keys)
+        base = f"select {projection} from t where a >= ? order by {order}"
+        reference = _topk_database(rows, storage, mode="interpreted")
+        databases = {
+            mode: _topk_database(rows, storage, mode=mode, shards=shards)
+            for mode in ("vectorized", "compiled", "interpreted")
+        }
+        kernels = _topk_database(rows, storage, shards=shards)
+        kernels._executor._vectorized.codegen_enabled = False
+        databases["kernels"] = kernels
+        statements = {
+            name: database.prepare(f"{base} limit {k}")
+            for name, database in databases.items()
+        }
+        fused = databases["vectorized"]
+        for low in lows:  # a prepared template replayed with new values
+            expected = reference.execute_sql(base, (low,)).rows[:k]
+            before = fused.execution_stats()["vectorized"]
+            for name, statement in statements.items():
+                got = statement.execute((low,)).rows
+                # Key order too: the rows must be the full sort's rows.
+                assert [list(row.items()) for row in got] == [
+                    list(row.items()) for row in expected
+                ], name
+            after = fused.execution_stats()["vectorized"]
+            declines = after["topk_declines"].get("nan_key", 0) - before[
+                "topk_declines"
+            ].get("nan_key", 0)
+            topk = after["topk_executions"] - before["topk_executions"]
+            nan_key = any(
+                _has_nan(row[column])
+                for row in rows
+                if row["a"] >= low
+                for column, _ in keys
+                if column != "id"
+            )
+            if k == 0:
+                assert (topk, declines) == (0, 0)
+            elif nan_key:
+                assert (topk, declines) == (0, 1)
+            else:
+                assert (topk, declines) == (1, 0)
+        assert kernels.execution_stats()["vectorized"]["topk_executions"] == 0
+
+    def test_order_by_dropped_column_matches_sqlite(self):
+        rows = [
+            {"id": i, "x": (i * 7) % 5, "y": None if i % 4 == 0 else i % 3}
+            for i in range(20)
+        ]
+        connection = sqlite3.connect(":memory:")
+        connection.execute("create table t (id integer, x integer, y integer)")
+        connection.executemany(
+            "insert into t values (?, ?, ?)",
+            [(r["id"], r["x"], r["y"]) for r in rows],
+        )
+        queries = (
+            "select id from t order by x desc, id",
+            "select id from t order by x, id desc limit 6",
+            "select id, x from t where id > 3 order by y desc, id limit 5",
+            "select id as ident, x from t order by y desc, x, id limit 7",
+        )
+        for sql in queries:
+            plan = parse_sql(sql)
+            assert parse_sql(to_sql(plan)) == plan, sql
+            expected = [
+                list(row) for row in connection.execute(sql).fetchall()
+            ]
+            for mode in ("vectorized", "compiled", "interpreted"):
+                for shards in (0, 3):
+                    database = Database(execution_mode=mode)
+                    database.create_table(
+                        "t",
+                        [Column(c, ColumnType.INT) for c in ("id", "x", "y")],
+                        primary_key="id",
+                    )
+                    database.insert("t", rows)
+                    if shards:
+                        database.shard_table("t", "id", shards)
+                    got = [
+                        list(row.values())
+                        for row in database.execute_sql(sql).rows
+                    ]
+                    assert got == expected, (sql, mode, shards)
+
+    def test_sort_below_project_only_for_dropped_keys(self):
+        # A key the select list names keeps the Sort above the Project.
+        plan = parse_sql("select id, x from t order by x limit 3")
+        assert isinstance(plan.child, algebra.Sort)
+        assert isinstance(plan.child.child, algebra.Project)
+        plan = parse_sql("select id from t order by x limit 3")
+        assert isinstance(plan.child, algebra.Project)
+        assert isinstance(plan.child.child, algebra.Sort)
+        # A renamed output would read a different value below the Project.
+        plan = parse_sql("select x as id from t order by y, id")
+        assert isinstance(plan, algebra.Sort)
+        # Aggregate queries are left alone.
+        plan = parse_sql("select k, count(*) from t group by k order by j")
+        assert isinstance(plan, algebra.Sort)
+
+    def test_counters_and_explain(self):
+        database = make_database()
+        sql = "select o_id, o_total from orders order by o_total desc limit 3"
+        result = database.explain_analyze(sql)
+        assert "executed: vectorized via codegen (top-k)" in result.render()
+        assert database.execute_sql(sql).rows == make_database(
+            execution_mode="interpreted"
+        ).execute_sql(sql).rows
+        stats = database.execution_stats()["vectorized"]
+        assert stats["topk_executions"] == 2
+        assert stats["topk_declines"] == {}
+        # A key through an unlowerable projection output.
+        with pytest.raises(ExpressionError):
+            database.execute_sql(
+                "select o_id, nofunc(o_id) as z from orders order by z limit 2"
+            )
+        # An output that raises only at run time.
+        with pytest.raises(TypeError):
+            database.execute_sql(
+                "select o_id, o_status + 1 as z from orders "
+                "order by o_id limit 2"
+            )
+        stats = database.execution_stats()["vectorized"]
+        assert stats["topk_declines"] == {"unsupported": 1, "error": 1}
+        assert stats["topk_executions"] == 2
+
+    def test_nan_key_declines_to_the_kernels(self):
+        row = {**dict.fromkeys(_TOPK_COLUMNS, 0), "f": _NAN}
+        database = _topk_database([row] * 3, "dictionary")
+        rows = database.execute_sql("select id from t order by f limit 2").rows
+        assert rows == [{"id": 0}, {"id": 1}]
+        stats = database.execution_stats()["vectorized"]
+        assert stats["topk_declines"] == {"nan_key": 1}
+        assert stats["topk_executions"] == 0
+        assert database._executor.last_execution_path == "kernel"
+
+    def test_order_by_without_limit_stays_on_the_kernels(self):
+        database = make_database()
+        statement = database.prepare(
+            "select o_id from orders where o_total > ? order by o_total"
+        )
+        statement.execute((3.0,))
+        assert statement.last_execution_path == "kernel"
+        assert statement._exec_plan in database._executor._vectorized._ops
+
+    def test_routed_top_k_counts_on_the_shard(self):
+        database = make_database()
+        database.shard_table("orders", "o_c_id", 3)
+        sql = "select * from orders where o_c_id = 3 order by o_total desc limit 2"
+        assert database.execute_sql(sql).rows == make_database(
+            execution_mode="interpreted"
+        ).execute_sql(sql).rows
+        assert database.sharding_stats()["routed"] == 1
+        assert database.execution_stats()["vectorized"]["topk_executions"] == 1
