@@ -82,7 +82,9 @@ bench-e2e-smoke:
 # interpreted-tier copy, no view re-encoded, each UPDATE on its expected
 # access path) — and the codegen ones —
 # scan_filter_codegen, aggregate_codegen, sort_limit_codegen (the fused
-# top-k), dict_filter_strings (row equality
+# top-k), join_filter_codegen (the fused filtered join on 40-key rows),
+# join_filter_narrow (14-key rows, which must stay on the kernels),
+# dict_filter_strings (row equality
 # across codegen/kernel/interpreted asserted, and the run fails if any
 # benchmark plan hits a codegen_unsupported fallback); does not overwrite
 # BENCH_engine.json.

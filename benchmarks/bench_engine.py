@@ -13,13 +13,16 @@ benchmark families are timed:
   the interpreted baseline (and over the compiled row tier); vectorized
   results are asserted row-identical to the interpreted ones.  The
   ``*_codegen`` entries (``scan_filter_codegen``, ``aggregate_codegen``,
-  ``sort_limit_codegen`` — the fused top-k — and ``dict_filter_strings``)
-  time the fused-pipeline codegen path against the batch-kernel path on
-  the same plans (interleaved min-of so allocator
+  ``sort_limit_codegen`` — the fused top-k —, ``join_filter_codegen`` —
+  the fused filtered-join probe loop on 40-key rows — and
+  ``dict_filter_strings``) time the fused-pipeline codegen path against
+  the batch-kernel path on the same plans (interleaved min-of so allocator
   drift hits both equally), asserting row equality and that codegen
   actually served the run; ``dict_filter_strings`` additionally compares a
   string-equality filter over the dictionary-encoded column against the
-  same filter with strings stored boxed.
+  same filter with strings stored boxed.  ``join_filter_narrow`` is the
+  filtered join on 14-key rows, which the codegen executor must leave to
+  the kernels.
 
 * **Prepared-statement point lookups** — the N+1 lazy-load query shape
   (``select * from customers where c_id = ?``) executed over and over with
@@ -91,7 +94,9 @@ benchmark families are timed:
 
 Results are written to ``BENCH_engine.json`` in the repository root (path
 overridable via ``BENCH_ENGINE_OUT``, used by the CI smoke run) so later
-PRs can track the performance trajectory.  Scale is adjustable via the
+PRs can track the performance trajectory; its ``environment`` block records
+what they were measured on (Python, ``nproc``, platform, the commit and
+whether ``src/`` differed from it).  Scale is adjustable via the
 ``BENCH_ENGINE_ROWS`` environment variable (default 50 000).
 
 This file is intentionally *not* named ``test_*``: it is a standalone
@@ -102,8 +107,10 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -126,6 +133,7 @@ from repro.workloads import tpcds  # noqa: E402
 from repro.workloads.programs import P0_SOURCE  # noqa: E402
 from repro.workloads.wilos import build_wilos_database  # noqa: E402
 from repro.workloads.wilos_programs import build_patterns  # noqa: E402
+from record_e2e import git_commit, src_modified  # noqa: E402
 
 #: Largest-relation row count for the executor microbenchmarks.
 DEFAULT_ROWS = 50_000
@@ -348,6 +356,46 @@ def _interleaved_best(
 CODEGEN_PLANS = ("scan_filter", "aggregate", "sort_limit")
 
 
+def join_filter_plan() -> algebra.PlanNode:
+    """``select * from orders o join customer c on o.o_customer_sk =
+    c.c_customer_sk where o.o_item_sk >= 500 and o.o_item_sk < 1000`` over
+    the TPC-DS-style orders database: a 40-key full-width join keeping 5 %
+    of the orders, the fused probe loop's shape."""
+    item = ColumnRef("o_item_sk", "o")
+    return algebra.Select(
+        algebra.Join(
+            algebra.Scan("orders", "o"),
+            algebra.Scan("customer", "c"),
+            BinaryOp(
+                "=",
+                ColumnRef("o_customer_sk", "o"),
+                ColumnRef("c_customer_sk", "c"),
+            ),
+        ),
+        BooleanOp(
+            "and",
+            (
+                BinaryOp(">=", item, Literal(500)),
+                BinaryOp("<", item, Literal(1_000)),
+            ),
+        ),
+    )
+
+
+def narrow_join_filter_plan() -> algebra.PlanNode:
+    """``select * from orders o join customers c on o.o_c_id = c.c_id where
+    o.o_total < 50.0``: the same 5 % filter, but 14-key rows, which the
+    kernels' memoised match emits faster than the probe loop would."""
+    return algebra.Select(
+        algebra.Join(
+            algebra.Scan("orders", "o"),
+            algebra.Scan("customers", "c"),
+            BinaryOp("=", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
+        ),
+        BinaryOp("<", ColumnRef("o_total", "o"), Literal(50.0)),
+    )
+
+
 def sort_limit_plan(rows: int) -> algebra.PlanNode:
     """``select o_id, o_total from orders where o_c_id < ? order by o_total
     desc, o_id limit 100`` over half the orders: the fused top-k's shape."""
@@ -375,6 +423,40 @@ def sort_limit_plan(rows: int) -> algebra.PlanNode:
     )
 
 
+def _codegen_entry(
+    name: str,
+    plan: algebra.PlanNode,
+    interpreted: Executor,
+    kernel: Executor,
+    codegen: Executor,
+) -> dict:
+    """Time ``plan`` on the codegen executor against the kernel one (and
+    the interpreted tier), after asserting all three agree row for row."""
+    reference = interpreted.execute(plan)
+    if reference != kernel.execute(plan) or reference != codegen.execute(plan):
+        raise AssertionError(
+            f"codegen / kernel / interpreted results differ for {name!r}"
+        )
+    output_rows = len(reference)
+    del reference
+    timings = _interleaved_best(
+        {
+            "kernel": lambda: kernel.execute(plan),
+            "codegen": lambda: codegen.execute(plan),
+        }
+    )
+    interpreted_s = _best_time(lambda: interpreted.execute(plan))
+    return {
+        "output_rows": output_rows,
+        "interpreted_seconds": interpreted_s,
+        "kernel_seconds": timings["kernel"],
+        "codegen_seconds": timings["codegen"],
+        # Headline: the fused compiled loop over the batch-kernel path.
+        "speedup_vs_kernel": timings["kernel"] / timings["codegen"],
+        "speedup_vs_interpreted": interpreted_s / timings["codegen"],
+    }
+
+
 def bench_codegen(rows: int) -> dict:
     """Fused-pipeline codegen vs the batch-kernel vectorized path.
 
@@ -383,7 +465,12 @@ def bench_codegen(rows: int) -> dict:
     executor compiles the fused loops.  Row equality against the interpreted tier is asserted,
     as is that the codegen executor actually served every run from a
     compiled pipeline.  ``sort_limit`` is ``ORDER BY … LIMIT 100``: the
-    fused top-k against the kernels' full sort.  ``dict_filter_strings``
+    fused top-k against the kernels' full sort.  ``join_filter`` is a
+    filtered 40-key join: the fused probe loop against the kernels'
+    memoised match, filter and row maker; ``join_filter_narrow`` is the
+    same filter over 14-key rows, which the codegen executor declines
+    (``narrow_row``) to the kernels — the two sides of the fused join's
+    width cut-off.  ``dict_filter_strings``
     times a string-equality filter whose codegen compares dictionary
     codes, against the kernel path and against the same pipeline with
     strings stored boxed.
@@ -394,34 +481,12 @@ def bench_codegen(rows: int) -> dict:
     kernel._vectorized.codegen_enabled = False
     codegen = Executor(database.tables, mode="vectorized")
     plans = {**executor_plans(), "sort_limit": sort_limit_plan(rows)}
-    results: dict = {}
-    for name in CODEGEN_PLANS:
-        plan = plans[name]
-        reference = interpreted.execute(plan)
-        if reference != kernel.execute(plan) or reference != codegen.execute(
-            plan
-        ):
-            raise AssertionError(
-                f"codegen / kernel / interpreted results differ for {name!r}"
-            )
-        output_rows = len(reference)
-        del reference
-        timings = _interleaved_best(
-            {
-                "kernel": lambda: kernel.execute(plan),
-                "codegen": lambda: codegen.execute(plan),
-            }
+    results: dict = {
+        f"{name}_codegen": _codegen_entry(
+            name, plans[name], interpreted, kernel, codegen
         )
-        interpreted_s = _best_time(lambda: interpreted.execute(plan))
-        results[f"{name}_codegen"] = {
-            "output_rows": output_rows,
-            "interpreted_seconds": interpreted_s,
-            "kernel_seconds": timings["kernel"],
-            "codegen_seconds": timings["codegen"],
-            # Headline: the fused compiled loop over the batch-kernel path.
-            "speedup_vs_kernel": timings["kernel"] / timings["codegen"],
-            "speedup_vs_interpreted": interpreted_s / timings["codegen"],
-        }
+        for name in CODEGEN_PLANS
+    }
     if codegen._vectorized.codegen_executions == 0:
         raise AssertionError("codegen executor never took the codegen path")
     if codegen._vectorized.fallback_reasons.get("codegen_unsupported"):
@@ -430,6 +495,32 @@ def bench_codegen(rows: int) -> dict:
         raise AssertionError("kernel baseline unexpectedly ran codegen")
     if not codegen._vectorized.topk_executions:
         raise AssertionError("sort_limit never took the fused top-k path")
+
+    # -- join_filter: both sides of the fused join's width cut-off -------
+    wide_database = tpcds.build_orders_database(
+        num_orders=rows, num_customers=max(rows // 10, 1)
+    )
+    wide_executors = [
+        Executor(wide_database.tables, mode=mode)
+        for mode in ("interpreted", "vectorized", "vectorized")
+    ]
+    wide_executors[1]._vectorized.codegen_enabled = False
+    results["join_filter_codegen"] = _codegen_entry(
+        "join_filter", join_filter_plan(), *wide_executors
+    )
+    if not wide_executors[2]._vectorized.join_executions:
+        raise AssertionError("join_filter never took the fused join path")
+    narrow_plan = narrow_join_filter_plan()
+    reference = interpreted.execute(narrow_plan)
+    if reference != codegen.execute(narrow_plan):
+        raise AssertionError("join_filter_narrow results differ")
+    if codegen._vectorized.join_declines.get("narrow_row") != 1:
+        raise AssertionError("join_filter_narrow did not decline to kernels")
+    results["join_filter_narrow"] = {
+        "output_rows": len(reference),
+        "kernel_seconds": _best_time(lambda: codegen.execute(narrow_plan)),
+    }
+    del reference
 
     # -- dict_filter_strings: dictionary codes vs boxed strings ----------
     dict_plan = algebra.Select(
@@ -1640,11 +1731,24 @@ def bench_optimizer(wilos_scale: int = 2_000) -> dict:
     }
 
 
+def environment() -> dict:
+    """What the timings were measured on."""
+    checkout = Path(_REPO_ROOT)
+    return {
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+        "commit": git_commit(checkout),
+        "src_modified": src_modified(checkout),
+    }
+
+
 def main() -> dict:
     rows = int(os.environ.get("BENCH_ENGINE_ROWS", str(DEFAULT_ROWS)))
     started = time.perf_counter()
     report = {
         "benchmark": "engine",
+        "environment": environment(),
         "rows": rows,
         "executor": bench_executor(rows),
         "codegen": bench_codegen(rows),

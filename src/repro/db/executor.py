@@ -195,6 +195,7 @@ class Executor:
                 "executions": 0,
                 "codegen_executions": 0,
                 "topk_executions": 0,
+                "join_executions": 0,
                 "pipelines_compiled": 0,
                 "codegen_cache_hits": 0,
                 "codegen_errors": 0,
@@ -202,11 +203,13 @@ class Executor:
                 "subtree_fallbacks": 0,
                 "fallback_reasons": {},
                 "topk_declines": {},
+                "join_declines": {},
             }
         return {
             "executions": self._vectorized.executions,
             "codegen_executions": self._vectorized.codegen_executions,
             "topk_executions": self._vectorized.topk_executions,
+            "join_executions": self._vectorized.join_executions,
             "pipelines_compiled": self._vectorized.pipelines_compiled,
             "codegen_cache_hits": self._vectorized.codegen_cache_hits,
             "codegen_errors": self._vectorized.codegen_errors,
@@ -214,6 +217,7 @@ class Executor:
             "subtree_fallbacks": self._vectorized.subtree_fallbacks,
             "fallback_reasons": dict(self._vectorized.fallback_reasons),
             "topk_declines": dict(self._vectorized.topk_declines),
+            "join_declines": dict(self._vectorized.join_declines),
         }
 
     def invalidate_context_cache(self) -> None:

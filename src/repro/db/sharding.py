@@ -708,7 +708,7 @@ class ShardRouter:
         if self._mode == "vectorized":
             rows = self._scatter_codegen(executors, node)
             if rows is not None:
-                self._mark_codegen(executors)
+                self._mark_codegen(executors, node)
                 return rows
             rows = self._scatter_batches(executors, node)
             if rows is not None:
@@ -775,18 +775,19 @@ class ShardRouter:
             )
             if rows is None:
                 return None
-        self._mark_codegen(executors)
+        self._mark_codegen(executors, route.node)
         return _apply(route.node_post, rows)
 
-    def _mark_codegen(self, executors: Sequence[Executor]) -> None:
+    def _mark_codegen(
+        self, executors: Sequence[Executor], node: algebra.PlanNode
+    ) -> None:
         """Count one codegen execution per shard and set the call markers."""
         for executor in executors:
-            executor._vectorized.executions += 1
-            executor._vectorized.codegen_executions += 1
+            executor._vectorized.count_codegen(node)
             executor.tier_counts["vectorized"] += 1
         self.last_tier = "vectorized"
         self.last_fallback_reason = None
-        self.last_execution_path = "codegen"
+        self.last_execution_path = executors[0]._vectorized.last_path
 
     def _scatter_batches(
         self, executors: Sequence[Executor], node: algebra.PlanNode
@@ -1383,6 +1384,7 @@ VECTORIZED_COUNTER_KEYS = (
     "executions",
     "codegen_executions",
     "topk_executions",
+    "join_executions",
     "pipelines_compiled",
     "codegen_cache_hits",
     "codegen_errors",
@@ -1390,7 +1392,11 @@ VECTORIZED_COUNTER_KEYS = (
     "subtree_fallbacks",
 )
 #: The reason -> count dicts of a vectorized-stats dict, merged per reason.
-VECTORIZED_REASON_KEYS = ("fallback_reasons", "topk_declines")
+VECTORIZED_REASON_KEYS = (
+    "fallback_reasons",
+    "topk_declines",
+    "join_declines",
+)
 
 
 def _zero_vectorized_counters() -> dict[str, Any]:

@@ -9,7 +9,7 @@ Supported grammar (case insensitive keywords)::
     select_list := '*' | select_item (',' select_item)*
     select_item := expression [AS name] | agg '(' ('*' | expression) ')' [AS name]
     table_ref  := name [name]            -- optional alias
-    join_clause:= JOIN table_ref ON predicate
+    join_clause:= [INNER] JOIN table_ref ON predicate
     update    := UPDATE name SET assignment (',' assignment)*
                  [WHERE predicate]
     assignment:= column '=' expression
@@ -28,6 +28,11 @@ parse to :class:`UpdateStatement` — a table name, SET assignments whose
 right-hand sides are full expressions (so ``set visits = visits + 1`` works),
 and an optional WHERE predicate; both sides support positional ``?``
 parameters bound with :func:`bind_update_parameters`.
+
+Valid SQL outside the grammar — ``DISTINCT`` (in the select list or an
+aggregate argument), ``[NOT] BETWEEN`` and ``LEFT`` / ``RIGHT`` / ``OUTER``
+joins — raises :class:`UnsupportedSqlError` naming the construct, and
+those keywords never parse as column or alias names.
 """
 
 from __future__ import annotations
@@ -57,6 +62,24 @@ _AGGREGATES = set(algebra.AGGREGATE_FUNCTIONS)
 
 class SQLSyntaxError(Exception):
     """Raised when the SQL text cannot be parsed."""
+
+
+class UnsupportedSqlError(SQLSyntaxError):
+    """Valid SQL the engine does not implement.
+
+    ``construct`` names it (``"DISTINCT"``, ``"BETWEEN"``, ``"LEFT JOIN"``,
+    ...), so a caller can tell a missing feature from a typo.
+    """
+
+    def __init__(self, construct: str) -> None:
+        super().__init__(f"unsupported SQL construct: {construct}")
+        self.construct = construct
+
+
+#: Keywords of constructs the grammar rejects; never column or alias names.
+_UNSUPPORTED_WORDS = frozenset(
+    {"distinct", "between", "left", "right", "outer"}
+)
 
 
 @dataclass(frozen=True)
@@ -191,6 +214,8 @@ class _Parser:
 
     def parse(self) -> algebra.PlanNode:
         self._expect_keyword("select")
+        if self._accept_keyword("distinct"):
+            raise UnsupportedSqlError("DISTINCT")
         select_items = self._parse_select_list()
         self._expect_keyword("from")
         plan = self._parse_table_ref()
@@ -280,13 +305,20 @@ class _Parser:
         alias = None
         nxt = self._peek()
         reserved = {
-            "join", "on", "where", "group", "order", "limit", "inner", "left",
+            "join", "on", "where", "group", "order", "limit", "inner",
+            *_UNSUPPORTED_WORDS,
         }
         if nxt and nxt.kind == "name" and nxt.text.lower() not in reserved:
             alias = self._next().text
         return algebra.Scan(table, alias)
 
     def _parse_join(self, left: algebra.PlanNode) -> Optional[algebra.PlanNode]:
+        outer = self._accept_keyword("left", "right", "outer")
+        if outer:
+            words = [outer]
+            if outer != "outer" and self._accept_keyword("outer"):
+                words.append("outer")
+            raise UnsupportedSqlError(" ".join([*words, "join"]).upper())
         if self._accept_keyword("inner"):
             self._expect_keyword("join")
         elif not self._accept_keyword("join"):
@@ -329,9 +361,16 @@ class _Parser:
                 inner = self._parse_predicate()
                 self._expect_op(")")
                 return inner
+            except UnsupportedSqlError:
+                raise
             except SQLSyntaxError:
                 self._index = saved - 1
         left = self._parse_expression()
+        if self._accept_keyword("between"):
+            raise UnsupportedSqlError("BETWEEN")
+        upcoming = self._tokens[self._index : self._index + 2]
+        if [token.text.lower() for token in upcoming] == ["not", "between"]:
+            raise UnsupportedSqlError("NOT BETWEEN")
         if self._accept_keyword("is"):
             negated = bool(self._accept_keyword("not"))
             self._expect_keyword("null")
@@ -410,6 +449,10 @@ class _Parser:
                 return Literal(lowered == "true")
             if self._accept_op("("):
                 return self._parse_call(token.text)
+            if lowered in _UNSUPPORTED_WORDS:
+                raise SQLSyntaxError(
+                    f"reserved word {token.text!r} cannot name a column"
+                )
             if "." in token.text:
                 qualifier, name = token.text.split(".", 1)
                 return ColumnRef(name, qualifier)
@@ -423,6 +466,8 @@ class _Parser:
             if lowered != "count":
                 raise SQLSyntaxError(f"{name}(*) is only valid for COUNT")
             return _AggregateCall("count", None)
+        if self._accept_keyword("distinct"):
+            raise UnsupportedSqlError("DISTINCT")
         args = []
         if not self._accept_op(")"):
             args.append(self._parse_expression())

@@ -8,8 +8,9 @@ substrate for lazy loads and by the executor for indexed joins).
 Beyond the primary-key index, tables keep *derived views*, each built lazily
 on first use: secondary hash indexes (:meth:`Table.index_for`, column value
 -> rows holding it; the executor's index-nested-loop joins and hash-join
-build sides), positional bucket indexes (:meth:`Table.positions_for`, column
-value -> row positions; the candidate source of a point ``UPDATE``), cached
+build sides), positional bucket indexes (:meth:`Table.position_index`,
+column value -> row positions; the candidate source of a point ``UPDATE``
+and the build side of the vectorized tier's fused join loop), cached
 per-column distinct counts (the statistics catalog), the *columnar view*
 (:meth:`Table.columns`, one :class:`ColumnData` per column aligned by row
 position, which the vectorized executor scans instead of row dictionaries)
@@ -653,30 +654,47 @@ class Table:
             self._indexes[column] = index
         return index
 
-    def positions_for(self, column: str, value: Any) -> Optional[list[int]]:
-        """Ascending positions of the rows whose ``column`` may equal ``value``.
+    def position_index(self, column: str) -> Optional[dict[Any, list[int]]]:
+        """Positional bucket index: column value -> ascending row positions.
 
-        The candidate source of a point ``UPDATE``: a positional bucket
-        index with :meth:`index_for`'s lifecycle.  A *bucket* index, never
-        the primary-key index — primary keys are not enforced unique.  Hash
-        lookup finds every row a Python ``==`` would (equal builtin values
-        hash equally), possibly more never fewer, so callers still evaluate
-        their predicate on each candidate.  Returns ``None`` when the column
-        is unknown or ``value`` or a stored value is unhashable; the caller
-        scans instead.
+        Built lazily on first use with :meth:`index_for`'s lifecycle: inserts
+        append to its buckets, an update assigning ``column`` drops it, and
+        ``clear`` / ``truncate_to`` drop every view.  NULLs are not indexed.
+        Lookups follow dict semantics (``1``, ``1.0`` and ``True`` are one
+        key), which is what the hash joins match on.  Returns ``None`` when
+        the column is unknown or a stored value is unhashable (an insert of
+        one drops a built index; see :func:`_file`).  Callers must not
+        mutate the returned dict.
         """
         index = self._positions.get(column)
-        try:
-            if index is None:
-                if not self.schema.has_column(column):
-                    return None  # the scan raises what it always raised
-                index = {}
+        if index is None:
+            if not self.schema.has_column(column):
+                return None
+            index = {}
+            try:
                 for position, row in enumerate(self.rows):
                     stored = row[column]
                     if stored is not None:
                         index.setdefault(stored, []).append(position)
-                self._positions[column] = index
-            return index.get(value, ())
+            except TypeError:
+                return None
+            self._positions[column] = index
+        return index
+
+    def positions_for(self, column: str, value: Any) -> Optional[list[int]]:
+        """Ascending positions of the rows whose ``column`` may equal ``value``.
+
+        The candidate source of a point ``UPDATE``, read off
+        :meth:`position_index` — a *bucket* index, never the primary-key
+        index: primary keys are not enforced unique.  Hash lookup finds
+        every row a Python ``==`` would (equal builtin values hash equally),
+        possibly more never fewer, so callers still evaluate their predicate
+        on each candidate.  Returns ``None`` when the column is unknown or
+        ``value`` or a stored value is unhashable; the caller scans instead.
+        """
+        index = self.position_index(column)
+        try:
+            return None if index is None else index.get(value, ())
         except TypeError:
             return None
 

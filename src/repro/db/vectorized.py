@@ -26,9 +26,10 @@ of streams of per-row dictionaries:
 Expressions reach code through the one lowering in
 :mod:`repro.db.expressions`; this module supplies two of its three scopes
 (:class:`_BatchScope` for the kernels, :class:`_PipelineCompiler` for fused
-``[Project|Aggregate] → Select* → Scan`` and top-k ``Limit → Sort → …``
-loops specialized to each column's physical encoding), so a node either
-scope cannot lower is rejected by the other for the same reason.
+``[Project|Aggregate] → Select* → Scan``, top-k ``Limit → Sort → …`` and
+filtered-join ``Select+ → Join → (Scan, Scan)`` loops
+specialized to each column's physical encoding), so a node either scope
+cannot lower is rejected by the other for the same reason.
 
 Operators or expressions outside the vectorizable subset fall back
 *per-subtree* to the compiled tier: the subtree executes as rows, which are
@@ -42,7 +43,7 @@ property-tested row-identical.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict, defaultdict, deque
 from itertools import repeat
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -488,12 +489,22 @@ def _hash_join_positions(
 #
 # The batch kernels still make one full pass over Python lists of boxed
 # values per filter/projection expression.  For the dominant pipeline
-# spine — an optional Project or Aggregate over any number of Selects over a
-# single Scan, optionally under ``ORDER BY … LIMIT k`` — the executor goes
-# one step further and compiles the *whole pipeline* into one
-# ``exec``-compiled fused loop, specialized to each
-# referenced column's physical representation (see
-# :class:`repro.db.table.ColumnData`):
+# spines the executor goes one step further and compiles the *whole
+# pipeline* into one ``exec``-compiled fused loop:
+#
+# * select: ``[Project] → Select* → Scan``;
+# * aggregate: ``[Project] → Aggregate → Select* → Scan``, in two halves
+#   so one group state can fold several tables (the shard partitions);
+# * top-k: ``ORDER BY … LIMIT k`` over a select spine, into
+#   ``heapq.nsmallest``;
+# * filtered join: ``Select+ → Join(L.col = R.col) → (Scan L, Scan R)``
+#   with every conjunct on L and a joined row of at least
+#   ``_FUSED_JOIN_MIN_KEYS`` keys — the filter runs over L alone and each
+#   survivor probes R's positional index (:meth:`repro.db.table.
+#   Table.position_index`) before any joined row exists.
+#
+# Each loop is specialized to every referenced column's physical
+# representation (see :class:`repro.db.table.ColumnData`):
 #
 # * dictionary-encoded string filters translate the comparison literal (or
 #   parameter value) through the dictionary once per execution and compare
@@ -513,9 +524,11 @@ def _hash_join_positions(
 
 
 #: Shape-cache entry for eligible spines whose expressions cannot be
-#: lowered; distinct from ``None`` ("not a pipeline spine at all" — joins,
-#: sorts without a limit and limits without a sort stay on the kernel path
-#: without counting anything).
+#: lowered; distinct from ``None`` ("not a pipeline spine at all" — joins
+#: without a filter or under a projection, sorts without a limit and
+#: limits without a sort stay on the kernel path without counting
+#: anything).  A join spine caches a
+#: :class:`_JoinDecline` instead, which carries its reason.
 _CODEGEN_UNSUPPORTED = object()
 
 #: Shape-cache miss marker (``None`` and the sentinel above are both
@@ -528,7 +541,9 @@ class _PipelineShape:
 
     A top-k spine also carries its ``ORDER BY`` keys, its ``LIMIT`` count
     and whether the keys name the projection's outputs (``Sort`` above
-    ``Project``, the parser's plan) or the scanned table's columns.
+    ``Project``, the parser's plan) or the scanned table's columns.  A join
+    spine carries its ``Join`` node; ``table`` / ``alias`` are then the
+    probe (left) side's.
     """
 
     __slots__ = (
@@ -540,6 +555,7 @@ class _PipelineShape:
         "order",
         "limit",
         "order_over_outputs",
+        "join",
     )
 
     def __init__(
@@ -552,6 +568,7 @@ class _PipelineShape:
         order: Optional[tuple[algebra.SortKey, ...]] = None,
         limit: int = 0,
         order_over_outputs: bool = False,
+        join: Optional[algebra.Join] = None,
     ) -> None:
         self.table = table
         self.alias = alias
@@ -561,17 +578,30 @@ class _PipelineShape:
         self.order = order
         self.limit = limit
         self.order_over_outputs = order_over_outputs
+        self.join = join
 
 
 def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
     """Peel ``plan`` into a fused spine, or return ``None``.
 
-    The spines are ``[Project | Aggregate] → Select* → Scan`` and the top-k
-    ``Limit(k > 0) → Sort → [Project] → Select* → Scan`` (or ``Limit →
-    Project → Sort → …`` when the keys name table columns the projection
-    drops).  Every other shape returns ``None``; a ``Sort`` without a
-    ``Limit`` in particular stays on the batch kernels, where prepared
-    statements rely on sorted plans populating the kernel cache (``_ops``).
+    The spines are
+
+    * ``[Project | Aggregate] → Select* → Scan`` (select and aggregate
+      pipelines);
+    * the top-k ``Limit(k > 0) → Sort → [Project] → Select* → Scan`` (or
+      ``Limit → Project → Sort → …`` when the keys name table columns the
+      projection drops);
+    * the full-width filtered equi-join ``Select+ → Join(L.col = R.col) →
+      (Scan L, Scan R)``, probing R's positional index from one loop over
+      L (whether every conjunct reads L only, and whether the joined row
+      is wide enough, is settled at compile time).
+
+    Every other shape returns ``None``; a ``Sort`` without a ``Limit`` in
+    particular stays on the batch kernels, where prepared statements rely
+    on sorted plans populating the kernel cache (``_ops``), and so do a
+    join without a filter, whose memoised match already skips the probe,
+    and a projection over a join, whose narrow rows the kernels' memoised
+    match emits faster than the probe loop.
     """
     outputs: Optional[tuple[algebra.OutputColumn, ...]] = None
     aggregate: Optional[algebra.Aggregate] = None
@@ -613,6 +643,20 @@ def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
     while isinstance(node, algebra.Select):
         predicates.append(node.predicate)
         node = node.child
+    join: Optional[algebra.Join] = None
+    if isinstance(node, algebra.Join):
+        if (
+            not predicates
+            or outputs is not None
+            or aggregate is not None
+            or order is not None
+            or not isinstance(node.left, algebra.Scan)
+            or not isinstance(node.right, algebra.Scan)
+            or _equi_join_columns(node.condition) is None
+        ):
+            return None
+        join = node
+        node = node.left
     if not isinstance(node, algebra.Scan):
         return None
     predicates.reverse()  # the innermost Select applies first
@@ -628,6 +672,7 @@ def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
         order,
         limit,
         order_over_outputs,
+        join,
     )
 
 
@@ -1077,6 +1122,166 @@ def _generate_topk(
     return _assemble_pipeline(compiler, body)
 
 
+class _JoinDecline(LoweringError):
+    """A join spine the fused probe loop does not cover, and why.
+
+    Raised while compiling (trial mode included); the cached shape then
+    counts ``reason`` in ``join_declines`` on every execution, and the
+    statement runs on the batch kernels.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+class _JoinCompiler(_PipelineCompiler):
+    """The pipeline scope of a join's probe side.
+
+    Column references resolve over the joined row's key layout (see
+    :func:`_join_layout`), exactly as the row tiers read the merged row; a
+    reference that lands on the build side refuses the spine.
+    """
+
+    def __init__(self, schema, store, layout: dict) -> None:
+        super().__init__(schema, store)
+        self._layout = layout
+
+    def resolve(self, column: ColumnRef) -> str:
+        side, name = self._layout[_output_key(column, self._layout)]
+        if side != "L":
+            raise _JoinDecline("build_side_filter")
+        return name
+
+    def survivor_value(self, name: str) -> str:
+        """Column ``name`` of the current L row, read after the filter.
+
+        The loop's variable when a conjunct already zips the column, else
+        a positional read that only the survivors pay.
+        """
+        var = self._boxed_vars.get(name)
+        return var if var is not None else f"{self.column_var(name)}[_i]"
+
+
+def _scan_keys(scan: algebra.Scan, schema) -> dict[str, str]:
+    """A scan's output keys (bare, then alias-qualified) -> column name."""
+    names = schema.column_names
+    keys = {name: name for name in names}
+    keys.update((f"{scan.effective_alias}.{name}", name) for name in names)
+    return keys
+
+
+def _join_layout(
+    join: algebra.Join, probe_schema, build_schema
+) -> dict[str, tuple[str, str]]:
+    """The joined row's keys, in order, -> (side, column name).
+
+    The batch join's merge (and the row tiers' ``_merge_rows``): R's keys
+    first, then L's keys not already present; a bare name both tables
+    have keeps R's position and takes L's value.
+    """
+    build = _scan_keys(join.right, build_schema)
+    probe = _scan_keys(join.left, probe_schema)
+    return {
+        **{key: ("R", name) for key, name in build.items()},
+        **{key: ("L", name) for key, name in probe.items()},
+    }
+
+
+def _join_keys(
+    join: algebra.Join, probe_schema, build_schema
+) -> tuple[str, str]:
+    """The (probe, build) key columns, oriented as the batch join orients
+    them: the condition as written, else right-to-left."""
+    probe_keys = _scan_keys(join.left, probe_schema)
+    build_keys = _scan_keys(join.right, build_schema)
+    first, second = _equi_join_columns(join.condition)
+    for left_col, right_col in ((first, second), (second, first)):
+        try:
+            return (
+                probe_keys[_output_key(left_col, probe_keys)],
+                build_keys[_output_key(right_col, build_keys)],
+            )
+        except LoweringError:
+            continue
+    raise LoweringError(join.condition.to_sql())
+
+
+#: Fewest keys a joined row must have for the fused probe loop to serve
+#: its join; a narrower one declines (``narrow_row``) to the batch
+#: kernels.  Between writes the kernels memoise the whole join match and
+#: pay one filter pass plus their row maker, while the fused loop probes
+#: every survivor again; what it wins back is emission, where merging the
+#: stored row dicts beats the row maker by more the wider the row.  On
+#: 50k-row probe tables keeping 5 % (2-core x86-64, CPython 3.11), the
+#: fused loop runs at 0.72–0.75× the kernels' speed at 14 keys, 0.98× at
+#: 26, 1.03× at 30 and 1.10–1.19× at 34–40.
+_FUSED_JOIN_MIN_KEYS = 30
+
+
+def _generate_join(
+    shape: _PipelineShape, schema, store, build_schema
+) -> tuple[str, dict, bool]:
+    """Source for a ``Select+ → Join → (Scan L, Scan R)`` spine.
+
+    One comprehension over L's columns tests the conjuncts like a select
+    pipeline, looks each survivor's key up in R's positional index (dict
+    semantics on the boxed values: NULL never matches, ``1``, ``1.0`` and
+    ``True`` are one key) and emits one row per matching R position, in
+    (L position, R position) order — the batch join's order.  Each row
+    merges the stored row dicts, ``{**R row, R-qualified, **L row,
+    L-qualified}``: the bare keys copy at C speed, and the key order and
+    the L-wins rule for shared bare names are the batch join's.  A joined
+    row of fewer than :data:`_FUSED_JOIN_MIN_KEYS` keys declines.
+
+    The generated ``_pipeline(_cols, _n, _lrows, _rrows, _index)`` takes
+    L's column store, row count and rows, R's rows and R's index on the
+    build key (``_build_key`` in the returned bindings).
+    """
+    join = shape.join
+    layout = _join_layout(join, schema, build_schema)
+    if len(layout) < _FUSED_JOIN_MIN_KEYS:
+        raise _JoinDecline("narrow_row")
+    probe_key, build_key = _join_keys(join, schema, build_schema)
+    compiler = _JoinCompiler(schema, store, layout)
+    compiler.globals["_build_key"] = build_key
+    conditions = [
+        lower_expression(conjunct, compiler).src
+        for conjunct in shape.conjuncts
+    ]
+    compiler.prologue.append("_get = _index.get")
+    if compiler.encoding(probe_key) == "boxed":
+        # The row tiers probe every L row, filtered or not, so an
+        # unhashable key anywhere in L raises there: raise here too.
+        compiler.globals.update(
+            {"_drain": deque(maxlen=0).extend, "_map": map, "_hash": hash}
+        )
+        column = compiler.column_var(probe_key)
+        compiler.prologue.append(f"_drain(_map(_hash, {column}))")
+    items = []
+    for row, fetch, scan, side_schema in (
+        ("_rr", "_rrows[_j]", join.right, build_schema),
+        ("_lr", "_lrows[_i]", join.left, schema),
+    ):
+        items.append(f"**({row} := {fetch})")
+        items.extend(
+            f"{f'{scan.effective_alias}.{name}'!r}: {row}[{name!r}]"
+            for name in side_schema.column_names
+        )
+    key = compiler.survivor_value(probe_key)
+    loop = compiler.loop_clause(("_i", "_range(_n)"))
+    body = [
+        f"return [{{{', '.join(items)}}} {loop}"
+        f" if {' and '.join(conditions)} for _j in _get({key}, ())]"
+    ]
+    lines = [
+        "def _pipeline(_cols, _n, _lrows, _rrows, _index):",
+        *_indent(compiler.prologue),
+        *_indent(body),
+    ]
+    return "\n".join(lines), compiler.globals, False
+
+
 def _emit_items(
     compiler: _PipelineCompiler,
     shape: _PipelineShape,
@@ -1467,8 +1672,14 @@ def _assemble_aggregate(
 
 
 def _generate_pipeline(
-    shape: _PipelineShape, schema, store, shared: bool = False
+    shape: _PipelineShape,
+    schema,
+    store,
+    shared: bool = False,
+    build_schema=None,
 ) -> tuple[str, dict, bool]:
+    if shape.join is not None:
+        return _generate_join(shape, schema, store, build_schema)
     if shape.aggregate is not None:
         return _generate_aggregate(shape, schema, store, shared)
     if shape.order is not None:
@@ -1492,6 +1703,16 @@ class _AggregatePipeline:
 
     def __call__(self, cols: dict, n: int, wide: Any) -> list[Row]:
         return self.emit(self.accumulate(self.init(), cols, n), cols)
+
+
+class _JoinPipeline:
+    """A compiled join spine: the generated loop and its build key."""
+
+    __slots__ = ("loop", "build_key")
+
+    def __init__(self, bindings: dict) -> None:
+        self.loop = bindings["_pipeline"]
+        self.build_key = bindings["_build_key"]
 
 
 class AggregateCarry:
@@ -1551,6 +1772,18 @@ class VectorizedExecutor:
         #: ``unsupported`` (an unlowerable expression) and ``error`` (the
         #: generated loop raised; also counted in ``codegen_errors``).
         self.topk_declines: dict[str, int] = {}
+        #: of the codegen executions: filtered equi-joins served by a fused
+        #: probe loop.
+        self.join_executions = 0
+        #: filtered-join spines that ran on the batch kernels instead, by
+        #: reason: ``narrow_row`` (the joined row has fewer than
+        #: ``_FUSED_JOIN_MIN_KEYS`` keys), ``build_side_filter`` (a
+        #: conjunct reads the right-hand table), ``unhashable_key`` (the
+        #: right-hand key column holds an unhashable value),
+        #: ``unsupported`` (an unlowerable or unresolvable expression) and
+        #: ``error`` (the generated loop raised; also counted in
+        #: ``codegen_errors``).
+        self.join_declines: dict[str, int] = {}
         #: fused pipelines compiled (cache misses on a supported shape).
         self.pipelines_compiled = 0
         #: fused-pipeline cache hits.
@@ -1579,7 +1812,8 @@ class VectorizedExecutor:
         #: tier markers (tracing / EXPLAIN).
         self.last_fallback_reason: Optional[str] = None
         #: how the most recent vectorized success ran: ``"codegen"``,
-        #: ``"codegen (top-k)"`` or ``"kernel"``; ``None`` after a fallback.
+        #: ``"codegen (top-k)"``, ``"codegen (join)"`` or ``"kernel"``;
+        #: ``None`` after a fallback.
         self.last_path: Optional[str] = None
 
     # -- public API ------------------------------------------------------
@@ -1595,14 +1829,8 @@ class VectorizedExecutor:
         """
         rows = self.try_codegen_rows(plan)
         if rows is not None:
-            self.executions += 1
-            self.codegen_executions += 1
+            self.count_codegen(plan)
             self.last_fallback_reason = None
-            if isinstance(plan, algebra.Limit):  # the only Limit spine
-                self.topk_executions += 1
-                self.last_path = "codegen (top-k)"
-            else:
-                self.last_path = "codegen"
             return rows
         op = self._op(plan)
         if op is None:
@@ -1627,6 +1855,23 @@ class VectorizedExecutor:
         self.last_path = "kernel"
         return rows
 
+    def count_codegen(self, plan: algebra.PlanNode) -> None:
+        """Count one execution of ``plan`` served by its fused loop.
+
+        Which loop served it is a property of the plan's cached shape.
+        """
+        shape = self._pipeline_shape(plan)
+        self.executions += 1
+        self.codegen_executions += 1
+        if shape.join is not None:
+            self.join_executions += 1
+            self.last_path = "codegen (join)"
+        elif shape.order is not None:
+            self.topk_executions += 1
+            self.last_path = "codegen (top-k)"
+        else:
+            self.last_path = "codegen"
+
     def try_codegen_rows(
         self,
         plan: algebra.PlanNode,
@@ -1640,13 +1885,15 @@ class VectorizedExecutor:
         is not a spine :func:`_analyze_pipeline` accepts, the spine
         contains an unlowerable expression (counted as
         ``codegen_unsupported``), the scanned table is missing (the kernel
-        path raises the row-tier error), a top-k met a NaN sort key, or the
-        generated code failed at compile or run time (counted in
-        ``codegen_errors``; the kernel re-run reproduces row-tier error
-        semantics).  A top-k spine's declines are also counted by reason
-        in ``topk_declines``.  Does *not* touch the execution counters —
-        callers (``try_execute``, the sharding layer's scatter) account for
-        successes themselves.
+        path raises the row-tier error), a top-k met a NaN sort key, a join
+        spine's row is narrow, a filter reads the build side or the build
+        key is unhashable, or the generated code failed at
+        compile or run time (counted in ``codegen_errors``; the kernel
+        re-run reproduces row-tier error semantics).  A top-k spine's
+        declines are also counted by reason in ``topk_declines``, a join
+        spine's in ``join_declines``.  Does *not* touch the execution
+        counters — callers (``try_execute``, the sharding layer's scatter)
+        account for successes through :meth:`count_codegen`.
 
         With a ``carry`` the plan must be an aggregate spine, and this
         table's rows fold into the carried state instead of a fresh one
@@ -1658,9 +1905,15 @@ class VectorizedExecutor:
         """
         if not self.codegen_enabled:
             return None
+        shape = None
         try:
             shape = self._pipeline_shape(plan)
             if shape is None:
+                return None
+            if isinstance(shape, _JoinDecline):
+                if shape.reason == "unsupported":
+                    self._count_reason("codegen_unsupported")
+                self._count_join_decline(shape.reason)
                 return None
             if shape is _CODEGEN_UNSUPPORTED:
                 self._count_reason("codegen_unsupported")
@@ -1672,6 +1925,11 @@ class VectorizedExecutor:
             table = self._tables.get(shape.table)
             if table is None:
                 return None
+            build = None
+            if shape.join is not None:
+                build = self._tables.get(shape.join.right.table)
+                if build is None:
+                    return None
             store = table.columns()
             signature = tuple(
                 (data.encoding, data.nulls is not None)
@@ -1680,6 +1938,14 @@ class VectorizedExecutor:
             pipeline, uses_wide = self._pipeline_fn(
                 plan, shape, table, store, signature, carry is not None
             )
+            if build is not None:
+                index = build.position_index(pipeline.build_key)
+                if index is None:
+                    self._count_join_decline("unhashable_key")
+                    return None
+                return pipeline.loop(
+                    store, len(table.rows), table.rows, build.rows, index
+                )
             n = len(table.rows)
             if carry is None:
                 wide = table.wide_rows(shape.alias) if uses_wide else None
@@ -1704,6 +1970,8 @@ class VectorizedExecutor:
             self.codegen_errors += 1
             if isinstance(plan, algebra.Limit):
                 self._count_topk_decline("error")
+            elif isinstance(shape, _PipelineShape) and shape.join is not None:
+                self._count_join_decline("error")
             return None
 
     def invalidate(self) -> None:
@@ -1734,15 +2002,27 @@ class VectorizedExecutor:
         shape: Any = _analyze_pipeline(plan)
         if shape is not None:
             table = self._tables.get(shape.table)
-            if table is None:
+            join = shape.join
+            build = join and self._tables.get(join.right.table)
+            if table is None or (join is not None and build is None):
                 # Can't settle supportability without a schema; don't cache
                 # (the table may exist under a future resolver context).
                 return shape
             try:
-                source, _, _ = _generate_pipeline(shape, table.schema, None)
+                source, _, _ = _generate_pipeline(
+                    shape,
+                    table.schema,
+                    None,
+                    build_schema=None if build is None else build.schema,
+                )
                 compile(source, "<pipeline-trial>", "exec")
+            except _JoinDecline as decline:
+                shape = decline
             except LoweringError:
-                shape = _CODEGEN_UNSUPPORTED
+                if shape.join is not None:
+                    shape = _JoinDecline("unsupported")
+                else:
+                    shape = _CODEGEN_UNSUPPORTED
         if cache:
             if len(self._shapes) >= self.OP_CACHE_LIMIT:
                 self._shapes.popitem(last=False)
@@ -1776,13 +2056,18 @@ class VectorizedExecutor:
     def _compile_pipeline(
         self, shape: _PipelineShape, schema, store: dict, shared: bool = False
     ) -> tuple[Callable, bool]:
+        build_schema = None
+        if shape.join is not None:  # try_codegen_rows found the table
+            build_schema = self._tables[shape.join.right.table].schema
         source, bindings, uses_wide = _generate_pipeline(
-            shape, schema, store, shared
+            shape, schema, store, shared, build_schema
         )
         exec(  # noqa: S102 - internal codegen, identifiers repr-escaped
             compile(source, "<pipeline>", "exec"), bindings
         )
         self.pipelines_compiled += 1
+        if shape.join is not None:
+            return _JoinPipeline(bindings), uses_wide
         if shape.aggregate is not None:
             return _AggregatePipeline(bindings), uses_wide
         return bindings["_pipeline"], uses_wide
@@ -1794,6 +2079,9 @@ class VectorizedExecutor:
 
     def _count_topk_decline(self, reason: str) -> None:
         self.topk_declines[reason] = self.topk_declines.get(reason, 0) + 1
+
+    def _count_join_decline(self, reason: str) -> None:
+        self.join_declines[reason] = self.join_declines.get(reason, 0) + 1
 
     def _fallback(self, reason: str) -> None:
         """Record why the current lowering failed; returns ``None``."""

@@ -1,5 +1,7 @@
 """Unit tests for the SQL parser."""
 
+import sqlite3
+
 import pytest
 
 from repro.db import algebra
@@ -7,6 +9,7 @@ from repro.db.expressions import BinaryOp, BooleanOp, ColumnRef, InList, IsNull,
 from repro.db.sqlparser import (
     Parameter,
     SQLSyntaxError,
+    UnsupportedSqlError,
     bind_parameters,
     count_parameters,
     parse_sql,
@@ -160,3 +163,61 @@ class TestParameters:
         parameter = Parameter(0)
         with pytest.raises(SQLSyntaxError):
             parameter.evaluate({})
+
+
+class TestUnsupportedConstructs:
+    """Valid SQL outside the grammar fails at prepare time, by name."""
+
+    CASES = [
+        ("select distinct x from a", "DISTINCT"),
+        ("select count(distinct x) from a", "DISTINCT"),
+        ("select x from a where x between 4 and 6", "BETWEEN"),
+        ("select x from a where (x between 4 and 6) and y = 1", "BETWEEN"),
+        ("select x from a where x not between 4 and 6", "NOT BETWEEN"),
+        ("select * from a left join b on a.x = b.x", "LEFT JOIN"),
+        ("select * from a left outer join b on a.x = b.x", "LEFT OUTER JOIN"),
+        ("select * from a right join b on a.x = b.x", "RIGHT JOIN"),
+    ]
+
+    @staticmethod
+    def sqlite():
+        connection = sqlite3.connect(":memory:")
+        connection.execute("create table a (x int, y int)")
+        connection.execute("create table b (x int, z int)")
+        return connection
+
+    @pytest.mark.parametrize("sql, construct", CASES)
+    def test_sqlite_accepts_and_the_engine_names_the_construct(
+        self, sql, construct
+    ):
+        from repro.db.database import Database
+
+        if construct == "RIGHT JOIN" and sqlite3.sqlite_version_info < (3, 39):
+            pytest.skip("RIGHT JOIN needs SQLite 3.39")
+        self.sqlite().execute(sql).fetchall()
+        with pytest.raises(UnsupportedSqlError) as raised:
+            Database().prepare(sql)
+        assert raised.value.construct == construct
+        assert construct in str(raised.value)
+        assert isinstance(raised.value, SQLSyntaxError)
+
+    def test_distinct_is_never_a_column(self):
+        # SQLite rejects it too; the engine used to read a column here.
+        with pytest.raises(sqlite3.OperationalError):
+            self.sqlite().execute("select distinct from a")
+        with pytest.raises(UnsupportedSqlError) as raised:
+            parse_sql("select distinct from a")
+        assert raised.value.construct == "DISTINCT"
+
+    @pytest.mark.parametrize(
+        "word", ["distinct", "between", "left", "right", "outer"]
+    )
+    def test_reserved_words_are_not_column_names(self, word):
+        with pytest.raises(SQLSyntaxError, match="reserved word"):
+            parse_sql(f"select x, {word} from a")
+
+    def test_right_is_not_an_alias(self):
+        # ``a right join b`` once parsed as an inner join of ``a`` aliased
+        # ``right``.
+        with pytest.raises(UnsupportedSqlError):
+            parse_sql("select * from a right join b on a.x = b.x")

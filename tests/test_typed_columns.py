@@ -22,9 +22,11 @@ from repro.db import algebra
 from repro.db.database import Database
 from repro.db.expressions import ExpressionError
 from repro.db.schema import Column, ColumnType
+from repro.db.sharding import VECTORIZED_COUNTER_KEYS, VECTORIZED_REASON_KEYS
 from repro.db.sqlgen import to_sql
 from repro.db.sqlparser import parse_sql
 from repro.db.table import STORAGE_MODES, Table, encode_column
+from repro.db.vectorized import _FUSED_JOIN_MIN_KEYS
 
 
 def make_database(**kwargs) -> Database:
@@ -1020,3 +1022,334 @@ class TestFusedTopK:
         ).execute_sql(sql).rows
         assert database.sharding_stats()["routed"] == 1
         assert database.execution_stats()["vectorized"]["topk_executions"] == 1
+
+
+# -- fused filtered equi-join -------------------------------------------------
+
+#: join keys: NULL, duplicates, and int/float/bool values dict lookup
+#: treats as one key (1 == 1.0 == True), plus one shared NaN object.
+_JOIN_KEYS = st.one_of(
+    st.none(),
+    st.integers(0, 2),
+    st.sampled_from([1.0, 2.0, True, False, _NAN]),
+)
+_JOIN_LEFT = {
+    "k": _JOIN_KEYS,
+    "a": st.one_of(st.integers(-2, 2), st.none()),
+    "v": st.one_of(st.integers(-1, 1), st.none()),
+    "s": st.one_of(st.sampled_from(["x", "y"]), st.none()),
+}
+_JOIN_RIGHT = {
+    "k": _JOIN_KEYS,
+    "v": st.one_of(st.integers(-1, 1), st.none()),
+    "w": st.one_of(st.integers(-1, 1), st.none()),
+}
+#: (WHERE clause with one parameter, the decline it causes or None).  The
+#: tables share the bare names id, k and v: a bare reference reads l's
+#: value, as the joined row does.
+_JOIN_FILTERS = [
+    ("l.a >= ?", None),
+    ("a >= ?", None),  # bare, unique to l
+    ("z.a >= ?", None),  # unknown qualifier: falls back to the bare name
+    ("v >= ?", None),  # bare name both tables have: l's value
+    ("l.a >= ? and s != 'y'", None),
+    ("r.w >= ?", "build_side_filter"),
+    ("l.a >= ? and r.v is null", "build_side_filter"),
+]
+#: Select lists: only ``*`` is a fused spine, a projection over the join
+#: keeps the kernels' memoised match.
+_JOIN_PROJECTIONS = [
+    "*",
+    "l.id, r.w, v, r.v",
+    "r.id, k, s, r.k",
+    "w, a as renamed",
+]
+#: Padding columns on l that widen the joined row from 15 keys (too narrow
+#: for the fused loop) to 15 + 2 x 8 = 31.
+_WIDE_PAD = 8
+assert 15 < _FUSED_JOIN_MIN_KEYS <= 15 + 2 * _WIDE_PAD
+
+
+def _join_database(
+    left, right, storage="dictionary", mode="vectorized", shards=0, pad=0
+):
+    database = Database(execution_mode=mode)
+    padding = [f"p{i}" for i in range(pad)]
+    for name, columns in (
+        ("l", [*_JOIN_LEFT, *padding]),
+        ("r", list(_JOIN_RIGHT)),
+    ):
+        database.create_table(
+            name,
+            [Column(column, ColumnType.INT) for column in ("id", *columns)],
+            primary_key="id",
+        )
+    database.insert(
+        "l",
+        [
+            {"id": i, **row, **dict.fromkeys(padding, i)}
+            for i, row in enumerate(left)
+        ],
+    )
+    database.insert("r", [{"id": i, **row} for i, row in enumerate(right)])
+    if shards:
+        # Keyed on id, not on k: the join takes the router's fallback
+        # onto the aggregate views.
+        database.shard_table("l", "id", shards)
+        database.shard_table("r", "id", shards)
+    for name in ("l", "r"):
+        database.table(name).set_storage_mode(storage)
+    return database
+
+
+def _items(rows):
+    return [list(row.items()) for row in rows]
+
+
+class TestFusedJoin:
+    """``Select+ → Join → (Scan, Scan)`` with wide rows: one probe loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(
+        left=[
+            {"k": 1, "a": 0, "v": 1, "s": "x"},
+            {"k": True, "a": 1, "v": 0, "s": None},
+        ],
+        right=[{"k": 1.0, "v": -1, "w": 0}, {"k": 1, "v": None, "w": 1}],
+        storage="typed",
+        shards=3,
+        wide=True,
+        filter_index=3,
+        projection_index=0,
+        reversed_condition=True,
+        lows=(-1, 0, 1),
+    )
+    @given(
+        left=st.lists(st.fixed_dictionaries(_JOIN_LEFT), max_size=8),
+        right=st.lists(st.fixed_dictionaries(_JOIN_RIGHT), max_size=6),
+        storage=st.sampled_from(STORAGE_MODES),
+        shards=st.sampled_from([0, 3]),
+        wide=st.booleans(),
+        filter_index=st.integers(0, len(_JOIN_FILTERS) - 1),
+        projection_index=st.integers(0, len(_JOIN_PROJECTIONS) - 1),
+        reversed_condition=st.booleans(),
+        lows=st.tuples(*[st.integers(-2, 2)] * 3),
+    )
+    def test_fused_join_equals_kernels_and_row_tiers(
+        self,
+        left,
+        right,
+        storage,
+        shards,
+        wide,
+        filter_index,
+        projection_index,
+        reversed_condition,
+        lows,
+    ):
+        where, decline = _JOIN_FILTERS[filter_index]
+        projection = _JOIN_PROJECTIONS[projection_index]
+        pad = _WIDE_PAD if wide else 0
+        if projection != "*":
+            decline = "not a spine"
+        elif not wide:
+            decline = "narrow_row"
+        condition = "r.k = l.k" if reversed_condition else "l.k = r.k"
+        sql = f"select {projection} from l join r on {condition} where {where}"
+        databases = {
+            mode: _join_database(left, right, storage, mode, shards, pad)
+            for mode in ("vectorized", "compiled", "interpreted")
+        }
+        kernels = _join_database(left, right, storage, shards=shards, pad=pad)
+        kernels._executor._vectorized.codegen_enabled = False
+        databases["kernels"] = kernels
+        databases["reference"] = _join_database(
+            left, right, storage, "interpreted", pad=pad
+        )
+        statements = {
+            name: database.prepare(sql) for name, database in databases.items()
+        }
+        fused = databases["vectorized"]
+        writes = [
+            # An insert appends to a built index ...
+            lambda db: db.insert("r", [{"id": 100, "k": 1, "v": 0, "w": 1}]),
+            # ... and an UPDATE of the key drops it for a rebuild.
+            lambda db: db.execute_update_sql(
+                "update r set k = ? where id = ?", (2, 0)
+            ),
+            lambda db: None,
+        ]
+        for low, write in zip(lows, writes):  # prepared re-execution
+            before = fused.execution_stats()["vectorized"]
+            expected = statements["reference"].execute((low,)).rows
+            for name, statement in statements.items():
+                got = statement.execute((low,)).rows
+                assert _items(got) == _items(expected), name
+            if expected and projection == "*":
+                assert (len(expected[0]) >= _FUSED_JOIN_MIN_KEYS) is wide
+            after = fused.execution_stats()["vectorized"]
+            joins = after["join_executions"] - before["join_executions"]
+            declines = {
+                reason: count - before["join_declines"].get(reason, 0)
+                for reason, count in after["join_declines"].items()
+                if count != before["join_declines"].get(reason, 0)
+            }
+            path = statements["vectorized"].last_execution_path
+            if decline is None:
+                assert (joins, declines, path) == (1, {}, "codegen (join)")
+            elif decline == "not a spine":
+                assert (joins, declines, path) == (0, {}, "kernel")
+            else:
+                assert (joins, declines, path) == (0, {decline: 1}, "kernel")
+            for database in databases.values():
+                write(database)
+        assert kernels.execution_stats()["vectorized"]["join_executions"] == 0
+        assert fused.execution_stats()["vectorized"]["codegen_errors"] == 0
+
+    def test_orders_customer_shape_matches_sqlite(self):
+        from repro.workloads import tpcds
+
+        database = tpcds.build_orders_database(400, 40, 3)
+        connection = sqlite3.connect(":memory:")
+        for name, table in database.tables.items():
+            columns = table.schema.column_names
+            marks = ", ".join("?" * len(columns))
+            connection.execute(f"create table {name} ({', '.join(columns)})")
+            connection.executemany(
+                f"insert into {name} values ({marks})",
+                [tuple(row[c] for c in columns) for row in table.rows],
+            )
+        sql = (
+            "select * from orders o join customer c "
+            "on o.o_customer_sk = c.c_customer_sk "
+            "where o.o_item_sk >= ? and o.o_item_sk < ?"
+        )
+        statement = database.prepare(sql)
+        kernels = Database()
+        kernels.tables.update(database.tables)
+        kernels._executor._vectorized.codegen_enabled = False
+        for low in (1, 2_000, 7_000):
+            params = (low, low + 1_500)
+            cursor = connection.execute(sql, params)
+            names = [column[0] for column in cursor.description]
+            expected = sorted(cursor.fetchall())
+            rows = statement.execute(params).rows
+            assert statement.last_execution_path == "codegen (join)"
+            assert rows and len(rows[0]) == 2 * len(names) == 40
+            assert _items(rows) == _items(kernels.execute_sql(sql, params).rows)
+            got = sorted(tuple(row[name] for name in names) for row in rows)
+            assert got == expected
+        stats = database.execution_stats()["vectorized"]
+        assert stats["join_executions"] == 3
+
+    def test_counters_and_explain(self):
+        left = [{"k": i % 3, "a": i} for i in range(9)]
+        right = [{"k": i, "w": i} for i in range(3)]
+        database = _join_database(left, right, pad=_WIDE_PAD)
+        sql = "select * from l join r on l.k = r.k where l.a > 2"
+        result = database.explain_analyze(sql)
+        assert "executed: vectorized via codegen (join)" in result.render()
+        before = database.execution_stats()["vectorized"]
+        reference = _join_database(
+            left, right, mode="interpreted", pad=_WIDE_PAD
+        )
+        assert _items(database.execute_sql(sql).rows) == _items(
+            reference.execute_sql(sql).rows
+        )
+        # An unlowerable conjunct: counted like any unsupported spine.
+        with pytest.raises(ExpressionError):
+            database.execute_sql(
+                "select * from l join r on l.k = r.k where nofunc(l.id) > 1"
+            )
+        stats = database.execution_stats()["vectorized"]
+        assert stats["join_executions"] == before["join_executions"] + 1
+        assert stats["codegen_executions"] == before["codegen_executions"] + 1
+        assert stats["join_declines"] == {"unsupported": 1}
+        assert stats["fallback_reasons"]["codegen_unsupported"] == 1
+        # A narrow joined row keeps the kernels' memoised match.
+        narrow = _join_database(left, right)
+        result = narrow.explain_analyze(sql)
+        assert "executed: vectorized via kernel" in result.render()
+        stats = narrow.execution_stats()["vectorized"]
+        assert stats["join_declines"] == {"narrow_row": 1}
+        assert stats["join_executions"] == 0
+
+    def test_conjunct_raising_on_an_unmatched_row_only_costs_a_rerun(self):
+        # No r row has k = 9, so only the fused loop evaluates "text" + 1.
+        left = [{"k": 1, "a": 5}, {"k": 9, "a": "text"}]
+        sql = "select * from l join r on l.k = r.k where a + 1 > ?"
+        database = _join_database(left, [{"k": 1}], pad=_WIDE_PAD)
+        reference = _join_database(
+            left, [{"k": 1}], mode="interpreted", pad=_WIDE_PAD
+        )
+        rows = database.execute_sql(sql, (0,)).rows
+        assert rows and rows == reference.execute_sql(sql, (0,)).rows
+        stats = database.execution_stats()["vectorized"]
+        assert stats["join_declines"] == {"error": 1}
+        assert stats["codegen_errors"] == 1
+        assert database._executor.last_execution_path == "kernel"
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_unhashable_keys_raise_like_the_row_tiers(self, side):
+        # An unhashable key in a row the filter drops still fails every
+        # tier's join; the fused loop declines and the error surfaces.
+        sql = "select * from l join r on l.k = r.k where l.a > ?"
+        left = [{"k": 1, "a": 1}, {"k": 2, "a": 0}]
+        databases = [
+            _join_database(left, [{"k": 1}], "boxed", mode, pad=_WIDE_PAD)
+            for mode in ("vectorized", "interpreted")
+        ]
+        fused = databases[0]
+        assert fused.execute_sql(sql, (0,)).rows  # builds r's index
+        for database in databases:
+            database.insert(side, [{"id": 7, "k": [1]}])
+            with pytest.raises(TypeError):
+                database.execute_sql(sql, (0,))
+        stats = fused.execution_stats()["vectorized"]
+        reason = "unhashable_key" if side == "r" else "error"
+        assert stats["join_declines"] == {reason: 1}
+        assert stats["join_executions"] == 1
+
+    def test_unfiltered_join_keeps_the_memoised_kernel_path(self):
+        database = make_database()
+        statement = database.prepare(
+            "select o.o_id, c.c_name from orders o join customers c "
+            "on o.o_c_id = c.c_id"
+        )
+        statement.execute()
+        assert statement.last_execution_path == "kernel"
+        assert statement._exec_plan in database._executor._vectorized._ops
+        stats = database.execution_stats()["vectorized"]
+        assert (stats["join_executions"], stats["join_declines"]) == (0, {})
+
+    def test_co_partitioned_join_counts_on_every_shard(self):
+        left = [{"k": i % 7, "a": i % 5} for i in range(40)]
+        right = [{"k": i, "w": i % 2} for i in range(7)]
+        database = _join_database(left, right, pad=_WIDE_PAD)
+        database.shard_table("l", "k", 3)
+        database.shard_table("r", "k", 3)
+        reference = _join_database(
+            left, right, mode="interpreted", pad=_WIDE_PAD
+        )
+        sql = "select * from l join r on l.k = r.k where l.a > ?"
+        assert canon(database.execute_sql(sql, (2,)).rows) == canon(
+            reference.execute_sql(sql, (2,)).rows
+        )
+        assert database._executor.last_execution_path == "codegen (join)"
+        stats = database.execution_stats()["vectorized"]
+        assert stats["join_executions"] == 3
+        assert stats["join_declines"] == {}
+        # A filter on the build side declines on the first shard, which
+        # sends the scatter to the kernels; the shard executors' reasons
+        # merge like every vectorized counter.
+        sql = sql.replace("l.a > ?", "r.w != ?")
+        assert canon(database.execute_sql(sql, (1,)).rows) == canon(
+            reference.execute_sql(sql, (1,)).rows
+        )
+        stats = database.execution_stats()["vectorized"]
+        assert stats["join_executions"] == 3
+        assert stats["join_declines"] == {"build_side_filter": 1}
+        assert set(database._executor.vectorized_stats) == {
+            *VECTORIZED_COUNTER_KEYS,
+            *VECTORIZED_REASON_KEYS,
+        }
