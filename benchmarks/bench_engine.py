@@ -78,9 +78,10 @@ benchmark families are timed:
   asserted visible.
 
 * **Tracing overhead** — the vectorized scan_filter query through the full
-  connection path with no tracer, a disabled tracer, and tracing enabled;
-  enabled tracing is asserted within 5% of the untraced wall time and a
-  disabled tracer asserted free.
+  connection path with no tracer, a disabled tracer, and tracing enabled,
+  alternating query by query; enabled tracing's median query time is
+  asserted within 5% of the untraced median and a disabled tracer asserted
+  free.
 
 * **Write then read** — a one-row PK ``UPDATE`` followed by a wide filter
   read: first-read-after-write ÷ warm-read and point-``UPDATE`` ÷
@@ -95,8 +96,9 @@ benchmark families are timed:
 Results are written to ``BENCH_engine.json`` in the repository root (path
 overridable via ``BENCH_ENGINE_OUT``, used by the CI smoke run) so later
 PRs can track the performance trajectory; its ``environment`` block records
-what they were measured on (Python, ``nproc``, platform, the commit and
-whether ``src/`` differed from it).  Scale is adjustable via the
+what they were measured on (Python, ``nproc``, platform, the commit,
+whether ``src/`` differed from it and a sha256 ``src_digest`` of the code
+that ran).  Scale is adjustable via the
 ``BENCH_ENGINE_ROWS`` environment variable (default 50 000).
 
 This file is intentionally *not* named ``test_*``: it is a standalone
@@ -133,7 +135,7 @@ from repro.workloads import tpcds  # noqa: E402
 from repro.workloads.programs import P0_SOURCE  # noqa: E402
 from repro.workloads.wilos import build_wilos_database  # noqa: E402
 from repro.workloads.wilos_programs import build_patterns  # noqa: E402
-from record_e2e import git_commit, src_modified  # noqa: E402
+from record_e2e import git_commit, src_digest, src_modified  # noqa: E402
 
 #: Largest-relation row count for the executor microbenchmarks.
 DEFAULT_ROWS = 50_000
@@ -818,8 +820,8 @@ def bench_sharded(rows: int) -> dict:
 
     # -- sharded_point_lookup: routed vs forced scatter-gather -----------
     # The *routed* runner is the engine's real point-lookup path: a prepared
-    # statement whose fast path probes only the secondary index of the shard
-    # the key hashes to.  The *routed executor* runner is the generic
+    # statement whose fast path probes only the positional index of the
+    # shard the key hashes to.  The *routed executor* runner is the generic
     # single-shard routed class (a vectorized filter over one partition, no
     # index).  The *scatter* runner forces the same plan through
     # scatter-gather: every partition executes and a gather concatenates.
@@ -1512,10 +1514,11 @@ def bench_admission_open_loop(rows: int) -> dict:
     }
 
 
-#: Queries per timed run of the tracing-overhead benchmark.
-TRACING_QUERIES = 10
+#: Alternation rounds of the tracing-overhead benchmark; each round times
+#: one query per variant.
+TRACING_ROUNDS = 300
 
-#: Maximum tolerated traced/untraced wall-time ratio (plus timing epsilon).
+#: Maximum tolerated traced/untraced ratio of median query times.
 TRACING_OVERHEAD_LIMIT = 1.05
 
 
@@ -1525,12 +1528,17 @@ def bench_tracing_overhead(rows: int) -> dict:
     The scan_filter predicate (the ``scan_filter_vectorized`` microbenchmark
     shape, as SQL) runs through the full connection path three ways: with no
     tracer configured, with a tracer configured but disabled, and with
-    tracing enabled recording one multi-span trace per statement.  Enabled
-    tracing must stay within ``TRACING_OVERHEAD_LIMIT`` (5%) of the
-    untraced wall time — the per-query work is a handful of span objects
-    against a multi-thousand-row scan — and a disabled tracer must be free
-    (one attribute check per request).  Both bounds are asserted.
+    tracing enabled recording one multi-span trace per statement.  The
+    variants alternate query by query (the order rotating every round), so
+    drift in machine load hits all three alike, and each is summarised by
+    its median query time.  Enabled tracing must stay within ``TRACING_OVERHEAD_LIMIT``
+    (5%) of the untraced median — the per-query work is a handful of span
+    objects against a multi-thousand-row scan — and a disabled tracer must
+    be free (one attribute check per request).  Both bounds are asserted.
     """
+    import gc
+    from statistics import median
+
     from repro.net.connection import SimulatedConnection
     from repro.net.network import FAST_LOCAL
     from repro.obs.trace import Tracer
@@ -1541,22 +1549,16 @@ def bench_tracing_overhead(rows: int) -> dict:
     def make_runner(tracer):
         connection = SimulatedConnection(database, FAST_LOCAL, tracer=tracer)
         statement = connection.prepare(sql)
+        return lambda: len(connection.execute_prepared(statement).rows)
 
-        def run() -> int:
-            fetched = 0
-            for _ in range(TRACING_QUERIES):
-                fetched += len(connection.execute_prepared(statement).rows)
-            return fetched
-
-        return run
-
-    untraced_run = make_runner(None)
-    disabled_run = make_runner(Tracer(enabled=False))
     tracer = Tracer(max_traces=64)
-    traced_run = make_runner(tracer)
-
-    output_rows = untraced_run() // TRACING_QUERIES
-    if traced_run() // TRACING_QUERIES != output_rows:
+    runners = [
+        ("untraced", make_runner(None)),
+        ("disabled", make_runner(Tracer(enabled=False))),
+        ("traced", make_runner(tracer)),
+    ]
+    output_rows = runners[0][1]()
+    if any(run() != output_rows for _, run in runners[1:]):
         raise AssertionError("traced and untraced results differ")
     # The traced runner must actually have recorded vectorized executions
     # with sound span accounting — otherwise the ratio measures nothing.
@@ -1570,34 +1572,24 @@ def bench_tracing_overhead(rows: int) -> dict:
             f"traced query did not run vectorized: {last.as_dict()}"
         )
 
-    # Interleave the three variants round-robin so allocator and cache
-    # state drift hits them equally; per-variant minimum over the rounds.
-    import gc
-
-    timings = {"untraced": float("inf"), "disabled": float("inf"), "traced": float("inf")}
-    runners = (
-        ("untraced", untraced_run),
-        ("disabled", disabled_run),
-        ("traced", traced_run),
-    )
+    samples: dict[str, list[float]] = {label: [] for label, _ in runners}
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(REPEATS * 2):
-            for label, run in runners:
+        for round_ in range(TRACING_ROUNDS):
+            shift = round_ % len(runners)
+            for label, run in runners[shift:] + runners[:shift]:
                 started = time.perf_counter()
                 run()
-                timings[label] = min(
-                    timings[label], time.perf_counter() - started
-                )
+                samples[label].append(time.perf_counter() - started)
     finally:
         if gc_was_enabled:
             gc.enable()
-    untraced_s = timings["untraced"]
-    disabled_s = timings["disabled"]
-    traced_s = timings["traced"]
-    epsilon = 1e-4
+    untraced_s = median(samples["untraced"])
+    disabled_s = median(samples["disabled"])
+    traced_s = median(samples["traced"])
+    epsilon = 1e-5
     if traced_s > untraced_s * TRACING_OVERHEAD_LIMIT + epsilon:
         raise AssertionError(
             f"tracing overhead {traced_s / untraced_s:.3f}x exceeds "
@@ -1608,11 +1600,11 @@ def bench_tracing_overhead(rows: int) -> dict:
             f"disabled tracer is not free: {disabled_s / untraced_s:.3f}x"
         )
     return {
-        "queries": TRACING_QUERIES,
+        "rounds": TRACING_ROUNDS,
         "output_rows": output_rows,
-        "untraced_seconds": untraced_s,
-        "disabled_seconds": disabled_s,
-        "traced_seconds": traced_s,
+        "untraced_median_seconds": untraced_s,
+        "disabled_median_seconds": disabled_s,
+        "traced_median_seconds": traced_s,
         "disabled_ratio": disabled_s / untraced_s if untraced_s else None,
         "traced_ratio": traced_s / untraced_s if untraced_s else None,
         "limit": TRACING_OVERHEAD_LIMIT,
@@ -1740,6 +1732,7 @@ def environment() -> dict:
         "platform": platform.platform(),
         "commit": git_commit(checkout),
         "src_modified": src_modified(checkout),
+        "src_digest": src_digest(checkout),
     }
 
 

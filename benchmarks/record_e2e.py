@@ -11,8 +11,9 @@
 Reads ``benchmarks/e2e/out/results.json`` (or, with ``--results``, another
 summary or the one-workload file a ``run.py --workload`` run writes) and
 appends one JSON record per workload to ``BENCH_e2e.jsonl`` at the
-repository root: the commit of the checkout that produced the results and
-whether its ``src/`` differed from that commit, date, Python, ``nproc``,
+repository root: the commit of the checkout that produced the results,
+whether its ``src/`` differed from that commit and a ``src_digest`` of the
+code that actually ran (see :func:`src_digest`), date, Python, ``nproc``,
 seed and scale, the six gated end-to-end metrics (the median over the
 run's untraced ``--repeat`` sets) and the ``exact`` block (virtual time and
 failed share, which must repeat bit for bit).  When the results hold traced
@@ -24,6 +25,7 @@ runs it after ``run.py``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -53,6 +55,35 @@ def src_modified(checkout: Path) -> bool | None:
     if completed is None:
         return None
     return {0: False, 1: True}.get(completed.returncode)
+
+
+def src_digest(checkout: Path) -> str | None:
+    """sha256 over the paths and working-tree bytes of the files in ``src/``.
+
+    Covers the tracked files, modified or not, and untracked files git does
+    not ignore; ``__pycache__`` and other ignored output stay out.  Two
+    records with one digest ran the same code, whatever their ``commit``
+    says — which tells the two sides of a parent/change pair apart.
+    ``None`` when the checkout is not a git repository.
+    """
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    if top is None or top.returncode != 0:
+        return None
+    root = Path(top.stdout.strip())
+    listed = _git(
+        root, "ls-files", "-z", "--cached", "--others", "--exclude-standard",
+        "--", "src",
+    )
+    if listed is None or listed.returncode != 0:
+        return None
+    digest = hashlib.sha256()
+    for name in sorted(set(filter(None, listed.stdout.split("\0")))):
+        path = root / name
+        if path.is_file():
+            data = path.read_bytes()
+            digest.update(f"{name}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def git_commit(checkout: Path) -> str:
@@ -88,7 +119,9 @@ def _medians(runs: list[dict], names) -> dict:
     }
 
 
-def records(summary: dict, note: str | None, modified: bool | None) -> list[dict]:
+def records(
+    summary: dict, note: str | None, modified: bool | None, digest: str | None
+) -> list[dict]:
     """One trajectory record per workload of a ``results.json`` summary."""
     environment = summary["environment"]
     out = []
@@ -100,6 +133,7 @@ def records(summary: dict, note: str | None, modified: bool | None) -> list[dict
             "workload": workload,
             "commit": environment["commit"],
             "src_modified": modified,
+            "src_digest": digest,
             "date": environment["date"],
             "python": environment["python"],
             "nproc": environment["nproc"],
@@ -139,7 +173,12 @@ def main(argv: list[str]) -> int:
     )
     lines = [
         json.dumps(record)
-        for record in records(summary, arguments.note, src_modified(checkout))
+        for record in records(
+            summary,
+            arguments.note,
+            src_modified(checkout),
+            src_digest(checkout),
+        )
     ]
     with arguments.out.open("a", encoding="utf-8") as trajectory:
         trajectory.write("".join(line + "\n" for line in lines))

@@ -150,9 +150,9 @@ class StatementCacheStats:
 class _PointLookup:
     """Execution fast path for ``select * from t where col = <value>``.
 
-    Prepared at plan-compilation time; executes through the table's lazy
-    secondary hash index (:meth:`repro.db.table.Table.index_for`) instead of
-    scanning.  Output rows are materialised by the executor's own
+    Prepared at plan-compilation time; gathers the rows named by the
+    table's lazy positional index (:meth:`repro.db.table.Table.positions_for`)
+    instead of scanning.  Output rows are materialised by the executor's own
     :class:`~repro.db.executor._FusedScan` (the exact ``bare +
     alias.column`` layout every scan produces), so the fast path cannot
     drift from the generic path's row shape.
@@ -180,9 +180,11 @@ class _PointLookup:
         """Matching output rows, or ``None`` when the fast path cannot run.
 
         Over a :class:`~repro.db.sharding.ShardedTable` the fast path is
-        **shard-aware**: a lookup on the shard key probes only the secondary
-        index of the shard the value hashes to (counted as a routed
-        execution); lookups on other columns use the aggregate index.
+        **shard-aware**: a lookup on the shard key probes only the index of
+        the shard partition the value hashes to (counted as a routed
+        execution); lookups on other columns use the aggregate view's.  An
+        unhashable lookup value or stored value leaves the index unusable,
+        and the generic path runs instead.
         """
         value = self.value
         if isinstance(value, Parameter):
@@ -194,14 +196,12 @@ class _PointLookup:
         sharded = isinstance(table, ShardedTable)
         shard_routed = sharded and self.column == table.shard_key
         shard = None
+        storage = table
         if shard_routed:
             shard = table.shard_index(value)
-            index = table.shards[shard].index_for(self.column)
-        else:
-            index = table.index_for(self.column)
-        try:
-            bucket = index.get(value, ())
-        except TypeError:  # unhashable lookup value; generic path handles it
+            storage = table.shards[shard]
+        positions = storage.positions_for(self.column, value)
+        if positions is None:
             return None
         if sharded and self._router is not None:
             if shard_routed:
@@ -210,7 +210,8 @@ class _PointLookup:
             else:
                 self._router.stats.fallback += 1
                 self._router.last_route = {"kind": "fallback", "shards": None}
-        return [self._fused.materialize(row) for row in bucket]
+        rows, materialize = storage.rows, self._fused.materialize
+        return [materialize(rows[position]) for position in positions]
 
 
 class PreparedStatement:

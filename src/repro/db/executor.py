@@ -26,10 +26,11 @@ Three execution modes are supported (``Executor(tables, mode=...)``):
   once per (resolver context, expression) — and the closure is called per
   row.  Scans precompute their ``alias.column`` key list once instead of
   formatting qualified keys per row; equi-joins whose build side is a bare
-  table scan use the table's lazy secondary hash index
-  (:meth:`repro.db.table.Table.index_for`) as the build table, so repeated
-  joins on the same key pay the build cost once per table version; ``Select``
-  and ``Limit`` stream their input without materialising intermediates.
+  table scan use the table's lazy positional index
+  (:meth:`repro.db.table.Table.position_index`) as the build table, so
+  repeated joins on the same key pay the build cost once per table version;
+  ``Select`` and ``Limit`` stream their input without materialising
+  intermediates.
 
   On top of expression compilation the executor performs *scan fusion*: when
   an operator's input is a base-table scan (possibly under a stack of
@@ -511,30 +512,25 @@ class Executor:
         """Matching (left base row, right base row) pairs of a fused join.
 
         The left side streams as the probe; the right side is either the
-        table's cached secondary index (bare scan) or a hash table built
-        from its filtered base rows.  An empty probe side never executes or
-        builds the right side.
+        table's cached positional index over its rows (bare scan) or one
+        built over its filtered base rows.  An empty probe side never
+        executes or builds the right side.
         """
         probe_rows = self._fused_base_rows(left)
         first = next(probe_rows, None)
         if first is None:
             return
-        if not right.predicates:
-            # Bare scan build side: reuse the table's secondary hash index.
-            get_bucket = right.table.index_for(build_col.name).get
-        else:
-            build_key = operator.itemgetter(build_col.name)
-            build: dict[Any, list[Row]] = {}
-            for row in self._fused_base_rows(right):
-                key = build_key(row)
-                if key is None:
-                    continue
-                bucket = build.get(key)
-                if bucket is None:
-                    build[key] = [row]
-                else:
-                    bucket.append(row)
-            get_bucket = build.get
+        if right.predicates:
+            build_rows = list(self._fused_base_rows(right))
+            index: dict[Any, list[int]] = {}
+            for position, row in enumerate(build_rows):
+                key = row[build_col.name]
+                if key is not None:
+                    index.setdefault(key, []).append(position)
+        else:  # a bare scan reuses the table's positional index
+            build_rows = right.table.rows
+            index = _position_index(right.table, build_col.name)
+        get_bucket = index.get
         probe_key = operator.itemgetter(probe_col.name)
         for base in chain((first,), probe_rows):
             key = probe_key(base)
@@ -543,8 +539,8 @@ class Executor:
             bucket = get_bucket(key)
             if not bucket:
                 continue
-            for right_base in bucket:
-                yield base, right_base
+            for position in bucket:
+                yield base, build_rows[position]
 
     def _fused_join_rows(
         self,
@@ -760,7 +756,7 @@ class Executor:
     def _index_join(
         self, plan: algebra.Join, probe_col: ColumnRef, index_column: str
     ) -> Iterable[Row]:
-        """Index-nested-loop join: probe the build table's secondary index."""
+        """Index-nested-loop join: probe the build table's positional index."""
         scan: algebra.Scan = plan.right  # type: ignore[assignment]
         table = self._tables[scan.table]
         alias = scan.effective_alias
@@ -768,13 +764,13 @@ class Executor:
             (f"{alias}.{name}", name) for name in table.schema.column_names
         ]
         probe = self._key_getter(probe_col)
-        index: Optional[dict[Any, list[Row]]] = None
-        #: id(base row) -> its alias view, shared across probe matches.
+        index: Optional[dict[Any, list[int]]] = None
+        #: build row position -> its alias view, shared across probe matches.
         views: dict[int, Row] = {}
         for left_row in self._execute(plan.left):
             if index is None:
                 # Deferred so an empty probe side never builds the index.
-                index = table.index_for(index_column)
+                index = _position_index(table, index_column)
                 if not index:
                     return
             key = probe(left_row)
@@ -783,13 +779,14 @@ class Executor:
             bucket = index.get(key)
             if bucket is None:
                 continue
-            for base_row in bucket:
-                right_row = views.get(id(base_row))
+            for position in bucket:
+                right_row = views.get(position)
                 if right_row is None:
+                    base_row = table.rows[position]
                     right_row = dict(base_row)
                     for qualified_key, name in qualified:
                         right_row[qualified_key] = base_row[name]
-                    views[id(base_row)] = right_row
+                    views[position] = right_row
                 yield _merge_rows(left_row, right_row)
 
     def _hash_join(
@@ -1061,6 +1058,15 @@ def _flatten_and(predicate: Expression) -> list[Expression]:
             conjuncts.extend(_flatten_and(operand))
         return conjuncts
     return [predicate]
+
+
+def _position_index(table: Table, column: str) -> dict[Any, list[int]]:
+    """``table.position_index(column)``; only an unhashable stored value
+    leaves it missing, and then a hash join raises ``TypeError``."""
+    index = table.position_index(column)
+    if index is None:
+        raise TypeError(f"unhashable value in {table.schema.name}.{column}")
+    return index
 
 
 def _merge_rows(left: Row, right: Row) -> Row:

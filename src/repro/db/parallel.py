@@ -283,9 +283,9 @@ def unpack_table(payload: tuple, version: int) -> Table:
     """Rebuild a :class:`Table` from a :func:`pack_table` payload.
 
     Row dicts are reassembled in schema declaration order (the stored-row
-    invariant ``wide_rows`` depends on), the primary-key index is rebuilt,
-    and the unpacked columns are installed as the table's columnar view so
-    the first vectorized scan pays no re-encode.
+    invariant ``wide_rows`` depends on), and the unpacked columns are
+    installed as the table's columnar view so the first vectorized scan
+    pays no re-encode.
     """
     schema, storage_mode, length, packed = payload
     table = Table(schema)
@@ -297,9 +297,6 @@ def unpack_table(payload: tuple, version: int) -> Table:
             dict(zip(names, values))
             for values in zip(*(columns[name] for name in names))
         ]
-    if table._pk_index is not None:
-        primary_key = schema.primary_key
-        table._pk_index = {row[primary_key]: row for row in table.rows}
     table.version = version
     table._columnar = columns
     return table

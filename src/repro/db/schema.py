@@ -84,7 +84,7 @@ class SchemaError(Exception):
 
 
 class TableSchema:
-    """Schema of a single table: name, columns, primary key, foreign keys."""
+    """Schema of a single table: name, columns, key hint, foreign keys."""
 
     def __init__(
         self,

@@ -5,10 +5,10 @@ This module makes partitioned storage a first-class layer of the engine:
 * :class:`ShardedTable` splits one logical table into N :class:`~repro.db.
   table.Table` partitions, hash-routed on a declared **shard key**.  It
   subclasses ``Table``, so the aggregate view (rows in global insertion
-  order, primary-key index, secondary indexes, columnar view, distinct
-  counts) behaves exactly like an unsharded table — unrouted plans execute
-  identically on all three tiers — while the shard partitions *share the
-  stored row dicts* with the aggregate view, so in-place updates are visible
+  order, positional indexes, columnar view, distinct counts) behaves
+  exactly like an unsharded table — unrouted plans execute identically on
+  all three tiers — while the shard partitions *share the stored row
+  dicts* with the aggregate view, so in-place updates are visible
   everywhere without copying.
 
 * :class:`ShardRouter` classifies plans over sharded tables into three
@@ -128,14 +128,16 @@ class ShardedTable(Table):
     """A logical table hash-partitioned over N internal :class:`Table` shards.
 
     Presents the full ``Table`` surface (``insert`` / ``insert_many`` /
-    ``update_rows`` / ``scan`` / ``lookup_pk`` / ``columns`` / ``index_for``
-    / ``version`` / ...) through the inherited aggregate view, which keeps
-    rows in **global insertion order** — so any plan executed against the
-    sharded table *without* routing is bit-identical to the unsharded
-    engine.  Each stored row dict is additionally filed (by reference) in
-    the shard partition its shard-key value hashes to; the partitions are
-    plain ``Table`` objects the router substitutes into per-shard executor
-    table mappings.
+    ``update_rows`` / ``scan`` / ``lookup_pk`` / ``columns`` /
+    ``position_index`` / ``version`` / ...) through the inherited aggregate
+    view, which keeps rows in **global insertion order** — so any plan
+    executed against the sharded table *without* routing is bit-identical
+    to the unsharded engine.  Each stored row dict is additionally filed
+    (by reference) in the shard partition its shard-key value hashes to;
+    the partitions are plain ``Table`` objects the router substitutes into
+    per-shard executor table mappings.  An update patches the partitions
+    owning the changed rows in place; only a shard-key move (and
+    ``truncate_to``) re-homes rows.
     """
 
     def __init__(
@@ -186,18 +188,15 @@ class ShardedTable(Table):
     def apply_update(self, changes) -> int:
         # The shard partitions share the stored dicts, so the update itself
         # is visible there immediately; their views (and, if the shard key
-        # or primary key moved, their row placement) need repair.  This
-        # hook covers every update route identically — live
+        # moved, their row placement) need repair.  A primary-key move is
+        # an ordinary update: keys are hints with no index of their own.
+        # This hook covers every update route identically — live
         # ``update_rows``, transaction-rollback before-images, MVCC commit
         # and WAL replay — so a replayed shard-key update rehomes the row
         # exactly like the live path did.
         changes = list(changes)
-        primary_key = self.schema.primary_key
-        rehome = any(
-            self.shard_key in new_values
-            or (primary_key is not None and primary_key in new_values)
-            for _, new_values in changes
-        )
+        key = self.shard_key
+        rehome = any(key in new_values for _, new_values in changes)
         updated = super().apply_update(changes)
         if rehome:
             self._rehome()

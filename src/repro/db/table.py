@@ -1,20 +1,18 @@
 """Row storage for the in-memory database engine.
 
 Rows are stored as plain dictionaries mapping column name to value.  A
-:class:`Table` owns its schema, validates inserted rows, and maintains an
-optional hash index on the primary key for point lookups (used by the ORM
-substrate for lazy loads and by the executor for indexed joins).
+:class:`Table` owns its schema and validates inserted rows.  Its declared
+``primary_key`` is a **key hint**: never enforced unique, and with no index
+of its own (:meth:`Table.lookup_pk` probes the same index as any column).
 
-Beyond the primary-key index, tables keep *derived views*, each built lazily
-on first use: secondary hash indexes (:meth:`Table.index_for`, column value
--> rows holding it; the executor's index-nested-loop joins and hash-join
-build sides), positional bucket indexes (:meth:`Table.position_index`,
-column value -> row positions; the candidate source of a point ``UPDATE``
-and the build side of the vectorized tier's fused join loop), cached
-per-column distinct counts (the statistics catalog), the *columnar view*
-(:meth:`Table.columns`, one :class:`ColumnData` per column aligned by row
-position, which the vectorized executor scans instead of row dictionaries)
-and the full-width scan-output templates (:meth:`Table.wide_rows`).
+Tables keep *derived views*, each built lazily on first use: positional
+bucket indexes (:meth:`Table.position_index`, column value -> row
+positions; the one index behind point lookups, point ``UPDATE`` candidates
+and every indexed join), cached per-column distinct counts (the statistics
+catalog), the *columnar view* (:meth:`Table.columns`, one
+:class:`ColumnData` per column aligned by row position, which the
+vectorized executor scans instead of row dictionaries) and the full-width
+scan-output templates (:meth:`Table.wide_rows`).
 
 The row dicts remain the single mutation/validation surface, and every
 mutation is **positional**: an insert appends, an update is a list of
@@ -23,12 +21,12 @@ hook behind autocommit updates, transaction rollback before-images, MVCC
 commit and WAL replay).  A mutation bumps :attr:`Table.version` (external
 caches key on it) and then *maintains* the built views instead of dropping
 them: an append extends every built view, an update patches the columnar
-view, the templates and the primary-key index in place and drops only the
-secondary / positional indexes and distinct counts of the *assigned*
-columns.  A column is re-encoded — that one column, on the next
-:meth:`Table.columns` call — only when a written value does not fit its
-encoding.  ``clear`` / ``truncate_to`` / ``adopt_rows`` drop the views; the
-full build survives only as the lazy first build.
+view and the templates in place and drops only the positional indexes and
+distinct counts of the *assigned* columns.  A column is re-encoded — that
+one column, on the next :meth:`Table.columns` call — only when a written
+value does not fit its encoding.  ``clear`` / ``truncate_to`` /
+``adopt_rows`` drop the views; the full build survives only as the lazy
+first build.
 """
 
 from __future__ import annotations
@@ -302,11 +300,11 @@ def _wide_row(row: Row, qualified: list[str]) -> Row:
     return wide
 
 
-def _file(indexes: dict[str, dict], row: Row, entry: Any) -> None:
-    """Append ``entry`` to the bucket of ``row``'s value in each built index.
+def _file(indexes: dict[str, dict], row: Row, position: int) -> None:
+    """Append ``position`` to the bucket of ``row``'s value in each index.
 
     NULLs are not indexed.  An index that cannot hold the value (it is
-    unhashable) is dropped; its next lazy build raises as it always did.
+    unhashable) is dropped; its next lazy build returns ``None``.
     """
     for column in list(indexes):
         value = row[column]
@@ -319,9 +317,9 @@ def _file(indexes: dict[str, dict], row: Row, entry: Any) -> None:
             del indexes[column]
             continue
         if bucket is None:
-            index[value] = [entry]
+            index[value] = [position]
         else:
-            bucket.append(entry)
+            bucket.append(position)
 
 
 class Table:
@@ -330,11 +328,6 @@ class Table:
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.rows: list[Row] = []
-        self._pk_index: Optional[dict[Any, Row]] = (
-            {} if schema.primary_key else None
-        )
-        #: column name -> {value: [rows]} lazy secondary indexes.
-        self._indexes: dict[str, dict[Any, list[Row]]] = {}
         #: column name -> {value: [row positions]} lazy positional indexes.
         self._positions: dict[str, dict[Any, list[int]]] = {}
         #: column name -> cached distinct non-null value count.
@@ -415,8 +408,6 @@ class Table:
         """
         position = len(self.rows)
         self.rows.append(stored)
-        if self._pk_index is not None:
-            self._pk_index[stored[self.schema.primary_key]] = stored
         self.version += 1
         if self._distinct_cache:
             self._distinct_cache.clear()
@@ -425,8 +416,6 @@ class Table:
         if self._wide_rows:
             for alias, wide in self._wide_rows.items():
                 wide.append(_wide_row(stored, self._qualified(alias)))
-        if self._indexes:
-            _file(self._indexes, stored, stored)
         if self._positions:
             _file(self._positions, stored, position)
         return stored
@@ -439,18 +428,12 @@ class Table:
         """
         before = len(self.rows)
         self.rows.extend(rows)
-        if self._pk_index is not None:
-            primary_key = self.schema.primary_key
-            for stored in self.rows[before:]:
-                self._pk_index[stored[primary_key]] = stored
         self._drop_views()
         return len(self.rows) - before
 
     def clear(self) -> None:
         """Remove all rows."""
         self.rows.clear()
-        if self._pk_index is not None:
-            self._pk_index.clear()
         self._drop_views()
 
     def plan_update(
@@ -505,28 +488,16 @@ class Table:
         MVCC commit and WAL replay — positions refer to :attr:`rows` order,
         which is stable because storage is append-only and replay applies
         records in log order.  Built views are patched in place: the
-        columnar view and the scan templates cell by cell, the primary-key
-        index on a key move; only the secondary / positional indexes and
-        distinct counts of the assigned columns are dropped.
+        columnar view and the scan templates cell by cell; only the
+        positional indexes and distinct counts of the assigned columns are
+        dropped.
         """
         rows = self.rows
-        primary_key = self.schema.primary_key
-        pk_index = self._pk_index
         patch_columns = self._columnar is not None
         assigned: set[str] = set()
         updated = 0
         for position, new_values in changes:
-            row = rows[position]
-            if pk_index is not None and primary_key in new_values:
-                old_key, new_key = row[primary_key], new_values[primary_key]
-                if new_key != old_key:
-                    # The update moves the row to a new primary key: drop
-                    # the stale entry (unless another row already claimed
-                    # it) and index the row under its new key.
-                    if pk_index.get(old_key) is row:
-                        del pk_index[old_key]
-                    pk_index[new_key] = row
-            row.update(new_values)
+            rows[position].update(new_values)
             assigned.update(new_values)
             if patch_columns:
                 self._write_columns(position, new_values)
@@ -539,7 +510,6 @@ class Table:
         if updated:
             self.version += 1
             for column in assigned:
-                self._indexes.pop(column, None)
                 self._positions.pop(column, None)
                 self._distinct_cache.pop(column, None)
         return updated
@@ -568,17 +538,12 @@ class Table:
         transaction is a truncation back to the pre-transaction length.
         Returns the number of rows removed.
         """
-        removed = self.rows[length:]
-        if not removed:
+        removed = len(self.rows) - length
+        if removed <= 0:
             return 0
         del self.rows[length:]
-        if self._pk_index is not None:
-            primary_key = self.schema.primary_key
-            for row in removed:
-                if self._pk_index.get(row[primary_key]) is row:
-                    del self._pk_index[row[primary_key]]
         self._drop_views()
-        return len(removed)
+        return removed
 
     def _write_columns(self, position: int, values: dict) -> None:
         """Write ``values`` at ``position`` of the built columnar view.
@@ -601,7 +566,6 @@ class Table:
 
     def _drop_views(self) -> None:
         self.version += 1
-        self._indexes.clear()
         self._positions.clear()
         self._distinct_cache.clear()
         self._columnar = None
@@ -622,44 +586,27 @@ class Table:
             yield dict(row)
 
     def lookup_pk(self, key: Any) -> Optional[Row]:
-        """Point lookup by primary key; returns a copy or ``None``."""
-        if self._pk_index is None:
-            raise SchemaError(
-                f"table {self.schema.name!r} has no primary key index"
-            )
-        row = self._pk_index.get(key)
-        return dict(row) if row is not None else None
+        """A copy of the last row whose primary key equals ``key``, or ``None``.
 
-    def index_for(self, column: str) -> dict[Any, list[Row]]:
-        """Secondary hash index: column value -> rows holding it.
-
-        Built lazily on first use; afterwards inserts append to its buckets
-        and only an update assigning ``column`` drops it.  NULL values are
-        not indexed (they never match an equi-join key).  The returned rows
-        are the stored dicts; callers must not mutate them.
+        Primary keys are hints, not constraints: of several rows holding
+        ``key`` the one at the highest position answers, whatever order the
+        writes came in.
         """
-        index = self._indexes.get(column)
-        if index is None:
-            self.schema.column(column)
-            index = {}
-            for row in self.rows:
-                value = row[column]
-                if value is None:
-                    continue
-                bucket = index.get(value)
-                if bucket is None:
-                    index[value] = [row]
-                else:
-                    bucket.append(row)
-            self._indexes[column] = index
-        return index
+        name = self.schema.primary_key
+        if name is None:
+            raise SchemaError(f"table {self.schema.name!r} has no primary key")
+        positions = self.positions_for(name, key)
+        if positions is None:  # something unhashable: compare by scan
+            positions = [p for p, row in enumerate(self.rows) if row[name] == key]
+        return dict(self.rows[positions[-1]]) if positions else None
 
     def position_index(self, column: str) -> Optional[dict[Any, list[int]]]:
         """Positional bucket index: column value -> ascending row positions.
 
-        Built lazily on first use with :meth:`index_for`'s lifecycle: inserts
-        append to its buckets, an update assigning ``column`` drops it, and
-        ``clear`` / ``truncate_to`` drop every view.  NULLs are not indexed.
+        The table's only index.  Built lazily on first use; afterwards
+        inserts append to its buckets, an update assigning ``column`` drops
+        it, and ``clear`` / ``truncate_to`` drop every view.  NULLs are not
+        indexed.
         Lookups follow dict semantics (``1``, ``1.0`` and ``True`` are one
         key), which is what the hash joins match on.  Returns ``None`` when
         the column is unknown or a stored value is unhashable (an insert of
@@ -685,8 +632,8 @@ class Table:
         """Ascending positions of the rows whose ``column`` may equal ``value``.
 
         The candidate source of a point ``UPDATE``, read off
-        :meth:`position_index` — a *bucket* index, never the primary-key
-        index: primary keys are not enforced unique.  Hash lookup finds
+        :meth:`position_index` — a *bucket* index, because primary keys are
+        not enforced unique.  Hash lookup finds
         every row a Python ``==`` would (equal builtin values hash equally),
         possibly more never fewer, so callers still evaluate their predicate
         on each candidate.  Returns ``None`` when the column is unknown or

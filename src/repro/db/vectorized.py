@@ -2249,7 +2249,7 @@ class VectorizedExecutor:
         # For a join of two bare scans the matching positions are a pure
         # function of the two tables' contents, so the computed selection
         # pair is memoized against their versions — a join index in the
-        # spirit of Table.index_for, letting repeated executions skip the
+        # spirit of Table.position_index, letting repeated executions skip the
         # probe entirely.  Filtered or parameterized inputs are excluded
         # (their batches depend on more than the table versions).
         cacheable = isinstance(plan.left, algebra.Scan) and isinstance(

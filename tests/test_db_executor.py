@@ -219,13 +219,13 @@ class TestJoinFixes:
 
         executor = Executor(simple_database.tables, mode="compiled")
         built = []
-        original_index_for = Table.index_for
+        original_position_index = Table.position_index
 
-        def recording_index_for(self, column):
+        def recording_position_index(self, column):
             built.append((self.schema.name, column))
-            return original_index_for(self, column)
+            return original_position_index(self, column)
 
-        Table.index_for = recording_index_for
+        Table.position_index = recording_position_index
         try:
             plan = algebra.Join(
                 algebra.Select(
@@ -238,7 +238,7 @@ class TestJoinFixes:
             )
             assert executor.execute(plan) == []
         finally:
-            Table.index_for = original_index_for
+            Table.position_index = original_position_index
         assert built == []
 
     @pytest.mark.parametrize("mode", ["interpreted", "compiled", "vectorized"])
@@ -291,10 +291,45 @@ class TestJoinFixes:
         )
         executor = Executor(database.tables, mode="compiled")
         assert len(executor.execute(plan)) == 1
-        # A mutation must invalidate the cached secondary index.
+        # A mutation must reach the cached positional index.
         database.insert("parent", [{"pid": 2, "label": "b"}])
         database.insert("child", [{"cid": 2, "pid": 2}])
         assert len(executor.execute(plan)) == 2
+
+    @pytest.mark.parametrize("probe", ["scan", "join"])
+    def test_unhashable_build_key_raises_like_the_row_tiers(
+        self, simple_database, probe, monkeypatch
+    ):
+        # The build table's positional index cannot hold a list, so the
+        # compiled joins that probe it raise what the interpreted hash join
+        # raises.  A joined probe side takes the index-nested-loop join.
+        simple_database.insert(
+            "department", [{"dept_id": [1], "dept_name": "odd", "budget": 1.0}]
+        )
+        left = algebra.Scan("employee", "e")
+        if probe == "join":
+            left = algebra.Join(
+                left,
+                algebra.Scan("employee", "m"),
+                BinaryOp("=", ColumnRef("emp_id", "e"), ColumnRef("emp_id", "m")),
+            )
+        plan = algebra.Join(
+            left,
+            algebra.Scan("department", "d"),
+            BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
+        )
+        index_joins = []
+        original = Executor._index_join
+
+        def recording(self, *args):
+            index_joins.append(args[1:])
+            return original(self, *args)
+
+        monkeypatch.setattr(Executor, "_index_join", recording)
+        for mode in ("compiled", "interpreted"):
+            with pytest.raises(TypeError):
+                Executor(simple_database.tables, mode=mode).execute(plan)
+        assert len(index_joins) == (probe == "join")
 
 
 class TestJoinErrorAndCacheBehaviour:

@@ -130,33 +130,61 @@ class TestPrimaryKeyReindexOnUpdate:
         assert people.lookup_pk(20)["name"] == "bob"
         assert people.lookup_pk(3) is None
 
+    def test_duplicate_keys_answer_with_the_last_position(self, people):
+        # Keys are hints, not constraints: of two holders the later row
+        # answers, whichever of them was written last.
+        people.update_rows(lambda row: row["person_id"] == 3, {"person_id": 2})
+        assert people.lookup_pk(2)["name"] == "carol"
+        people.update_rows(lambda row: row["name"] == "bob", {"person_id": 9})
+        people.update_rows(lambda row: row["name"] == "bob", {"person_id": 2})
+        assert people.lookup_pk(2)["name"] == "carol"
+        people.insert({"person_id": 2, "name": "dave"})
+        assert people.lookup_pk(2)["name"] == "dave"
+        fresh = Table(people.schema)
+        fresh.adopt_rows([dict(row) for row in people.rows])
+        assert fresh.lookup_pk(2) == people.lookup_pk(2)
+
+    def test_unhashable_keys_are_found_by_scan(self, people):
+        people.insert({"person_id": [4], "name": "dave"})
+        assert people.lookup_pk([4])["name"] == "dave"
+        assert people.lookup_pk(2)["name"] == "bob"
+        assert people.lookup_pk(99) is None
+
 
 class TestSecondaryIndexesAndCachedStats:
-    def test_index_for_groups_rows_and_skips_nulls(self, people):
+    def test_position_index_groups_positions_and_skips_nulls(self, people):
         people.insert({"person_id": 4, "name": "dave", "city": None})
-        index = people.index_for("city")
-        assert sorted(r["name"] for r in index["pune"]) == ["ann", "carol"]
+        index = people.position_index("city")
+        assert index == {"pune": [0, 2], "mumbai": [1]}
         assert None not in index
 
-    def test_index_for_unknown_column_raises(self, people):
-        with pytest.raises(SchemaError):
-            people.index_for("height")
+    def test_position_index_unknown_column_is_none(self, people):
+        assert people.position_index("height") is None
+        assert people.positions_for("height", 1) is None
 
     def test_index_invalidated_on_insert(self, people):
-        first = people.index_for("city")
+        first = people.position_index("city")
         assert len(first["pune"]) == 2
         people.insert({"person_id": 4, "name": "dave", "city": "pune"})
-        assert len(people.index_for("city")["pune"]) == 3
+        assert people.position_index("city") is first  # extended in place
+        assert first["pune"] == [0, 2, 3]
 
     def test_index_invalidated_on_update(self, people):
-        assert len(people.index_for("city")["pune"]) == 2
+        first = people.position_index("city")
+        assert len(first["pune"]) == 2
         people.update_rows(lambda row: row["name"] == "bob", {"city": "pune"})
-        assert len(people.index_for("city")["pune"]) == 3
+        assert people.position_index("city") is not first
+        assert people.position_index("city")["pune"] == [0, 1, 2]
+
+    def test_update_keeps_the_indexes_of_other_columns(self, people):
+        first = people.position_index("city")
+        people.update_rows(lambda row: row["name"] == "bob", {"name": "rob"})
+        assert people.position_index("city") is first
 
     def test_index_invalidated_on_clear(self, people):
-        people.index_for("city")
+        people.position_index("city")
         people.clear()
-        assert people.index_for("city") == {}
+        assert people.position_index("city") == {}
 
     def test_distinct_count_cached_and_invalidated(self, people):
         assert people.distinct_count("city") == 2
@@ -177,7 +205,7 @@ class TestSecondaryIndexesAndCachedStats:
 
 class TestUpdateStatementAtomicity:
     def test_failed_update_leaves_table_unchanged(self, people):
-        index_before = people.index_for("city")
+        index_before = people.position_index("city")
         assert len(index_before["pune"]) == 2
         version_before = people.version
 
@@ -194,8 +222,9 @@ class TestUpdateStatementAtomicity:
         # The update is statement-atomic: the failure on the second row
         # means *no* row was rewritten, not even the first.
         assert people.version == version_before
-        assert "delhi" not in people.index_for("city")
-        assert len(people.index_for("city")["pune"]) == 2
+        assert people.position_index("city") is index_before
+        assert "delhi" not in index_before
+        assert len(index_before["pune"]) == 2
         assert people.distinct_count("city") == 2
 
     def test_failed_predicate_leaves_table_unchanged(self, people):

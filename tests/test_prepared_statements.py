@@ -193,6 +193,33 @@ class TestPointLookupFastPath:
         with pytest.raises(SQLSyntaxError, match="missing value"):
             statement.execute(())
 
+    @pytest.mark.parametrize("shards", [0, 3])
+    def test_unhashable_stored_value_takes_the_generic_path(self, shards):
+        # A list in the probed column leaves no index to probe: every tier
+        # answers through its generic path, as the interpreted tier does.
+        answers = []
+        for mode in ("vectorized", "compiled", "interpreted"):
+            database = make_database(mode=mode)
+            database.insert(
+                "items",
+                [
+                    {"item_id": 90, "label": "odd", "grp": [1]},
+                    {"item_id": 91, "label": "one", "grp": 1},
+                ],
+            )
+            if shards:
+                database.shard_table("items", "grp", shards)
+            statement = database.prepare("select * from items where grp = ?")
+            assert statement.point_lookup is not None
+            answers.append(
+                [statement.execute((key,)).rows for key in (1, [1], 7)]
+            )
+        assert answers[0] == answers[1] == answers[2]
+        ones, lists, misses = answers[2]
+        assert [row["item_id"] for row in ones][-1] == 91
+        assert [row["item_id"] for row in lists] == [90]
+        assert misses == []
+
 
 class TestPreparedEquivalence:
     SQLS = [
@@ -287,7 +314,7 @@ class TestPointUpdate:
             database.insert("items", extra_rows)
             # Reads first, so the probing side patches built views.
             database.execute_sql("select * from items where grp >= 1")
-            database.table("items").index_for("grp")
+            database.table("items").position_index("grp")
         return probing, scanning
 
     @staticmethod

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 RECORDER = Path(__file__).resolve().parents[1] / "benchmarks" / "record_e2e.py"
 
@@ -46,7 +50,8 @@ def test_traced_sets_add_stmt_and_self_rows():
             {"analytic_sql": {"0": _run(0, 3.0), "1": _run(1, 2.0)}},
         ],
     }
-    (record,) = recorder.records(summary, "note", False)
+    (record,) = recorder.records(summary, "note", False, "abc")
+    assert record["src_digest"] == "abc"
     assert record["sets"] == 2
     assert record["metrics"]["ops_per_s"] == 20.0
     assert record["traced"] == {
@@ -67,3 +72,55 @@ def test_one_workload_file_records_without_traced_rows(tmp_path):
     assert record["workload"] == "analytic_sql"
     assert record["metrics"]["stmt.sort_limit.p50_ms"] == 7.0
     assert "traced" not in record
+    assert "src_digest" in record
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_src_digest_follows_the_code_not_the_commit(tmp_path):
+    recorder = _recorder()
+
+    def git(*arguments):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *arguments],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("A = 1\n")
+    (tmp_path / ".gitignore").write_text("__pycache__/\n")
+    (tmp_path / "README").write_text("docs\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "parent")
+    out = tmp_path / "src" / "pkg" / "out"
+    out.mkdir()
+    parent = recorder.src_digest(out)  # any directory of the checkout
+    assert parent is not None and len(parent) == 64
+
+    # Ignored files and files outside src/ leave the digest alone.
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"x")
+    (tmp_path / "README").write_text("changed\n")
+    assert recorder.src_digest(tmp_path) == parent
+
+    # A modified or new file under src/ changes it; reverting restores it.
+    module.write_text("A = 2\n")
+    change = recorder.src_digest(tmp_path)
+    assert change != parent
+    assert recorder.src_modified(tmp_path) is True
+    module.write_text("A = 1\n")
+    assert recorder.src_digest(tmp_path) == parent
+    (tmp_path / "src" / "pkg" / "new.py").write_text("")
+    assert recorder.src_digest(tmp_path) not in (parent, change)
+    (tmp_path / "src" / "pkg" / "new.py").unlink()
+
+    # Committing the change keeps its digest: it names code, not commits.
+    module.write_text("A = 2\n")
+    git("commit", "-qam", "change")
+    assert recorder.src_modified(tmp_path) is False
+    assert recorder.src_digest(tmp_path) == change
+
+
+def test_src_digest_is_none_outside_git(tmp_path):
+    assert _recorder().src_digest(tmp_path) is None

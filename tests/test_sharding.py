@@ -170,20 +170,84 @@ class TestShardedTableStorage:
             if row["bucket"] >= 40
         ) == [(4, 40), (12, 41), (1005, 42)]
 
+    def test_primary_key_move_off_the_shard_key_patches_in_place(self):
+        # Sharded on bucket, not on the primary key: moving keys is an
+        # ordinary update, patched into the owning partitions.
+        table = ShardedTable(make_schema(), "bucket", 3)
+        plain = Table(make_schema())
+        for target in (table, plain):
+            target.insert_many(
+                {"id": i, "bucket": i % 5, "label": f"item-{i}"}
+                for i in range(30)
+            )
+        views = [shard.columns() for shard in table.shards]
+        for shard in table.shards:
+            shard.position_index("id")
+            shard.wide_rows("i")
+        moves = [
+            (lambda row: row["id"] == 7, {"id": 107}),
+            (lambda row: row["id"] in (3, 4), {"id": 8}),  # two holders of 8
+            (lambda row: row["bucket"] == 2, {"id": lambda row: -row["id"]}),
+        ]
+        for predicate, assignments in moves:
+            assert table.update_rows(predicate, assignments) == plain.update_rows(
+                predicate, assignments
+            )
+        assert table.rows == plain.rows
+        for key in (7, 107, 8, 3, -2, -12, 99):
+            assert table.lookup_pk(key) == plain.lookup_pk(key)
+        assert table.position_index("id") == plain.position_index("id")
+        for index, shard in enumerate(table.shards):
+            assert shard.columns() is views[index]  # never re-homed
+            assert all(table.shard_index(r["bucket"]) == index for r in shard.rows)
+            fresh = Table(make_schema())
+            fresh.adopt_rows([dict(row) for row in shard.rows])
+            assert shard.columns() == fresh.columns()
+            assert shard.wide_rows("i") == fresh.wide_rows("i")
+            for name in ("id", "bucket", "label"):
+                assert shard.position_index(name) == fresh.position_index(name)
+                assert shard.distinct_count(name) == fresh.distinct_count(name)
+            for row in shard.rows:
+                assert shard.lookup_pk(row["id"]) == fresh.lookup_pk(row["id"])
+        assert sum(shard.patched_updates for shard in table.shards) == 9
+
+    def test_sql_primary_key_moves_match_unsharded(self):
+        sharded, plain = build_database(shards=4), build_database()
+        for database in (sharded, plain):
+            database.execute_sql("select * from orders where o_id = 13")
+            database.execute_update_sql(
+                "update orders set o_id = ? where o_id = ?", (500, 13)
+            )
+            database.execute_update_sql(
+                "update orders set o_id = o_id + 1000 where o_total > 50"
+            )
+        assert sharded.table("orders").rows == plain.table("orders").rows
+
+        def answer(database, sql):
+            return sorted(sorted(row.items()) for row in database.execute_sql(sql).rows)
+
+        for sql in (
+            "select * from orders where o_id = 500",
+            "select * from orders where o_id = 13",
+            "select * from orders where o_c_id = 3",
+            "select o_c_id, count(*) as n from orders group by o_c_id",
+        ):
+            assert answer(sharded, sql) == answer(plain, sql)
+
     def test_clear_empties_every_partition(self):
         table = make_sharded()
         table.clear()
         assert len(table) == 0
         assert all(len(shard) == 0 for shard in table.shards)
 
-    def test_lookup_pk_and_index_for_match_unsharded(self):
+    def test_lookup_pk_and_position_index_match_unsharded(self):
         table = make_sharded()
         plain = Table(make_schema())
         plain.insert_many(
             {"id": i, "bucket": i % 5, "label": f"item-{i}"} for i in range(40)
         )
         assert table.lookup_pk(11) == plain.lookup_pk(11)
-        assert table.index_for("bucket").keys() == plain.index_for("bucket").keys()
+        assert table.position_index("bucket") == plain.position_index("bucket")
         assert table.columns() == plain.columns()
         assert table.distinct_count("bucket") == plain.distinct_count("bucket")
 
@@ -552,10 +616,10 @@ class TestShardAwarePointLookup:
             i for i in range(120) if i % 10 == 3
         ]
         assert database.sharding_stats()["routed"] == before + 1
-        # Only the value's home shard built its secondary index.
+        # Only the value's home shard built its positional index.
         table = database.table("orders")
         built = [
-            bool(shard._indexes.get("o_c_id")) for shard in table.shards
+            bool(shard._positions.get("o_c_id")) for shard in table.shards
         ]
         assert built.count(True) == 1
 

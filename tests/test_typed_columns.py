@@ -294,15 +294,13 @@ class TestEncodedViewLifecycle:
 
     def test_unhashable_insert_drops_only_the_index_it_cannot_join(self):
         table = make_database().table("orders")
-        by_customer = table.index_for("o_c_id")
-        table.index_for("o_status")
+        by_customer = table.position_index("o_c_id")
         assert table.positions_for("o_status", "OPEN")
         table.insert({"o_id": 9003, "o_c_id": 1, "o_total": 1.0,
                       "o_status": ["unhashable"]})
-        assert table.index_for("o_c_id") is by_customer
-        assert by_customer[1][-1]["o_id"] == 9003
-        with pytest.raises(TypeError):
-            table.index_for("o_status")
+        assert table.position_index("o_c_id") is by_customer
+        assert by_customer[1][-1] == len(table.rows) - 1
+        assert table.position_index("o_status") is None
         assert table.positions_for("o_status", "OPEN") is None
 
     def test_adopt_rows_bumps_the_version_once(self):
@@ -619,21 +617,8 @@ def _assert_column_consistent(data, values, fresh):
         assert data.typed.typecode == ("q" if data.encoding == "int64" else "d")
 
 
-def _duplicated_ids(model):
-    seen, twice = set(), set()
-    for row in model:
-        (twice if row["id"] in seen else seen).add(row["id"])
-    return twice
-
-
-def _assert_views_match_rebuild(table, model, contested=()):
-    """Every derived view of ``table`` equals a fresh table's over ``model``.
-
-    Primary keys are not enforced unique, and which holder of a duplicated
-    key the primary-key index answers with depends on the write order, not
-    on the rows — so ``contested`` keys (ever held by two rows at once) are
-    left out of the lookup comparison.
-    """
+def _assert_views_match_rebuild(table, model):
+    """Every derived view of ``table`` equals a fresh table's over ``model``."""
     assert table.rows == model
     fresh = Table(table.schema)
     fresh.set_storage_mode(table.storage_mode)
@@ -652,20 +637,17 @@ def _assert_views_match_rebuild(table, model, contested=()):
         assert [list(row.items()) for row in wide] == [
             list(row.items()) for row in fresh_wide
         ]
-    position_of = {id(row): position for position, row in enumerate(table.rows)}
     for name in table.schema.column_names:
         assert table.distinct_count(name) == fresh.distinct_count(name)
-        index, fresh_index = table.index_for(name), fresh.index_for(name)
-        assert index == fresh_index
-        for value, bucket in index.items():
-            positions = [position_of[id(row)] for row in bucket]
+        index = table.position_index(name)
+        assert index == fresh.position_index(name)
+        for value, positions in index.items():
             assert positions == sorted(positions)  # bucket order = row order
             assert positions == table.positions_for(name, value)
             assert positions == fresh.positions_for(name, value)
         assert table.positions_for(name, "no such value") == ()
     for row in model:
-        if row["id"] not in contested:
-            assert table.lookup_pk(row["id"]) == fresh.lookup_pk(row["id"])
+        assert table.lookup_pk(row["id"]) == fresh.lookup_pk(row["id"])
 
 
 class TestMaintainedViews:
@@ -682,17 +664,15 @@ class TestMaintainedViews:
     def test_patched_views_equal_rebuilt_views(self, storage, history, data):
         database = _history_database(storage)
         model = [dict(row) for row in database.table("t").rows]
-        contested: set = set()
         ran = {"inserts": 0, "scan_updates": 0, "point_updates": 0}
         reencodes = 0
 
         def write(op):
             ran[_apply_write(database, model, op)] += 1
-            contested.update(_duplicated_ids(model))
 
         for op in history:
             if op[0] == "read":
-                _assert_views_match_rebuild(database.table("t"), model, contested)
+                _assert_views_match_rebuild(database.table("t"), model)
             elif op[0] == "recover":
                 # Crash: only the log survives; replay is positional too.
                 reencodes += database.storage_stats()["column_reencodes"]
@@ -706,9 +686,7 @@ class TestMaintainedViews:
                 for inner in writes:
                     write(inner)
                     if data.draw(st.booleans(), label="read inside txn"):
-                        _assert_views_match_rebuild(
-                            database.table("t"), model, contested
-                        )
+                        _assert_views_match_rebuild(database.table("t"), model)
                 if commit:
                     txn.commit()
                 else:
@@ -716,7 +694,7 @@ class TestMaintainedViews:
                     model[:] = saved
             else:
                 write(op)
-        _assert_views_match_rebuild(database.table("t"), model, contested)
+        _assert_views_match_rebuild(database.table("t"), model)
         # Which path ran is observable: every UPDATE was planned by exactly
         # one access path, and boxed columns always fit their encoding.
         stats = database.execution_stats()["storage"]
