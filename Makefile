@@ -30,12 +30,13 @@ test-obs:
 	python -m pytest tests/test_obs.py tests/test_explain.py \
 		tests/test_obs_property.py -q
 
-# The columnar-storage and codegen suites: typed/dictionary encoding units,
-# storage x codegen x tier equivalence sweeps (sharded and unsharded), the
-# zero-codegen_unsupported property gate, the maintained-views property
-# (views patched through any write history == freshly built ones, in every
-# storage mode, plus tier and MVCC-snapshot row equality around each write),
-# and the vectorized-tier units.
+# The columnar-storage and codegen suites: layout-fact units (plain-list
+# columns with (kind, nullable) facts, unsharded, per shard and unpacked
+# from a process-pool payload), layout x codegen x tier equivalence sweeps
+# (sharded and unsharded), the zero-codegen_unsupported property gate, the
+# maintained-views property (columns and facts patched through any write
+# history == freshly built ones, plus tier and MVCC-snapshot row equality
+# around each write), and the vectorized-tier units.
 test-columnar:
 	python -m pytest tests/test_typed_columns.py tests/test_vectorized.py -q
 
@@ -47,7 +48,8 @@ test-columnar:
 test-parallel:
 	python -m pytest tests/test_parallel.py -q
 
-# Engine performance benchmarks; writes BENCH_engine.json in the repo root.
+# Engine performance benchmarks; writes BENCH_engine.json in the repo root
+# and appends the same report as one line to the tracked BENCH_engine.jsonl.
 bench:
 	python benchmarks/bench_engine.py
 
@@ -84,10 +86,10 @@ bench-e2e-smoke:
 # scan_filter_codegen, aggregate_codegen, sort_limit_codegen (the fused
 # top-k), join_filter_codegen (the fused filtered join on 40-key rows),
 # join_filter_narrow (14-key rows, which must stay on the kernels),
-# dict_filter_strings (row equality
+# string_filter_codegen (row equality
 # across codegen/kernel/interpreted asserted, and the run fails if any
 # benchmark plan hits a codegen_unsupported fallback); does not overwrite
-# BENCH_engine.json.
+# BENCH_engine.json or append to BENCH_engine.jsonl.
 bench-smoke:
 	BENCH_ENGINE_ROWS=2000 BENCH_ENGINE_OUT=/tmp/BENCH_engine_smoke.json \
 		python benchmarks/bench_engine.py > /dev/null

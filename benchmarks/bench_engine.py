@@ -15,14 +15,12 @@ benchmark families are timed:
   ``*_codegen`` entries (``scan_filter_codegen``, ``aggregate_codegen``,
   ``sort_limit_codegen`` — the fused top-k —, ``join_filter_codegen`` —
   the fused filtered-join probe loop on 40-key rows — and
-  ``dict_filter_strings``) time the fused-pipeline codegen path against
-  the batch-kernel path on the same plans (interleaved min-of so allocator
-  drift hits both equally), asserting row equality and that codegen
-  actually served the run; ``dict_filter_strings`` additionally compares a
-  string-equality filter over the dictionary-encoded column against the
-  same filter with strings stored boxed.  ``join_filter_narrow`` is the
-  filtered join on 14-key rows, which the codegen executor must leave to
-  the kernels.
+  ``string_filter_codegen`` — a string-equality filter) time the
+  fused-pipeline codegen path against the batch-kernel path on the same
+  plans (interleaved min-of so allocator drift hits both equally),
+  asserting row equality and that codegen actually served the run.
+  ``join_filter_narrow`` is the filtered join on 14-key rows, which the
+  codegen executor must leave to the kernels.
 
 * **Prepared-statement point lookups** — the N+1 lazy-load query shape
   (``select * from customers where c_id = ?``) executed over and over with
@@ -93,12 +91,14 @@ benchmark families are timed:
   Figure 13 motivating program (P0) and all six Wilos patterns, i.e. the
   workloads the opt-time experiment reports.
 
-Results are written to ``BENCH_engine.json`` in the repository root (path
-overridable via ``BENCH_ENGINE_OUT``, used by the CI smoke run) so later
-PRs can track the performance trajectory; its ``environment`` block records
-what they were measured on (Python, ``nproc``, platform, the commit,
-whether ``src/`` differed from it and a sha256 ``src_digest`` of the code
-that ran).  Scale is adjustable via the
+Results are written to ``BENCH_engine.json`` in the repository root, and
+the same report is appended as one line to the tracked history
+``BENCH_engine.jsonl`` beside it, so later PRs can track the performance
+trajectory (:func:`write_report`).  ``BENCH_ENGINE_OUT`` redirects the
+JSON and appends nothing (the smoke and CI runs).  The ``environment``
+block records what the timings were measured on (Python, ``nproc``,
+platform, the commit, whether ``src/`` differed from it and a sha256
+``src_digest`` of the code that ran).  Scale is adjustable via the
 ``BENCH_ENGINE_ROWS`` environment variable (default 50 000).
 
 This file is intentionally *not* named ``test_*``: it is a standalone
@@ -472,10 +472,7 @@ def bench_codegen(rows: int) -> dict:
     memoised match, filter and row maker; ``join_filter_narrow`` is the
     same filter over 14-key rows, which the codegen executor declines
     (``narrow_row``) to the kernels — the two sides of the fused join's
-    width cut-off.  ``dict_filter_strings``
-    times a string-equality filter whose codegen compares dictionary
-    codes, against the kernel path and against the same pipeline with
-    strings stored boxed.
+    width cut-off.  ``string_filter`` is a string-equality filter.
     """
     database = build_benchmark_database(rows)
     interpreted = Executor(database.tables, mode="interpreted")
@@ -524,40 +521,19 @@ def bench_codegen(rows: int) -> dict:
     }
     del reference
 
-    # -- dict_filter_strings: dictionary codes vs boxed strings ----------
-    dict_plan = algebra.Select(
+    # -- string_filter: a string-equality filter -------------------------
+    string_plan = algebra.Select(
         algebra.Scan("orders", "o"),
         BinaryOp("=", ColumnRef("o_status", "o"), Literal("OPEN")),
     )
-    boxed_database = build_benchmark_database(rows)
-    boxed_database.table("orders").set_storage_mode("typed")  # strings boxed
-    boxed = Executor(boxed_database.tables, mode="vectorized")
-    reference = interpreted.execute(dict_plan)
-    if reference != codegen.execute(dict_plan) or reference != boxed.execute(
-        dict_plan
-    ) or reference != kernel.execute(dict_plan):
-        raise AssertionError("dict_filter_strings results differ across paths")
-    if database.table("orders").column_encodings()["o_status"] != "dict":
-        raise AssertionError("o_status is not dictionary-encoded")
-    output_rows = len(reference)
-    del reference
-    timings = _interleaved_best(
-        {
-            "kernel": lambda: kernel.execute(dict_plan),
-            "dict_codegen": lambda: codegen.execute(dict_plan),
-            "boxed_codegen": lambda: boxed.execute(dict_plan),
-        }
+    served = codegen._vectorized.codegen_executions
+    results["string_filter_codegen"] = _codegen_entry(
+        "string_filter", string_plan, interpreted, kernel, codegen
     )
-    results["dict_filter_strings"] = {
-        "output_rows": output_rows,
-        "kernel_seconds": timings["kernel"],
-        "dict_codegen_seconds": timings["dict_codegen"],
-        "boxed_codegen_seconds": timings["boxed_codegen"],
-        "speedup_vs_kernel": timings["kernel"] / timings["dict_codegen"],
-        "speedup_vs_boxed": (
-            timings["boxed_codegen"] / timings["dict_codegen"]
-        ),
-    }
+    if codegen._vectorized.codegen_executions == served or (
+        codegen._vectorized.fallback_reasons.get("codegen_unsupported")
+    ):
+        raise AssertionError("string_filter never took the codegen path")
     return results
 
 
@@ -1736,6 +1712,27 @@ def environment() -> dict:
     }
 
 
+def write_report(
+    report: dict, out_path: str | None = None, root: str = _REPO_ROOT
+) -> str:
+    """Write ``report`` as JSON and return the path written.
+
+    Without ``out_path`` the report goes to ``BENCH_engine.json`` under
+    ``root`` and is also appended, as one line, to the tracked history
+    ``BENCH_engine.jsonl`` there.  An explicit ``out_path`` writes only
+    that file.
+    """
+    path = out_path or os.path.join(root, "BENCH_engine.json")
+    with open(path, "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    if not out_path:
+        history = os.path.join(root, "BENCH_engine.jsonl")
+        with open(history, "a") as handle:
+            handle.write(json.dumps(report, sort_keys=True) + "\n")
+    return path
+
+
 def main() -> dict:
     rows = int(os.environ.get("BENCH_ENGINE_ROWS", str(DEFAULT_ROWS)))
     started = time.perf_counter()
@@ -1759,12 +1756,7 @@ def main() -> dict:
     report.update(bench_sharded(rows))
     report.update(bench_parallel(rows))
     report["harness_seconds"] = time.perf_counter() - started
-    out_path = os.environ.get(
-        "BENCH_ENGINE_OUT", os.path.join(_REPO_ROOT, "BENCH_engine.json")
-    )
-    with open(out_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    out_path = write_report(report, os.environ.get("BENCH_ENGINE_OUT"))
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"\nwrote {out_path}")
     return report

@@ -325,8 +325,8 @@ class EngineBuilder:
         """Parallel scatter-gather over shards on a worker pool.
 
         ``mode`` selects ``"thread"`` (shared-memory worker threads, the
-        default), ``"process"`` (worker processes fed pickled
-        ColumnBatches built on the typed column sidecars), or ``"serial"``
+        default), ``"process"`` (worker processes fed pickled column
+        lists, answering with pickled ColumnBatches), or ``"serial"``
         (the sequential baseline).  ``workers=None`` sizes the pool to the
         CPU count.  Composes with :meth:`shards`::
 

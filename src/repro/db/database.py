@@ -1484,15 +1484,15 @@ class Database:
                 tiers, vectorized, shard_tiers, shard_vectorized
             )
         # A non-summable annotation rides above the counter merge: a census
-        # of column encodings across the currently-built columnar views
-        # (empty for never-scanned tables).
+        # of column kinds (``int`` / ``float`` / ``boxed``) across the
+        # currently-built columnar views (empty for never-scanned tables).
         encodings: dict[str, int] = {}
         for table in self.tables.values():
             # Sharded tables scan their partitions, not the aggregate view,
             # so their columnar state lives in the shard Tables.
             for view in (table, *getattr(table, "shards", ())):
-                for encoding in view.column_encodings().values():
-                    encodings[encoding] = encodings.get(encoding, 0) + 1
+                for kind, _ in view.column_facts().values():
+                    encodings[kind] = encodings.get(kind, 0) + 1
         vectorized["encodings"] = encodings
         return {
             "mode": executor.mode,
@@ -1506,10 +1506,10 @@ class Database:
 
         ``patched_updates`` counts row changes patched into an
         already-built columnar view and ``column_reencodes`` single columns
-        lazily re-encoded because a write did not fit (both summed over
-        tables and shard partitions); ``point_updates`` / ``scan_updates``
-        count UPDATE statements planned from a positional-index probe vs.
-        a full scan.
+        whose layout facts were lazily re-derived after a write (both
+        summed over tables and shard partitions); ``point_updates`` /
+        ``scan_updates`` count UPDATE statements planned from a
+        positional-index probe vs. a full scan.
         """
         patched = reencodes = 0
         for table in self.tables.values():

@@ -23,8 +23,9 @@ are stated once, there.  Three scopes instantiate it:
   by the compiled row tier;
 * the **batch** scope of :mod:`repro.db.vectorized` (one fused comprehension
   over a batch's column arrays per expression);
-* the **fused-pipeline** scope of :mod:`repro.db.vectorized` (typed
-  sidecars, dictionary-code compares, null bitmaps).
+* the **fused-pipeline** scope of :mod:`repro.db.vectorized` (one loop
+  over a table's plain column lists, with NULL guards dropped for columns
+  whose layout facts say they hold no NULL).
 
 Generated code must agree with ``evaluate`` on every row, raised errors
 included.  Node types without a lowering (unknown scalar functions, foreign
@@ -440,10 +441,6 @@ class LoweringScope:
     def slot(self, slot: "ParameterSlot") -> Lowered:
         raise NotImplementedError
 
-    def compare(self, expression: "BinaryOp") -> Optional[Lowered]:
-        """A representation-specific lowering of a comparison, if any."""
-        return None
-
     def opaque(self, expression: Expression, what: str) -> Lowered:
         """A node with no lowering (unknown function, foreign subclass)."""
         raise LoweringError(what)
@@ -581,10 +578,6 @@ def lower_expression(expression: Expression, scope: LoweringScope) -> Lowered:
     if not isinstance(expression, BinaryOp):
         return scope.opaque(expression, type(expression).__name__)
     arithmetic = expression.op in _ARITHMETIC_OPS
-    if not arithmetic:
-        special = scope.compare(expression)
-        if special is not None:
-            return special
     op = _BINARY_OP_SOURCE[expression.op]
     left = lower_expression(expression.left, scope)
     right = lower_expression(expression.right, scope)

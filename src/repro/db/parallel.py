@@ -12,15 +12,13 @@
   table state; the only shared structures are broadcast (unsharded)
   tables, whose lazy caches rebuild idempotently.  Workers hand
   :class:`~repro.db.vectorized.ColumnBatch` objects back by reference —
-  zero-copy buffer views of the shard's typed column sidecars.
+  zero-copy views of the shard's column lists.
 * ``"process"`` — per-shard tasks run in worker processes.  Shard data is
-  seeded into each worker once per ``(table, shard, version)`` as packed
-  typed/dictionary column buffers (:func:`~repro.db.table.pack_column`
-  over ``memoryview`` slices), cached worker-side, and results ship back
-  as **pickled ColumnBatches** built on the same typed sidecars
-  (:func:`~repro.db.vectorized.pack_batch`) — never as row lists, per the
-  PR-5 rule.  The request/response byte counts are surfaced in
-  ``stats()["pickle_bytes"]``.
+  seeded into each worker once per ``(table, shard, version)`` as its
+  column lists and their layout facts (:func:`pack_table`), cached
+  worker-side, and results ship back as **pickled ColumnBatches**
+  (:func:`~repro.db.vectorized.pack_batch`) — never as row lists.  The
+  request/response byte counts are surfaced in ``stats()["pickle_bytes"]``.
 
 The pool records per-shard wall time for every parallel scatter; the
 router attaches the most recent scatter's timings to its route marker so
@@ -38,7 +36,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence
 
 from repro.db.executor import Executor
-from repro.db.table import Table, pack_column, unpack_column
+from repro.db.table import Table
 
 #: Valid pool modes; ``serial`` disables the pool entirely.
 PARALLEL_MODES = ("serial", "thread", "process")
@@ -266,16 +264,16 @@ class ShardExecutorPool:
 def pack_table(table: Table) -> tuple:
     """A picklable seed payload for one shard partition (or broadcast table).
 
-    Columns are packed as typed/dictionary buffers via ``memoryview``
-    slices (:func:`~repro.db.table.pack_column`), not as row-dict lists;
-    the worker rebuilds rows from the buffers once and caches the table.
+    Each column ships as ``(name, facts, values)`` — its layout facts and
+    its value list — not as row dicts; the worker rebuilds rows from the
+    columns once and caches the table.
     """
     store = table.columns()
+    facts = table.column_facts()
     return (
         table.schema,
-        table.storage_mode,
         len(table.rows),
-        tuple((name, pack_column(data)) for name, data in store.items()),
+        tuple((name, facts[name], values) for name, values in store.items()),
     )
 
 
@@ -283,14 +281,13 @@ def unpack_table(payload: tuple, version: int) -> Table:
     """Rebuild a :class:`Table` from a :func:`pack_table` payload.
 
     Row dicts are reassembled in schema declaration order (the stored-row
-    invariant ``wide_rows`` depends on), and the unpacked columns are
-    installed as the table's columnar view so the first vectorized scan
-    pays no re-encode.
+    invariant ``wide_rows`` depends on), and the shipped columns and facts
+    are installed as the table's columnar view, so the first vectorized
+    scan derives nothing.
     """
-    schema, storage_mode, length, packed = payload
+    schema, length, packed = payload
     table = Table(schema)
-    table.set_storage_mode(storage_mode)
-    columns = {name: unpack_column(column) for name, column in packed}
+    columns = {name: values for name, _, values in packed}
     names = list(schema.column_names)
     if length:
         table.rows = [
@@ -299,6 +296,7 @@ def unpack_table(payload: tuple, version: int) -> Table:
         ]
     table.version = version
     table._columnar = columns
+    table._facts = {name: facts for name, facts, _ in packed}
     return table
 
 

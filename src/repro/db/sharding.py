@@ -248,15 +248,6 @@ class ShardedTable(Table):
             shard.adopt_rows(rows)
         self._placement = None
 
-    # -- storage ---------------------------------------------------------
-
-    def set_storage_mode(self, mode: str) -> None:
-        # Per-shard executors scan the shard partitions, not the aggregate
-        # view, so the physical-layout knob must reach both.
-        super().set_storage_mode(mode)
-        for shard in self.shards:
-            shard.set_storage_mode(mode)
-
     # -- introspection ---------------------------------------------------
 
     def shard_row_counts(self) -> list[int]:
@@ -884,7 +875,7 @@ class ShardRouter:
     ) -> Optional[list[tuple[int, list[Row]]]]:
         """Process-pool scatter; ``None`` degrades to the thread path.
 
-        Shard data ships as packed typed/dictionary column buffers keyed
+        Shard data ships as column lists with their layout facts, keyed
         by ``(table, shard, version)`` — workers cache them, so steady
         state ships only the (cached) plan blob.  Results come back as
         pickled ColumnBatches; executor counter deltas from the workers
@@ -1378,7 +1369,7 @@ def _row_preserving_path(nodes: Sequence[algebra.PlanNode]) -> bool:
 #: The summable int counters of a vectorized-stats dict; everything the
 #: executor reports beyond these must be a reason -> count dict listed in
 #: VECTORIZED_REASON_KEYS, or attached above the merge
-#: (Database.execution_stats does the latter for the column-encoding census).
+#: (Database.execution_stats does the latter for the column-kind census).
 VECTORIZED_COUNTER_KEYS = (
     "executions",
     "codegen_executions",

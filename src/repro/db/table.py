@@ -9,10 +9,12 @@ Tables keep *derived views*, each built lazily on first use: positional
 bucket indexes (:meth:`Table.position_index`, column value -> row
 positions; the one index behind point lookups, point ``UPDATE`` candidates
 and every indexed join), cached per-column distinct counts (the statistics
-catalog), the *columnar view* (:meth:`Table.columns`, one
-:class:`ColumnData` per column aligned by row position, which the
-vectorized executor scans instead of row dictionaries) and the full-width
-scan-output templates (:meth:`Table.wide_rows`).
+catalog), the *columnar view* (:meth:`Table.columns`, one plain ``list`` of
+values per column aligned by row position, which the vectorized executor
+scans instead of row dictionaries) and the full-width scan-output
+templates (:meth:`Table.wide_rows`).  Beside each column the table keeps
+two layout facts, ``(kind, nullable)`` (:func:`derive_facts`), which the
+fused-pipeline codegen specializes on (:meth:`Table.layout`).
 
 The row dicts remain the single mutation/validation surface, and every
 mutation is **positional**: an insert appends, an update is a list of
@@ -22,273 +24,72 @@ commit and WAL replay).  A mutation bumps :attr:`Table.version` (external
 caches key on it) and then *maintains* the built views instead of dropping
 them: an append extends every built view, an update patches the columnar
 view and the templates in place and drops only the positional indexes and
-distinct counts of the *assigned* columns.  A column is re-encoded — that
-one column, on the next :meth:`Table.columns` call — only when a written
-value does not fit its encoding.  ``clear`` / ``truncate_to`` /
-``adopt_rows`` drop the views; the full build survives only as the lazy
-first build.
+distinct counts of the *assigned* columns.  A write that may change a
+column's facts queues that one column; the next :meth:`Table.columns` call
+re-derives its facts, so maintained facts always equal a fresh build's.
+``clear`` / ``truncate_to`` / ``adopt_rows`` drop the views; the full
+build survives only as the lazy first build.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.db.schema import SchemaError, TableSchema
 
 Row = dict
 
-#: storage modes for the columnar view, from least to most encoded:
-#: ``boxed`` keeps plain value lists, ``typed`` adds ``array('q')`` /
-#: ``array('d')`` sidecars for int/float columns, ``dictionary`` (the
-#: default) additionally dictionary-encodes string columns.
-STORAGE_MODES = ("boxed", "typed", "dictionary")
+#: the typed column kinds: every non-null value is exactly this type
+#: (``bool`` is a type of its own, so a bool column is boxed).
+_KINDS = {int: "int", float: "float"}
+_NONE = type(None)
 
 
-class ColumnData(list):
-    """One column of the columnar view: boxed values plus typed sidecars.
+def derive_facts(values: list) -> tuple[str, bool]:
+    """A column's layout facts ``(kind, nullable)``, from one type pass.
 
-    Subclasses ``list`` so every existing consumer (batch kernels, gathers,
-    ``zip``-based materialization) keeps working on the boxed values at zero
-    adapter cost; the typed representation rides along in slots:
-
-    - ``encoding``: ``"boxed"``, ``"int64"``, ``"float64"``, or ``"dict"``.
-    - ``typed``: ``array('q')`` / ``array('d')`` of the non-null values
-      (nulls stored as 0/0.0 — consult ``nulls``), or ``None`` when boxed.
-    - ``nulls``: little-endian null bitmap ``bytearray`` (bit *i* set means
-      row *i* is NULL), or ``None`` when the column contains no nulls.
-    - ``dictionary`` / ``codes`` / ``code_of``: for ``"dict"`` encoding,
-      the value dictionary (code -> string), the per-row code array
-      (``array('q')``, ``-1`` for NULL), and the string -> code map used to
-      translate filter literals once per pipeline.
+    ``kind`` is ``"int"`` or ``"float"`` when every non-null value is
+    exactly that type, else ``"boxed"`` (strings, bools, mixed, empty and
+    all-NULL columns); ``nullable`` says whether any value is NULL.
     """
-
-    __slots__ = ("encoding", "typed", "nulls", "dictionary", "codes", "code_of")
-
-    def __init__(self, values=()):  # noqa: D107 - documented on the class
-        super().__init__(values)
-        self.encoding = "boxed"
-        self.typed = None
-        self.nulls = None
-        self.dictionary = None
-        self.codes = None
-        self.code_of = None
+    types = set(map(type, values))
+    nullable = _NONE in types
+    types.discard(_NONE)
+    kind = _KINDS.get(types.pop(), "boxed") if len(types) == 1 else "boxed"
+    return kind, nullable
 
 
-def _null_bitmap(values: list) -> Optional[bytearray]:
-    """Little-endian null bitmap for ``values``; ``None`` if no nulls."""
-    bits: Optional[bytearray] = None
-    for position, value in enumerate(values):
-        if value is None:
-            if bits is None:
-                bits = bytearray((len(values) + 7) // 8)
-            bits[position >> 3] |= 1 << (position & 7)
-    return bits
+def _append_keeps(facts: tuple[str, bool], value: Any) -> bool:
+    """Whether appending ``value`` to a column leaves its facts unchanged.
 
-
-def encode_column(values: list, mode: str) -> ColumnData:
-    """Build one :class:`ColumnData`, inferring the physical representation.
-
-    A column is typed only when every non-null value is exactly one of
-    ``int`` / ``float`` / ``str`` (``bool`` stays boxed: it is a distinct
-    type and must round-trip unchanged).  Anything mixed, empty, or
-    surprising (e.g. ints too wide for 64 bits) falls back to the boxed
-    list, which is always present and always authoritative.
+    A NULL needs a nullable column; a typed column takes its own type; a
+    boxed column takes anything that cannot make it typed.
     """
-    data = ColumnData(values)
-    if mode == "boxed" or not values:
-        return data
-    kinds = set(map(type, data))
-    has_null = type(None) in kinds
-    kinds.discard(type(None))
-    if len(kinds) != 1:
-        return data
-    kind = next(iter(kinds))
-    if kind is int:
-        try:
-            data.typed = array(
-                "q", (0 if v is None else v for v in data) if has_null else data
-            )
-        except OverflowError:
-            return data
-        data.encoding = "int64"
-    elif kind is float:
-        data.typed = array(
-            "d", (0.0 if v is None else v for v in data) if has_null else data
-        )
-        data.encoding = "float64"
-    elif kind is str and mode == "dictionary":
-        code_of: dict[str, int] = {}
-        codes = array("q")
-        append = codes.append
-        for value in data:
-            if value is None:
-                append(-1)
-            else:
-                code = code_of.get(value)
-                if code is None:
-                    code = len(code_of)
-                    code_of[value] = code
-                append(code)
-        data.encoding = "dict"
-        data.codes = codes
-        data.code_of = code_of
-        data.dictionary = list(code_of)
-    else:
-        return data
-    if has_null:
-        data.nulls = _null_bitmap(data)
-    return data
-
-
-def _store_value(data: ColumnData, position: int, value: Any) -> bool:
-    """Write ``value`` at ``position`` of a built column, sidecars included.
-
-    ``position == len(data)`` appends.  Returns ``False`` when the value
-    does not fit the column's encoding — a type the sidecar cannot hold, an
-    int wider than 64 bits, the first NULL of a null-free column (the
-    bitmap's presence is part of the layout compiled pipelines specialize
-    on) — in which case the column is left for :func:`encode_column` to
-    rebuild.  A new dictionary string gets the next free code; a cleared
-    NULL leaves its (now possibly all-zero) bitmap in place, so a patched
-    column keeps its layout.
-    """
-    typed, codes, nulls = data.typed, data.codes, data.nulls
-    if position == len(data):
-        data.append(value)
-        if typed is not None:
-            typed.append(0)
-        elif codes is not None:
-            codes.append(-1)
-        if nulls is not None and position >> 3 == len(nulls):
-            nulls.append(0)
-    else:
-        data[position] = value
-    encoding = data.encoding
-    if encoding == "boxed":
-        return True
+    kind, nullable = facts
     if value is None:
-        if nulls is None:
-            return False
-        nulls[position >> 3] |= 1 << (position & 7)
-        if typed is not None:
-            typed[position] = 0
-        else:
-            codes[position] = -1
-        return True
-    if encoding == "dict":
-        if type(value) is not str:
-            return False
-        code = data.code_of.get(value)
-        if code is None:
-            dictionary = data.dictionary
-            # Overwritten strings stay in the dictionary; rebuild before
-            # the dead entries outnumber the rows.
-            if len(dictionary) > 2 * len(data) + 16:
-                return False
-            code = data.code_of[value] = len(dictionary)
-            dictionary.append(value)
-        codes[position] = code
-    elif type(value) is not (int if encoding == "int64" else float):
-        return False
-    else:
+        return nullable
+    typed = _KINDS.get(type(value))
+    return typed is None if kind == "boxed" else typed == kind
+
+
+def _count_distinct(values: list) -> int:
+    """Distinct non-null ``values`` when some are unhashable.
+
+    Hashable values count through a set; the unhashable ones (lists,
+    dicts) compare by ``==`` among themselves only, so the quadratic work
+    is confined to them.
+    """
+    hashable: set = set()
+    unhashable: list = []
+    for value in values:
+        if value is None:
+            continue
         try:
-            typed[position] = value
-        except OverflowError:
-            return False
-    if nulls is not None:
-        nulls[position >> 3] &= ~(1 << (position & 7)) & 0xFF
-    return True
-
-
-def _slice_nulls(
-    nulls: Optional[bytearray], start: int, stop: int
-) -> Optional[bytes]:
-    """The ``[start, stop)`` bit range of a null bitmap, rebased to bit 0.
-
-    Byte-aligned slices are cut straight out of the buffer; unaligned
-    starts rebuild the bits (rare: partition views are whole-column in
-    practice).  Returns ``None`` when no bit in the range is set.
-    """
-    if nulls is None:
-        return None
-    if start & 7 == 0:
-        chunk = bytes(nulls[start >> 3 : (stop + 7) >> 3])
-        return chunk if any(chunk) else None
-    rebased = bytearray((stop - start + 7) // 8)
-    any_set = False
-    for position in range(start, stop):
-        if nulls[position >> 3] & (1 << (position & 7)):
-            rebased[(position - start) >> 3] |= 1 << ((position - start) & 7)
-            any_set = True
-    return bytes(rebased) if any_set else None
-
-
-def pack_column(data, start: int = 0, stop: Optional[int] = None) -> tuple:
-    """A compact, picklable payload for one column (or a slice of it).
-
-    Typed (``int64`` / ``float64``) and dictionary columns are packed as
-    raw buffer bytes extracted through ``memoryview`` slices of their
-    ``array`` sidecars — a zero-copy view of the partition range, never an
-    intermediate boxed list — plus the matching null-bitmap slice.  Boxed
-    columns keep the list path (their values carry no buffer form).  The
-    payload round-trips through :func:`unpack_column`.
-    """
-    if stop is None:
-        stop = len(data)
-    encoding = getattr(data, "encoding", "boxed")
-    if encoding in ("int64", "float64"):
-        view = memoryview(data.typed)[start:stop]
-        return (
-            encoding,
-            stop - start,
-            view.tobytes(),
-            _slice_nulls(data.nulls, start, stop),
-            None,
-        )
-    if encoding == "dict":
-        view = memoryview(data.codes)[start:stop]
-        return ("dict", stop - start, view.tobytes(), None, data.dictionary)
-    return ("boxed", stop - start, list(data[start:stop]), None, None)
-
-
-def unpack_column(payload: tuple) -> ColumnData:
-    """Rebuild a :class:`ColumnData` from a :func:`pack_column` payload.
-
-    The boxed list is refilled from the typed buffer at C speed (list over
-    an ``array``, or a dictionary decode over the code array), so the
-    receiver gets the same dual boxed + typed representation
-    :func:`encode_column` builds — without re-running type inference.
-    """
-    encoding, length, buffer, nulls, dictionary = payload
-    if encoding == "boxed":
-        return ColumnData(buffer)
-    if encoding == "dict":
-        codes = array("q")
-        codes.frombytes(buffer)
-        code_of: dict[str, int] = {
-            value: code for code, value in enumerate(dictionary)
-        }
-        data = ColumnData(
-            None if code < 0 else dictionary[code] for code in codes
-        )
-        data.encoding = "dict"
-        data.codes = codes
-        data.code_of = code_of
-        data.dictionary = list(dictionary)
-        return data
-    typed = array("q" if encoding == "int64" else "d")
-    typed.frombytes(buffer)
-    data = ColumnData(typed)
-    data.encoding = encoding
-    data.typed = typed
-    if nulls is not None:
-        bitmap = bytearray(nulls)
-        data.nulls = bitmap
-        for position in range(length):
-            if bitmap[position >> 3] & (1 << (position & 7)):
-                data[position] = None
-    return data
+            hashable.add(value)
+        except TypeError:
+            if value not in unhashable:
+                unhashable.append(value)
+    return len(hashable) + len(unhashable)
 
 
 def _wide_row(row: Row, qualified: list[str]) -> Row:
@@ -332,22 +133,23 @@ class Table:
         self._positions: dict[str, dict[Any, list[int]]] = {}
         #: column name -> cached distinct non-null value count.
         self._distinct_cache: dict[str, int] = {}
-        #: the built columnar view (column name -> :class:`ColumnData`),
-        #: maintained in place by every mutation once built.
-        self._columnar: Optional[dict[str, ColumnData]] = None
-        #: columns of the built view a write did not fit; re-encoded from
-        #: the rows by the next :meth:`columns` call.
-        self._reencode: set[str] = set()
-        #: physical representation of the columnar view; see
-        #: :data:`STORAGE_MODES` and :meth:`set_storage_mode`.
-        self._storage_mode: str = "dictionary"
+        #: the built columnar view (column name -> value list), maintained
+        #: in place by every mutation once built.
+        self._columnar: Optional[dict[str, list]] = None
+        #: column name -> ``(kind, nullable)`` of the built view.
+        self._facts: dict[str, tuple[str, bool]] = {}
+        #: columns whose facts a write may have changed; re-derived by the
+        #: next :meth:`columns` call.
+        self._stale: set[str] = set()
+        #: the cached :meth:`layout` signature; ``None`` after a fact moved.
+        self._layout: Optional[tuple] = None
         #: alias -> built full-width output rows (bare + qualified keys)
         #: for that scan alias, maintained in place like the columnar view.
         self._wide_rows: dict[str, list[Row]] = {}
         #: bumped on every mutation; external caches may key on this.
         self.version: int = 0
         #: row changes patched into an already-built columnar view, and
-        #: single columns lazily re-encoded because a write did not fit.
+        #: single columns whose facts were lazily re-derived after a write.
         self.patched_updates: int = 0
         self.column_reencodes: int = 0
 
@@ -548,28 +350,33 @@ class Table:
     def _write_columns(self, position: int, values: dict) -> None:
         """Write ``values`` at ``position`` of the built columnar view.
 
-        A column the value does not fit is queued for re-encoding.  So is
-        any boxed column outside ``boxed`` mode: whether it stays boxed
-        depends on all of its values, which only a re-encode looks at.
+        ``position == len(column)`` appends.  A write that may change a
+        column's facts queues that column for re-derivation: an append
+        :func:`_append_keeps` rejects, or an overwrite that changes the
+        value's type (the old value may have been the last of its type).
         """
         store = self._columnar
-        pending = self._reencode
-        refit_boxed = self._storage_mode != "boxed"
+        facts = self._facts
+        stale = self._stale
         for name, value in values.items():
-            if name in pending:
-                continue
             data = store[name]
-            if not _store_value(data, position, value) or (
-                refit_boxed and data.encoding == "boxed"
-            ):
-                pending.add(name)
+            if position == len(data):
+                data.append(value)
+                keeps = _append_keeps(facts[name], value)
+            else:
+                keeps = type(data[position]) is type(value)
+                data[position] = value
+            if not keeps:
+                stale.add(name)
 
     def _drop_views(self) -> None:
         self.version += 1
         self._positions.clear()
         self._distinct_cache.clear()
         self._columnar = None
-        self._reencode.clear()
+        self._facts = {}
+        self._stale.clear()
+        self._layout = None
         self._wide_rows.clear()
 
     # -- access ----------------------------------------------------------
@@ -645,40 +452,58 @@ class Table:
         except TypeError:
             return None
 
-    def columns(self) -> dict[str, ColumnData]:
-        """Columnar view: column name -> :class:`ColumnData`, aligned by row.
+    def columns(self) -> dict[str, list]:
+        """Columnar view: column name -> plain value ``list``, aligned by row.
 
         Built from the row dicts on first use; afterwards every mutation
         maintains it in place (the same dict is handed out again), and this
-        call only re-encodes the columns a write did not fit.  Row dicts
-        remain the mutation surface; the returned columns are positionally
-        aligned with :attr:`rows`, must not be mutated by callers, and —
-        because the next write patches them — are only valid within the
-        statement that asked for them.  The vectorized executor scans these
-        arrays instead of iterating row dictionaries; each column carries a
-        typed/dictionary-encoded sidecar per :meth:`set_storage_mode`, which
-        the fused-pipeline codegen specializes on.
+        call only re-derives the facts of the columns a write queued.  Row
+        dicts remain the mutation surface; the returned columns are
+        positionally aligned with :attr:`rows`, must not be mutated by
+        callers, and — because the next write patches them — are only
+        valid within the statement that asked for them.  Every column is
+        exactly a ``list`` (a subclass would miss CPython's specialized
+        list subscript in the executor's gathers).
         """
         store = self._columnar
         if store is None:
-            names = self.schema.column_names
-        elif self._reencode:
-            names = tuple(self._reencode)
-            self.column_reencodes += len(names)
-        else:
-            return store
-        rows = self.rows
-        mode = self._storage_mode
-        fresh = {
-            name: encode_column([row[name] for row in rows], mode)
-            for name in names
-        }
-        if store is None:
-            self._columnar = store = fresh
-        else:
-            store.update(fresh)
-            self._reencode.clear()
+            rows = self.rows
+            store = {
+                name: [row[name] for row in rows]
+                for name in self.schema.column_names
+            }
+            self._facts = {
+                name: derive_facts(values) for name, values in store.items()
+            }
+            self._layout = None
+            # Published last: a concurrent reader (a broadcast table under
+            # the thread pool) sees no view or a view with its facts.
+            self._columnar = store
+        elif self._stale:
+            facts = self._facts
+            for name in self._stale:
+                fresh = derive_facts(store[name])
+                if fresh != facts[name]:
+                    facts[name] = fresh
+                    self._layout = None
+            self.column_reencodes += len(self._stale)
+            self._stale.clear()
         return store
+
+    def layout(self) -> tuple:
+        """The columnar view's layout signature, for pipeline caches.
+
+        ``(kind, nullable)`` per column in schema order, as of the facts
+        :meth:`columns` maintains (it is called first when a build or a
+        re-derivation is due).  Cached: recomputed only after a fact
+        changed.
+        """
+        if self._columnar is None or self._stale:
+            self.columns()
+        signature = self._layout
+        if signature is None:
+            signature = self._layout = tuple(self._facts.values())
+        return signature
 
     def wide_rows(self, alias: str) -> list[Row]:
         """Full-width scan output rows for ``alias``, built once per alias.
@@ -701,39 +526,19 @@ class Table:
     def _qualified(self, alias: str) -> list[str]:
         return [f"{alias}.{name}" for name in self.schema.column_names]
 
-    def set_storage_mode(self, mode: str) -> None:
-        """Choose the columnar representation (see :data:`STORAGE_MODES`).
-
-        Drops the built columnar view, so the next :meth:`columns` call
-        builds it in the new mode; the row dicts are untouched, so this is
-        purely a physical-layout knob.
-        """
-        if mode not in STORAGE_MODES:
-            raise ValueError(
-                f"unknown storage mode {mode!r}; expected one of "
-                f"{STORAGE_MODES}"
-            )
-        if mode != self._storage_mode:
-            self._storage_mode = mode
-            self._columnar = None
-            self._reencode.clear()
-
-    @property
-    def storage_mode(self) -> str:
-        return self._storage_mode
-
-    def column_encodings(self) -> dict[str, str]:
-        """Encoding per column of the *currently built* columnar view.
+    def column_facts(self) -> dict[str, tuple[str, bool]]:
+        """``(kind, nullable)`` per column of the *currently built* view.
 
         Reads only the built view — it never triggers a build or a
-        re-encode — so it is safe to call from stats paths without side
-        effects.  Columns awaiting a re-encode are left out; empty when the
-        view was never built.
+        re-derivation — so it is safe to call from stats paths without
+        side effects.  Columns awaiting re-derivation are left out; empty
+        when the view was never built.
         """
+        stale = self._stale
         return {
-            name: column.encoding
-            for name, column in (self._columnar or {}).items()
-            if name not in self._reencode
+            name: facts
+            for name, facts in self._facts.items()
+            if name not in stale
         }
 
     @property
@@ -746,9 +551,14 @@ class Table:
         cached = self._distinct_cache.get(column)
         if cached is None:
             self.schema.column(column)
-            cached = len(
-                {row[column] for row in self.rows if row[column] is not None}
-            )
+            rows = self.rows
+            try:
+                distinct = {row[column] for row in rows}
+            except TypeError:
+                cached = _count_distinct([row[column] for row in rows])
+            else:
+                distinct.discard(None)
+                cached = len(distinct)
             self._distinct_cache[column] = cached
         return cached
 

@@ -28,7 +28,7 @@ Expressions reach code through the one lowering in
 (:class:`_BatchScope` for the kernels, :class:`_PipelineCompiler` for fused
 ``[Project|Aggregate] → Select* → Scan``, top-k ``Limit → Sort → …`` and
 filtered-join ``Select+ → Join → (Scan, Scan)`` loops
-specialized to each column's physical encoding), so a node either scope
+specialized to each column's layout facts), so a node either scope
 cannot lower is rejected by the other for the same reason.
 
 Operators or expressions outside the vectorizable subset fall back
@@ -57,7 +57,6 @@ from repro.db.executor import (
     sort_key_function,
 )
 from repro.db.expressions import (
-    BinaryOp,
     ColumnRef,
     Expression,
     Literal,
@@ -221,29 +220,20 @@ def _empty_batch() -> ColumnBatch:
 def pack_batch(batch: ColumnBatch) -> tuple:
     """A compact payload for shipping a batch between processes.
 
-    Each column is gathered through its selection and re-encoded onto
-    typed ``array`` / dictionary sidecars (:func:`~repro.db.table.
-    encode_column` + :func:`~repro.db.table.pack_column`), so the pickle
-    carries raw buffers instead of per-value boxed objects — the PR-5
+    Each column is gathered through its selection into one value list, so
+    the pickle carries columns rather than per-row dicts — the
     ship-ColumnBatches-not-row-lists rule, applied across the process
     boundary.  Round-trips through :func:`unpack_batch`.
     """
-    from repro.db.table import encode_column, pack_column
-
-    columns = tuple(
-        (key, pack_column(encode_column(batch.values_for(key), "dictionary")))
-        for key in batch.key_order
-    )
+    columns = tuple((key, batch.values_for(key)) for key in batch.key_order)
     return (columns, batch.length)
 
 
 def unpack_batch(payload: tuple) -> ColumnBatch:
     """Rebuild a :class:`ColumnBatch` from a :func:`pack_batch` payload."""
-    from repro.db.table import unpack_column
-
     packed_columns, length = payload
     columns: dict[str, tuple[list, Optional[list[int]]]] = {
-        key: (unpack_column(packed), None) for key, packed in packed_columns
+        key: (values, None) for key, values in packed_columns
     }
     return ColumnBatch(
         columns, length, tuple(key for key, _ in packed_columns)
@@ -503,20 +493,20 @@ def _hash_join_positions(
 #   survivor probes R's positional index (:meth:`repro.db.table.
 #   Table.position_index`) before any joined row exists.
 #
-# Each loop is specialized to every referenced column's physical
-# representation (see :class:`repro.db.table.ColumnData`):
+# Every loop zips the table's plain column lists and is specialized to the
+# layout facts of each referenced column (:meth:`repro.db.table.Table.
+# layout`, ``(kind, nullable)`` per column):
 #
-# * dictionary-encoded string filters translate the comparison literal (or
-#   parameter value) through the dictionary once per execution and compare
-#   small-int codes inside the loop;
-# * non-nullable typed columns drop their ``is None`` guards entirely;
+# * non-nullable columns drop their ``is None`` guards entirely;
+# * ``int`` / ``float`` columns add raw sort keys (top-k) and plain ``+=``
+#   sums (aggregates);
 # * ``ParameterSlot``s read the statement's slot buffer in the loop
 #   prologue, so prepared templates replay with zero re-lowering.
 #
-# Compiled pipelines are cached per (plan, column-layout signature): a table
-# rebuild that changes an encoding (or grows a null bitmap) recompiles, a
-# rebuild that keeps the layout reuses the cached function against the fresh
-# column store.  Lowering failures surface as :class:`LoweringError`
+# Compiled pipelines are cached per (plan, layout signature): a write that
+# changes a fact (a first NULL, a value of another type) recompiles, a
+# rebuild that keeps the facts reuses the cached function against the
+# fresh column store.  Lowering failures surface as :class:`LoweringError`
 # and fall back to the batch-kernel path (counted as
 # ``codegen_unsupported``); a *runtime* error in a generated pipeline also
 # re-runs via the kernel path, so error semantics never diverge from the
@@ -762,32 +752,30 @@ class _BatchScope(_LoopScope):
 
 
 class _PipelineCompiler(_LoopScope):
-    """The fused-pipeline scope: one pipeline's columns, by physical layout.
+    """The fused-pipeline scope: one pipeline's columns, by layout facts.
 
-    One instance compiles one (pipeline shape, column-layout signature)
-    pair: null-guard elision and dictionary code comparison are decided by
-    each referenced column's physical encoding, which is why compiled
-    pipelines are cached per layout signature.  With ``store=None`` the
+    One instance compiles one (pipeline shape, layout signature) pair:
+    null-guard elision, raw sort keys and plain sums are decided by each
+    referenced column's ``(kind, nullable)`` facts, which is why compiled
+    pipelines are cached per layout signature.  With ``facts=None`` the
     compiler runs in *trial mode* — every column is assumed boxed and
     nullable — which exercises the identical supportability decisions
-    without a live column store (used to cache unsupportable shapes once).
+    without a live table (used to cache unsupportable shapes once).
 
-    The generated function has the signature ``_pipeline(_cols, _n)`` where
-    ``_cols`` is the table's current column store and ``_n`` its row count:
-    nothing store-specific is baked into the compiled code — dictionary
-    lookups, column arrays and null layouts are all read from ``_cols`` in
-    the loop prologue — so a cached pipeline stays valid across table
-    rebuilds that preserve the layout signature.
+    The generated function has the signature ``_pipeline(_cols, _n, _wide)``
+    where ``_cols`` is the table's current column store and ``_n`` its row
+    count: nothing store-specific is baked into the compiled code — the
+    column lists are read from ``_cols`` in the loop prologue — so a cached
+    pipeline stays valid across table rebuilds that preserve the layout
+    signature.
     """
 
-    def __init__(self, schema, store) -> None:
+    def __init__(self, schema, facts) -> None:
         super().__init__()
         self._schema = schema
-        self._store = store
+        self._facts = facts
         self._column_vars: dict[str, str] = {}
-        self._boxed_vars: dict[str, str] = {}
-        self._code_vars: dict[str, str] = {}
-        self._dict_vars: dict[str, str] = {}
+        self._value_vars: dict[str, str] = {}
         #: when set, column references resolve against these emit-scope
         #: sources (an aggregate's output namespace) instead of the scanned
         #: table's columns — used to lower a projection over an aggregate.
@@ -814,7 +802,7 @@ class _PipelineCompiler(_LoopScope):
         if self.emit_columns is not None:
             return Lowered(self._resolve_emit(column), True, False, False)
         name = self.resolve(column)
-        return Lowered(self.boxed_var(name), self.nullable(name), False, True)
+        return Lowered(self.value_var(name), self.nullable(name), False, True)
 
     # -- column / parameter access ----------------------------------------
 
@@ -834,19 +822,18 @@ class _PipelineCompiler(_LoopScope):
         """Resolve a reference against the emit-scope namespace."""
         return self.emit_columns[_output_key(column, self.emit_columns)]
 
-    def encoding(self, name: str) -> str:
-        if self._store is None:  # trial mode: pessimistic
+    def kind(self, name: str) -> str:
+        if self._facts is None:  # trial mode: pessimistic
             return "boxed"
-        return self._store[name].encoding
+        return self._facts[name][0]
 
     def nullable(self, name: str) -> bool:
-        if self._store is None:  # trial mode: pessimistic
+        if self._facts is None:  # trial mode: pessimistic
             return True
-        data = self._store[name]
-        return data.encoding == "boxed" or data.nulls is not None
+        return self._facts[name][1]
 
     def column_var(self, name: str) -> str:
-        """Prologue variable holding the column's :class:`ColumnData`."""
+        """Prologue variable holding the column's value list."""
         var = self._column_vars.get(name)
         if var is None:
             var = self.gensym("_c")
@@ -854,93 +841,15 @@ class _PipelineCompiler(_LoopScope):
             self.prologue.append(f"{var} = _cols[{name!r}]")
         return var
 
-    def boxed_var(self, name: str) -> str:
-        """Loop variable over the column's boxed values."""
-        var = self._boxed_vars.get(name)
+    def value_var(self, name: str) -> str:
+        """Loop variable over the column's values."""
+        var = self._value_vars.get(name)
         if var is None:
             var = self.gensym("_v")
-            self._boxed_vars[name] = var
+            self._value_vars[name] = var
             self.zip_names.append(var)
             self.zip_sources.append(self.column_var(name))
         return var
-
-    def codes_var(self, name: str) -> str:
-        """Loop variable over a dictionary column's code array."""
-        var = self._code_vars.get(name)
-        if var is None:
-            var = self.gensym("_x")
-            self._code_vars[name] = var
-            self.zip_names.append(var)
-            self.zip_sources.append(f"{self.column_var(name)}.codes")
-        return var
-
-    def dictionary_var(self, name: str) -> str:
-        """Prologue variable holding a dictionary column's value list."""
-        var = self._dict_vars.get(name)
-        if var is None:
-            var = self.gensym("_d")
-            self._dict_vars[name] = var
-            self.prologue.append(f"{var} = {self.column_var(name)}.dictionary")
-        return var
-
-    def compare(self, expression: BinaryOp) -> Optional[Lowered]:
-        """``dict_col = scalar`` / ``!=`` as a small-int code comparison.
-
-        The scalar is translated through the column's dictionary once per
-        execution (in the loop prologue); inside the loop only the per-row
-        code is compared.  Sentinels: row code ``-1`` is NULL, translated
-        key ``-2`` means "scalar is NULL", ``-3`` "scalar not in the
-        dictionary" — both compare unequal to every row code, and the NULL
-        cases collapse to ``False`` exactly like the row tiers' comparison
-        semantics.
-        """
-        if self.emit_columns is not None:
-            return None  # emit scope has no dictionary columns
-        equality = expression.op in ("=", "==")
-        if not equality and expression.op not in ("!=", "<>"):
-            return None
-        column, scalar = expression.left, expression.right
-        if isinstance(scalar, ColumnRef) and not isinstance(column, ColumnRef):
-            column, scalar = scalar, column
-        if not isinstance(column, ColumnRef) or not isinstance(
-            scalar, (Literal, ParameterSlot)
-        ):
-            return None
-        name = self.resolve(column)
-        if self.encoding(name) != "dict":
-            return None
-        codes = self.codes_var(name)
-        holder = self.column_var(name)
-        key = self.gensym("_k")
-        if isinstance(scalar, Literal):
-            value = scalar.value
-            if value is None:
-                # NULL never compares equal (or unequal) to anything.
-                return Lowered("False", False, True, True)
-            try:
-                hash(value)
-            except TypeError:
-                return None  # generic lowering compares boxed values
-            self.prologue.append(
-                f"{key} = {holder}.code_of.get({self.const(value)}, -2)"
-            )
-            if equality:
-                return Lowered(f"({codes} == {key})", False, True, True)
-            return Lowered(
-                f"({codes} >= 0 and {codes} != {key})", False, True, True
-            )
-        slot = self.slot_var(scalar)
-        self.prologue.append(
-            f"{key} = -2 if {slot} is None else {holder}.code_of.get({slot}, -3)"
-        )
-        if equality:
-            return Lowered(f"({codes} == {key})", False, True, True)
-        return Lowered(
-            f"({codes} >= 0 and {key} != -2 and {codes} != {key})",
-            False,
-            True,
-            True,
-        )
 
 
 def _output_key(column: ColumnRef, available: Iterable[str]) -> str:
@@ -980,10 +889,10 @@ def _assemble_pipeline(
 
 
 def _generate_select(
-    shape: _PipelineShape, schema, store
+    shape: _PipelineShape, schema, facts
 ) -> tuple[str, dict, bool]:
     """Source for a Scan → Select* → [Project] pipeline."""
-    compiler = _PipelineCompiler(schema, store)
+    compiler = _PipelineCompiler(schema, facts)
     conditions = [
         lower_expression(conjunct, compiler) for conjunct in shape.conjuncts
     ]
@@ -1026,7 +935,7 @@ def _sort_component(
 ) -> str:
     """One ORDER BY key's component of the top-k composite key.
 
-    A typed (``int64`` / ``float64``), null-free column contributes its
+    A typed (``int`` / ``float``), null-free column contributes its
     raw value, negated for ``DESC``; anything else contributes
     :func:`~repro.db.executor.sort_key_function`'s component.  Either way
     a NaN value raises :class:`_NaNSortKey`.
@@ -1035,10 +944,10 @@ def _sort_component(
     value = lowered.src
     if isinstance(expression, ColumnRef):
         name = compiler.resolve(expression)
-        encoding = compiler.encoding(name)
-        if encoding in ("int64", "float64") and not compiler.nullable(name):
+        kind = compiler.kind(name)
+        if kind != "boxed" and not compiler.nullable(name):
             raw = value if ascending else f"-{value}"
-            if encoding == "int64":
+            if kind == "int":
                 return raw
             return f"({raw} if {value} == {value} else _nan())"
     component = compiler.bind(sort_key_function(ascending))
@@ -1051,7 +960,7 @@ def _sort_component(
 
 
 def _generate_topk(
-    shape: _PipelineShape, schema, store
+    shape: _PipelineShape, schema, facts
 ) -> tuple[str, dict, bool]:
     """Source for a ``Limit → Sort`` over a Scan → Select* → [Project] spine.
 
@@ -1064,7 +973,7 @@ def _generate_topk(
     raise are evaluated for every survivor as well, exactly as the kernel
     path evaluates them.
     """
-    compiler = _PipelineCompiler(schema, store)
+    compiler = _PipelineCompiler(schema, facts)
     compiler.globals.update(
         {"_nsmallest": heapq.nsmallest, "_nan": _nan_sort_key}
     )
@@ -1097,7 +1006,7 @@ def _generate_topk(
     if outputs is None:
         # The scan's row layout: bare keys, then alias-qualified keys.
         names = schema.column_names
-        values = [compiler.boxed_var(name) for name in names]
+        values = [compiler.value_var(name) for name in names]
         items = [f"{name!r}: {value}" for name, value in zip(names, values)]
         items += [
             f"{f'{shape.alias}.{name}'!r}: {value}"
@@ -1143,8 +1052,8 @@ class _JoinCompiler(_PipelineCompiler):
     reference that lands on the build side refuses the spine.
     """
 
-    def __init__(self, schema, store, layout: dict) -> None:
-        super().__init__(schema, store)
+    def __init__(self, schema, facts, layout: dict) -> None:
+        super().__init__(schema, facts)
         self._layout = layout
 
     def resolve(self, column: ColumnRef) -> str:
@@ -1159,7 +1068,7 @@ class _JoinCompiler(_PipelineCompiler):
         The loop's variable when a conjunct already zips the column, else
         a positional read that only the survivors pay.
         """
-        var = self._boxed_vars.get(name)
+        var = self._value_vars.get(name)
         return var if var is not None else f"{self.column_var(name)}[_i]"
 
 
@@ -1220,7 +1129,7 @@ _FUSED_JOIN_MIN_KEYS = 30
 
 
 def _generate_join(
-    shape: _PipelineShape, schema, store, build_schema
+    shape: _PipelineShape, schema, facts, build_schema
 ) -> tuple[str, dict, bool]:
     """Source for a ``Select+ → Join → (Scan L, Scan R)`` spine.
 
@@ -1243,14 +1152,14 @@ def _generate_join(
     if len(layout) < _FUSED_JOIN_MIN_KEYS:
         raise _JoinDecline("narrow_row")
     probe_key, build_key = _join_keys(join, schema, build_schema)
-    compiler = _JoinCompiler(schema, store, layout)
+    compiler = _JoinCompiler(schema, facts, layout)
     compiler.globals["_build_key"] = build_key
     conditions = [
         lower_expression(conjunct, compiler).src
         for conjunct in shape.conjuncts
     ]
     compiler.prologue.append("_get = _index.get")
-    if compiler.encoding(probe_key) == "boxed":
+    if compiler.kind(probe_key) == "boxed":
         # The row tiers probe every L row, filtered or not, so an
         # unhashable key anywhere in L raises there: raise here too.
         compiler.globals.update(
@@ -1309,7 +1218,7 @@ def _emit_items(
 
 
 def _generate_aggregate(
-    shape: _PipelineShape, schema, store, shared: bool
+    shape: _PipelineShape, schema, facts
 ) -> tuple[str, dict, bool]:
     """Source for a Scan → Select* → Aggregate pipeline, in two halves.
 
@@ -1317,20 +1226,16 @@ def _generate_aggregate(
     table's surviving rows into ``_state`` — per-group value lists in the
     single-argument strategy, per-group cell lists otherwise, a tuple of
     plain accumulators for scalar aggregates — and returns it.
-    ``_emit(_state, _cols)`` turns a state into the output rows (``avg``
+    ``_emit(_state)`` turns a state into the output rows (``avg``
     finalisation and an outer ``Project`` included); ``_init()`` makes the
     empty state.  A state may pass through several tables' ``_accumulate``
     before one ``_emit`` (the sharding layer threads it through the shard
     partitions) provided their pipelines agree on ``_state_key``: the
     source of ``_init`` and ``_emit``, i.e. every layout-dependent decision
     about what a state holds and which invariants emit relies on.
-
-    ``shared`` says the state will outlive this table, so group keys must be
-    *values*; otherwise a dictionary column groups on this store's small-int
-    codes and ``_emit`` decodes them through ``_cols``.
     """
     plan = shape.aggregate
-    compiler = _PipelineCompiler(schema, store)
+    compiler = _PipelineCompiler(schema, facts)
     conditions = [
         lower_expression(conjunct, compiler) for conjunct in shape.conjuncts
     ]
@@ -1394,10 +1299,7 @@ def _generate_aggregate(
         expression = argument_exprs[slot]
         if arguments[slot].nullable or not isinstance(expression, ColumnRef):
             return False
-        return compiler.encoding(compiler.resolve(expression)) in (
-            "int64",
-            "float64",
-        )
+        return compiler.kind(compiler.resolve(expression)) != "boxed"
 
     condition = " and ".join(lowered.src for lowered in conditions)
     row: list[str] = []  # the loop body: one surviving row into the state
@@ -1405,18 +1307,10 @@ def _generate_aggregate(
         row.append(f"if not ({condition}):")
         row.append("    continue")
     if plan.group_by:
-        group_srcs: list[str] = []
-        #: (bare key, qualified key, dictionary column to decode through)
-        group_emits: list[tuple[str, str, Optional[str]]] = []
-        for column in plan.group_by:
-            name = compiler.resolve(column)
-            if not shared and compiler.encoding(name) == "dict":
-                # Group on the injective small-int codes; decode at emit.
-                group_srcs.append(compiler.codes_var(name))
-                group_emits.append((column.name, column.qualified_name, name))
-            else:
-                group_srcs.append(compiler.boxed_var(name))
-                group_emits.append((column.name, column.qualified_name, None))
+        group_srcs = [
+            compiler.value_var(compiler.resolve(column))
+            for column in plan.group_by
+        ]
         if len(group_srcs) == 1:
             key_src = group_srcs[0]
         else:
@@ -1548,13 +1442,9 @@ def _generate_aggregate(
         # group columns (bare and qualified keys) first, then spec outputs;
         # later assignments overwrite, exactly like row-dict insertion.
         available: dict[str, str] = {}
-        for key_name, (bare, qualified, encoded) in zip(key_names, group_emits):
-            value = key_name
-            if encoded is not None:
-                dictionary = compiler.dictionary_var(encoded)
-                value = f"({dictionary}[{key_name}] if {key_name} >= 0 else None)"
-            available[bare] = value
-            available[qualified] = value
+        for key_name, column in zip(key_names, plan.group_by):
+            available[column.name] = key_name
+            available[column.qualified_name] = key_name
         for name, kind, indices in emitters:
             if kind == "size":
                 available[name] = size_src
@@ -1657,7 +1547,7 @@ def _assemble_aggregate(
     state_half = [
         "def _init():",
         *_indent([*init, f"return {state}"]),
-        "def _emit(_state, _cols):",
+        "def _emit(_state):",
         *_indent([f"{state} = _state", *compiler.prologue, *emit]),
     ]
     lines = [
@@ -1674,17 +1564,16 @@ def _assemble_aggregate(
 def _generate_pipeline(
     shape: _PipelineShape,
     schema,
-    store,
-    shared: bool = False,
+    facts,
     build_schema=None,
 ) -> tuple[str, dict, bool]:
     if shape.join is not None:
-        return _generate_join(shape, schema, store, build_schema)
+        return _generate_join(shape, schema, facts, build_schema)
     if shape.aggregate is not None:
-        return _generate_aggregate(shape, schema, store, shared)
+        return _generate_aggregate(shape, schema, facts)
     if shape.order is not None:
-        return _generate_topk(shape, schema, store)
-    return _generate_select(shape, schema, store)
+        return _generate_topk(shape, schema, facts)
+    return _generate_select(shape, schema, facts)
 
 
 class _AggregatePipeline:
@@ -1702,7 +1591,7 @@ class _AggregatePipeline:
         self.state_key = bindings["_state_key"]
 
     def __call__(self, cols: dict, n: int, wide: Any) -> list[Row]:
-        return self.emit(self.accumulate(self.init(), cols, n), cols)
+        return self.emit(self.accumulate(self.init(), cols, n))
 
 
 class _JoinPipeline:
@@ -1931,13 +1820,7 @@ class VectorizedExecutor:
                 if build is None:
                     return None
             store = table.columns()
-            signature = tuple(
-                (data.encoding, data.nulls is not None)
-                for data in store.values()
-            )
-            pipeline, uses_wide = self._pipeline_fn(
-                plan, shape, table, store, signature, carry is not None
-            )
+            pipeline, uses_wide = self._pipeline_fn(plan, shape, table)
             if build is not None:
                 index = build.position_index(pipeline.build_key)
                 if index is None:
@@ -1961,8 +1844,8 @@ class VectorizedExecutor:
             if not emit:
                 return carry
             if carry.pipeline is None:  # every table was empty
-                return pipeline.emit(pipeline.init(), None)
-            return carry.pipeline.emit(carry.state, None)
+                return pipeline.emit(pipeline.init())
+            return carry.pipeline.emit(carry.state)
         except _NaNSortKey:
             self._count_topk_decline("nan_key")
             return None
@@ -2030,37 +1913,36 @@ class VectorizedExecutor:
         return shape
 
     def _pipeline_fn(
-        self,
-        plan: algebra.PlanNode,
-        shape: _PipelineShape,
-        table,
-        store: dict,
-        signature: tuple,
-        shared: bool = False,
+        self, plan: algebra.PlanNode, shape: _PipelineShape, table
     ) -> tuple[Callable, bool]:
-        key = (plan, signature, shared)
+        """The compiled pipeline of ``plan`` for ``table``'s layout."""
+        key = (plan, table.layout())
         try:
             pipeline = self._pipelines.get(key)
         except TypeError:  # unhashable literal buried in the plan
-            return self._compile_pipeline(shape, table.schema, store, shared)
+            return self._compile_pipeline(
+                shape, table.schema, table.column_facts()
+            )
         if pipeline is not None:
             self._pipelines.move_to_end(key)
             self.codegen_cache_hits += 1
             return pipeline
-        pipeline = self._compile_pipeline(shape, table.schema, store, shared)
+        pipeline = self._compile_pipeline(
+            shape, table.schema, table.column_facts()
+        )
         if len(self._pipelines) >= self.PIPELINE_CACHE_LIMIT:
             self._pipelines.popitem(last=False)
         self._pipelines[key] = pipeline
         return pipeline
 
     def _compile_pipeline(
-        self, shape: _PipelineShape, schema, store: dict, shared: bool = False
+        self, shape: _PipelineShape, schema, facts: Optional[dict]
     ) -> tuple[Callable, bool]:
         build_schema = None
         if shape.join is not None:  # try_codegen_rows found the table
             build_schema = self._tables[shape.join.right.table].schema
         source, bindings, uses_wide = _generate_pipeline(
-            shape, schema, store, shared, build_schema
+            shape, schema, facts, build_schema
         )
         exec(  # noqa: S102 - internal codegen, identifiers repr-escaped
             compile(source, "<pipeline>", "exec"), bindings

@@ -36,7 +36,6 @@ from repro.db.expressions import (
 )
 from repro.db.schema import Column, ColumnType
 from repro.db.sqlparser import parse_sql
-from repro.db.table import STORAGE_MODES
 from repro.db.vectorized import (
     _CODEGEN_UNSUPPORTED,
     VectorizedExecutor,
@@ -385,37 +384,37 @@ def assert_scopes_agree(expression: Expression, rows: list[dict]) -> None:
         keep = VectorizedExecutor._kernel(expression, positions=True)
         if not any(isinstance(o, type) for o in expected):
             assert keep(batch) == [i for i, (v, _) in enumerate(expected) if v]
-    # Fused-pipeline scope, per physical column layout.
+    # Fused-pipeline scope, under the columns' layout facts and under
+    # trial mode's pessimistic ones (every column boxed and nullable).
     plan = algebra.Project(
         algebra.Scan("t"), (algebra.OutputColumn(expression, "v"),)
     )
-    for storage in STORAGE_MODES:
-        database = Database()
-        database.create_table(
-            "t",
-            [
-                Column("a", ColumnType.INT),
-                Column("b", ColumnType.FLOAT),
-                Column("maybe", ColumnType.INT),
-                Column("name", ColumnType.STRING),
-            ],
-        )
-        table = database.table("t")
-        table.set_storage_mode(storage)
-        database.insert("t", rows)
-        vectorized = database._executor._vectorized
-        shape = vectorized._pipeline_shape(plan)
-        assert (shape is _CODEGEN_UNSUPPORTED) == is_opaque(expression)
-        if shape is _CODEGEN_UNSUPPORTED:
-            # Both vectorized scopes reject the shape, for the same reason.
-            assert vectorized.try_execute(plan) is None
-            assert vectorized.fallback_reasons == {
-                "codegen_unsupported": 1,
-                "unknown_function": 1,
-            }
-            continue
-        store = table.columns()
-        pipeline, _ = vectorized._compile_pipeline(shape, table.schema, store)
+    database = Database()
+    database.create_table(
+        "t",
+        [
+            Column("a", ColumnType.INT),
+            Column("b", ColumnType.FLOAT),
+            Column("maybe", ColumnType.INT),
+            Column("name", ColumnType.STRING),
+        ],
+    )
+    table = database.table("t")
+    database.insert("t", rows)
+    vectorized = database._executor._vectorized
+    shape = vectorized._pipeline_shape(plan)
+    assert (shape is _CODEGEN_UNSUPPORTED) == is_opaque(expression)
+    if shape is _CODEGEN_UNSUPPORTED:
+        # Both vectorized scopes reject the shape, for the same reason.
+        assert vectorized.try_execute(plan) is None
+        assert vectorized.fallback_reasons == {
+            "codegen_unsupported": 1,
+            "unknown_function": 1,
+        }
+        return
+    store = table.columns()
+    for facts in (table.column_facts(), None):
+        pipeline, _ = vectorized._compile_pipeline(shape, table.schema, facts)
         column_outcome(
             lambda: [row["v"] for row in pipeline(store, len(rows), None)],
             expected,
@@ -448,7 +447,7 @@ EXPLICIT_CASES = [
     InList(MAYBE, (0, 2, None)),
     InList(MAYBE, ([1], 2)),
     InList(BinaryOp("+", A, Literal(1)), (1, 2)),
-    # Dictionary-code compares in the fused-pipeline scope.
+    # String compares against literals and slots.
     BinaryOp("=", NAME, Literal("ann")),
     BinaryOp("!=", Literal("ann"), NAME),
     BinaryOp("<>", NAME, ParameterSlot(1, SLOTS)),

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.db import algebra
+from repro.db.database import Database
 from repro.db.expressions import BinaryOp, ColumnRef, Literal, equals
+from repro.db.schema import Column, ColumnType
 from repro.db.sqlparser import parse_sql
 from repro.db.statistics import (
     DEFAULT_SELECTIVITY,
@@ -27,6 +29,48 @@ class TestTableStatistics:
 
     def test_distinct_count_minimum_one(self):
         assert TableStatistics(row_count=0).distinct_count("a") == 1
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_analyze_counts_unhashable_values_by_equality(self, shards):
+        database = Database()
+        database.create_table("t", [Column("id", ColumnType.INT),
+                                    Column("v", ColumnType.INT)])
+        values = [[1], 2, [1], None, {"k": 1}, 2, [2], {"k": 1}, 3.0]
+        database.insert(
+            "t", [{"id": i, "v": value} for i, value in enumerate(values)]
+        )
+        if shards:
+            database.shard_table("t", "id", shards)
+        database.analyze()  # once raised TypeError: unhashable type
+        table = database.table("t")
+        # 2, 3.0, [1], [2], {"k": 1}; NULL is not a value.
+        assert table.distinct_count("v") == 5
+        assert database.statistics.table_stats("t").distinct["v"] == 5
+
+    @pytest.mark.parametrize(
+        "values,distinct",
+        [
+            ([1, 1.0, True], 1),  # equal values hash equally
+            ([[1], [1.0], None], 1),  # unhashable values compare by ==
+            ([(1,), [1]], 2),  # a tuple never equals a list
+            ([{"a": [1]}, {"a": [1]}, "a"], 2),
+            ([None, None], 0),
+        ],
+    )
+    def test_distinct_count_follows_value_equality(self, values, distinct):
+        database = Database()
+        database.create_table("t", [Column("v", ColumnType.INT)])
+        database.insert("t", [{"v": value} for value in values])
+        assert database.table("t").distinct_count("v") == distinct
+
+    def test_unhashable_insert_refreshes_a_cached_distinct_count(self):
+        database = Database()
+        database.create_table("t", [Column("v", ColumnType.INT)])
+        database.insert("t", [{"v": 1}, {"v": 2}])
+        table = database.table("t")
+        assert table.distinct_count("v") == 2
+        database.insert("t", [{"v": [1]}, {"v": [1]}])
+        assert table.distinct_count("v") == 3
 
 
 class TestCardinalityEstimation:

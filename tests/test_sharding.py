@@ -1201,13 +1201,8 @@ GROUPED_SQL = (
 
 
 class TestThreadedAggregate:
-    def test_per_shard_dictionaries_differ_and_keys_are_values(self):
+    def test_string_group_keys_thread_through_every_shard(self):
         database = build_agg_database(spread_rows(), shards=8)
-        first = [
-            shard.columns()["s"].dictionary[0]
-            for shard in database.table("t").shards
-        ]
-        assert len(set(first)) > 1  # code 0 is not one string everywhere
         unsharded = build_agg_database(spread_rows())
         got = database.execute_sql(GROUPED_SQL).rows
         assert database.sharding_stats()["threaded_aggregates"] == 1

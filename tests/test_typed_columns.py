@@ -1,19 +1,20 @@
-"""Typed / dictionary-encoded columnar storage and fused-pipeline codegen.
+"""Columnar storage (plain value lists plus layout facts) and fused codegen.
 
-Covers the physical-layout inference (``encode_column`` and the storage-mode
-knob), the lifecycle of the encoded views across mutation and shard
-rehoming, the wide-row template cache, bit-identical results across every
-{storage mode} x {codegen, kernel} x {execution tier} combination (sharded
-and unsharded), the codegen observability counters, and the property that
-views maintained in place through any write history equal freshly built
-ones.
+Covers the layout-fact inference (``derive_facts``), the guard that every
+column handed out is exactly a ``list`` (unsharded, per shard partition and
+unpacked from a process-pool payload), the lifecycle of the columnar view
+across mutation and shard rehoming, the wide-row template cache,
+bit-identical results across every {natural, boxed-by-data layout} x
+{codegen, kernel} x {execution tier} combination (sharded and unsharded),
+the codegen observability counters, and the property that views and facts
+maintained in place through any write history equal freshly built ones.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
 import sqlite3
-from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,15 +22,18 @@ from hypothesis import example, given, settings, strategies as st
 from repro.db import algebra
 from repro.db.database import Database
 from repro.db.expressions import ExpressionError
-from repro.db.schema import Column, ColumnType
+from repro.db.schema import Column, ColumnType, TableSchema
+from repro.db.parallel import pack_table, unpack_table
 from repro.db.sharding import VECTORIZED_COUNTER_KEYS, VECTORIZED_REASON_KEYS
 from repro.db.sqlgen import to_sql
 from repro.db.sqlparser import parse_sql
-from repro.db.table import STORAGE_MODES, Table, encode_column
+from repro.db.table import Table, derive_facts
 from repro.db.vectorized import _FUSED_JOIN_MIN_KEYS
 
 
-def make_database(**kwargs) -> Database:
+def make_database(boxed: bool = False, **kwargs) -> Database:
+    """Orders and customers; ``boxed`` puts one bool into ``o_c_id`` and one
+    int into ``o_total``, so both numeric columns take the boxed layout."""
     database = Database(**kwargs)
     database.create_table(
         "orders",
@@ -49,18 +53,18 @@ def make_database(**kwargs) -> Database:
         ],
         primary_key="c_id",
     )
-    database.insert(
-        "orders",
-        [
-            {
-                "o_id": i,
-                "o_c_id": i % 7 if i % 11 else None,
-                "o_total": float(i * 3 % 17) if i % 5 else None,
-                "o_status": ("OPEN", "DONE", "HOLD")[i % 3],
-            }
-            for i in range(240)
-        ],
-    )
+    orders = [
+        {
+            "o_id": i,
+            "o_c_id": i % 7 if i % 11 else None,
+            "o_total": float(i * 3 % 17) if i % 5 else None,
+            "o_status": ("OPEN", "DONE", "HOLD")[i % 3],
+        }
+        for i in range(240)
+    ]
+    if boxed:
+        orders[1].update(o_c_id=True, o_total=3)
+    database.insert("orders", orders)
     database.insert(
         "customers",
         [{"c_id": i, "c_name": f"customer-{i}"} for i in range(7)],
@@ -101,118 +105,171 @@ def canon(rows):
     return sorted(rows, key=key)
 
 
-class TestEncodingInference:
-    def test_int_column_gets_int64_sidecar(self):
-        data = encode_column([1, 2, 3], "typed")
-        assert data.encoding == "int64"
-        assert data.typed == array("q", [1, 2, 3])
-        assert data.nulls is None
-        assert list(data) == [1, 2, 3]  # boxed values always present
+#: the layout facts of make_database()'s orders table.
+ORDERS_FACTS = {
+    "o_id": ("int", False),
+    "o_c_id": ("int", True),
+    "o_total": ("float", True),
+    "o_status": ("boxed", False),
+}
 
-    def test_null_bitmap_marks_null_rows(self):
-        data = encode_column([1, None, 3, None], "typed")
-        assert data.encoding == "int64"
-        assert data.typed == array("q", [1, 0, 3, 0])
-        assert data.nulls is not None
-        null_rows = [
-            i for i in range(4) if data.nulls[i >> 3] & (1 << (i & 7))
-        ]
-        assert null_rows == [1, 3]
 
-    def test_float_column_gets_float64_sidecar(self):
-        data = encode_column([1.5, None, 2.5], "typed")
-        assert data.encoding == "float64"
-        assert data.typed == array("d", [1.5, 0.0, 2.5])
-        assert data.nulls is not None
-
-    def test_strings_dictionary_encode_in_dictionary_mode(self):
-        data = encode_column(["a", "b", None, "a"], "dictionary")
-        assert data.encoding == "dict"
-        assert list(data.codes) == [0, 1, -1, 0]
-        assert data.dictionary == ["a", "b"]
-        assert data.code_of == {"a": 0, "b": 1}
-
-    def test_strings_stay_boxed_in_typed_mode(self):
-        data = encode_column(["a", "b"], "typed")
-        assert data.encoding == "boxed"
-        assert data.typed is None
-
+class TestLayoutFacts:
     @pytest.mark.parametrize(
-        "values",
+        "values,facts",
         [
-            [1, 2.5],  # mixed numeric kinds
-            [True, False],  # bool round-trips only boxed
-            [1 << 80, 2],  # too wide for int64
-            [],  # no rows, nothing to infer
-            [{"k": 1}],  # arbitrary objects
+            ([1, 2, 3], ("int", False)),
+            ([1, None, 3, None], ("int", True)),
+            ([1.5, None, 2.5], ("float", True)),
+            ([1 << 80, 2], ("int", False)),  # no width limit on an int
+            (["a", "b"], ("boxed", False)),
+            (["a", None], ("boxed", True)),
+            ([1, 2.5], ("boxed", False)),  # mixed numeric kinds
+            ([True, False], ("boxed", False)),  # bool is a type of its own
+            ([], ("boxed", False)),  # no rows, nothing to infer
+            ([None, None], ("boxed", True)),
+            ([{"k": 1}], ("boxed", False)),  # arbitrary objects
         ],
     )
-    def test_unsupported_shapes_fall_back_to_boxed(self, values):
-        data = encode_column(values, "dictionary")
-        assert data.encoding == "boxed"
-        assert list(data) == values
+    def test_derive_facts(self, values, facts):
+        assert derive_facts(values) == facts
 
-    def test_boxed_mode_never_builds_sidecars(self):
-        data = encode_column([1, 2, 3], "boxed")
-        assert data.encoding == "boxed"
-        assert data.typed is None
-
-
-class TestStorageModes:
-    def test_unknown_mode_rejected(self):
-        database = make_database()
-        with pytest.raises(ValueError, match="unknown storage mode"):
-            database.table("orders").set_storage_mode("arrow")
-
-    @pytest.mark.parametrize(
-        "mode,expected",
-        [
-            ("boxed", {"o_id": "boxed", "o_status": "boxed"}),
-            ("typed", {"o_id": "int64", "o_status": "boxed"}),
-            ("dictionary", {"o_id": "int64", "o_status": "dict"}),
-        ],
-    )
-    def test_mode_controls_encodings(self, mode, expected):
+    def test_table_keeps_facts_and_a_cached_signature(self):
         table = make_database().table("orders")
-        table.set_storage_mode(mode)
-        table.columns()
-        encodings = table.column_encodings()
-        for name, encoding in expected.items():
-            assert encodings[name] == encoding
-        assert encodings["o_total"] == (
-            "boxed" if mode == "boxed" else "float64"
+        assert table.column_facts() == {}  # never triggers a build
+        store = table.columns()
+        assert table.column_facts() == ORDERS_FACTS
+        assert list(store) == list(ORDERS_FACTS)
+        assert table.layout() == tuple(ORDERS_FACTS.values())
+        assert table.layout() is table.layout()
+        boxed = make_database(boxed=True).table("orders")
+        assert boxed.layout() == (
+            ("int", False),
+            ("boxed", True),
+            ("boxed", True),
+            ("boxed", False),
         )
 
-    def test_sharded_table_propagates_mode_to_partitions(self):
+    @pytest.mark.parametrize(
+        "values,appended,rederived",
+        [
+            ([1, 2], 3, False),
+            ([1, None], None, False),
+            (["a"], "b", False),
+            (["a", 1], "b", False),  # a str cannot make a boxed column typed
+            ([1, 2], None, True),  # the first NULL
+            ([1, 2], 2.5, True),
+            ([1, 2], True, True),  # bool boxes an int column
+            ([1.5], 2, True),
+            (["a"], 1, True),  # re-derived, and still boxed
+            ([None, None], 7, True),  # all-NULL becomes int
+            ([], 7, True),  # empty becomes int
+        ],
+    )
+    def test_append_keeps_the_facts_of_a_fresh_build(
+        self, values, appended, rederived
+    ):
+        table = Table(TableSchema("t", [Column("v", ColumnType.INT)]))
+        table.adopt_rows({"v": value} for value in values)
+        table.columns()
+        table.insert({"v": appended})
+        assert table.column_facts() == (
+            {} if rederived else {"v": derive_facts(values)}
+        )
+        assert table.columns()["v"] == values + [appended]
+        assert table.column_facts() == {"v": derive_facts(values + [appended])}
+        assert table.column_reencodes == int(rederived)
+
+    @pytest.mark.parametrize(
+        "values,position,value,rederived",
+        [
+            ([1, 2], 0, 5, False),
+            ([1, None, None], 1, None, False),
+            ([1, 2], 0, None, True),  # the first NULL
+            ([1, None], 1, 3, True),  # the last NULL goes
+            ([1, 2], 1, 2.0, True),
+            ([1, 2.5], 1, 3, True),  # the last float goes: int again
+        ],
+    )
+    def test_overwrite_keeps_the_facts_of_a_fresh_build(
+        self, values, position, value, rederived
+    ):
+        table = Table(TableSchema("t", [Column("v", ColumnType.INT)]))
+        table.adopt_rows({"v": v} for v in values)
+        table.columns()
+        table.apply_update([(position, {"v": value})])
+        expected = list(values)
+        expected[position] = value
+        assert table.columns()["v"] == expected
+        assert table.column_facts() == {"v": derive_facts(expected)}
+        assert table.column_reencodes == int(rederived)
+
+
+def _assert_plain_columns(table, rows=None):
+    """``table`` hands out exact lists whose values and facts equal a fresh
+    table's over ``rows`` (default: its own rows)."""
+    store = table.columns()
+    assert all(type(column) is list for column in store.values())
+    fresh = Table(table.schema)
+    fresh.adopt_rows(copy.deepcopy(table.rows if rows is None else rows))
+    assert store == fresh.columns()
+    assert table.column_facts() == fresh.column_facts()
+    assert table.layout() == fresh.layout()
+
+
+class TestPlainListColumns:
+    """Every column ``columns()`` hands out is exactly a ``list``: a list
+    subclass misses CPython's specialized list subscript, which every
+    gather in the executor pays for."""
+
+    def test_unsharded_columns_before_and_after_writes(self):
+        database = make_database()
+        table = database.table("orders")
+        _assert_plain_columns(table)
+        database.insert("orders", [{"o_id": 900, "o_status": "NEW"}])
+        database.execute_update_sql(
+            "update orders set o_total = ? where o_id = ?", (True, 3)
+        )
+        _assert_plain_columns(table)
+        assert table.column_facts()["o_total"] == ("boxed", True)
+
+    def test_every_shard_partition(self):
         database = make_database()
         database.shard_table("orders", "o_c_id", 3)
-        sharded = database.table("orders")
-        sharded.set_storage_mode("boxed")
-        assert all(s.storage_mode == "boxed" for s in sharded.shards)
-        sharded.set_storage_mode("dictionary")
-        for shard in sharded.shards:
-            assert shard.storage_mode == "dictionary"
-            shard.columns()
-            assert shard.column_encodings()["o_status"] == "dict"
+        database.execute_sql("select * from orders where o_total > 3.0")
+        database.execute_update_sql(
+            "update orders set o_c_id = ? where o_id = ?", (5, 0)
+        )
+        for shard in database.table("orders").shards:
+            _assert_plain_columns(shard)
+
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_process_pool_payload_round_trip(self, boxed):
+        table = make_database(boxed=boxed).table("orders")
+        payload = pickle.loads(pickle.dumps(pack_table(table)))
+        unpacked = unpack_table(payload, table.version)
+        assert unpacked.rows == table.rows
+        assert unpacked.version == table.version
+        _assert_plain_columns(unpacked, table.rows)
+        assert unpacked.column_facts() == table.column_facts()
 
 
-class TestEncodedViewLifecycle:
-    def test_dictionary_encoding_survives_version_bumps(self):
+class TestColumnarViewLifecycle:
+    def test_insert_extends_the_built_view(self):
         table = make_database().table("orders")
-        table.columns()
-        assert table.column_encodings()["o_status"] == "dict"
+        store = table.columns()
         before = table.version
         table.insert({"o_id": 9001, "o_c_id": 1, "o_total": 2.0,
                       "o_status": "NEW"})
         assert table.version > before
-        # The built view was extended, not dropped.
-        assert table.column_encodings()["o_status"] == "dict"
-        store = table.columns()
-        assert store["o_status"].encoding == "dict"
-        assert store["o_status"].dictionary[-1] == "NEW"
-        assert len(store["o_status"].codes) == len(table.rows)
+        # The built view was extended, not dropped, and no fact moved.
+        assert table.columns() is store
+        assert store["o_status"][-1] == "NEW"
+        assert len(store["o_status"]) == len(table.rows)
+        assert table.column_facts() == ORDERS_FACTS
+        assert table.column_reencodes == 0
 
-    def test_dictionary_encoding_survives_shard_rehoming(self):
+    def test_columns_follow_shard_rehoming(self):
         database = make_database()
         database.shard_table("orders", "o_c_id", 3)
         sharded = database.table("orders")
@@ -224,8 +281,8 @@ class TestEncodedViewLifecycle:
         )
         for shard in sharded.shards:
             store = shard.columns()
-            assert store["o_status"].encoding == "dict"
-            assert len(store["o_status"].codes) == len(shard.rows)
+            assert store["o_status"] == [row["o_status"] for row in shard.rows]
+            assert shard.column_facts()["o_status"] == ("boxed", False)
         moved = sharded.shards[sharded.shard_index(5)]
         assert any(row["o_id"] == 0 for row in moved.rows)
 
@@ -243,54 +300,40 @@ class TestEncodedViewLifecycle:
         assert list(extended[-1]) == list(extended[0])
 
 
-    def test_writes_that_fit_patch_and_misfits_reencode_one_column(self):
+    def test_writes_that_keep_facts_patch_and_others_rederive_one_column(self):
         table = make_database().table("orders")
         store = table.columns()
-        status, o_id = store["o_status"], store["o_id"]
-        assert o_id.nulls is None and status.nulls is None
+        status = store["o_status"]
+        layout = table.layout()
 
         def write(o_id_value, **values):
             table.update_rows(lambda row: row["o_id"] == o_id_value, values)
             return table.columns()
 
-        # A new dictionary string and an in-range int fit: same objects.
+        # A same-type overwrite keeps every fact: patched, nothing derived.
         assert write(3, o_status="FRESH") is store
         assert store["o_status"] is status and status[3] == "FRESH"
-        assert status.dictionary[status.codes[3]] == "FRESH"
         assert table.column_reencodes == 0 and table.patched_updates == 1
-        # The first NULL of a null-free column needs a bitmap: one column
-        # is re-encoded, lazily, and the view dict is still the same.
+        assert table.layout() is layout
+        # The first NULL of a null-free column queues that column; its
+        # facts are re-derived, lazily, and the list is the same object.
         table.update_rows(lambda row: row["o_id"] == 4, {"o_status": None})
-        assert table.column_encodings().keys() == store.keys() - {"o_status"}
+        assert table.column_facts().keys() == store.keys() - {"o_status"}
         assert table.column_reencodes == 0
         assert table.columns() is store and table.column_reencodes == 1
-        assert store["o_status"] is not status
-        assert store["o_status"].nulls is not None and store["o_id"] is o_id
-        # Later NULLs (and clearing them) patch; the bitmap stays, so the
-        # layout signature compiled pipelines key on does not move.
-        status = store["o_status"]
-        write(5, o_status=None)
+        assert store["o_status"] is status and status[4] is None
+        assert table.column_facts()["o_status"] == ("boxed", True)
+        assert table.layout() != layout
+        # Clearing the last NULL re-derives again: a fresh build's facts.
         write(4, o_status="OPEN")
-        write(5, o_status="OPEN")
-        assert store["o_status"] is status and not any(status.nulls)
-        assert table.column_reencodes == 1
-        # A type change or a 64-bit overflow boxes that column only.
-        write(6, o_c_id=2**70)
-        assert store["o_c_id"].encoding == "boxed"
-        assert store["o_total"].encoding == "float64"
-        assert table.column_reencodes == 2
-
-    def test_dead_dictionary_entries_are_compacted(self):
-        table = make_database().table("orders")
-        table.columns()
-        for round_ in range(3 * len(table.rows)):
-            table.update_rows(
-                lambda row: row["o_id"] == 0, {"o_status": f"s{round_}"}
-            )
-        status = table.columns()["o_status"]
-        assert len(status.dictionary) <= 2 * len(table.rows) + 17
-        assert table.column_reencodes >= 1
-        assert status.dictionary[status.codes[0]] == status[0] == f"s{round_}"
+        assert table.column_facts()["o_status"] == ("boxed", False)
+        assert table.layout() == layout and table.column_reencodes == 2
+        # A type change re-derives that column only.
+        write(6, o_c_id=True)
+        assert table.column_facts() == {
+            **ORDERS_FACTS, "o_c_id": ("boxed", True)
+        }
+        assert table.column_reencodes == 3
 
     def test_unhashable_insert_drops_only_the_index_it_cannot_join(self):
         table = make_database().table("orders")
@@ -314,40 +357,39 @@ class TestEncodedViewLifecycle:
         assert table.columns()["o_id"] == source.columns()["o_id"]
 
 
-class TestStorageTierEquivalence:
-    """Bit-identical rows across storage modes, codegen on/off, and tiers."""
+class TestLayoutTierEquivalence:
+    """Bit-identical rows across layouts, codegen on/off, and tiers."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        database = make_database(execution_mode="interpreted")
-        return {
-            sql: database.execute_sql(sql).rows
-            for sql in CODEGEN_QUERIES + EXTRA_QUERIES
-        }
+        references = {}
+        for boxed in (False, True):
+            database = make_database(boxed, execution_mode="interpreted")
+            references[boxed] = {
+                sql: database.execute_sql(sql).rows
+                for sql in CODEGEN_QUERIES + EXTRA_QUERIES
+            }
+        return references
 
-    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    @pytest.mark.parametrize("boxed", [False, True])
     @pytest.mark.parametrize("codegen", [True, False])
     @pytest.mark.parametrize("mode", ["vectorized", "compiled", "interpreted"])
-    def test_unsharded_rows_identical(self, reference, storage, codegen, mode):
-        database = make_database(execution_mode=mode)
-        for table in database.tables.values():
-            table.set_storage_mode(storage)
+    def test_unsharded_rows_identical(self, reference, boxed, codegen, mode):
+        database = make_database(boxed, execution_mode=mode)
         vectorized = database._executor._vectorized
         if vectorized is not None:
             vectorized.codegen_enabled = codegen
         for sql in CODEGEN_QUERIES + EXTRA_QUERIES:
-            assert database.execute_sql(sql).rows == reference[sql], (
-                storage, codegen, mode, sql,
+            assert database.execute_sql(sql).rows == reference[boxed][sql], (
+                boxed, codegen, mode, sql,
             )
 
-    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    @pytest.mark.parametrize("boxed", [False, True])
     @pytest.mark.parametrize("codegen", [True, False])
-    def test_sharded_rows_identical(self, reference, storage, codegen):
-        database = make_database()
+    def test_sharded_rows_identical(self, reference, boxed, codegen):
+        database = make_database(boxed)
         database.shard_table("orders", "o_c_id", 3)
         database.shard_table("customers", "c_id", 3)
-        for table in database.tables.values():
-            table.set_storage_mode(storage)
         vectorized = database._executor._vectorized
         vectorized.codegen_enabled = codegen
         for key, executor in database._router._executors.items():
@@ -359,7 +401,7 @@ class TestStorageTierEquivalence:
             for executor in database._router._executors.values():
                 if executor._vectorized is not None:
                     executor._vectorized.codegen_enabled = codegen
-            assert canon(got) == canon(reference[sql]), (storage, codegen, sql)
+            assert canon(got) == canon(reference[boxed][sql]), (boxed, codegen, sql)
 
 
 class TestCodegenObservability:
@@ -387,15 +429,19 @@ class TestCodegenObservability:
         assert vectorized.pipelines_compiled == 1
         assert vectorized.codegen_cache_hits == 2
 
-    def test_storage_mode_change_recompiles_pipeline(self):
+    def test_only_a_fact_change_recompiles_pipeline(self):
         database = make_database()
         statement = database.prepare("select * from orders where o_total > ?")
         statement.execute((3.0,))
-        table = database.table("orders")
-        table.set_storage_mode("boxed")
+        sql = "update orders set o_total = ? where o_id = ?"
+        database.execute_update_sql(sql, (4.0, 2))  # float over float
         statement.execute((3.0,))
-        # Different column-layout signature => second compilation.
-        assert database._executor._vectorized.pipelines_compiled == 2
+        vectorized = database._executor._vectorized
+        assert vectorized.pipelines_compiled == 1
+        database.execute_update_sql(sql, (4, 2))  # an int boxes o_total
+        statement.execute((3.0,))
+        # Different layout signature => second compilation.
+        assert vectorized.pipelines_compiled == 2
 
     def test_kernel_path_reported_when_codegen_disabled(self):
         database = make_database()
@@ -419,8 +465,7 @@ class TestCodegenObservability:
         database.execute_sql("select * from orders where o_total > 3.0")
         stats = database.execution_stats()["vectorized"]
         assert "backend" not in stats
-        assert stats["encodings"].get("dict", 0) >= 1
-        assert stats["encodings"].get("int64", 0) >= 1
+        assert stats["encodings"] == {"int": 2, "float": 1, "boxed": 1}
 
     def test_sharded_stats_merge_codegen_counters(self):
         database = make_database()
@@ -506,7 +551,9 @@ _T_COLUMNS = [
 ]
 
 
-def _history_database(storage: str, **kwargs) -> Database:
+def _history_database(boxed: bool = False, **kwargs) -> Database:
+    """Tables ``t`` and ``u``; ``boxed`` puts one bool into ``t.k`` and one
+    int into ``t.f``, so both start in the boxed layout."""
     database = Database(wal=True, **kwargs)
     database.create_table("t", _T_COLUMNS, primary_key="id")
     database.create_table(
@@ -514,16 +561,14 @@ def _history_database(storage: str, **kwargs) -> Database:
         [Column("k", ColumnType.INT), Column("label", ColumnType.STRING, width=8)],
         primary_key="k",
     )
-    database.insert(
-        "t",
-        [
-            {"id": i, "k": i % 3, "f": float(i), "s": "ab"[i % 2]}
-            for i in range(6)
-        ],
-    )
+    rows = [
+        {"id": i, "k": i % 3, "f": float(i), "s": "ab"[i % 2]}
+        for i in range(6)
+    ]
+    if boxed:
+        rows[1].update(k=True, f=1)
+    database.insert("t", rows)
     database.insert("u", [{"k": k, "label": f"u{k}"} for k in range(5)])
-    for table in database.tables.values():
-        table.set_storage_mode(storage)
     return database
 
 
@@ -579,59 +624,19 @@ def _apply_write(database: Database, model: list, op: tuple) -> str:
     return "point_updates"
 
 
-def _bit(nulls, position):
-    return nulls is not None and bool(nulls[position >> 3] & (1 << (position & 7)))
-
-
-def _assert_column_consistent(data, values, fresh):
-    """Boxed values and every sidecar of ``data`` spell exactly ``values``."""
-    assert list(data) == values
-    assert [type(v) for v in data] == [type(v) for v in values]
-    # The one layout a maintained column may keep that a rebuild would not:
-    # a typed column whose values have all become NULL (a rebuild sees no
-    # kind and boxes it), and a null bitmap with no bit left set.
-    if any(v is not None for v in values) or data.encoding == "boxed":
-        assert data.encoding == fresh.encoding
-    if data.encoding == "boxed":
-        assert data.typed is data.codes is data.nulls is None
-        return
-    if data.nulls is None:
-        assert None not in values
-    else:
-        assert len(data.nulls) == (len(values) + 7) // 8
-    for position, value in enumerate(values):
-        assert _bit(data.nulls, position) == (value is None)
-        if data.encoding == "dict":
-            code = data.codes[position]
-            assert (code == -1) if value is None else (
-                data.dictionary[code] == value and data.code_of[value] == code
-            )
-        else:
-            stored = data.typed[position]
-            assert stored == (0 if value is None else value)
-    if data.encoding == "dict":
-        assert len(data.codes) == len(values) and data.typed is None
-        assert len(data.code_of) == len(data.dictionary)
-    else:
-        assert len(data.typed) == len(values) and data.codes is None
-        assert data.typed.typecode == ("q" if data.encoding == "int64" else "d")
-
-
 def _assert_views_match_rebuild(table, model):
     """Every derived view of ``table`` equals a fresh table's over ``model``."""
     assert table.rows == model
     fresh = Table(table.schema)
-    fresh.set_storage_mode(table.storage_mode)
     fresh.adopt_rows(copy.deepcopy(model))
     store, fresh_store = table.columns(), fresh.columns()
     assert list(store) == list(fresh_store)
     for name, data in store.items():
-        _assert_column_consistent(
-            data, [row[name] for row in model], fresh_store[name]
-        )
-    assert table.column_encodings() == {
-        name: data.encoding for name, data in store.items()
-    }
+        values = [row[name] for row in model]
+        assert type(data) is list and data == values
+        assert [type(v) for v in data] == [type(v) for v in values]
+    assert table.column_facts() == fresh.column_facts()
+    assert table.layout() == fresh.layout()
     for alias in ("t", "x"):
         wide, fresh_wide = table.wide_rows(alias), fresh.wide_rows(alias)
         assert [list(row.items()) for row in wide] == [
@@ -653,7 +658,6 @@ def _assert_views_match_rebuild(table, model):
 class TestMaintainedViews:
     """Views patched through any write history equal freshly built ones."""
 
-    @pytest.mark.parametrize("storage", STORAGE_MODES)
     @settings(max_examples=60, deadline=None)
     @given(
         history=_histories(
@@ -661,11 +665,10 @@ class TestMaintainedViews:
         ),
         data=st.data(),
     )
-    def test_patched_views_equal_rebuilt_views(self, storage, history, data):
-        database = _history_database(storage)
+    def test_patched_views_equal_rebuilt_views(self, history, data):
+        database = _history_database()
         model = [dict(row) for row in database.table("t").rows]
         ran = {"inserts": 0, "scan_updates": 0, "point_updates": 0}
-        reencodes = 0
 
         def write(op):
             ran[_apply_write(database, model, op)] += 1
@@ -675,9 +678,7 @@ class TestMaintainedViews:
                 _assert_views_match_rebuild(database.table("t"), model)
             elif op[0] == "recover":
                 # Crash: only the log survives; replay is positional too.
-                reencodes += database.storage_stats()["column_reencodes"]
                 database = Database.recover(database.wal)
-                database.table("t").set_storage_mode(storage)
                 ran.update(scan_updates=0, point_updates=0)
             elif op[0] == "txn":
                 _, commit, writes = op
@@ -696,13 +697,11 @@ class TestMaintainedViews:
                 write(op)
         _assert_views_match_rebuild(database.table("t"), model)
         # Which path ran is observable: every UPDATE was planned by exactly
-        # one access path, and boxed columns always fit their encoding.
+        # one access path.
         stats = database.execution_stats()["storage"]
         assert stats["scan_updates"] == ran["scan_updates"]
         assert stats["point_updates"] == ran["point_updates"]
         assert stats["patched_updates"] == database.table("t").patched_updates
-        if storage == "boxed":
-            assert reencodes + stats["column_reencodes"] == 0
 
     QUERIES = (
         "select * from t where k > 1",
@@ -711,13 +710,13 @@ class TestMaintainedViews:
         "select t.id, u.label from t join u on t.k = u.k",
     )
 
-    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    @pytest.mark.parametrize("boxed", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(history=_histories(_NATURAL))
-    def test_queries_identical_across_tiers_and_snapshots(self, storage, history):
+    def test_queries_identical_across_tiers_and_snapshots(self, boxed, history):
         modes = ("vectorized", "compiled", "interpreted")
         databases = {
-            mode: _history_database(storage, execution_mode=mode, mvcc=True)
+            mode: _history_database(boxed, execution_mode=mode, mvcc=True)
             for mode in modes
         }
         models = {mode: [dict(r) for r in databases[mode].table("t").rows] for mode in modes}
@@ -733,8 +732,6 @@ class TestMaintainedViews:
                     databases[mode] = Database.recover(
                         databases[mode].wal, execution_mode=mode, mvcc=True
                     )
-                    for table in databases[mode].tables.values():
-                        table.set_storage_mode(storage)
             else:
                 # Reads before the write build the views the write patches;
                 # the snapshot must keep answering from the pre-write state.
@@ -771,7 +768,7 @@ class TestMaintainedViews:
 _NAN = float("nan")
 #: per-column value strategies: typed ints with duplicates, typed floats
 #: with ±0.0 and a rare NaN, a mixed int/float/bool column (always boxed),
-#: dictionary strings (case-distinct), bools and a nullable int column.
+#: strings (case-distinct), bools and a nullable int column.
 _TOPK_COLUMNS = {
     "a": st.integers(-2, 2),
     "f": st.sampled_from([0.0, -0.0, 1.5, -2.5, 3.0, 1.5, -1.0, _NAN]),
@@ -789,7 +786,7 @@ _TOPK_KEYS = ("id", *_TOPK_COLUMNS)
 _TOPK_PROJECTIONS = ("*", "id, a, s", "s, id", "f, m, b, n")
 
 
-def _topk_database(rows, storage, mode="vectorized", shards=0):
+def _topk_database(rows, mode="vectorized", shards=0):
     database = Database(execution_mode=mode)
     database.create_table(
         "t",
@@ -800,7 +797,6 @@ def _topk_database(rows, storage, mode="vectorized", shards=0):
     database.insert("t", [{"id": i, **row} for i, row in enumerate(rows)])
     if shards:
         database.shard_table("t", "id", shards)
-    database.table("t").set_storage_mode(storage)
     return database
 
 
@@ -814,7 +810,7 @@ class TestFusedTopK:
     @settings(max_examples=100, deadline=None)
     @example(
         rows=[dict.fromkeys(_TOPK_COLUMNS, 1)] * 4,
-        storage="dictionary",
+        boxed=False,
         shards=3,
         keys=[("m", False), ("f", True)],
         projection="s, id",
@@ -826,7 +822,7 @@ class TestFusedTopK:
         rows=st.lists(
             st.fixed_dictionaries(_TOPK_COLUMNS), min_size=1, max_size=10
         ),
-        storage=st.sampled_from(STORAGE_MODES),
+        boxed=st.booleans(),
         shards=st.sampled_from([0, 3]),
         keys=st.lists(
             st.tuples(st.sampled_from(_TOPK_KEYS), st.booleans()),
@@ -840,21 +836,23 @@ class TestFusedTopK:
         nan_at=st.one_of(st.none(), st.integers(0, 9)),
     )
     def test_top_k_equals_full_sort_then_slice(
-        self, rows, storage, shards, keys, projection, k_choice, lows, nan_at
+        self, rows, boxed, shards, keys, projection, k_choice, lows, nan_at
     ):
         rows = [dict(row) for row in rows]
         if nan_at is not None:  # a NaN in a row every filter keeps
             rows[nan_at % len(rows)].update(a=2, f=_NAN, m=_NAN)
+        if boxed:  # a bool in a and an int in f: both columns boxed
+            rows.append({**rows[0], "a": True, "f": 1})
         n = len(rows)
         k = max(0, {"0": 0, "1": 1, "n-1": n - 1, "n": n, "n+3": n + 3}[k_choice])
         order = ", ".join(f"{c}{'' if asc else ' desc'}" for c, asc in keys)
         base = f"select {projection} from t where a >= ? order by {order}"
-        reference = _topk_database(rows, storage, mode="interpreted")
+        reference = _topk_database(rows, mode="interpreted")
         databases = {
-            mode: _topk_database(rows, storage, mode=mode, shards=shards)
+            mode: _topk_database(rows, mode=mode, shards=shards)
             for mode in ("vectorized", "compiled", "interpreted")
         }
-        kernels = _topk_database(rows, storage, shards=shards)
+        kernels = _topk_database(rows, shards=shards)
         kernels._executor._vectorized.codegen_enabled = False
         databases["kernels"] = kernels
         statements = {
@@ -974,7 +972,7 @@ class TestFusedTopK:
 
     def test_nan_key_declines_to_the_kernels(self):
         row = {**dict.fromkeys(_TOPK_COLUMNS, 0), "f": _NAN}
-        database = _topk_database([row] * 3, "dictionary")
+        database = _topk_database([row] * 3)
         rows = database.execute_sql("select id from t order by f limit 2").rows
         assert rows == [{"id": 0}, {"id": 1}]
         stats = database.execution_stats()["vectorized"]
@@ -1049,8 +1047,13 @@ assert 15 < _FUSED_JOIN_MIN_KEYS <= 15 + 2 * _WIDE_PAD
 
 
 def _join_database(
-    left, right, storage="dictionary", mode="vectorized", shards=0, pad=0
+    left, right, boxed=False, mode="vectorized", shards=0, pad=0
 ):
+    """Tables ``l`` and ``r``; ``boxed`` appends a row to each that joins
+    nothing but boxes every non-key column it holds (a bool, a float)."""
+    if boxed:
+        left = [*left, {"k": None, "a": True, "v": 0.5, "s": None}]
+        right = [*right, {"k": None, "v": True, "w": 0.5}]
     database = Database(execution_mode=mode)
     padding = [f"p{i}" for i in range(pad)]
     for name, columns in (
@@ -1075,8 +1078,6 @@ def _join_database(
         # onto the aggregate views.
         database.shard_table("l", "id", shards)
         database.shard_table("r", "id", shards)
-    for name in ("l", "r"):
-        database.table(name).set_storage_mode(storage)
     return database
 
 
@@ -1094,7 +1095,7 @@ class TestFusedJoin:
             {"k": True, "a": 1, "v": 0, "s": None},
         ],
         right=[{"k": 1.0, "v": -1, "w": 0}, {"k": 1, "v": None, "w": 1}],
-        storage="typed",
+        boxed=False,
         shards=3,
         wide=True,
         filter_index=3,
@@ -1105,7 +1106,7 @@ class TestFusedJoin:
     @given(
         left=st.lists(st.fixed_dictionaries(_JOIN_LEFT), max_size=8),
         right=st.lists(st.fixed_dictionaries(_JOIN_RIGHT), max_size=6),
-        storage=st.sampled_from(STORAGE_MODES),
+        boxed=st.booleans(),
         shards=st.sampled_from([0, 3]),
         wide=st.booleans(),
         filter_index=st.integers(0, len(_JOIN_FILTERS) - 1),
@@ -1117,7 +1118,7 @@ class TestFusedJoin:
         self,
         left,
         right,
-        storage,
+        boxed,
         shards,
         wide,
         filter_index,
@@ -1135,14 +1136,14 @@ class TestFusedJoin:
         condition = "r.k = l.k" if reversed_condition else "l.k = r.k"
         sql = f"select {projection} from l join r on {condition} where {where}"
         databases = {
-            mode: _join_database(left, right, storage, mode, shards, pad)
+            mode: _join_database(left, right, boxed, mode, shards, pad)
             for mode in ("vectorized", "compiled", "interpreted")
         }
-        kernels = _join_database(left, right, storage, shards=shards, pad=pad)
+        kernels = _join_database(left, right, boxed, shards=shards, pad=pad)
         kernels._executor._vectorized.codegen_enabled = False
         databases["kernels"] = kernels
         databases["reference"] = _join_database(
-            left, right, storage, "interpreted", pad=pad
+            left, right, boxed, "interpreted", pad=pad
         )
         statements = {
             name: database.prepare(sql) for name, database in databases.items()
@@ -1274,7 +1275,7 @@ class TestFusedJoin:
         sql = "select * from l join r on l.k = r.k where l.a > ?"
         left = [{"k": 1, "a": 1}, {"k": 2, "a": 0}]
         databases = [
-            _join_database(left, [{"k": 1}], "boxed", mode, pad=_WIDE_PAD)
+            _join_database(left, [{"k": 1}], mode=mode, pad=_WIDE_PAD)
             for mode in ("vectorized", "interpreted")
         ]
         fused = databases[0]
