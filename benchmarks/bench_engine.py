@@ -3,7 +3,7 @@
 Run directly (``python benchmarks/bench_engine.py`` or ``make bench``).  Two
 benchmark families are timed:
 
-* **Executor microbenchmarks** — scan+filter, hash/index join, and grouped
+* **Executor microbenchmarks** — scan+filter, hash join, and grouped
   aggregation over a 50k-row orders table, executed once with the interpreted
   (tree-walking) executor and once with the compiled-expression executor.
   Row-for-row result equality between the two modes is asserted as part of
@@ -212,7 +212,7 @@ def executor_plans() -> dict[str, algebra.PlanNode]:
         BinaryOp("=", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
     )
     # The headline join benchmark projects a few columns, as real queries
-    # do; the compiled engine pipelines the projection through the join.
+    # do; the row tiers build every merged join row and then project it.
     # The full-width join (every bare and qualified column of both sides)
     # is tracked separately as hash_join_wide.
     hash_join = algebra.Project(
@@ -263,8 +263,9 @@ def _best_time(run: Callable[[], object], repeats: int = REPEATS) -> float:
 
 #: Plans also timed on the vectorized batch tier (entry name suffix
 #: ``_vectorized``); ``hash_join_wide`` is the tier's headline number — the
-#: row tiers are bounded there by per-row output-dict construction, which
-#: vectorized execution defers to one late-materialization pass at the root.
+#: row tiers build one dict per scanned row and another per joined row, while
+#: vectorized execution builds rows once, in a late-materialization pass at
+#: the root.
 VECTORIZED_PLANS = ("scan_filter", "hash_join_wide", "aggregate")
 
 

@@ -20,6 +20,10 @@ failed share, which must repeat bit for bit).  When the results hold traced
 (``--trace 1``) runs, the record also keeps their ``stmt.*.p50_ms`` and
 ``*.self_ms_per_op`` rows (medians) under ``traced``.  ``make bench-e2e``
 runs it after ``run.py``.
+
+The digest is computed when recording, so the recorder refuses (exit 2,
+nothing appended) when no git checkout encloses the results file, or when
+a file under ``src/`` changed after the results were written.
 """
 
 from __future__ import annotations
@@ -57,14 +61,12 @@ def src_modified(checkout: Path) -> bool | None:
     return {0: False, 1: True}.get(completed.returncode)
 
 
-def src_digest(checkout: Path) -> str | None:
-    """sha256 over the paths and working-tree bytes of the files in ``src/``.
+def src_files(checkout: Path) -> list[tuple[str, Path]] | None:
+    """``(name, path)`` of every file :func:`src_digest` hashes, by name.
 
-    Covers the tracked files, modified or not, and untracked files git does
-    not ignore; ``__pycache__`` and other ignored output stay out.  Two
-    records with one digest ran the same code, whatever their ``commit``
-    says — which tells the two sides of a parent/change pair apart.
-    ``None`` when the checkout is not a git repository.
+    The tracked files under ``src/``, modified or not, and the untracked
+    ones git does not ignore; ``__pycache__`` and other ignored output stay
+    out.  ``None`` when no git checkout encloses ``checkout``.
     """
     top = _git(checkout, "rev-parse", "--show-toplevel")
     if top is None or top.returncode != 0:
@@ -76,14 +78,28 @@ def src_digest(checkout: Path) -> str | None:
     )
     if listed is None or listed.returncode != 0:
         return None
+    names = sorted(set(filter(None, listed.stdout.split("\0"))))
+    return [(name, root / name) for name in names if (root / name).is_file()]
+
+
+def _digest(files: list[tuple[str, Path]]) -> str:
     digest = hashlib.sha256()
-    for name in sorted(set(filter(None, listed.stdout.split("\0")))):
-        path = root / name
-        if path.is_file():
-            data = path.read_bytes()
-            digest.update(f"{name}\0{len(data)}\0".encode())
-            digest.update(data)
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
     return digest.hexdigest()
+
+
+def src_digest(checkout: Path) -> str | None:
+    """sha256 over the paths and working-tree bytes of :func:`src_files`.
+
+    Two records with one digest ran the same code, whatever their
+    ``commit`` says — which tells the two sides of a parent/change pair
+    apart.  ``None`` when the checkout is not a git repository.
+    """
+    files = src_files(checkout)
+    return None if files is None else _digest(files)
 
 
 def git_commit(checkout: Path) -> str:
@@ -168,16 +184,32 @@ def main(argv: list[str]) -> int:
         )
         return 2
     checkout = arguments.results.resolve().parent
+    files = src_files(checkout)
+    if files is None:
+        print(
+            f"record_e2e.py: no git checkout encloses {arguments.results}, "
+            "so the code that produced it cannot be digested",
+            file=sys.stderr,
+        )
+        return 2
+    written = arguments.results.stat().st_mtime_ns
+    edited = [name for name, path in files if path.stat().st_mtime_ns > written]
+    if edited:
+        print(
+            f"record_e2e.py: {len(edited)} file(s) under src/ (first: "
+            f"{edited[0]}) changed after {arguments.results} was written, so "
+            "src_digest would describe an edited tree; re-run "
+            "benchmarks/e2e/run.py",
+            file=sys.stderr,
+        )
+        return 2
     summary = as_summary(
         json.loads(arguments.results.read_text(encoding="utf-8")), checkout
     )
     lines = [
         json.dumps(record)
         for record in records(
-            summary,
-            arguments.note,
-            src_modified(checkout),
-            src_digest(checkout),
+            summary, arguments.note, src_modified(checkout), _digest(files)
         )
     ]
     with arguments.out.open("a", encoding="utf-8") as trajectory:

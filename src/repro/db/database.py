@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.db import algebra
-from repro.db.executor import Executor, _FusedScan
+from repro.db.executor import Executor, scan_row_maker
 from repro.db.expressions import (
     BinaryOp,
     ColumnRef,
@@ -152,13 +152,13 @@ class _PointLookup:
 
     Prepared at plan-compilation time; gathers the rows named by the
     table's lazy positional index (:meth:`repro.db.table.Table.positions_for`)
-    instead of scanning.  Output rows are materialised by the executor's own
-    :class:`~repro.db.executor._FusedScan` (the exact ``bare +
-    alias.column`` layout every scan produces), so the fast path cannot
-    drift from the generic path's row shape.
+    instead of scanning.  Output rows are built by
+    :func:`~repro.db.executor.scan_row_maker`, the compiled scan's own row
+    maker (bare columns, then the ``alias.column`` view), so the fast path
+    cannot drift from the generic path's row shape.
     """
 
-    __slots__ = ("table", "column", "value", "_fused", "_router")
+    __slots__ = ("table", "column", "value", "_make_row", "_router")
 
     def __init__(
         self,
@@ -173,7 +173,7 @@ class _PointLookup:
         self.column = column
         #: a :class:`Parameter` (bound per execution) or a constant.
         self.value = value
-        self._fused = _FusedScan(storage, alias, [])
+        self._make_row = scan_row_maker(storage, alias)
         self._router = router
 
     def rows(self, table: Table, params: Sequence[Any]) -> Optional[list[Row]]:
@@ -210,8 +210,8 @@ class _PointLookup:
             else:
                 self._router.stats.fallback += 1
                 self._router.last_route = {"kind": "fallback", "shards": None}
-        rows, materialize = storage.rows, self._fused.materialize
-        return [materialize(rows[position]) for position in positions]
+        rows, make_row = storage.rows, self._make_row
+        return [make_row(rows[position]) for position in positions]
 
 
 class PreparedStatement:
@@ -771,12 +771,12 @@ class Database:
         self._finish_autocommit(ddl_txn)
         # DDL: plans compiled against the old schema may now resolve
         # differently (and their fast-path analysis is stale), so the whole
-        # statement cache is dropped, along with the executor's
-        # resolver-context closures (keyed by table object identity).
+        # statement cache is dropped, along with the executor's lowered
+        # vectorized plans (which close over the old table objects).
         self.schema_generation += 1
         self.stats_generation += 1
         self.invalidate_statements()
-        self._executor.invalidate_context_cache()
+        self._executor.invalidate_plan_cache()
         if self._router is not None:
             self._router.invalidate()
         return table
@@ -792,7 +792,7 @@ class Database:
         ``key`` defaults to the table's primary key.  Existing rows are
         redistributed over ``shards`` partitions, preserving insertion
         order in the aggregate view.  Sharding is DDL-like: the statement
-        cache and the executor's table-identity-keyed caches are dropped,
+        cache and the executor's lowered vectorized plans are dropped,
         and the shard router is (re)installed so subsequent plans route
         through single-shard / shard-local / scatter-gather execution.
         """
@@ -817,7 +817,7 @@ class Database:
         self.schema_generation += 1
         self.stats_generation += 1
         self.invalidate_statements()
-        self._executor.invalidate_context_cache()
+        self._executor.invalidate_plan_cache()
         if self._router is None:
             self._router = ShardRouter(self.tables, mode=self._executor.mode)
             self._executor.router = self._router

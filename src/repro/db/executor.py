@@ -18,39 +18,19 @@ Three execution modes are supported (``Executor(tables, mode=...)``):
   a kernel error re-runs the whole plan compiled so error semantics never
   diverge.  Results are row-identical to both row tiers.
 
-* **compiled** — every expression used by an operator
-  (predicate, projection output, join key, sort key, aggregate argument) is
-  lowered *once per operator* to a Python closure via
-  :meth:`repro.db.expressions.Expression.compile` — the row scope of the one
-  lowering in :mod:`repro.db.expressions`, generated source ``exec``-compiled
-  once per (resolver context, expression) — and the closure is called per
-  row.  Scans precompute their ``alias.column`` key list once instead of
-  formatting qualified keys per row; equi-joins whose build side is a bare
-  table scan use the table's lazy positional index
-  (:meth:`repro.db.table.Table.position_index`) as the build table, so
-  repeated joins on the same key pay the build cost once per table version;
+* **compiled** and **interpreted** — the two *row tiers*.  They run the
+  same operator per algebra node (scan, select, project, hash or
+  nested-loops join, aggregate, sort, limit) and differ only in how an
+  operator evaluates an expression per row (:meth:`Executor._expr`): the
+  compiled tier lowers it once via
+  :meth:`repro.db.expressions.Expression.compile` — the row scope of the
+  one lowering in :mod:`repro.db.expressions` — and reuses the closure
+  across queries; the interpreted tier walks the tree with
+  ``Expression.evaluate``, the reference every other evaluation strategy is
+  tested against.  The compiled scan also formats its ``alias.column`` keys
+  once per scan (:func:`scan_row_maker`) instead of once per row.
   ``Select`` and ``Limit`` stream their input without materialising
   intermediates.
-
-  On top of expression compilation the executor performs *scan fusion*: when
-  an operator's input is a base-table scan (possibly under a stack of
-  filters), its expressions are compiled against the **base row layout**
-  (plain ``column -> value`` dicts straight out of the table) using a column
-  resolver (``row['col']`` atoms; ``row[0]['col']`` / ``row[1]['col']`` for
-  the two sides of a fused join pair), and the qualified ``alias.column``
-  view is only materialised for rows that actually reach the operator's
-  output.  A filter therefore builds output dicts only for the rows that
-  pass, a grouped aggregate over a scan builds none at all, and an equi-join
-  of two (filtered) scans constructs each output row in a single
-  ``dict(zip(keys, values))`` from the two base rows.  Fused and unfused
-  execution produce identical rows.
-
-* **interpreted** — the original tree-walking path: ``Expression.evaluate``
-  per row, per-row qualified key formatting in scans, and no index reuse.
-  It is kept as the reference implementation for the equivalence tests and
-  for the ``benchmarks/bench_engine.py`` speedup measurements.  (Expression
-  types the lowering does not know call back into ``evaluate`` from inside
-  a compiled closure, transparently.)
 
 All modes produce identical output rows in identical order;
 :attr:`Executor.tier_counts` records which tier served each ``execute``.
@@ -60,7 +40,7 @@ from __future__ import annotations
 
 import operator
 from collections import OrderedDict
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.db import algebra
@@ -76,11 +56,6 @@ from repro.db.table import Row, Table
 
 class ExecutionError(Exception):
     """Raised when a plan cannot be executed."""
-
-
-#: Sentinel cached by :meth:`Executor._context_expr` for expressions that do
-#: not resolve in a given fused context (the generic path takes over).
-_UNRESOLVABLE: CompiledExpression = lambda row: None
 
 
 class Executor:
@@ -110,18 +85,9 @@ class Executor:
         #: the row tiers below the vectorized one: compiled closures unless
         #: the executor is fully interpreted.
         self._compiled = mode != "interpreted"
-        #: expression -> compiled closure, reused across queries (LRU).
+        #: expression -> compiled closure, reused across queries (LRU), so a
+        #: slot-compiled prepared plan re-executes with zero compilation.
         self._compile_cache: OrderedDict[Expression, CompiledExpression] = (
-            OrderedDict()
-        )
-        #: (context key, expression) -> closure compiled under a fused
-        #: resolver (scan- or join-layout specific), reused across queries.
-        #: This is what lets a slot-compiled prepared plan re-execute with
-        #: zero compilation work even on the fused paths, which otherwise
-        #: lower their expressions per operator instantiation.  LRU-evicted
-        #: at COMPILE_CACHE_LIMIT so steady-state workloads near the limit
-        #: drop the coldest entry instead of recompiling everything.
-        self._context_cache: OrderedDict[tuple, CompiledExpression] = (
             OrderedDict()
         )
         #: execute() calls served per tier (a vectorized attempt that falls
@@ -189,49 +155,21 @@ class Executor:
         return rows
 
     @property
-    def vectorized_stats(self) -> dict[str, int]:
+    def vectorized_stats(self) -> dict[str, Any]:
         """Vectorized-tier counters (zeros outside vectorized mode)."""
+        from repro.db.vectorized import zero_vectorized_stats
+
         if self._vectorized is None:
-            return {
-                "executions": 0,
-                "codegen_executions": 0,
-                "topk_executions": 0,
-                "join_executions": 0,
-                "pipelines_compiled": 0,
-                "codegen_cache_hits": 0,
-                "codegen_errors": 0,
-                "fallbacks": 0,
-                "subtree_fallbacks": 0,
-                "fallback_reasons": {},
-                "topk_declines": {},
-                "join_declines": {},
-            }
-        return {
-            "executions": self._vectorized.executions,
-            "codegen_executions": self._vectorized.codegen_executions,
-            "topk_executions": self._vectorized.topk_executions,
-            "join_executions": self._vectorized.join_executions,
-            "pipelines_compiled": self._vectorized.pipelines_compiled,
-            "codegen_cache_hits": self._vectorized.codegen_cache_hits,
-            "codegen_errors": self._vectorized.codegen_errors,
-            "fallbacks": self._vectorized.fallbacks,
-            "subtree_fallbacks": self._vectorized.subtree_fallbacks,
-            "fallback_reasons": dict(self._vectorized.fallback_reasons),
-            "topk_declines": dict(self._vectorized.topk_declines),
-            "join_declines": dict(self._vectorized.join_declines),
-        }
+            return zero_vectorized_stats()
+        return self._vectorized.stats()
 
-    def invalidate_context_cache(self) -> None:
-        """Drop every resolver-context compiled closure (call on DDL).
+    def invalidate_plan_cache(self) -> None:
+        """Drop the vectorized tier's lowered plans (call on DDL).
 
-        Context entries are keyed by ``id(table)``; once a table object can
-        be replaced (and eventually garbage collected), a recycled address
-        could otherwise serve closures compiled against the old schema.
-        The vectorized tier's lowered-plan cache closes over the same
-        tables, so it is dropped too.  The schema-independent expression
-        cache is unaffected.
+        Lowered pipelines close over table objects and schemas, which DDL
+        may replace.  The compiled tier's expression cache is
+        schema-independent and stays.
         """
-        self._context_cache.clear()
         if self._vectorized is not None:
             self._vectorized.invalidate()
 
@@ -273,55 +211,6 @@ class Executor:
             self._compile_cache.move_to_end(expression)
         return cached
 
-    def _context_expr(
-        self,
-        context: tuple,
-        expression: Expression,
-        compile_fn: Callable[[Expression], Optional[CompiledExpression]],
-    ) -> Optional[CompiledExpression]:
-        """Memoized compile of ``expression`` under a stable resolver context.
-
-        ``context`` must uniquely describe the resolver the closure was
-        built against (table identities and aliases); table *objects* are
-        keyed by ``id`` because a table's schema is immutable, and the
-        whole cache is dropped on DDL (:meth:`invalidate_context_cache`) so
-        a recycled object address can never serve stale closures.  A
-        ``compile_fn`` returning ``None`` (expression not resolvable in this
-        context) is memoized too, so repeated executions of a fallback shape
-        skip re-deriving the failure.  Eviction is least-recently-used:
-        a steady-state workload cycling through slightly more than
-        COMPILE_CACHE_LIMIT shapes drops only the coldest entry per miss
-        instead of flushing (and then recompiling) every live closure.
-        """
-        key = (context, expression)
-        try:
-            cached = self._context_cache.get(key)
-        except TypeError:  # unhashable literal buried in the tree
-            return compile_fn(expression)
-        if cached is None:
-            compiled = compile_fn(expression)
-            cached = _UNRESOLVABLE if compiled is None else compiled
-            if len(self._context_cache) >= self.COMPILE_CACHE_LIMIT:
-                self._context_cache.popitem(last=False)
-            self._context_cache[key] = cached
-        else:
-            self._context_cache.move_to_end(key)
-        return None if cached is _UNRESOLVABLE else cached
-
-    def _fused_expr(
-        self, fused: "_FusedScan", expression: Expression
-    ) -> CompiledExpression:
-        """Compile ``expression`` against a fused scan's base-row layout."""
-        compiled = self._context_expr(
-            (id(fused.table), fused.alias), expression, fused.compile
-        )
-        assert compiled is not None  # fused.compile never returns None
-        return compiled
-
-    def _fused_base_rows(self, fused: "_FusedScan") -> Iterator[Row]:
-        """The fused scan's filtered base rows, with memoized predicates."""
-        return fused.base_rows(lambda e: self._fused_expr(fused, e))
-
     def _key_getter(self, column: ColumnRef) -> CompiledExpression:
         """A join-key evaluator that maps unresolvable rows to ``None``."""
         base = self._expr(column)
@@ -333,64 +222,6 @@ class Executor:
                 return None
 
         return get
-
-    # -- scan fusion -----------------------------------------------------
-
-    @staticmethod
-    def _peel_selects(
-        plan: algebra.PlanNode,
-    ) -> tuple[algebra.PlanNode, list[Expression]]:
-        """Strip ``Select`` wrappers, returning the inner node and the
-        predicates in application (inner-to-outer) order."""
-        predicates: list[Expression] = []
-        while isinstance(plan, algebra.Select):
-            predicates.append(plan.predicate)
-            plan = plan.child
-        predicates.reverse()
-        return plan, predicates
-
-    @staticmethod
-    def _peel_scan(
-        plan: algebra.PlanNode,
-    ) -> tuple[Optional[algebra.Scan], list[Expression]]:
-        """Peel ``Select`` wrappers off a base-table scan.
-
-        Returns the scan and its predicates in application (inner-to-outer)
-        order, or ``(None, [])`` when the subtree is not a filtered scan.
-        """
-        node, predicates = Executor._peel_selects(plan)
-        if isinstance(node, algebra.Scan):
-            return node, predicates
-        return None, []
-
-    @staticmethod
-    def _peel_join(
-        plan: algebra.PlanNode,
-    ) -> tuple[Optional[algebra.Join], list[Expression]]:
-        """Like :meth:`_peel_scan`, but for a (filtered) join subtree."""
-        node, predicates = Executor._peel_selects(plan)
-        if isinstance(node, algebra.Join):
-            return node, predicates
-        return None, []
-
-    def _fused_scan(self, plan: algebra.PlanNode) -> Optional["_FusedScan"]:
-        """A fused view of ``plan`` when it is a (filtered) base-table scan.
-
-        In fused execution, expressions are compiled against the *base* row
-        layout — for a single scan the qualified keys only duplicate the bare
-        column keys, so base-row evaluation is observably identical — and the
-        ``alias.column`` view is materialised only for rows that survive to
-        the operator's output.
-        """
-        if not self._compiled:
-            return None
-        scan, predicates = self._peel_scan(plan)
-        if scan is None:
-            return None
-        table = self._tables.get(scan.table)
-        if table is None:
-            return None  # let the generic path raise the usual error
-        return _FusedScan(table, scan.effective_alias, predicates)
 
     # -- operators -------------------------------------------------------
 
@@ -407,65 +238,19 @@ class Executor:
                     out[f"{alias}.{key}"] = value
                 yield out
             return
-        # Fast path: format the qualified keys once for the whole scan and
-        # assemble each output row in a single dict(zip(...)).
-        fused = _FusedScan(table, alias, [])
-        yield from map(fused.materialize, table.rows)
+        yield from map(scan_row_maker(table, alias), table.rows)
 
     def _select(self, plan: algebra.Select) -> Iterable[Row]:
-        fused = self._fused_scan(plan)
-        if fused is not None:
-            # Filter base rows; build the alias view only for survivors.
-            return map(fused.materialize, self._fused_base_rows(fused))
-        if self._compiled:
-            fused_join = self._fused_join_filter(plan)
-            if fused_join is not None:
-                # Filters directly above a fusable equi-join run inside the
-                # join's probe loop on (left, right) base-row pairs; the
-                # merged row is built only for pairs that pass.
-                return fused_join
         return filter(self._expr(plan.predicate), self._execute(plan.child))
 
     def _project(self, plan: algebra.Project) -> Iterable[Row]:
-        if self._compiled:
-            fused = self._fused_join_project(plan)
-            if fused is not None:
-                return fused
-        fused_scan = self._fused_scan(plan.child)
-        if fused_scan is not None:
-            # Project straight off base rows; no alias views at all.
-            outputs = [
-                (o.name, self._fused_expr(fused_scan, o.expression))
-                for o in plan.outputs
-            ]
-            return (
-                {name: evaluate(row) for name, evaluate in outputs}
-                for row in self._fused_base_rows(fused_scan)
-            )
         outputs = [(o.name, self._expr(o.expression)) for o in plan.outputs]
         return (
             {name: evaluate(row) for name, evaluate in outputs}
             for row in self._execute(plan.child)
         )
 
-    def _join(self, plan: algebra.Join) -> Iterable[Row]:
-        equi = _equi_join_columns(plan.condition)
-        if self._compiled and equi is not None:
-            parts = self._fused_join_parts(plan, equi)
-            if parts is not None:
-                return self._fused_join_rows(*parts)
-            if isinstance(plan.right, algebra.Scan):
-                oriented = self._index_join_columns(plan.right, equi)
-                if oriented is not None:
-                    probe_col, index_column = oriented
-                    return self._index_join(plan, probe_col, index_column)
-        return self._materialized_join(plan, equi)
-
-    def _materialized_join(
-        self,
-        plan: algebra.Join,
-        equi: Optional[tuple[ColumnRef, ColumnRef]],
-    ) -> Iterator[Row]:
+    def _join(self, plan: algebra.Join) -> Iterator[Row]:
         left_rows = list(self._execute(plan.left))
         if not left_rows:
             # Empty probe side: skip executing and building the other side.
@@ -476,327 +261,18 @@ class Executor:
                     raise ExecutionError(f"unknown table {scan.table!r}")
             return iter(())
         right_rows = list(self._execute(plan.right))
+        equi = _equi_join_columns(plan.condition)
         if equi is not None:
-            return self._hash_join(left_rows, right_rows, plan, equi)
+            return self._hash_join(left_rows, right_rows, equi)
         return self._nested_loops_join(left_rows, right_rows, plan)
-
-    # -- fused equi-joins -------------------------------------------------
-
-    def _fused_join_parts(
-        self, plan: algebra.Join, equi: tuple[ColumnRef, ColumnRef]
-    ) -> Optional[tuple["_FusedScan", "_FusedScan", ColumnRef, ColumnRef]]:
-        """Resolve a join of two (filtered) scans for fused execution.
-
-        Returns ``(left, right, probe_col, build_col)``, or ``None`` (the
-        generic join takes over) unless both sides fuse and the equi columns
-        can be statically assigned to exactly one orientation.
-        """
-        left = self._fused_scan(plan.left)
-        right = self._fused_scan(plan.right)
-        if left is None or right is None:
-            return None
-        left_col, right_col = equi
-        if left.owns(left_col) and right.owns(right_col):
-            return left, right, left_col, right_col
-        if left.owns(right_col) and right.owns(left_col):
-            return left, right, right_col, left_col
-        return None
-
-    def _fused_join_pairs(
-        self,
-        left: "_FusedScan",
-        right: "_FusedScan",
-        probe_col: ColumnRef,
-        build_col: ColumnRef,
-    ) -> Iterator[tuple[Row, Row]]:
-        """Matching (left base row, right base row) pairs of a fused join.
-
-        The left side streams as the probe; the right side is either the
-        table's cached positional index over its rows (bare scan) or one
-        built over its filtered base rows.  An empty probe side never
-        executes or builds the right side.
-        """
-        probe_rows = self._fused_base_rows(left)
-        first = next(probe_rows, None)
-        if first is None:
-            return
-        if right.predicates:
-            build_rows = list(self._fused_base_rows(right))
-            index: dict[Any, list[int]] = {}
-            for position, row in enumerate(build_rows):
-                key = row[build_col.name]
-                if key is not None:
-                    index.setdefault(key, []).append(position)
-        else:  # a bare scan reuses the table's positional index
-            build_rows = right.table.rows
-            index = _position_index(right.table, build_col.name)
-        get_bucket = index.get
-        probe_key = operator.itemgetter(probe_col.name)
-        for base in chain((first,), probe_rows):
-            key = probe_key(base)
-            if key is None:
-                continue
-            bucket = get_bucket(key)
-            if not bucket:
-                continue
-            for position in bucket:
-                yield base, build_rows[position]
-
-    def _fused_join_rows(
-        self,
-        left: "_FusedScan",
-        right: "_FusedScan",
-        probe_col: ColumnRef,
-        build_col: ColumnRef,
-    ) -> Iterator[Row]:
-        """Full-width fused join output (bare + qualified keys, both sides)."""
-        pairs = self._fused_join_pairs(left, right, probe_col, build_col)
-        return self._materialize_join_pairs(left, right, pairs)
-
-    def _materialize_join_pairs(
-        self,
-        left: "_FusedScan",
-        right: "_FusedScan",
-        pairs: Iterable[tuple[Row, Row]],
-    ) -> Iterator[Row]:
-        """Merged full-width rows for base-row ``pairs`` of a fused join."""
-        left_keys = left.all_keys
-        left_values = left.values
-        right_values = right.values
-        right_keys = right.all_keys
-        #: id(build base row) -> prebuilt right-side dict, copied per match.
-        templates: dict[int, Row] = {}
-        last_left: Optional[Row] = None
-        lv2: tuple = ()
-        for left_base, right_base in pairs:
-            template = templates.get(id(right_base))
-            if template is None:
-                rv = right_values(right_base)
-                template = dict(zip(right_keys, rv + rv))
-                templates[id(right_base)] = template
-            if left_base is not last_left:
-                lv = left_values(left_base)
-                lv2 = lv + lv
-                last_left = left_base
-            # dict.update overwrites in place, so bare-name collisions keep
-            # the left side's value, exactly like _merge_rows.
-            out = dict(template)
-            out.update(zip(left_keys, lv2))
-            yield out
-
-    def _pair_compiler(
-        self, left: "_FusedScan", right: "_FusedScan"
-    ) -> Callable[[Expression], Optional[CompiledExpression]]:
-        """A compiler lowering expressions onto (left, right) base-row pairs.
-
-        Returns ``None`` for expressions whose column references do not all
-        statically resolve to exactly one side; callers then fall back to
-        evaluating on merged rows.
-        """
-
-        def compile_pair(expression: Expression) -> Optional[CompiledExpression]:
-            unresolved = False
-
-            def pair_resolver(column: ColumnRef) -> Optional[str]:
-                nonlocal unresolved
-                # Prefer the left side: a bare name present on both sides
-                # reads the left value on the merged row (_merge_rows lets
-                # left win).
-                if left.owns(column):
-                    return f"row[0][{column.name!r}]"
-                if right.owns(column):
-                    return f"row[1][{column.name!r}]"
-                unresolved = True
-                return None
-
-            compiled = expression.compile(pair_resolver)
-            return None if unresolved else compiled
-
-        return compile_pair
-
-    def _compile_pair_conjuncts(
-        self,
-        left: "_FusedScan",
-        right: "_FusedScan",
-        predicates: list[Expression],
-    ) -> Optional[list[CompiledExpression]]:
-        """Compile filter predicates as (left, right) pair closures.
-
-        Predicates are flattened into conjuncts (preserving application
-        order); ``None`` means at least one conjunct does not statically
-        resolve, so the caller must materialise merged rows instead.
-        """
-        context = (id(left.table), left.alias, id(right.table), right.alias)
-        compile_pair = self._pair_compiler(left, right)
-        compiled: list[CompiledExpression] = []
-        for predicate in predicates:
-            for conjunct in _flatten_and(predicate):
-                evaluate = self._context_expr(context, conjunct, compile_pair)
-                if evaluate is None:
-                    return None
-                compiled.append(evaluate)
-        return compiled
-
-    def _filtered_join_pairs(
-        self,
-        left: "_FusedScan",
-        right: "_FusedScan",
-        probe_col: ColumnRef,
-        build_col: ColumnRef,
-        filters: list[CompiledExpression],
-    ) -> Iterator[tuple[Row, Row]]:
-        """Fused join pairs with filter conjuncts applied inside the probe."""
-        pairs: Iterator[tuple[Row, Row]] = self._fused_join_pairs(
-            left, right, probe_col, build_col
-        )
-        for evaluate in filters:
-            pairs = filter(evaluate, pairs)
-        return pairs
-
-    def _fused_join_filter(
-        self, plan: algebra.Select
-    ) -> Optional[Iterator[Row]]:
-        """``Select`` stack above an equi-join fused into the probe loop.
-
-        The predicates compile against (left base row, right base row)
-        pairs, so non-matching pairs are rejected before the merged row
-        exists; full-width rows are built only for survivors.  Falls back
-        (returns ``None``) unless both join inputs fuse and every predicate
-        column statically resolves to one side.
-        """
-        join, predicates = self._peel_join(plan)
-        if join is None:
-            return None
-        equi = _equi_join_columns(join.condition)
-        if equi is None:
-            return None
-        parts = self._fused_join_parts(join, equi)
-        if parts is None:
-            return None
-        left, right, probe_col, build_col = parts
-        filters = self._compile_pair_conjuncts(left, right, predicates)
-        if filters is None:
-            return None
-        pairs = self._filtered_join_pairs(
-            left, right, probe_col, build_col, filters
-        )
-        return self._materialize_join_pairs(left, right, pairs)
-
-    def _fused_join_project(
-        self, plan: algebra.Project
-    ) -> Optional[Iterator[Row]]:
-        """Projection fused through a (filtered) equi-join of two scans.
-
-        Output expressions — and any filter predicates between the
-        projection and the join — are compiled against (left base row,
-        right base row) pairs, so the merged join row is never
-        materialised.  Applies only when every column reference statically
-        resolves to one side; anything else falls back to the generic
-        project-over-join path.
-        """
-        join, predicates = self._peel_join(plan.child)
-        if join is None:
-            return None
-        equi = _equi_join_columns(join.condition)
-        if equi is None:
-            return None
-        parts = self._fused_join_parts(join, equi)
-        if parts is None:
-            return None
-        left, right, probe_col, build_col = parts
-        filters = self._compile_pair_conjuncts(left, right, predicates)
-        if filters is None:
-            return None
-        context = (id(left.table), left.alias, id(right.table), right.alias)
-        compile_pair = self._pair_compiler(left, right)
-        outputs = []
-        for o in plan.outputs:
-            compiled = self._context_expr(context, o.expression, compile_pair)
-            if compiled is None:
-                return None
-            outputs.append((o.name, compiled))
-        pairs = self._filtered_join_pairs(
-            left, right, probe_col, build_col, filters
-        )
-        return (
-            {name: evaluate(pair) for name, evaluate in outputs}
-            for pair in pairs
-        )
-
-    def _index_join_columns(
-        self, scan: algebra.Scan, equi: tuple[ColumnRef, ColumnRef]
-    ) -> Optional[tuple[ColumnRef, str]]:
-        """Orient an equi-join over a right-side base-table scan.
-
-        Returns ``(probe column, indexed column name)`` when exactly one of
-        the two equi-join columns statically belongs to the scanned table;
-        ambiguous conditions (both or neither side matching) fall back to the
-        generic hash join.
-        """
-        table = self._tables.get(scan.table)
-        if table is None:
-            return None
-        alias = scan.effective_alias
-        schema = table.schema
-
-        def belongs(column: ColumnRef) -> bool:
-            if not schema.has_column(column.name):
-                return False
-            return column.qualifier is None or column.qualifier == alias
-
-        left_col, right_col = equi
-        left_belongs = belongs(left_col)
-        right_belongs = belongs(right_col)
-        if right_belongs and not left_belongs:
-            return left_col, right_col.name
-        if left_belongs and not right_belongs:
-            return right_col, left_col.name
-        return None
-
-    def _index_join(
-        self, plan: algebra.Join, probe_col: ColumnRef, index_column: str
-    ) -> Iterable[Row]:
-        """Index-nested-loop join: probe the build table's positional index."""
-        scan: algebra.Scan = plan.right  # type: ignore[assignment]
-        table = self._tables[scan.table]
-        alias = scan.effective_alias
-        qualified = [
-            (f"{alias}.{name}", name) for name in table.schema.column_names
-        ]
-        probe = self._key_getter(probe_col)
-        index: Optional[dict[Any, list[int]]] = None
-        #: build row position -> its alias view, shared across probe matches.
-        views: dict[int, Row] = {}
-        for left_row in self._execute(plan.left):
-            if index is None:
-                # Deferred so an empty probe side never builds the index.
-                index = _position_index(table, index_column)
-                if not index:
-                    return
-            key = probe(left_row)
-            if key is None:
-                continue
-            bucket = index.get(key)
-            if bucket is None:
-                continue
-            for position in bucket:
-                right_row = views.get(position)
-                if right_row is None:
-                    base_row = table.rows[position]
-                    right_row = dict(base_row)
-                    for qualified_key, name in qualified:
-                        right_row[qualified_key] = base_row[name]
-                    views[position] = right_row
-                yield _merge_rows(left_row, right_row)
 
     def _hash_join(
         self,
         left_rows: list[Row],
         right_rows: list[Row],
-        plan: algebra.Join,
         equi: tuple[ColumnRef, ColumnRef],
-    ) -> Iterable[Row]:
-        if not left_rows or not right_rows:
+    ) -> Iterator[Row]:
+        if not right_rows:
             return
         left_col, right_col = _orient_equi_columns(left_rows, right_rows, equi)
         right_key = self._key_getter(right_col)
@@ -820,7 +296,7 @@ class Executor:
 
     def _nested_loops_join(
         self, left_rows: list[Row], right_rows: list[Row], plan: algebra.Join
-    ) -> Iterable[Row]:
+    ) -> Iterator[Row]:
         condition = (
             self._expr(plan.condition) if plan.condition is not None else None
         )
@@ -830,20 +306,11 @@ class Executor:
                 if condition is None or condition(merged):
                     yield merged
 
-    def _aggregate(self, plan: algebra.Aggregate) -> Iterable[Row]:
-        fused = self._fused_scan(plan.child)
-        if fused is not None:
-            # Group and aggregate straight off base rows; no alias views.
-            compile_expr: Callable[[Expression], CompiledExpression] = (
-                lambda e: self._fused_expr(fused, e)
-            )
-            rows_iter: Iterable[Row] = self._fused_base_rows(fused)
-        else:
-            compile_expr = self._expr
-            rows_iter = self._execute(plan.child)
+    def _aggregate(self, plan: algebra.Aggregate) -> Iterator[Row]:
+        rows_iter = self._execute(plan.child)
         # Aggregates often share their argument (sum(x) next to avg(x)):
         # compile each distinct argument once and evaluate it once per group.
-        planned = plan_aggregate_arguments(plan.aggregates, compile_expr)
+        planned = plan_aggregate_arguments(plan.aggregates, self._expr)
         assert planned is not None  # row compilers never fail
         arg_fns, spec_slots = planned
 
@@ -866,7 +333,7 @@ class Executor:
         # The vectorized tier computes the same grouping with single-pass
         # partial-aggregate kernels (_lower_aggregate); group order must
         # stay first-encounter in both — change the two together.
-        keys = [compile_expr(column) for column in plan.group_by]
+        keys = [self._expr(column) for column in plan.group_by]
         if len(keys) == 1:
             # Scalar group keys: skip the per-row tuple construction.
             key_fn = keys[0]
@@ -899,23 +366,6 @@ class Executor:
             yield emit_into(out, group_rows)
 
     def _sort(self, plan: algebra.Sort) -> Iterable[Row]:
-        fused = self._fused_scan(plan.child)
-        if fused is not None and all(
-            fused.owns(key.column) for key in plan.keys
-        ):
-            # Scan fusion for sort keys: compile the keys against the base
-            # row layout, order the base rows, and materialise the alias
-            # view only once per output row — after sorting.  Only owned
-            # keys fuse: an unresolvable key must keep raising against the
-            # materialized row layout, identically to the other tiers.
-            rows = list(self._fused_base_rows(fused))
-            for key in reversed(plan.keys):
-                evaluate = self._fused_expr(fused, key.column)
-                rows.sort(
-                    key=lambda row: _sort_key(evaluate(row)),
-                    reverse=not key.ascending,
-                )
-            return map(fused.materialize, rows)
         rows = list(self._execute(plan.child))
         # Sort by the last key first so earlier keys take precedence.
         for key in reversed(plan.keys):
@@ -930,89 +380,30 @@ class Executor:
         return islice(self._execute(plan.child), plan.count)
 
 
-class _FusedScan:
-    """A (possibly filtered) base-table scan fused into its consumer.
-
-    Exposes the scan's base rows (predicates applied in inner-to-outer
-    order), a column resolver compiling expressions straight against the
-    base row layout, and helpers to materialise the full ``bare +
-    alias.column`` output view only when a row reaches the output.
-    """
-
-    __slots__ = (
-        "table",
-        "alias",
-        "predicates",
-        "columns",
-        "qualified",
-        "all_keys",
-        "values",
-    )
-
-    def __init__(
-        self, table: Table, alias: str, predicates: list[Expression]
-    ) -> None:
-        self.table = table
-        self.alias = alias
-        self.predicates = predicates
-        schema = table.schema
-        self.columns = tuple(schema.column_names)
-        self.qualified = tuple(f"{alias}.{name}" for name in self.columns)
-        self.all_keys = self.columns + self.qualified
-        if len(self.columns) == 1:
-            only = self.columns[0]
-            self.values: Callable[[Row], tuple] = lambda row: (row[only],)
-        else:
-            self.values = operator.itemgetter(*self.columns)
-
-    def resolver(self, column: ColumnRef) -> Optional[str]:
-        """The base-row source atom for an owned column (a ColumnResolver).
-
-        Base rows carry every schema column, so the subscript cannot raise.
-        """
-        if self.owns(column):
-            return f"row[{column.name!r}]"
-        return None
-
-    def compile(self, expression: Expression) -> CompiledExpression:
-        if isinstance(expression, ColumnRef) and self.owns(expression):
-            # A bare owned column (group key, aggregate argument, plain
-            # projection): the C-level getter of the same ``row['col']``.
-            return operator.itemgetter(expression.name)
-        return expression.compile(self.resolver)
-
-    def base_rows(
-        self,
-        compile_expr: Optional[Callable[[Expression], CompiledExpression]] = None,
-    ) -> Iterator[Row]:
-        """The scan's base rows with all peeled predicates applied.
-
-        Top-level conjunctions are flattened into one ``filter`` stage per
-        conjunct, which preserves left-to-right short-circuit order while
-        keeping the row loop in C.  ``compile_expr`` lets the executor
-        substitute its memoizing compiler (the default compiles fresh).
-        """
-        if compile_expr is None:
-            compile_expr = self.compile
-        rows: Iterable[Row] = self.table.rows
-        for predicate in self.predicates:
-            for conjunct in _flatten_and(predicate):
-                rows = filter(compile_expr(conjunct), rows)
-        return iter(rows)
-
-    def materialize(self, base_row: Row) -> Row:
-        """The full output row: bare columns plus the qualified alias view."""
-        values = self.values(base_row)
-        return dict(zip(self.all_keys, values + values))
-
-    def owns(self, column: ColumnRef) -> bool:
-        """True when ``column`` statically refers to this scan's table."""
-        return self.table.schema.has_column(column.name) and (
-            column.qualifier is None or column.qualifier == self.alias
-        )
-
-
 # -- helpers ------------------------------------------------------------
+
+
+def scan_row_maker(table: Table, alias: str) -> Callable[[Row], Row]:
+    """``base row -> scan output row`` for ``table`` scanned as ``alias``.
+
+    The output row holds the bare columns, then the qualified
+    ``alias.column`` view, built in one ``dict(zip(...))`` with the keys
+    formatted once.  The compiled scan and the prepared point-lookup fast
+    path both build their rows with it, so the two cannot drift apart.
+    """
+    columns = tuple(table.schema.column_names)
+    keys = columns + tuple(f"{alias}.{name}" for name in columns)
+    if len(columns) == 1:
+        only = columns[0]
+        values: Callable[[Row], tuple] = lambda row: (row[only],)
+    else:
+        values = operator.itemgetter(*columns)
+
+    def make(row: Row) -> Row:
+        row_values = values(row)
+        return dict(zip(keys, row_values + row_values))
+
+    return make
 
 
 def plan_aggregate_arguments(
@@ -1058,15 +449,6 @@ def _flatten_and(predicate: Expression) -> list[Expression]:
             conjuncts.extend(_flatten_and(operand))
         return conjuncts
     return [predicate]
-
-
-def _position_index(table: Table, column: str) -> dict[Any, list[int]]:
-    """``table.position_index(column)``; only an unhashable stored value
-    leaves it missing, and then a hash join raises ``TypeError``."""
-    index = table.position_index(column)
-    if index is None:
-        raise TypeError(f"unhashable value in {table.schema.name}.{column}")
-    return index
 
 
 def _merge_rows(left: Row, right: Row) -> Row:

@@ -18,9 +18,9 @@ slots, constants) become source atoms.  SQL NULL handling, comparison and
 arithmetic semantics, AND/OR short-circuiting and operand evaluation order
 are stated once, there.  Three scopes instantiate it:
 
-* the **row** scope behind :meth:`Expression.compile` (``row['col']`` atoms
-  from a caller-supplied resolver, a bound generic getter otherwise), used
-  by the compiled row tier;
+* the **row** scope behind :meth:`Expression.compile` (a bound generic
+  getter per column reference, resolving like :meth:`ColumnRef.evaluate`),
+  used by the compiled row tier;
 * the **batch** scope of :mod:`repro.db.vectorized` (one fused comprehension
   over a batch's column arrays per expression);
 * the **fused-pipeline** scope of :mod:`repro.db.vectorized` (one loop
@@ -39,19 +39,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 Row = Mapping[str, Any]
 
 #: A compiled expression: a closure evaluating one row.
 CompiledExpression = Callable[[Row], Any]
-
-#: A column resolver lets callers that know the row layout supply the source
-#: atom reading a column off the variable ``row`` (``"row['o_id']"``,
-#: ``"row[0]['c_name']"``); the atom must not be able to raise.  Returning
-#: ``None`` falls back to the generic qualified/bare/suffix resolution of
-#: :meth:`ColumnRef.evaluate`.
-ColumnResolver = Callable[["ColumnRef"], Optional[str]]
 
 
 class ExpressionError(Exception):
@@ -65,13 +58,13 @@ class Expression:
         """Evaluate this expression against ``row``."""
         raise NotImplementedError
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
+    def compile(self) -> CompiledExpression:
         """Lower the expression to a closure ``row -> value``.
 
         The closure agrees exactly with :meth:`evaluate` on every row,
         including raised errors (see :func:`lower_expression`).
         """
-        scope = _RowScope(resolver)
+        scope = _RowScope()
         source = lower_expression(self, scope).src
         opaque = scope.opaque_calls.get(source)
         if opaque is not None:
@@ -449,9 +442,8 @@ class LoweringScope:
 class _RowScope(LoweringScope):
     """Leaves read off the generated lambda's ``row`` argument."""
 
-    def __init__(self, resolver: ColumnResolver | None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._resolver = resolver
         #: source of each bound ``f(row)`` call -> ``f`` itself.
         self.opaque_calls: dict[str, CompiledExpression] = {}
 
@@ -461,10 +453,6 @@ class _RowScope(LoweringScope):
         return Lowered(source, True, False, False)
 
     def column(self, column: "ColumnRef") -> Lowered:
-        if self._resolver is not None:
-            atom = self._resolver(column)
-            if atom is not None:
-                return Lowered(atom, True, False, True)
         return self._call(_generic_getter(column))
 
     def slot(self, slot: "ParameterSlot") -> Lowered:
@@ -477,7 +465,7 @@ class _RowScope(LoweringScope):
 
 
 def _generic_getter(column: "ColumnRef") -> CompiledExpression:
-    """``row -> value`` for a column whose row layout is not known.
+    """``row -> value`` for ``column``, whatever the row's layout.
 
     Direct key lookups first; the interpreter handles the rare
     suffix-fallback and error cases so the semantics stay identical.

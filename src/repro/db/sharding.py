@@ -42,8 +42,7 @@ This module makes partitioned storage a first-class layer of the engine:
     order.  On the vectorized tier the gather ships
     :class:`~repro.db.vectorized.ColumnBatch` objects (selection vectors
     composed per shard) and materializes rows only once, at the root; the
-    compiled tier chains per-shard fused iterators; the interpreted tier
-    concatenates per-shard row lists.
+    row tiers concatenate the per-shard row lists.
 
   Plans the router cannot prove distributable (``Limit``, non-co-partitioned
   joins of two sharded tables, operators over sharded subtrees it cannot
@@ -95,12 +94,15 @@ from repro.db.schema import TableSchema
 from repro.db.table import Row, Table
 from repro.db.vectorized import (
     AGGREGATE_MERGERS,
+    VECTORIZED_COUNTER_KEYS,
+    VECTORIZED_REASON_KEYS,
     AggregateCarry,
     batch_output_rows,
     finalize_avg,
     gather_batches,
     merge_sorted_runs,
     unpack_batch,
+    zero_vectorized_stats,
 )
 
 
@@ -471,7 +473,7 @@ class ShardRouter:
             "compiled": 0,
             "interpreted": 0,
         }
-        self._retired_vectorized: dict[str, Any] = _zero_vectorized_counters()
+        self._retired_vectorized: dict[str, Any] = zero_vectorized_stats()
         #: per-call markers for tracing / EXPLAIN: how the most recent
         #: try_execute dispatched (``None`` for not-sharded plans), which
         #: tier served it, the vectorized fallback reason if any, and the
@@ -652,7 +654,7 @@ class ShardRouter:
 
     def _sum_live_counters(self) -> tuple[dict[str, int], dict[str, Any]]:
         tiers = {"vectorized": 0, "compiled": 0, "interpreted": 0}
-        vectorized = _zero_vectorized_counters()
+        vectorized = zero_vectorized_stats()
         for executor in self._executors.values():
             merge_execution_counters(
                 tiers, vectorized, executor.tier_counts, executor.vectorized_stats
@@ -706,23 +708,15 @@ class ShardRouter:
                 self.last_fallback_reason = None
                 self.last_execution_path = "kernel"
                 return rows
-        if self._mode == "interpreted":
-            self.last_tier = "interpreted"
-            self.last_fallback_reason = None
-            self.last_execution_path = "interpreted"
-            return [
-                row
-                for executor in executors
-                for row in executor.execute(node)
-            ]
-        # Compiled (and the vectorized row-fallback): chain the per-shard
-        # fused iterators lazily; the gather materializes one output list.
-        self.last_tier = "compiled"
-        self.last_execution_path = "compiled"
+        # The row tiers (the vectorized tier's row fallback included): run
+        # each shard's row operators and concatenate in shard order.
+        tier = "interpreted" if self._mode == "interpreted" else "compiled"
+        self.last_tier = tier
+        self.last_execution_path = tier
         gathered: list[Row] = []
         for executor in executors:
             gathered.extend(executor._execute(node))
-            executor.tier_counts["compiled"] += 1
+            executor.tier_counts[tier] += 1
         return gathered
 
     def _scatter_codegen(
@@ -1051,9 +1045,9 @@ class ShardRouter:
         """Row-list transforms for a Select/Project/Sort spine, in
         application (innermost-first) order.
 
-        Expressions compile without a resolver, which is exactly how the
-        tiers evaluate them over materialized aggregate output rows, so
-        spine semantics (including errors) cannot diverge.
+        Expressions compile exactly as the compiled tier compiles them
+        over materialized aggregate output rows, so spine semantics
+        (including errors) cannot diverge.
         """
         transforms: list[Callable[[list[Row]], list[Row]]] = []
         for node in reversed(spine):
@@ -1364,36 +1358,6 @@ def _row_preserving_path(nodes: Sequence[algebra.PlanNode]) -> bool:
         isinstance(node, (algebra.Select, algebra.Join, algebra.Sort, algebra.Scan))
         for node in nodes
     )
-
-
-#: The summable int counters of a vectorized-stats dict; everything the
-#: executor reports beyond these must be a reason -> count dict listed in
-#: VECTORIZED_REASON_KEYS, or attached above the merge
-#: (Database.execution_stats does the latter for the column-kind census).
-VECTORIZED_COUNTER_KEYS = (
-    "executions",
-    "codegen_executions",
-    "topk_executions",
-    "join_executions",
-    "pipelines_compiled",
-    "codegen_cache_hits",
-    "codegen_errors",
-    "fallbacks",
-    "subtree_fallbacks",
-)
-#: The reason -> count dicts of a vectorized-stats dict, merged per reason.
-VECTORIZED_REASON_KEYS = (
-    "fallback_reasons",
-    "topk_declines",
-    "join_declines",
-)
-
-
-def _zero_vectorized_counters() -> dict[str, Any]:
-    zeros: dict[str, Any] = dict.fromkeys(VECTORIZED_COUNTER_KEYS, 0)
-    for key in VECTORIZED_REASON_KEYS:
-        zeros[key] = {}
-    return zeros
 
 
 def merge_execution_counters(

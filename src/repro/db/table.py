@@ -8,7 +8,7 @@ of its own (:meth:`Table.lookup_pk` probes the same index as any column).
 Tables keep *derived views*, each built lazily on first use: positional
 bucket indexes (:meth:`Table.position_index`, column value -> row
 positions; the one index behind point lookups, point ``UPDATE`` candidates
-and every indexed join), cached per-column distinct counts (the statistics
+and the vectorized tier's fused join), cached per-column distinct counts (the statistics
 catalog), the *columnar view* (:meth:`Table.columns`, one plain ``list`` of
 values per column aligned by row position, which the vectorized executor
 scans instead of row dictionaries) and the full-width scan-output

@@ -13,7 +13,7 @@ of streams of per-row dictionaries:
   over the referenced column arrays, emitted by the batch scope of
   :func:`repro.db.expressions.lower_expression` — and *compose selection
   vectors*; no row is copied, and AND conjunctions shrink the selection
-  stage by stage like the row tier's fused filter chain.
+  stage by stage, short-circuiting left to right like the row tiers.
 * **Hash joins** build and probe on key arrays and carry the match as a pair
   of (left positions, right positions); the joined batch merely re-points
   both sides' columns at the new selections.
@@ -1619,14 +1619,47 @@ class AggregateCarry:
         self.state: Any = None
 
 
+#: The summable int counters of :meth:`VectorizedExecutor.stats`, each an
+#: attribute of the same name; everything else the stats report must be a
+#: reason -> count dict listed in VECTORIZED_REASON_KEYS, or attached above
+#: a merge (Database.execution_stats does the latter for the column-kind
+#: census).  A new counter is added here and in ``__init__`` only.
+VECTORIZED_COUNTER_KEYS = (
+    "executions",
+    "codegen_executions",
+    "topk_executions",
+    "join_executions",
+    "pipelines_compiled",
+    "codegen_cache_hits",
+    "codegen_errors",
+    "fallbacks",
+    "subtree_fallbacks",
+)
+#: The reason -> count dicts of :meth:`VectorizedExecutor.stats`, merged
+#: per reason.
+VECTORIZED_REASON_KEYS = (
+    "fallback_reasons",
+    "topk_declines",
+    "join_declines",
+)
+
+
+def zero_vectorized_stats() -> dict[str, Any]:
+    """A stats dict of an executor that never ran a vectorized plan."""
+    zeros: dict[str, Any] = dict.fromkeys(VECTORIZED_COUNTER_KEYS, 0)
+    for key in VECTORIZED_REASON_KEYS:
+        zeros[key] = {}
+    return zeros
+
+
 class VectorizedExecutor:
     """Lowers algebra plans to batch pipelines and runs them.
 
     Owned by an :class:`~repro.db.executor.Executor` in ``vectorized`` mode.
     Lowered pipelines are cached in an LRU keyed by the plan object, so a
     prepared statement's slot-compiled template re-executes with zero
-    lowering work; the cache is dropped on DDL together with the executor's
-    resolver-context closures.
+    lowering work; the cache is dropped on DDL
+    (:meth:`~repro.db.executor.Executor.invalidate_plan_cache`).
     """
 
     #: Lowered-plan cache entries kept before LRU eviction.
@@ -1857,6 +1890,15 @@ class VectorizedExecutor:
                 self._count_join_decline("error")
             return None
 
+    def stats(self) -> dict[str, Any]:
+        """A snapshot of the counters, keyed like :func:`zero_vectorized_stats`."""
+        stats: dict[str, Any] = {
+            key: getattr(self, key) for key in VECTORIZED_COUNTER_KEYS
+        }
+        for key in VECTORIZED_REASON_KEYS:
+            stats[key] = dict(getattr(self, key))
+        return stats
+
     def invalidate(self) -> None:
         """Drop every cached lowered pipeline (call on DDL)."""
         self._ops.clear()
@@ -1889,7 +1931,7 @@ class VectorizedExecutor:
             build = join and self._tables.get(join.right.table)
             if table is None or (join is not None and build is None):
                 # Can't settle supportability without a schema; don't cache
-                # (the table may exist under a future resolver context).
+                # (the table may be created later).
                 return shape
             try:
                 source, _, _ = _generate_pipeline(

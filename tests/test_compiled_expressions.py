@@ -235,6 +235,9 @@ BENCHMARK_QUERIES = [
     "select name, salary from employee order by salary desc limit 3",
     "select * from employee where dept_id in (1, 2)",
     "select upper(name) from employee where salary is not null",
+    "select dept_id, max(salary) from employee where salary > 50 "
+    "group by dept_id",
+    "select * from employee where salary > 50 order by salary desc, name",
 ]
 
 
@@ -244,9 +247,12 @@ class TestExecutorModeEquivalence:
     @pytest.mark.parametrize("sql", BENCHMARK_QUERIES)
     def test_query_equivalence(self, simple_database, sql):
         plan = parse_sql(sql)
-        interpreted = Executor(simple_database.tables, mode="interpreted")
-        compiled = Executor(simple_database.tables, mode="compiled")
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        expected = Executor(simple_database.tables, mode="interpreted").execute(
+            plan
+        )
+        for mode in ("compiled", "vectorized"):
+            executor = Executor(simple_database.tables, mode=mode)
+            assert executor.execute(plan) == expected, mode
 
     def test_join_of_filtered_scans(self, simple_database):
         plan = algebra.Join(
@@ -263,6 +269,50 @@ class TestExecutorModeEquivalence:
         interpreted = Executor(simple_database.tables, mode="interpreted")
         compiled = Executor(simple_database.tables, mode="compiled")
         assert compiled.execute(plan) == interpreted.execute(plan)
+
+    @pytest.mark.parametrize("above", ["select", "project"])
+    def test_operator_above_join_of_filtered_scans(self, simple_database, above):
+        join = algebra.Join(
+            algebra.Select(
+                algebra.Scan("employee", "e"),
+                BinaryOp(">", ColumnRef("salary", "e"), Literal(50)),
+            ),
+            algebra.Select(
+                algebra.Scan("department", "d"),
+                BinaryOp("!=", ColumnRef("dept_name", "d"), Literal("ops")),
+            ),
+            BinaryOp("=", ColumnRef("dept_id", "d"), ColumnRef("dept_id", "e")),
+        )
+        plan: algebra.PlanNode = algebra.Select(
+            join,
+            BooleanOp(
+                "and",
+                (
+                    BinaryOp("<", ColumnRef("salary", "e"), ColumnRef("budget")),
+                    Not(IsNull(ColumnRef("dept_name", "d"))),
+                ),
+            ),
+        )
+        if above == "project":
+            plan = algebra.Project(
+                plan,
+                (
+                    algebra.OutputColumn(ColumnRef("name"), "name"),
+                    algebra.OutputColumn(
+                        BinaryOp(
+                            "+", ColumnRef("salary", "e"), ColumnRef("budget", "d")
+                        ),
+                        "total",
+                    ),
+                ),
+            )
+        expected = Executor(simple_database.tables, mode="interpreted").execute(
+            plan
+        )
+        assert expected
+        for mode in ("compiled", "vectorized"):
+            executor = Executor(simple_database.tables, mode=mode)
+            assert executor.execute(plan) == expected, mode
 
     def test_reversed_equi_condition(self, simple_database):
         # Condition written right-side-first must join identically.
@@ -365,16 +415,11 @@ def column_outcome(run, expected: list) -> None:
     assert [(value, type(value)) for value in values] == expected
 
 
-def resolved(column: ColumnRef):
-    return f"row[{column.name!r}]" if column.name in SCOPE_COLUMNS else None
-
-
 def assert_scopes_agree(expression: Expression, rows: list[dict]) -> None:
     """All three scopes of the lowering reproduce ``evaluate`` on ``rows``."""
     expected = outcomes(expression.evaluate, rows)
-    # Row scope: generic getters, then layout-resolved ``row['col']`` atoms.
+    # Row scope: one generic getter per column reference.
     assert outcomes(expression.compile(), rows) == expected
-    assert outcomes(expression.compile(resolved), rows) == expected
     # Batch scope: one fused comprehension per expression.
     kernel = VectorizedExecutor._kernel(expression)
     assert (kernel is None) == is_opaque(expression)
@@ -554,18 +599,18 @@ class TestRowClosuresAreBuiltOnce:
     def test_prepared_template_reexecutes_without_recompiling(
         self, simple_database, monkeypatch
     ):
-        """One ``exec``-compiled closure per (context, expression).
+        """One ``exec``-compiled closure per expression.
 
         A prepared template's expression objects are identical across
-        executions, so ``_compile_cache`` / ``_context_cache`` hit and the
-        lowering never runs again.
+        executions, so ``_compile_cache`` hits and the lowering never runs
+        again.
         """
         compiles = []
         real_compile = Expression.compile
 
-        def counting_compile(self, resolver=None):
+        def counting_compile(self):
             compiles.append(self)
-            return real_compile(self, resolver)
+            return real_compile(self)
 
         monkeypatch.setattr(Expression, "compile", counting_compile)
         database = Database(execution_mode="compiled")
@@ -575,7 +620,7 @@ class TestRowClosuresAreBuiltOnce:
             )
             database.insert(name, table.rows)
         statements = [
-            # fused scan context, fused join-pair context, generic context
+            # a filtered scan, a filtered join, a grouped aggregate
             database.prepare(
                 "select name, salary * 2 from employee where salary > ?"
             ),
@@ -590,14 +635,11 @@ class TestRowClosuresAreBuiltOnce:
         ]
         first = [statement.execute((50,)).rows for statement in statements]
         executor = database._executor
-        assert compiles and executor._context_cache and executor._compile_cache
+        assert compiles and executor._compile_cache
         built = len(compiles)
-        cached = (len(executor._context_cache), len(executor._compile_cache))
+        cached = len(executor._compile_cache)
         for _ in range(3):
             assert [s.execute((50,)).rows for s in statements] == first
         assert [s.execute((70,)).rows for s in statements] != first
         assert len(compiles) == built
-        assert (
-            len(executor._context_cache),
-            len(executor._compile_cache),
-        ) == cached
+        assert len(executor._compile_cache) == cached

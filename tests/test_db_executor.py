@@ -217,7 +217,6 @@ class TestJoinFixes:
     def test_empty_probe_never_builds_table_index(self, simple_database):
         from repro.db.table import Table
 
-        executor = Executor(simple_database.tables, mode="compiled")
         built = []
         original_position_index = Table.position_index
 
@@ -236,7 +235,10 @@ class TestJoinFixes:
                     "=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")
                 ),
             )
-            assert executor.execute(plan) == []
+            for mode in Executor.MODES:
+                assert Executor(simple_database.tables, mode=mode).execute(
+                    plan
+                ) == [], mode
         finally:
             Table.position_index = original_position_index
         assert built == []
@@ -257,17 +259,22 @@ class TestJoinFixes:
         assert len(rows) == 5
         assert all(r["e.dept_id"] == r["d.dept_id"] for r in rows)
 
-    def test_index_join_matches_hash_join(self, simple_database):
+    def test_bare_scan_build_side_matches_interpreted(self, simple_database):
         plan = algebra.Join(
             algebra.Scan("employee", "e"),
             algebra.Scan("department", "d"),
             BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
         )
-        compiled = Executor(simple_database.tables, mode="compiled")
-        interpreted = Executor(simple_database.tables, mode="interpreted")
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        expected = Executor(simple_database.tables, mode="interpreted").execute(
+            plan
+        )
+        assert len(expected) == 5
+        for mode in ("compiled", "vectorized"):
+            assert Executor(simple_database.tables, mode=mode).execute(
+                plan
+            ) == expected
 
-    def test_index_join_sees_fresh_rows_after_insert(self):
+    def test_join_sees_fresh_rows_after_insert(self):
         from repro.db.database import Database
         from repro.db.schema import Column, ColumnType
 
@@ -289,20 +296,20 @@ class TestJoinFixes:
             algebra.Scan("parent", "p"),
             BinaryOp("=", ColumnRef("pid", "c"), ColumnRef("pid", "p")),
         )
-        executor = Executor(database.tables, mode="compiled")
-        assert len(executor.execute(plan)) == 1
-        # A mutation must reach the cached positional index.
+        executors = [Executor(database.tables, mode=m) for m in Executor.MODES]
+        assert [len(e.execute(plan)) for e in executors] == [1, 1, 1]
+        # A mutation must reach whatever an executor built for the join.
         database.insert("parent", [{"pid": 2, "label": "b"}])
         database.insert("child", [{"cid": 2, "pid": 2}])
-        assert len(executor.execute(plan)) == 2
+        assert [len(e.execute(plan)) for e in executors] == [2, 2, 2]
 
     @pytest.mark.parametrize("probe", ["scan", "join"])
     def test_unhashable_build_key_raises_like_the_row_tiers(
-        self, simple_database, probe, monkeypatch
+        self, simple_database, probe
     ):
-        # The build table's positional index cannot hold a list, so the
-        # compiled joins that probe it raise what the interpreted hash join
-        # raises.  A joined probe side takes the index-nested-loop join.
+        # A list cannot key a hash-join build table, so every tier raises
+        # what the interpreted hash join raises, over a scanned or a joined
+        # probe side.
         simple_database.insert(
             "department", [{"dept_id": [1], "dept_name": "odd", "budget": 1.0}]
         )
@@ -318,18 +325,9 @@ class TestJoinFixes:
             algebra.Scan("department", "d"),
             BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
         )
-        index_joins = []
-        original = Executor._index_join
-
-        def recording(self, *args):
-            index_joins.append(args[1:])
-            return original(self, *args)
-
-        monkeypatch.setattr(Executor, "_index_join", recording)
-        for mode in ("compiled", "interpreted"):
+        for mode in Executor.MODES:
             with pytest.raises(TypeError):
                 Executor(simple_database.tables, mode=mode).execute(plan)
-        assert len(index_joins) == (probe == "join")
 
 
 class TestJoinErrorAndCacheBehaviour:
@@ -350,8 +348,8 @@ class TestJoinErrorAndCacheBehaviour:
 
     def test_compile_cache_is_bounded(self, simple_database):
         executor = Executor(simple_database.tables, mode="compiled")
-        # Predicates above a join are not scan-fused, so each distinct
-        # literal lands in the shared compile cache; it must stay bounded.
+        # Each distinct literal lands in the shared compile cache; it must
+        # stay bounded.
         join = algebra.Join(
             algebra.Scan("employee", "e"),
             algebra.Scan("department", "d"),

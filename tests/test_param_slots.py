@@ -143,9 +143,9 @@ class TestNoRecompilePerExecution:
         counter = {"calls": 0}
         original = Expression.compile
 
-        def counting(self, resolver=None):
+        def counting(self):
             counter["calls"] += 1
-            return original(self, resolver)
+            return original(self)
 
         Expression.compile = counting
         try:
@@ -175,9 +175,9 @@ class TestNoRecompilePerExecution:
         counter = {"calls": 0}
         original = Expression.compile
 
-        def counting(self, resolver=None):
+        def counting(self):
             counter["calls"] += 1
-            return original(self, resolver)
+            return original(self)
 
         Expression.compile = counting
         try:
@@ -317,19 +317,18 @@ class TestSlotInvalidationInteraction:
             r for r in fresh.execute((2,)).rows
         ]
 
-    def test_ddl_clears_executor_context_cache(self):
-        """DDL drops the resolver-context closures keyed by table identity."""
+    def test_shard_table_clears_vectorized_plan_cache(self):
+        """Sharding is DDL: it drops the executor's lowered plans too."""
         database = make_database()
-        # Pin the compiled tier: the vectorized default serves this shape
-        # from its own lowered-plan cache without touching context compiles.
-        database._executor = type(database._executor)(
-            database.tables, mode="compiled"
-        )
         statement = database.prepare("select * from orders where o_total > ?")
         statement.execute((10.0,))
-        assert database._executor._context_cache
-        database.create_table("extra", [Column("x", ColumnType.INT)])
-        assert database._executor._context_cache == {}
+        vectorized = database._executor._vectorized
+        assert vectorized is not None and vectorized._pipelines
+        assert vectorized._shapes
+        database.shard_table("orders", "o_id", 2)
+        assert not vectorized._ops
+        assert not vectorized._pipelines
+        assert not vectorized._shapes
 
     def test_ddl_clears_vectorized_plan_cache(self):
         """DDL drops the vectorized tier's plan and pipeline caches too."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -61,29 +62,80 @@ def test_traced_sets_add_stmt_and_self_rows():
     assert record["note"] == "note"
 
 
+needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+
+
+def _git(checkout: Path, *arguments: str) -> None:
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *arguments],
+        cwd=checkout, check=True, capture_output=True,
+    )
+
+
+def _checkout(root: Path) -> Path:
+    """A one-commit git repository with one module under ``src/``."""
+    module = root / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("A = 1\n")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-qm", "parent")
+    return module
+
+
+def _record(results: Path, out: Path) -> int:
+    return _recorder().main(["--results", str(results), "--out", str(out)])
+
+
+@needs_git
 def test_one_workload_file_records_without_traced_rows(tmp_path):
-    recorder = _recorder()
+    _checkout(tmp_path)
     path = tmp_path / "analytic_sql.trace0.json"
     path.write_text(json.dumps(_run(0, 1.0)))
     out = tmp_path / "trajectory.jsonl"
-    assert recorder.main(["--results", str(path), "--out", str(out)]) == 0
+    assert _record(path, out) == 0
     (line,) = out.read_text().splitlines()
     record = json.loads(line)
     assert record["workload"] == "analytic_sql"
     assert record["metrics"]["stmt.sort_limit.p50_ms"] == 7.0
     assert "traced" not in record
-    assert "src_digest" in record
+    assert record["src_digest"] == _recorder().src_digest(tmp_path)
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_results_outside_a_checkout_are_refused(tmp_path, capsys):
+    path = tmp_path / "analytic_sql.trace0.json"
+    path.write_text(json.dumps(_run(0, 1.0)))
+    out = tmp_path / "trajectory.jsonl"
+    assert _record(path, out) == 2
+    assert not out.exists()
+    assert "no git checkout" in capsys.readouterr().err
+
+
+@needs_git
+def test_results_older_than_the_source_are_refused(tmp_path, capsys):
+    module = _checkout(tmp_path)
+    path = tmp_path / "analytic_sql.trace0.json"
+    path.write_text(json.dumps(_run(0, 1.0)))
+    written = path.stat().st_mtime_ns
+    # The run wrote its results, then the code was edited (committed or
+    # not): the digest taken now would not name the code that ran.
+    os.utime(module, ns=(written + 10**9, written + 10**9))
+    out = tmp_path / "trajectory.jsonl"
+    assert _record(path, out) == 2
+    assert not out.exists()
+    assert "src/pkg/mod.py" in capsys.readouterr().err
+    # Results written after the last edit record normally.
+    os.utime(path, ns=(written + 2 * 10**9, written + 2 * 10**9))
+    assert _record(path, out) == 0
+    assert len(out.read_text().splitlines()) == 1
+
+
+@needs_git
 def test_src_digest_follows_the_code_not_the_commit(tmp_path):
     recorder = _recorder()
 
     def git(*arguments):
-        subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *arguments],
-            cwd=tmp_path, check=True, capture_output=True,
-        )
+        _git(tmp_path, *arguments)
 
     module = tmp_path / "src" / "pkg" / "mod.py"
     module.parent.mkdir(parents=True)

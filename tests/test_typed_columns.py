@@ -24,11 +24,14 @@ from repro.db.database import Database
 from repro.db.expressions import ExpressionError
 from repro.db.schema import Column, ColumnType, TableSchema
 from repro.db.parallel import pack_table, unpack_table
-from repro.db.sharding import VECTORIZED_COUNTER_KEYS, VECTORIZED_REASON_KEYS
 from repro.db.sqlgen import to_sql
 from repro.db.sqlparser import parse_sql
 from repro.db.table import Table, derive_facts
-from repro.db.vectorized import _FUSED_JOIN_MIN_KEYS
+from repro.db.vectorized import (
+    _FUSED_JOIN_MIN_KEYS,
+    VECTORIZED_COUNTER_KEYS,
+    VECTORIZED_REASON_KEYS,
+)
 
 
 def make_database(boxed: bool = False, **kwargs) -> Database:

@@ -701,27 +701,3 @@ class TestColumnBatch:
         assert batch.resolve(ColumnRef("k")) == "k"
         assert batch.resolve(ColumnRef("v")) == "t.v"  # unique suffix
         assert batch.resolve(ColumnRef("missing")) is None
-
-
-class TestContextCacheLRU:
-    def test_eviction_is_lru_not_wholesale(self):
-        database = make_database()
-        executor = Executor(database.tables, mode="compiled")
-        limit = Executor.COMPILE_CACHE_LIMIT
-        hot = algebra.Select(
-            algebra.Scan("orders", "o"),
-            BinaryOp(">", ColumnRef("o_total", "o"), Literal(-1.0)),
-        )
-        executor.execute(hot)
-        hot_keys = set(executor._context_cache)
-        for value in range(limit + 16):
-            executor.execute(hot)  # keep the hot entries recently used
-            executor.execute(
-                algebra.Select(
-                    algebra.Scan("orders", "o"),
-                    BinaryOp(">", ColumnRef("o_total", "o"), Literal(float(value))),
-                )
-            )
-        assert len(executor._context_cache) <= limit
-        # The hot shape survived the churn instead of being flushed.
-        assert hot_keys <= set(executor._context_cache)
