@@ -14,12 +14,12 @@ benchmark families are timed:
   results are asserted row-identical to the interpreted ones.  The
   ``*_codegen`` entries (``scan_filter_codegen``, ``aggregate_codegen``,
   ``sort_limit_codegen`` — the fused top-k —, ``join_filter_codegen`` —
-  the fused filtered-join probe loop on 40-key rows — and
+  the fused filtered-join probe loop on 20-column rows — and
   ``string_filter_codegen`` — a string-equality filter) time the
   fused-pipeline codegen path against the batch-kernel path on the same
   plans (interleaved min-of so allocator drift hits both equally),
   asserting row equality and that codegen actually served the run.
-  ``join_filter_narrow`` is the filtered join on 14-key rows, which the
+  ``join_filter_narrow`` is the filtered join on 7-column rows, which the
   codegen executor must leave to the kernels.
 
 * **Prepared-statement point lookups** — the N+1 lazy-load query shape
@@ -362,7 +362,7 @@ CODEGEN_PLANS = ("scan_filter", "aggregate", "sort_limit")
 def join_filter_plan() -> algebra.PlanNode:
     """``select * from orders o join customer c on o.o_customer_sk =
     c.c_customer_sk where o.o_item_sk >= 500 and o.o_item_sk < 1000`` over
-    the TPC-DS-style orders database: a 40-key full-width join keeping 5 %
+    the TPC-DS-style orders database: a 20-column full-width join keeping 5 %
     of the orders, the fused probe loop's shape."""
     item = ColumnRef("o_item_sk", "o")
     return algebra.Select(
@@ -387,7 +387,7 @@ def join_filter_plan() -> algebra.PlanNode:
 
 def narrow_join_filter_plan() -> algebra.PlanNode:
     """``select * from orders o join customers c on o.o_c_id = c.c_id where
-    o.o_total < 50.0``: the same 5 % filter, but 14-key rows, which the
+    o.o_total < 50.0``: the same 5 % filter, but 7-column rows, which the
     kernels' memoised match emits faster than the probe loop would."""
     return algebra.Select(
         algebra.Join(
@@ -469,9 +469,9 @@ def bench_codegen(rows: int) -> dict:
     as is that the codegen executor actually served every run from a
     compiled pipeline.  ``sort_limit`` is ``ORDER BY … LIMIT 100``: the
     fused top-k against the kernels' full sort.  ``join_filter`` is a
-    filtered 40-key join: the fused probe loop against the kernels'
+    filtered 20-column join: the fused probe loop against the kernels'
     memoised match, filter and row maker; ``join_filter_narrow`` is the
-    same filter over 14-key rows, which the codegen executor declines
+    same filter over 7-column rows, which the codegen executor declines
     (``narrow_row``) to the kernels — the two sides of the fused join's
     width cut-off.  ``string_filter`` is a string-equality filter.
     """
@@ -555,10 +555,11 @@ def bench_prepared_point_lookup(rows: int) -> dict:
     """
     from repro.db.sqlparser import bind_parameters, parse_sql  # noqa: E402
 
-    # Pinned to the compiled tier: the unprepared runner reproduces the
-    # historical (pre-vectorized) client stack, and the prepared runner's
-    # index-backed fast path never enters the executor anyway.
-    database = build_benchmark_database(rows, execution_mode="compiled")
+    # The default (vectorized) tier: the unprepared runner's generic
+    # executor then costs what a statement costs today, so the speedup
+    # measures preparation, not a full row-tier scan.  The prepared
+    # runner's index-backed fast path never enters the executor anyway.
+    database = build_benchmark_database(rows)
     customers = max(rows // 10, 1)
     sql = "select * from customers where c_id = ?"
     keys = [(i * 7919) % customers for i in range(LOOKUPS)]

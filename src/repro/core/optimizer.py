@@ -131,7 +131,9 @@ class CobraOptimizer:
         )
         dag = RegionDag()
         dag.build(program.region)
-        context = make_context(program, fir_rules=self.fir_rules)
+        context = make_context(
+            program, fir_rules=self.fir_rules, schema=self.database.schema
+        )
         added = self._expand(dag, context)
 
         cost_model = CostModel(self.database, self.parameters)

@@ -29,6 +29,7 @@ from repro.core.region_analysis import (
     analyze_program,
 )
 from repro.core.regions import LoopRegion, Region
+from repro.db.schema import Schema
 from repro.fir.builder import build_fold
 from repro.fir.rules import DEFAULT_RULES, FIRRule, RuleContext
 
@@ -51,6 +52,8 @@ class TransformationContext:
     program: ProgramInfo
     analysis: AnalysisContext
     fir_rules: Sequence[FIRRule]
+    #: the database schema the join rules name their row keys by.
+    schema: Optional[Schema] = None
 
     @property
     def runtime_parameter(self) -> str:
@@ -101,7 +104,9 @@ class CursorLoopRule(RegionRule):
         fold = build_fold(region, context.analysis)
         if fold is None:
             return []
-        rule_context = RuleContext(runtime_parameter=context.runtime_parameter)
+        rule_context = RuleContext(
+            runtime_parameter=context.runtime_parameter, schema=context.schema
+        )
         alternatives: list[RegionAlternative] = []
         for fir_rule in context.fir_rules:
             for rewrite in fir_rule.apply(fold, rule_context):
@@ -130,10 +135,12 @@ DEFAULT_REGION_RULES: tuple[RegionRule, ...] = (CursorLoopRule(),)
 def make_context(
     program: ProgramInfo,
     fir_rules: Optional[Sequence[FIRRule]] = None,
+    schema: Optional[Schema] = None,
 ) -> TransformationContext:
     """Build the transformation context for one program."""
     return TransformationContext(
         program=program,
         analysis=program.context,
         fir_rules=tuple(fir_rules) if fir_rules is not None else DEFAULT_RULES,
+        schema=schema,
     )

@@ -18,14 +18,25 @@ All nodes are immutable; rewrites build new trees.  The executor
 (:mod:`repro.db.executor`) interprets them; the statistics module estimates
 their output cardinality and row width; :mod:`repro.db.sqlgen` renders them
 back to SQL text.
+
+:func:`output_layout` states, once, which keys a plan's output rows carry:
+one per output column, the bare name unless two joined inputs share it.
+Every execution tier, the cursor description, the ORM and the join
+rewriter read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from repro.db.expressions import ColumnRef, Expression
+from repro.db.expressions import (
+    AmbiguousColumnError,
+    ColumnRef,
+    Expression,
+    ExpressionError,
+)
 
 
 class AlgebraError(Exception):
@@ -256,3 +267,107 @@ def find_scans(plan: PlanNode) -> list[Scan]:
 def has_operator(plan: PlanNode, node_type: type) -> bool:
     """Return True if any node in the plan is an instance of ``node_type``."""
     return any(isinstance(node, node_type) for node in walk(plan))
+
+
+class OutputKey(NamedTuple):
+    """One output column of a plan: its row key and where it came from.
+
+    ``column`` is the bare name and ``alias`` the scan alias whose column
+    it is (``None`` for a computed output).  ``key`` is ``column``, or
+    ``alias.column`` where two inputs of a join share ``column``.
+    """
+
+    key: str
+    alias: Optional[str]
+    column: str
+
+
+def output_names(columns: Sequence[ColumnRef]) -> list[str]:
+    """Names of column references emitted side by side (group keys, select
+    items): the bare name, or the qualified one where several share it."""
+    shared = Counter(column.name for column in columns)
+    return [
+        column.qualified_name if shared[column.name] > 1 else column.name
+        for column in columns
+    ]
+
+
+def output_layout(
+    plan: PlanNode, table_columns: Callable[[str], Sequence[str]]
+) -> tuple[OutputKey, ...]:
+    """The ordered keys of ``plan``'s output rows, with their sources.
+
+    ``table_columns`` maps a table name to its column names (and raises for
+    an unknown table).  A scan yields its table's columns; select, sort and
+    limit pass their input through; a join yields its right input's keys,
+    then its left input's, with a bare name both inputs have qualified on
+    each side by the scan alias it came from; a projection and an
+    aggregate name their outputs (group keys by :func:`output_names`).
+    Raises :class:`AlgebraError` when two outputs would share a key, or a
+    shared join name has no scan alias, and :class:`ExpressionError` when
+    a join condition names a shared column without telling the sides
+    apart.
+    """
+    if isinstance(plan, Scan):
+        alias = plan.effective_alias
+        return tuple(
+            OutputKey(name, alias, name) for name in table_columns(plan.table)
+        )
+    if isinstance(plan, (Select, Sort, Limit)):
+        return output_layout(plan.child, table_columns)
+    if isinstance(plan, Join):
+        left = output_layout(plan.left, table_columns)
+        right = output_layout(plan.right, table_columns)
+        shared = {e.column for e in left} & {e.column for e in right}
+        keys = []
+        for entry in (*right, *left):
+            if entry.column in shared:
+                if entry.alias is None:
+                    raise AlgebraError(
+                        f"join inputs share column {entry.column!r}, which "
+                        "has no scan alias to tell them apart"
+                    )
+                entry = entry._replace(key=f"{entry.alias}.{entry.column}")
+            keys.append(entry)
+        layout = _unique(keys)
+        if plan.condition is not None:
+            names = [entry.key for entry in layout]
+            for reference in plan.condition.referenced_columns():
+                qualifier, _, name = reference.rpartition(".")
+                try:
+                    ColumnRef(name, qualifier or None).key_in(names)
+                except AmbiguousColumnError:
+                    raise
+                except ExpressionError:
+                    pass  # unresolvable: a hash join matches nothing
+        return layout
+    if isinstance(plan, (Project, Aggregate)):
+        child = {e.key: e for e in output_layout(plan.child, table_columns)}
+        if isinstance(plan, Project):
+            named = [(output.name, output.expression) for output in plan.outputs]
+        else:
+            named = [
+                *zip(output_names(plan.group_by), plan.group_by),
+                *((spec.name, None) for spec in plan.aggregates),
+            ]
+        entries = []
+        for name, expression in named:
+            alias, column = None, name
+            if isinstance(expression, ColumnRef):
+                try:
+                    alias = child[expression.key_in(child)].alias
+                except ExpressionError:
+                    pass  # the executors raise when a row is read
+                if name in (expression.name, expression.qualified_name):
+                    column = expression.name
+            entries.append(OutputKey(name, alias, column))
+        return _unique(entries)
+    raise AlgebraError(f"no output layout for {type(plan).__name__}")
+
+
+def _unique(entries: list[OutputKey]) -> tuple[OutputKey, ...]:
+    keys = Counter(entry.key for entry in entries)
+    duplicates = sorted(key for key, count in keys.items() if count > 1)
+    if duplicates:
+        raise AlgebraError(f"duplicate output name(s) {duplicates}")
+    return tuple(entries)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.db import algebra
-from repro.db.executor import Executor, scan_row_maker
+from repro.db.executor import Executor
 from repro.db.expressions import (
     BinaryOp,
     ColumnRef,
@@ -152,28 +152,23 @@ class _PointLookup:
 
     Prepared at plan-compilation time; gathers the rows named by the
     table's lazy positional index (:meth:`repro.db.table.Table.positions_for`)
-    instead of scanning.  Output rows are built by
-    :func:`~repro.db.executor.scan_row_maker`, the compiled scan's own row
-    maker (bare columns, then the ``alias.column`` view), so the fast path
-    cannot drift from the generic path's row shape.
+    instead of scanning.  Output rows are copies of the stored rows, exactly
+    what a scan yields.
     """
 
-    __slots__ = ("table", "column", "value", "_make_row", "_router")
+    __slots__ = ("table", "column", "value", "_router")
 
     def __init__(
         self,
         table: str,
-        alias: str,
         column: str,
         value: Any,
-        storage: Table,
         router: Optional[ShardRouter] = None,
     ) -> None:
         self.table = table
         self.column = column
         #: a :class:`Parameter` (bound per execution) or a constant.
         self.value = value
-        self._make_row = scan_row_maker(storage, alias)
         self._router = router
 
     def rows(self, table: Table, params: Sequence[Any]) -> Optional[list[Row]]:
@@ -210,8 +205,8 @@ class _PointLookup:
             else:
                 self._router.stats.fallback += 1
                 self._router.last_route = {"kind": "fallback", "shards": None}
-        rows, make_row = storage.rows, self._make_row
-        return [make_row(rows[position]) for position in positions]
+        rows = storage.rows
+        return [rows[position].copy() for position in positions]
 
 
 class PreparedStatement:
@@ -313,6 +308,8 @@ class PreparedStatement:
         #: one-table statement, a tuple otherwise).
         self._stamp_generation = -1
         self._stamp_versions: Any = None
+        #: the cached output_columns(): no DDL changes a table's columns.
+        self._output_columns: Optional[list[str]] = None
 
     # -- execution -------------------------------------------------------
 
@@ -477,15 +474,19 @@ class PreparedStatement:
         return self._current_row_width()
 
     def output_columns(self) -> Optional[list[str]]:
-        """Statically-known output column names of the prepared query.
+        """The output row keys of the prepared query, in order.
 
-        Lets drivers describe a result set even when it is empty.  Returns
-        ``None`` for UPDATE statements and for plan shapes whose output
-        layout is only known at execution time (joins).
+        :func:`repro.db.algebra.output_layout` of the plan, so drivers
+        describe a result set, empty or not, by the keys its rows carry.
+        ``None`` for UPDATE statements.
         """
-        if self.plan is None:
-            return None
-        return _plan_output_columns(self.plan, self.database)
+        if self.plan is not None and self._output_columns is None:
+            schema = self.database.schema
+            layout = algebra.output_layout(
+                self.plan, lambda name: schema.table(name).column_names
+            )
+            self._output_columns = [entry.key for entry in layout]
+        return self._output_columns
 
     # -- internals -------------------------------------------------------
 
@@ -546,16 +547,10 @@ class PreparedStatement:
             return None
         if not storage.schema.has_column(column.name):
             return None
-        alias = scan.effective_alias
-        if column.qualifier is not None and column.qualifier != alias:
+        if column.qualifier not in (None, scan.effective_alias):
             return None
         return _PointLookup(
-            scan.table,
-            alias,
-            column.name,
-            value,
-            storage,
-            router=self.database._router,
+            scan.table, column.name, value, router=self.database._router
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -580,29 +575,6 @@ def _point_equality(
     ):
         if isinstance(column, ColumnRef) and isinstance(value, value_types):
             return column, value
-    return None
-
-
-def _plan_output_columns(
-    plan: algebra.PlanNode, database: "Database"
-) -> Optional[list[str]]:
-    """Output column names of ``plan``, when derivable without executing."""
-    if isinstance(plan, (algebra.Select, algebra.Sort, algebra.Limit)):
-        return _plan_output_columns(plan.child, database)
-    if isinstance(plan, algebra.Project):
-        return [output.name for output in plan.outputs]
-    if isinstance(plan, algebra.Aggregate):
-        return [column.name for column in plan.group_by] + [
-            spec.name for spec in plan.aggregates
-        ]
-    if isinstance(plan, algebra.Scan):
-        if not database.schema.has_table(plan.table):
-            return None
-        columns = database.schema.table(plan.table).column_names
-        alias = plan.effective_alias
-        return list(columns) + [f"{alias}.{name}" for name in columns]
-    # Joins: the merged-row key layout depends on bare-name collisions at
-    # execution time; defer to row-derived description.
     return None
 
 

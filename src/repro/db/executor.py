@@ -1,10 +1,11 @@
 """Execution of relational algebra plans against in-memory tables.
 
 The executor runs :mod:`repro.db.algebra` trees over rows flowing as
-dictionaries.  Join outputs carry both qualified keys (``alias.column``) and,
-when unambiguous, bare column keys, so that downstream expressions written
-either way evaluate correctly — the same convention the SQL parser and the
-ORM rely on.
+dictionaries.  A row carries one key per output column, as
+:func:`repro.db.algebra.output_layout` names it: the bare column name, or
+``alias.column`` where two joined inputs share the name.  A qualified
+reference still reads a bare key (:meth:`~repro.db.expressions.ColumnRef.
+key_in`); a bare reference to a shared name raises "ambiguous column".
 
 Three execution modes are supported (``Executor(tables, mode=...)``):
 
@@ -27,10 +28,9 @@ Three execution modes are supported (``Executor(tables, mode=...)``):
   one lowering in :mod:`repro.db.expressions` — and reuses the closure
   across queries; the interpreted tier walks the tree with
   ``Expression.evaluate``, the reference every other evaluation strategy is
-  tested against.  The compiled scan also formats its ``alias.column`` keys
-  once per scan (:func:`scan_row_maker`) instead of once per row.
-  ``Select`` and ``Limit`` stream their input without materialising
-  intermediates.
+  tested against.  A scan yields a copy of each stored row dict, so no
+  tier hands out the table's own rows.  ``Select`` and ``Limit`` stream
+  their input without materialising intermediates.
 
 All modes produce identical output rows in identical order;
 :attr:`Executor.tier_counts` records which tier served each ``execute``.
@@ -38,7 +38,6 @@ All modes produce identical output rows in identical order;
 
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -50,6 +49,7 @@ from repro.db.expressions import (
     ColumnRef,
     CompiledExpression,
     Expression,
+    ExpressionError,
 )
 from repro.db.table import Row, Table
 
@@ -192,6 +192,17 @@ class Executor:
             return self._limit(plan)
         raise ExecutionError(f"unsupported plan node {type(plan).__name__}")
 
+    def layout(self, plan: algebra.PlanNode) -> tuple[algebra.OutputKey, ...]:
+        """``plan``'s output keys over these tables (see
+        :func:`repro.db.algebra.output_layout`)."""
+        return algebra.output_layout(plan, self._table_columns)
+
+    def _table_columns(self, name: str) -> list[str]:
+        try:
+            return self._tables[name].schema.column_names
+        except KeyError:
+            raise ExecutionError(f"unknown table {name!r}") from None
+
     # -- expression compilation ------------------------------------------
 
     def _expr(self, expression: Expression) -> CompiledExpression:
@@ -230,15 +241,7 @@ class Executor:
             table = self._tables[plan.table]
         except KeyError:
             raise ExecutionError(f"unknown table {plan.table!r}") from None
-        alias = plan.effective_alias
-        if not self._compiled:
-            for row in table.rows:
-                out = dict(row)
-                for key, value in row.items():
-                    out[f"{alias}.{key}"] = value
-                yield out
-            return
-        yield from map(scan_row_maker(table, alias), table.rows)
+        return map(dict.copy, table.rows)
 
     def _select(self, plan: algebra.Select) -> Iterable[Row]:
         return filter(self._expr(plan.predicate), self._execute(plan.child))
@@ -251,30 +254,28 @@ class Executor:
         )
 
     def _join(self, plan: algebra.Join) -> Iterator[Row]:
+        # The layout names every table, so a typo'd one raises here even
+        # when an empty probe side skips executing the other side.
+        merge = _row_merger(*join_renames(plan, self.layout))
         left_rows = list(self._execute(plan.left))
         if not left_rows:
-            # Empty probe side: skip executing and building the other side.
-            # Still validate its table references so a typo'd table name
-            # raises regardless of what the probe side happens to contain.
-            for scan in algebra.find_scans(plan.right):
-                if scan.table not in self._tables:
-                    raise ExecutionError(f"unknown table {scan.table!r}")
             return iter(())
         right_rows = list(self._execute(plan.right))
-        equi = _equi_join_columns(plan.condition)
+        equi = orient_equi_columns(plan, self.layout)
         if equi is not None:
-            return self._hash_join(left_rows, right_rows, equi)
-        return self._nested_loops_join(left_rows, right_rows, plan)
+            return self._hash_join(left_rows, right_rows, equi, merge)
+        return self._nested_loops_join(left_rows, right_rows, plan, merge)
 
     def _hash_join(
         self,
         left_rows: list[Row],
         right_rows: list[Row],
         equi: tuple[ColumnRef, ColumnRef],
+        merge: Callable[[Row, Row], Row],
     ) -> Iterator[Row]:
         if not right_rows:
             return
-        left_col, right_col = _orient_equi_columns(left_rows, right_rows, equi)
+        left_col, right_col = equi
         right_key = self._key_getter(right_col)
         build: dict[Any, list[Row]] = {}
         for row in right_rows:
@@ -292,21 +293,26 @@ class Executor:
             if key is None:
                 continue
             for right_row in build.get(key, ()):
-                yield _merge_rows(left_row, right_row)
+                yield merge(left_row, right_row)
 
     def _nested_loops_join(
-        self, left_rows: list[Row], right_rows: list[Row], plan: algebra.Join
+        self,
+        left_rows: list[Row],
+        right_rows: list[Row],
+        plan: algebra.Join,
+        merge: Callable[[Row, Row], Row],
     ) -> Iterator[Row]:
         condition = (
             self._expr(plan.condition) if plan.condition is not None else None
         )
         for left_row in left_rows:
             for right_row in right_rows:
-                merged = _merge_rows(left_row, right_row)
+                merged = merge(left_row, right_row)
                 if condition is None or condition(merged):
                     yield merged
 
     def _aggregate(self, plan: algebra.Aggregate) -> Iterator[Row]:
+        names = [entry.key for entry in self.layout(plan)[: len(plan.group_by)]]
         rows_iter = self._execute(plan.child)
         # Aggregates often share their argument (sum(x) next to avg(x)):
         # compile each distinct argument once and evaluate it once per group.
@@ -334,36 +340,21 @@ class Executor:
         # partial-aggregate kernels (_lower_aggregate); group order must
         # stay first-encounter in both — change the two together.
         keys = [self._expr(column) for column in plan.group_by]
-        if len(keys) == 1:
-            # Scalar group keys: skip the per-row tuple construction.
-            key_fn = keys[0]
-            scalar_groups: dict[Any, list[Row]] = {}
-            for row in rows_iter:
-                key = key_fn(row)
-                bucket = scalar_groups.get(key)
-                if bucket is None:
-                    scalar_groups[key] = [row]
-                else:
-                    bucket.append(row)
-            group_items: Iterable[tuple[tuple, list[Row]]] = (
-                ((key,), rows) for key, rows in scalar_groups.items()
-            )
-        else:
-            groups: dict[tuple, list[Row]] = {}
-            for row in rows_iter:
-                key = tuple(evaluate(row) for evaluate in keys)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [row]
-                else:
-                    bucket.append(row)
-            group_items = groups.items()
-        for key, group_rows in group_items:
-            out: Row = {}
-            for col, value in zip(plan.group_by, key):
-                out[col.name] = value
-                out[col.qualified_name] = value
-            yield emit_into(out, group_rows)
+        single = len(keys) == 1  # a scalar group key: no per-row tuple
+        key_fn = keys[0] if single else (
+            lambda row: tuple(evaluate(row) for evaluate in keys)
+        )
+        groups: dict[Any, list[Row]] = {}
+        for row in rows_iter:
+            key = key_fn(row)
+            bucket = groups.get(key)
+            if bucket is None:
+                groups[key] = [row]
+            else:
+                bucket.append(row)
+        for key, group_rows in groups.items():
+            values = (key,) if single else key
+            yield emit_into(dict(zip(names, values)), group_rows)
 
     def _sort(self, plan: algebra.Sort) -> Iterable[Row]:
         rows = list(self._execute(plan.child))
@@ -381,29 +372,6 @@ class Executor:
 
 
 # -- helpers ------------------------------------------------------------
-
-
-def scan_row_maker(table: Table, alias: str) -> Callable[[Row], Row]:
-    """``base row -> scan output row`` for ``table`` scanned as ``alias``.
-
-    The output row holds the bare columns, then the qualified
-    ``alias.column`` view, built in one ``dict(zip(...))`` with the keys
-    formatted once.  The compiled scan and the prepared point-lookup fast
-    path both build their rows with it, so the two cannot drift apart.
-    """
-    columns = tuple(table.schema.column_names)
-    keys = columns + tuple(f"{alias}.{name}" for name in columns)
-    if len(columns) == 1:
-        only = columns[0]
-        values: Callable[[Row], tuple] = lambda row: (row[only],)
-    else:
-        values = operator.itemgetter(*columns)
-
-    def make(row: Row) -> Row:
-        row_values = values(row)
-        return dict(zip(keys, row_values + row_values))
-
-    return make
 
 
 def plan_aggregate_arguments(
@@ -451,17 +419,42 @@ def _flatten_and(predicate: Expression) -> list[Expression]:
     return [predicate]
 
 
-def _merge_rows(left: Row, right: Row) -> Row:
-    """Merge join-side rows.
+def join_renames(
+    plan: algebra.Join,
+    layout: Callable[[algebra.PlanNode], tuple[algebra.OutputKey, ...]],
+) -> tuple[dict[str, str], dict[str, str]]:
+    """``(right, left)`` key renames of ``plan``'s inputs, ``old -> new``.
 
-    Qualified keys from both sides are kept.  A bare key present on both
-    sides keeps the left value for the bare name (qualified names remain
-    unambiguous), matching the usual SQL behaviour where ambiguous bare
-    references should be qualified by the query author.
+    Both are empty unless the inputs share a bare name, which
+    :func:`~repro.db.algebra.output_layout` then qualifies on each side.
+    The joined row is the right row's keys, then the left row's, renamed.
     """
-    merged = dict(right)
-    merged.update(left)
-    return merged
+    joined = layout(plan)
+    right = layout(plan.right)
+    left = layout(plan.left)
+    return tuple(
+        {old.key: new.key for old, new in zip(side, entries) if old.key != new.key}
+        for side, entries in (
+            (right, joined[: len(right)]),
+            (left, joined[len(right) :]),
+        )
+    )
+
+
+def _row_merger(
+    right_rename: dict[str, str], left_rename: dict[str, str]
+) -> Callable[[Row, Row], Row]:
+    """``(left row, right row) -> joined row`` for one join's renames."""
+    if not right_rename and not left_rename:
+        return lambda left, right: {**right, **left}
+
+    def renamed(row: Row, rename: dict[str, str]) -> Row:
+        return {rename.get(key, key): value for key, value in row.items()}
+
+    return lambda left, right: {
+        **renamed(right, right_rename),
+        **renamed(left, left_rename),
+    }
 
 
 def _equi_join_columns(
@@ -477,35 +470,33 @@ def _equi_join_columns(
     return None
 
 
-def _orient_equi_columns(
-    left_rows: list[Row],
-    right_rows: list[Row],
-    equi: tuple[ColumnRef, ColumnRef],
-) -> tuple[ColumnRef, ColumnRef]:
-    """Assign the equi-join columns to the sides they actually resolve on.
+def orient_equi_columns(
+    plan: algebra.Join,
+    layout: Callable[[algebra.PlanNode], tuple[algebra.OutputKey, ...]],
+) -> Optional[tuple[ColumnRef, ColumnRef]]:
+    """``plan``'s equi-join columns as ``(left, right)``; ``None`` for a
+    theta or cross join.
 
-    Samples one row from *each* side (all rows of a side share one shape), so
-    a condition written ``right.col = left.col`` is handled no matter which
-    side's sample resolves the first column.  If neither orientation resolves
-    cleanly the original orientation is kept (the join then matches nothing,
-    as before).
+    The condition as written when each column resolves on its own side's
+    keys, else right-to-left; when neither does, as written (the join then
+    matches nothing).
     """
-    left_col, right_col = equi
-    left_sample = left_rows[0]
-    right_sample = right_rows[0]
-    if _resolves(left_col, left_sample) and _resolves(right_col, right_sample):
-        return left_col, right_col
-    if _resolves(right_col, left_sample) and _resolves(left_col, right_sample):
-        return right_col, left_col
-    return left_col, right_col
+    equi = _equi_join_columns(plan.condition)
+    if equi is None:
+        return None
+    left = [entry.key for entry in layout(plan.left)]
+    right = [entry.key for entry in layout(plan.right)]
+    for left_col, right_col in (equi, equi[::-1]):
+        if _resolves(left_col, left) and _resolves(right_col, right):
+            return left_col, right_col
+    return equi
 
 
-def _resolves(column: ColumnRef, row: Row) -> bool:
-    """Return True if ``column`` can be evaluated against ``row``."""
+def _resolves(column: ColumnRef, keys: list[str]) -> bool:
     try:
-        column.evaluate(row)
+        column.key_in(keys)
         return True
-    except Exception:
+    except ExpressionError:
         return False
 
 

@@ -4,10 +4,12 @@ These expressions are shared by the relational algebra (predicates, projection
 expressions, aggregate arguments) and by the SQL parser.  Expressions are
 immutable trees; evaluation takes a row dictionary.
 
-Column references may be qualified (``o.o_id``) or unqualified (``o_id``);
-qualified references resolve against rows whose keys carry the qualifier
-(``"o.o_id"``) first and fall back to the bare name, so the same expression
-works on both base-table rows and join-output rows.
+Column references may be qualified (``o.o_id``) or unqualified (``o_id``).
+A row carries each column once, under its bare name, or as ``"o.o_id"``
+where two joined inputs share the name (:func:`repro.db.algebra.
+output_layout`); a qualified reference reads the qualified key first and
+falls back to the bare name (:meth:`ColumnRef.key_in`), so the same
+expression works on both base-table rows and join-output rows.
 
 Besides the tree-walking :meth:`Expression.evaluate` interpreter — the
 reference every other evaluation strategy is tested against — there is
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Mapping, NamedTuple, Sequence
 
 Row = Mapping[str, Any]
 
@@ -49,6 +51,10 @@ CompiledExpression = Callable[[Row], Any]
 
 class ExpressionError(Exception):
     """Raised when an expression cannot be evaluated against a row."""
+
+
+class AmbiguousColumnError(ExpressionError):
+    """A bare column reference matches the qualified keys of several inputs."""
 
 
 class Expression:
@@ -119,24 +125,35 @@ class ColumnRef(Expression):
         return self.name
 
     def evaluate(self, row: Row) -> Any:
+        if not self.qualifier and self.name in row:
+            return row[self.name]
+        return row[self.key_in(row)]
+
+    def key_in(self, keys: Collection[str]) -> str:
+        """The key of a row with ``keys`` that this reference reads.
+
+        The qualified key first, then the bare name, then the one key
+        ending in ``.name``.  Raises :class:`ExpressionError` when no key
+        matches, or when several qualified keys do (an ambiguous bare
+        reference to a name two joined inputs share).
+        """
         if self.qualifier:
             qualified = f"{self.qualifier}.{self.name}"
-            if qualified in row:
-                return row[qualified]
-        if self.name in row:
-            return row[self.name]
-        # Fall back to any qualified key ending in ".name".
+            if qualified in keys:
+                return qualified
+        if self.name in keys:
+            return self.name
         suffix = f".{self.name}"
-        matches = [k for k in row if k.endswith(suffix)]
+        matches = [k for k in keys if k.endswith(suffix)]
         if len(matches) == 1:
-            return row[matches[0]]
+            return matches[0]
         if len(matches) > 1:
-            raise ExpressionError(
+            raise AmbiguousColumnError(
                 f"ambiguous column {self.name!r}: candidates {sorted(matches)}"
             )
         raise ExpressionError(
             f"column {self.qualified_name!r} not found in row with keys "
-            f"{sorted(row)}"
+            f"{sorted(keys)}"
         )
 
     def referenced_columns(self) -> set[str]:
@@ -484,14 +501,13 @@ def _generic_getter(column: "ColumnRef") -> CompiledExpression:
     qualified = f"{column.qualifier}.{name}"
 
     def qualified_getter(row: Row) -> Any:
-        try:
+        # Rows carry a qualified key only for a name two joined inputs
+        # share, so the bare name is the common hit: test, do not raise.
+        if qualified in row:
             return row[qualified]
-        except KeyError:
-            pass
-        try:
+        if name in row:
             return row[name]
-        except KeyError:
-            return evaluate(row)
+        return evaluate(row)
 
     return qualified_getter
 

@@ -281,7 +281,7 @@ def unpack_table(payload: tuple, version: int) -> Table:
     """Rebuild a :class:`Table` from a :func:`pack_table` payload.
 
     Row dicts are reassembled in schema declaration order (the stored-row
-    invariant ``wide_rows`` depends on), and the shipped columns and facts
+    invariant a scan's row copies depend on), and the shipped columns and facts
     are installed as the table's columnar view, so the first vectorized
     scan derives nothing.
     """

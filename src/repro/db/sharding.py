@@ -360,14 +360,21 @@ class _PartialAggregate:
     """A grouped/scalar aggregate decomposed for per-shard execution.
 
     ``plan`` is the per-shard partial plan (avg specs replaced by sum +
-    count partials); ``emitters`` describe how the gather node merges the
+    count partials); ``group_keys`` are the group columns' output keys
+    (:func:`repro.db.algebra.output_layout`), which the partial and the
+    merged rows share; ``emitters`` describe how the gather node merges the
     per-shard partial rows and finalizes each original output column.
     """
 
-    __slots__ = ("plan", "group_by", "emitters")
+    __slots__ = ("plan", "group_keys", "emitters")
 
-    def __init__(self, aggregate: algebra.Aggregate) -> None:
-        self.group_by = aggregate.group_by
+    def __init__(
+        self,
+        aggregate: algebra.Aggregate,
+        table_columns: Callable[[str], Sequence[str]],
+    ) -> None:
+        layout = algebra.output_layout(aggregate, table_columns)
+        self.group_keys = [entry.key for entry in layout[: len(aggregate.group_by)]]
         partial_specs: list[algebra.AggregateSpec] = []
         #: (output name, "avg" | primitive function, partial column names)
         self.emitters: list[tuple[str, str, tuple[str, ...]]] = []
@@ -399,14 +406,10 @@ class _PartialAggregate:
         shard contributes exactly one partial row and the merge emits
         exactly one output row, like the unsharded scalar aggregate.
         """
-        group_by = self.group_by
+        group_keys = self.group_keys
         states: "OrderedDict[tuple, Row]" = OrderedDict()
         for row in shard_rows:
-            # Key on the *qualified* names: per-shard aggregate rows write
-            # both the bare and qualified key for every group column, and
-            # two group columns sharing a bare name (group by l.k, u.k)
-            # collide on the bare key (last one wins, like _merge_rows).
-            key = tuple(row[column.qualified_name] for column in group_by)
+            key = tuple(row[name] for name in group_keys)
             state = states.get(key)
             if state is None:
                 states[key] = dict(row)
@@ -425,10 +428,7 @@ class _PartialAggregate:
                     state[name] = merge(state[name], row[name])
         out_rows: list[Row] = []
         for key, state in states.items():
-            out: Row = {}
-            for column, value in zip(group_by, key):
-                out[column.name] = value
-                out[column.qualified_name] = value
+            out: Row = dict(zip(group_keys, key))
             for name, function, partials in self.emitters:
                 if function == "avg":
                     out[name] = finalize_avg(
@@ -802,9 +802,6 @@ class ShardRouter:
                 self.last_fallback_reason = "kernel_error"
                 return None
         gathered = gather_batches(batches)
-        if gathered is None:
-            self.last_fallback_reason = "unsupported_operator"
-            return None
         try:
             rows = executors[0]._vectorized._materialize(gathered)
         except Exception:
@@ -1015,7 +1012,9 @@ class ShardRouter:
                 node=spine[-1] if fused else node,
                 post=post,
                 node_post=post[1:] if fused else post,
-                partial=_PartialAggregate(node),
+                partial=_PartialAggregate(
+                    node, lambda name: self._tables[name].schema.column_names
+                ),
             )
         # Scatter / co-partitioned join: Select and Project distribute into
         # the per-shard plans; only a root Sort runs at the gather node

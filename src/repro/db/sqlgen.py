@@ -95,9 +95,9 @@ def _fill_project(plan: algebra.Project, parts: _QueryParts) -> None:
     rendered = []
     for output in plan.outputs:
         expr_sql = output.expression.to_sql()
-        if (
-            isinstance(output.expression, ColumnRef)
-            and output.expression.name == output.name
+        if isinstance(output.expression, ColumnRef) and output.name in (
+            output.expression.name,
+            output.expression.qualified_name,
         ):
             rendered.append(expr_sql)
         else:

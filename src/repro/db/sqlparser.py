@@ -529,6 +529,13 @@ class _Parser:
         aggregates: list[algebra.AggregateSpec] = []
         outputs: list[algebra.OutputColumn] = []
         if select_items != "*":
+            # Column items are named like group keys: the bare name, or the
+            # qualified one where two items share it.
+            columns = [
+                item for item, alias in select_items
+                if alias is None and isinstance(item, ColumnRef)
+            ]
+            column_names = iter(algebra.output_names(columns))
             for position, (expression, alias) in enumerate(select_items):
                 if isinstance(expression, _AggregateCall):
                     name = alias or _default_aggregate_name(expression, position)
@@ -541,10 +548,18 @@ class _Parser:
                         algebra.OutputColumn(ColumnRef(name), name)
                     )
                 else:
-                    name = alias or _default_output_name(expression, position)
+                    name = alias or (
+                        next(column_names)
+                        if isinstance(expression, ColumnRef)
+                        else f"col{position}"
+                    )
                     outputs.append(algebra.OutputColumn(expression, name))
+            _check_unique([output.name for output in outputs])
 
         if aggregates or group_by:
+            _check_unique(
+                algebra.output_names(group_by) + [a.name for a in aggregates]
+            )
             plan = algebra.Aggregate(plan, tuple(group_by), tuple(aggregates))
             if select_items != "*" and outputs:
                 plan = algebra.Project(plan, tuple(outputs))
@@ -601,10 +616,10 @@ def _sorts_below_projection(
     return dropped
 
 
-def _default_output_name(expression: Expression, position: int) -> str:
-    if isinstance(expression, ColumnRef):
-        return expression.name
-    return f"col{position}"
+def _check_unique(names: list[str]) -> None:
+    """Refuse output columns no row key could tell apart."""
+    if len(set(names)) != len(names):
+        raise UnsupportedSqlError("duplicate output name")
 
 
 def _default_aggregate_name(call: _AggregateCall, position: int) -> str:

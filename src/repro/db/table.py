@@ -9,12 +9,13 @@ Tables keep *derived views*, each built lazily on first use: positional
 bucket indexes (:meth:`Table.position_index`, column value -> row
 positions; the one index behind point lookups, point ``UPDATE`` candidates
 and the vectorized tier's fused join), cached per-column distinct counts (the statistics
-catalog), the *columnar view* (:meth:`Table.columns`, one plain ``list`` of
-values per column aligned by row position, which the vectorized executor
-scans instead of row dictionaries) and the full-width scan-output
-templates (:meth:`Table.wide_rows`).  Beside each column the table keeps
-two layout facts, ``(kind, nullable)`` (:func:`derive_facts`), which the
-fused-pipeline codegen specializes on (:meth:`Table.layout`).
+catalog) and the *columnar view* (:meth:`Table.columns`, one plain
+``list`` of values per column aligned by row position, which the
+vectorized executor scans instead of row dictionaries).  A stored row dict
+holds every schema column in declaration order, which is a scan's output
+layout, so scans emit copies of the stored rows.  Beside each column the
+table keeps two layout facts, ``(kind, nullable)`` (:func:`derive_facts`),
+which the fused-pipeline codegen specializes on (:meth:`Table.layout`).
 
 The row dicts remain the single mutation/validation surface, and every
 mutation is **positional**: an insert appends, an update is a list of
@@ -23,8 +24,8 @@ hook behind autocommit updates, transaction rollback before-images, MVCC
 commit and WAL replay).  A mutation bumps :attr:`Table.version` (external
 caches key on it) and then *maintains* the built views instead of dropping
 them: an append extends every built view, an update patches the columnar
-view and the templates in place and drops only the positional indexes and
-distinct counts of the *assigned* columns.  A write that may change a
+view in place and drops only the positional indexes and distinct counts of
+the *assigned* columns.  A write that may change a
 column's facts queues that one column; the next :meth:`Table.columns` call
 re-derives its facts, so maintained facts always equal a fresh build's.
 ``clear`` / ``truncate_to`` / ``adopt_rows`` drop the views; the full
@@ -92,15 +93,6 @@ def _count_distinct(values: list) -> int:
     return len(hashable) + len(unhashable)
 
 
-def _wide_row(row: Row, qualified: list[str]) -> Row:
-    """One scan-output template: ``row``'s bare keys, then the qualified."""
-    # Stored rows hold every schema column in declaration order
-    # (prepare_row guarantees it), so values() aligns with ``qualified``.
-    wide = dict(row)
-    wide.update(zip(qualified, row.values()))
-    return wide
-
-
 def _file(indexes: dict[str, dict], row: Row, position: int) -> None:
     """Append ``position`` to the bucket of ``row``'s value in each index.
 
@@ -143,9 +135,6 @@ class Table:
         self._stale: set[str] = set()
         #: the cached :meth:`layout` signature; ``None`` after a fact moved.
         self._layout: Optional[tuple] = None
-        #: alias -> built full-width output rows (bare + qualified keys)
-        #: for that scan alias, maintained in place like the columnar view.
-        self._wide_rows: dict[str, list[Row]] = {}
         #: bumped on every mutation; external caches may key on this.
         self.version: int = 0
         #: row changes patched into an already-built columnar view, and
@@ -215,9 +204,6 @@ class Table:
             self._distinct_cache.clear()
         if self._columnar is not None:
             self._write_columns(position, stored)
-        if self._wide_rows:
-            for alias, wide in self._wide_rows.items():
-                wide.append(_wide_row(stored, self._qualified(alias)))
         if self._positions:
             _file(self._positions, stored, position)
         return stored
@@ -290,9 +276,8 @@ class Table:
         MVCC commit and WAL replay — positions refer to :attr:`rows` order,
         which is stable because storage is append-only and replay applies
         records in log order.  Built views are patched in place: the
-        columnar view and the scan templates cell by cell; only the
-        positional indexes and distinct counts of the assigned columns are
-        dropped.
+        columnar view cell by cell; only the positional indexes and
+        distinct counts of the assigned columns are dropped.
         """
         rows = self.rows
         patch_columns = self._columnar is not None
@@ -304,10 +289,6 @@ class Table:
             if patch_columns:
                 self._write_columns(position, new_values)
                 self.patched_updates += 1
-            for alias, wide in self._wide_rows.items():
-                template = wide[position]
-                for name, value in new_values.items():
-                    template[name] = template[f"{alias}.{name}"] = value
             updated += 1
         if updated:
             self.version += 1
@@ -377,7 +358,6 @@ class Table:
         self._facts = {}
         self._stale.clear()
         self._layout = None
-        self._wide_rows.clear()
 
     # -- access ----------------------------------------------------------
 
@@ -504,27 +484,6 @@ class Table:
         if signature is None:
             signature = self._layout = tuple(self._facts.values())
         return signature
-
-    def wide_rows(self, alias: str) -> list[Row]:
-        """Full-width scan output rows for ``alias``, built once per alias.
-
-        A scan materializes each row with its bare keys followed by the
-        alias-qualified keys.  Codegen select pipelines emit survivors as
-        ``dict.copy`` of these prebuilt templates — a single C-level copy
-        per output row instead of an 8-entry dict display — so the
-        templates are kept here next to the columnar view and share its
-        lifecycle: inserts append a template, updates patch the assigned
-        cells.  Callers receive copies, never these dicts.
-        """
-        cached = self._wide_rows.get(alias)
-        if cached is None:
-            qualified = self._qualified(alias)
-            cached = [_wide_row(row, qualified) for row in self.rows]
-            self._wide_rows[alias] = cached
-        return cached
-
-    def _qualified(self, alias: str) -> list[str]:
-        return [f"{alias}.{name}" for name in self.schema.column_names]
 
     def column_facts(self) -> dict[str, tuple[str, bool]]:
         """``(kind, nullable)`` per column of the *currently built* view.

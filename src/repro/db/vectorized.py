@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, defaultdict, deque
 from itertools import repeat
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 from repro.db import algebra
 from repro.db.executor import (
@@ -53,12 +53,15 @@ from repro.db.executor import (
     _equi_join_columns,
     _flatten_and,
     _sort_key,
+    join_renames,
+    orient_equi_columns,
     plan_aggregate_arguments,
     sort_key_function,
 )
 from repro.db.expressions import (
     ColumnRef,
     Expression,
+    ExpressionError,
     Literal,
     Lowered,
     LoweringError,
@@ -99,8 +102,9 @@ class _Unvectorizable:
 class ColumnBatch:
     """A columnar slice of intermediate results.
 
-    ``columns`` maps output key (bare and ``alias.column`` qualified names,
-    matching the row tiers' output layout) to ``(array, selection)`` where
+    ``columns`` maps output key (one per output column, named by
+    :func:`repro.db.algebra.output_layout` exactly as the row tiers name
+    their row keys) to ``(array, selection)`` where
     ``selection`` is a list of row indices into ``array`` — or ``None`` for
     the identity selection.  Distinct columns share selection *objects*, so
     operators that filter or join re-point many columns by rebuilding only
@@ -146,24 +150,12 @@ class ColumnBatch:
         return gathered
 
     def resolve(self, column: ColumnRef) -> Optional[str]:
-        """Resolve a column reference to one of this batch's keys.
-
-        Mirrors :meth:`ColumnRef.evaluate`: qualified key first, then the
-        bare name, then a unique ``.name`` suffix match.  Returns ``None``
-        when the reference is missing or ambiguous.
-        """
-        columns = self.columns
-        if column.qualifier:
-            qualified = f"{column.qualifier}.{column.name}"
-            if qualified in columns:
-                return qualified
-        if column.name in columns:
-            return column.name
-        suffix = f".{column.name}"
-        matches = [key for key in columns if key.endswith(suffix)]
-        if len(matches) == 1:
-            return matches[0]
-        return None
+        """The key ``column`` reads (:meth:`ColumnRef.key_in`), or ``None``
+        when the reference is missing or ambiguous."""
+        try:
+            return column.key_in(self.columns)
+        except ExpressionError:
+            return None
 
     def column_values(self, column: ColumnRef) -> list:
         """The value array for a column reference (the kernel entry point)."""
@@ -256,15 +248,14 @@ def batch_output_rows(batch: ColumnBatch) -> list[Row]:
     return [dict(zip(keys, values)) for values in zip(*arrays)]
 
 
-def gather_batches(batches: Sequence[ColumnBatch]) -> Optional[ColumnBatch]:
+def gather_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
     """Concatenate per-shard batches into one batch (the gather node).
 
     Used by the sharding layer's scatter-gather execution: each shard runs
     the same lowered pipeline over its own columnar view, and the resulting
     batches are shipped to the gather node, which concatenates them in shard
     order so late materialization still happens exactly once, at the root.
-    Returns ``None`` when the shard layouts disagree (the caller then falls
-    back to gathering rows instead).
+    Every non-empty batch carries the plan's one key layout.
     """
     live = [batch for batch in batches if batch.length]
     if not live:
@@ -274,9 +265,6 @@ def gather_batches(batches: Sequence[ColumnBatch]) -> Optional[ColumnBatch]:
         # common): its batch still points zero-copy at the shard's arrays.
         return live[0]
     key_order = live[0].key_order
-    for batch in live[1:]:
-        if batch.key_order != key_order:
-            return None
     columns: dict[str, tuple[list, Optional[list[int]]]] = {}
     for key in key_order:
         values: list = []
@@ -424,6 +412,40 @@ def _batch_from_rows(rows: list[Row]) -> ColumnBatch:
     return ColumnBatch(columns, len(rows), keys, rows)
 
 
+def _plan_partials(
+    spec_slots: list[tuple[algebra.AggregateSpec, Optional[int]]],
+) -> tuple[list[tuple[str, int]], list[tuple[str, str, tuple[int, ...]]], bool]:
+    """An aggregate's partials, its emitters and whether it counts rows.
+
+    Each output spec maps onto one or two *partial aggregates* over its
+    argument slot (``avg`` decomposes into sum + count); distinct
+    ``(function, slot)`` partials are accumulated once even when several
+    specs share them.  An emitter is ``(spec name, kind, partial
+    indices)`` with kind ``size`` (``count(*)``: group sizes, no partial),
+    ``avg`` (a sum and a count partial) or ``partial``.  The kernels and
+    the fused loops plan alike, so both stay slot-compatible with the
+    sharding layer's merge.
+    """
+    partial_keys: list[tuple[str, int]] = []
+
+    def partial_slot(function: str, slot: int) -> int:
+        if (function, slot) not in partial_keys:
+            partial_keys.append((function, slot))
+        return partial_keys.index((function, slot))
+
+    emitters = []
+    for spec, slot in spec_slots:
+        if slot is None:
+            emitters.append((spec.name, "size", ()))
+        elif spec.function == "avg":
+            pair = (partial_slot("sum", slot), partial_slot("count", slot))
+            emitters.append((spec.name, "avg", pair))
+        else:
+            emitters.append((spec.name, "partial", (partial_slot(spec.function, slot),)))
+    needs_sizes = any(kind == "size" for _, kind, _ in emitters)
+    return partial_keys, emitters, needs_sizes
+
+
 def _hash_join_positions(
     probe_values: Sequence, build_values: Sequence
 ) -> tuple[Optional[list[int]], list[int]]:
@@ -532,13 +554,12 @@ class _PipelineShape:
     A top-k spine also carries its ``ORDER BY`` keys, its ``LIMIT`` count
     and whether the keys name the projection's outputs (``Sort`` above
     ``Project``, the parser's plan) or the scanned table's columns.  A join
-    spine carries its ``Join`` node; ``table`` / ``alias`` are then the
-    probe (left) side's.
+    spine carries its ``Join`` node; ``table`` is then the probe (left)
+    side's.
     """
 
     __slots__ = (
         "table",
-        "alias",
         "conjuncts",
         "outputs",
         "aggregate",
@@ -551,7 +572,6 @@ class _PipelineShape:
     def __init__(
         self,
         table: str,
-        alias: str,
         conjuncts: tuple[Expression, ...],
         outputs: Optional[tuple[algebra.OutputColumn, ...]],
         aggregate: Optional[algebra.Aggregate],
@@ -561,7 +581,6 @@ class _PipelineShape:
         join: Optional[algebra.Join] = None,
     ) -> None:
         self.table = table
-        self.alias = alias
         self.conjuncts = conjuncts
         self.outputs = outputs
         self.aggregate = aggregate
@@ -655,7 +674,6 @@ def _analyze_pipeline(plan: algebra.PlanNode) -> Optional[_PipelineShape]:
         conjuncts.extend(_flatten_and(predicate))
     return _PipelineShape(
         node.table,
-        node.effective_alias,
         tuple(conjuncts),
         outputs,
         aggregate,
@@ -762,12 +780,12 @@ class _PipelineCompiler(_LoopScope):
     nullable — which exercises the identical supportability decisions
     without a live table (used to cache unsupportable shapes once).
 
-    The generated function has the signature ``_pipeline(_cols, _n, _wide)``
-    where ``_cols`` is the table's current column store and ``_n`` its row
-    count: nothing store-specific is baked into the compiled code — the
-    column lists are read from ``_cols`` in the loop prologue — so a cached
-    pipeline stays valid across table rebuilds that preserve the layout
-    signature.
+    The generated function has the signature ``_pipeline(_cols, _n, _rows)``
+    where ``_cols`` is the table's current column store, ``_n`` its row
+    count and ``_rows`` its stored row dicts: nothing store-specific is
+    baked into the compiled code — the column lists are read from ``_cols``
+    in the loop prologue — so a cached pipeline stays valid across table
+    rebuilds that preserve the layout signature.
     """
 
     def __init__(self, schema, facts) -> None:
@@ -780,11 +798,6 @@ class _PipelineCompiler(_LoopScope):
         #: sources (an aggregate's output namespace) instead of the scanned
         #: table's columns — used to lower a projection over an aggregate.
         self.emit_columns: Optional[dict[str, str]] = None
-        #: whether the generated function reads the table's prebuilt
-        #: full-width row templates (the ``_wide`` parameter); set by the
-        #: full-width select generator, which emits survivors as
-        #: ``dict.copy`` of those templates.
-        self.uses_wide = False
 
     def begin_emit(self) -> list[str]:
         """Close the accumulate half of an aggregate pipeline.
@@ -852,25 +865,14 @@ class _PipelineCompiler(_LoopScope):
         return var
 
 
-def _output_key(column: ColumnRef, available: Iterable[str]) -> str:
-    """The key of an output row that ``column`` reads, or refuse.
-
-    Mirrors :meth:`ColumnRef.evaluate` over a row with keys ``available``:
-    qualified key first, then the bare name, then a unique ``.name``
-    suffix; anything missing or ambiguous refuses (the row tiers raise
-    their own error for it).
-    """
-    if column.qualifier:
-        qualified = f"{column.qualifier}.{column.name}"
-        if qualified in available:
-            return qualified
-    if column.name in available:
-        return column.name
-    suffix = f".{column.name}"
-    matches = [key for key in available if key.endswith(suffix)]
-    if len(matches) == 1:
-        return matches[0]
-    raise LoweringError(column.qualified_name)
+def _output_key(column: ColumnRef, available: Collection[str]) -> str:
+    """The key of a row with keys ``available`` that ``column`` reads
+    (:meth:`ColumnRef.key_in`); anything missing or ambiguous refuses (the
+    row tiers raise their own error for it)."""
+    try:
+        return column.key_in(available)
+    except ExpressionError:
+        raise LoweringError(column.qualified_name) from None
 
 
 def _indent(lines: Iterable[str]) -> list[str]:
@@ -879,18 +881,16 @@ def _indent(lines: Iterable[str]) -> list[str]:
 
 def _assemble_pipeline(
     compiler: _PipelineCompiler, body: list[str]
-) -> tuple[str, dict, bool]:
+) -> tuple[str, dict]:
     lines = [
-        "def _pipeline(_cols, _n, _wide):",
+        "def _pipeline(_cols, _n, _rows):",
         *_indent(compiler.prologue),
         *_indent(body),
     ]
-    return "\n".join(lines), compiler.globals, compiler.uses_wide
+    return "\n".join(lines), compiler.globals
 
 
-def _generate_select(
-    shape: _PipelineShape, schema, facts
-) -> tuple[str, dict, bool]:
+def _generate_select(shape: _PipelineShape, schema, facts) -> tuple[str, dict]:
     """Source for a Scan → Select* → [Project] pipeline."""
     compiler = _PipelineCompiler(schema, facts)
     conditions = [
@@ -900,11 +900,9 @@ def _generate_select(
     suffix = f" if {condition}" if condition else ""
     if shape.outputs is None:
         # Full-width output: each survivor is a C-level ``dict.copy`` of
-        # the table's prebuilt template for this alias (bare keys then
-        # alias-qualified keys — the kernel scan's key order, and
-        # therefore the row tiers').  Only filter columns are zipped.
-        compiler.uses_wide = True
-        loop = compiler.loop_clause(("_r", "_wide"))
+        # its stored row, whose keys are the scan's layout.  Only filter
+        # columns are zipped.
+        loop = compiler.loop_clause(("_r", "_rows"))
         body = [f"return [_r.copy() {loop}{suffix}]"]
         return _assemble_pipeline(compiler, body)
     items: list[str] = []
@@ -959,9 +957,7 @@ def _sort_component(
     )
 
 
-def _generate_topk(
-    shape: _PipelineShape, schema, facts
-) -> tuple[str, dict, bool]:
+def _generate_topk(shape: _PipelineShape, schema, facts) -> tuple[str, dict]:
     """Source for a ``Limit → Sort`` over a Scan → Select* → [Project] spine.
 
     One loop filters like a select pipeline and feeds each survivor's
@@ -1002,29 +998,27 @@ def _generate_topk(
         conditions.append(f"({', '.join(checked)},) is not None")
     suffix = f" if {' and '.join(conditions)}" if conditions else ""
     loop = compiler.loop_clause(("_i", "_range(_n)"))
-    # Output columns lowered from here on are read by the winners only.
+    top = (
+        f"_top = _nsmallest({shape.limit},"
+        f" (({', '.join(components)}, _i) {loop}{suffix}))"
+    )
     if outputs is None:
-        # The scan's row layout: bare keys, then alias-qualified keys.
-        names = schema.column_names
-        values = [compiler.value_var(name) for name in names]
-        items = [f"{name!r}: {value}" for name, value in zip(names, values)]
-        items += [
-            f"{f'{shape.alias}.{name}'!r}: {value}"
-            for name, value in zip(names, values)
-        ]
-    else:
-        items = [
-            f"{output.name!r}: {lower_expression(output.expression, compiler).src}"
-            for output in outputs
-        ]
+        # The winners' stored rows, copied: the scan's layout.
+        return _assemble_pipeline(
+            compiler, [top, "return [_rows[_k[-1]].copy() for _k in _top]"]
+        )
+    # Output columns lowered from here on are read by the winners only.
+    items = [
+        f"{output.name!r}: {lower_expression(output.expression, compiler).src}"
+        for output in outputs
+    ]
     rebind = ""
     if compiler.zip_names:
         targets = ", ".join(compiler.zip_names)
         cells = ", ".join(f"{src}[_i]" for src in compiler.zip_sources)
         rebind = f" for ({targets},) in (({cells},),)"
     body = [
-        f"_top = _nsmallest({shape.limit},"
-        f" (({', '.join(components)}, _i) {loop}{suffix}))",
+        top,
         f"return [{{{', '.join(items)}}}"
         f" for _i in [_k[-1] for _k in _top]{rebind}]",
     ]
@@ -1072,65 +1066,52 @@ class _JoinCompiler(_PipelineCompiler):
         return var if var is not None else f"{self.column_var(name)}[_i]"
 
 
-def _scan_keys(scan: algebra.Scan, schema) -> dict[str, str]:
-    """A scan's output keys (bare, then alias-qualified) -> column name."""
-    names = schema.column_names
-    keys = {name: name for name in names}
-    keys.update((f"{scan.effective_alias}.{name}", name) for name in names)
-    return keys
-
-
 def _join_layout(
     join: algebra.Join, probe_schema, build_schema
-) -> dict[str, tuple[str, str]]:
-    """The joined row's keys, in order, -> (side, column name).
+) -> tuple[dict[str, tuple[str, str]], str, str]:
+    """The joined row's keys, in order, -> (side, column name), and the
+    (probe, build) key columns.
 
-    The batch join's merge (and the row tiers' ``_merge_rows``): R's keys
-    first, then L's keys not already present; a bare name both tables
-    have keeps R's position and takes L's value.
+    :func:`~repro.db.algebra.output_layout` of the join and its columns
+    oriented by :func:`~repro.db.executor.orient_equi_columns`, as the
+    batch join and the row tiers read them: R's columns, then L's, with a
+    name both tables have qualified on each side.
     """
-    build = _scan_keys(join.right, build_schema)
-    probe = _scan_keys(join.left, probe_schema)
-    return {
-        **{key: ("R", name) for key, name in build.items()},
-        **{key: ("L", name) for key, name in probe.items()},
+    schemas = {join.left.table: probe_schema, join.right.table: build_schema}
+
+    def layout(plan: algebra.PlanNode) -> tuple[algebra.OutputKey, ...]:
+        return algebra.output_layout(plan, lambda name: schemas[name].column_names)
+
+    build_width = len(build_schema.column_names)
+    keys = {
+        entry.key: ("R" if position < build_width else "L", entry.column)
+        for position, entry in enumerate(layout(join))
     }
+    left_col, right_col = orient_equi_columns(join, layout)
+    return (
+        keys,
+        _output_key(left_col, probe_schema.column_names),
+        _output_key(right_col, build_schema.column_names),
+    )
 
 
-def _join_keys(
-    join: algebra.Join, probe_schema, build_schema
-) -> tuple[str, str]:
-    """The (probe, build) key columns, oriented as the batch join orients
-    them: the condition as written, else right-to-left."""
-    probe_keys = _scan_keys(join.left, probe_schema)
-    build_keys = _scan_keys(join.right, build_schema)
-    first, second = _equi_join_columns(join.condition)
-    for left_col, right_col in ((first, second), (second, first)):
-        try:
-            return (
-                probe_keys[_output_key(left_col, probe_keys)],
-                build_keys[_output_key(right_col, build_keys)],
-            )
-        except LoweringError:
-            continue
-    raise LoweringError(join.condition.to_sql())
-
-
-#: Fewest keys a joined row must have for the fused probe loop to serve
-#: its join; a narrower one declines (``narrow_row``) to the batch
-#: kernels.  Between writes the kernels memoise the whole join match and
-#: pay one filter pass plus their row maker, while the fused loop probes
-#: every survivor again; what it wins back is emission, where merging the
-#: stored row dicts beats the row maker by more the wider the row.  On
-#: 50k-row probe tables keeping 5 % (2-core x86-64, CPython 3.11), the
-#: fused loop runs at 0.72–0.75× the kernels' speed at 14 keys, 0.98× at
-#: 26, 1.03× at 30 and 1.10–1.19× at 34–40.
-_FUSED_JOIN_MIN_KEYS = 30
+#: Fewest output columns a joined row must have for the fused probe loop
+#: to serve its join; a narrower one declines (``narrow_row``) to the
+#: batch kernels.  Between writes the kernels memoise the whole join match
+#: and pay one filter pass plus their row maker, while the fused loop
+#: probes every survivor again; what it wins back is emission, where
+#: merging the stored row dicts beats the row maker by more the wider the
+#: row.  With one key per column, on a 50k-row probe table keeping 5 %
+#: (2-core x86-64, CPython 3.11, best of 15, noisy to about 15 %), the
+#: fused loop ran at 0.77–1.07× the kernels' speed at 7–13 columns and
+#: 1.11–1.46× at 15–20; ``bench_codegen``'s ``join_filter`` (20 columns)
+#: and ``join_filter_narrow`` (7) sit on either side of the cut.
+_FUSED_JOIN_MIN_KEYS = 15
 
 
 def _generate_join(
     shape: _PipelineShape, schema, facts, build_schema
-) -> tuple[str, dict, bool]:
+) -> tuple[str, dict]:
     """Source for a ``Select+ → Join → (Scan L, Scan R)`` spine.
 
     One comprehension over L's columns tests the conjuncts like a select
@@ -1138,20 +1119,18 @@ def _generate_join(
     semantics on the boxed values: NULL never matches, ``1``, ``1.0`` and
     ``True`` are one key) and emits one row per matching R position, in
     (L position, R position) order — the batch join's order.  Each row
-    merges the stored row dicts, ``{**R row, R-qualified, **L row,
-    L-qualified}``: the bare keys copy at C speed, and the key order and
-    the L-wins rule for shared bare names are the batch join's.  A joined
-    row of fewer than :data:`_FUSED_JOIN_MIN_KEYS` keys declines.
+    merges the stored row dicts, ``{**_rr, **_lr}``, which copies at C
+    speed; a side with a name the other side shares spells its keys out,
+    qualified as :func:`_join_layout` says.  A joined row of fewer than
+    :data:`_FUSED_JOIN_MIN_KEYS` columns declines.
 
-    The generated ``_pipeline(_cols, _n, _lrows, _rrows, _index)`` takes
+    The generated ``_pipeline(_cols, _n, _rows, _rrows, _index)`` takes
     L's column store, row count and rows, R's rows and R's index on the
     build key (``_build_key`` in the returned bindings).
     """
-    join = shape.join
-    layout = _join_layout(join, schema, build_schema)
+    layout, probe_key, build_key = _join_layout(shape.join, schema, build_schema)
     if len(layout) < _FUSED_JOIN_MIN_KEYS:
         raise _JoinDecline("narrow_row")
-    probe_key, build_key = _join_keys(join, schema, build_schema)
     compiler = _JoinCompiler(schema, facts, layout)
     compiler.globals["_build_key"] = build_key
     conditions = [
@@ -1168,15 +1147,14 @@ def _generate_join(
         column = compiler.column_var(probe_key)
         compiler.prologue.append(f"_drain(_map(_hash, {column}))")
     items = []
-    for row, fetch, scan, side_schema in (
-        ("_rr", "_rrows[_j]", join.right, build_schema),
-        ("_lr", "_lrows[_i]", join.left, schema),
-    ):
-        items.append(f"**({row} := {fetch})")
-        items.extend(
-            f"{f'{scan.effective_alias}.{name}'!r}: {row}[{name!r}]"
-            for name in side_schema.column_names
-        )
+    for side, row, fetch in (("R", "_rr", "_rrows[_j]"), ("L", "_lr", "_rows[_i]")):
+        columns = [(key, name) for key, (at, name) in layout.items() if at == side]
+        if all(key == name for key, name in columns):
+            items.append(f"**{fetch}")
+            continue
+        for position, (key, name) in enumerate(columns):
+            source = row if position else f"({row} := {fetch})"
+            items.append(f"{key!r}: {source}[{name!r}]")
     key = compiler.survivor_value(probe_key)
     loop = compiler.loop_clause(("_i", "_range(_n)"))
     body = [
@@ -1184,11 +1162,11 @@ def _generate_join(
         f" if {' and '.join(conditions)} for _j in _get({key}, ())]"
     ]
     lines = [
-        "def _pipeline(_cols, _n, _lrows, _rrows, _index):",
+        "def _pipeline(_cols, _n, _rows, _rrows, _index):",
         *_indent(compiler.prologue),
         *_indent(body),
     ]
-    return "\n".join(lines), compiler.globals, False
+    return "\n".join(lines), compiler.globals
 
 
 def _emit_items(
@@ -1219,7 +1197,7 @@ def _emit_items(
 
 def _generate_aggregate(
     shape: _PipelineShape, schema, facts
-) -> tuple[str, dict, bool]:
+) -> tuple[str, dict]:
     """Source for a Scan → Select* → Aggregate pipeline, in two halves.
 
     ``_accumulate(_state, _cols, _n)`` is the fused pass: it folds one
@@ -1256,31 +1234,7 @@ def _generate_aggregate(
     if planned is None:
         raise LoweringError("aggregate argument")
     arguments, spec_slots = planned
-    # Distinct (function, slot) partials, exactly like the kernel path, so
-    # the emit loop stays slot-compatible with the sharding layer's merge.
-    partial_keys: list[tuple[str, int]] = []
-    partial_index: dict[tuple[str, int], int] = {}
-
-    def partial_slot(function: str, slot: int) -> int:
-        key = (function, slot)
-        index = partial_index.get(key)
-        if index is None:
-            index = len(partial_keys)
-            partial_index[key] = index
-            partial_keys.append(key)
-        return index
-
-    emitters: list[tuple[str, str, tuple[int, ...]]] = []
-    needs_sizes = False
-    for spec, slot in spec_slots:
-        if slot is None:
-            needs_sizes = True
-            emitters.append((spec.name, "size", ()))
-        elif spec.function == "avg":
-            pair = (partial_slot("sum", slot), partial_slot("count", slot))
-            emitters.append((spec.name, "avg", pair))
-        else:
-            emitters.append((spec.name, "partial", (partial_slot(spec.function, slot),)))
+    partial_keys, emitters, needs_sizes = _plan_partials(spec_slots)
     # Argument slots: trivial arguments are referenced in place, composite
     # arguments are evaluated once per surviving row into a temporary.
     value_srcs: list[str] = []
@@ -1439,32 +1393,21 @@ def _generate_aggregate(
         else:
             unpack = f"({', '.join(key_names)})"
         # The aggregate's output namespace, as the row tiers build it:
-        # group columns (bare and qualified keys) first, then spec outputs;
-        # later assignments overwrite, exactly like row-dict insertion.
-        available: dict[str, str] = {}
-        for key_name, column in zip(key_names, plan.group_by):
-            available[column.name] = key_name
-            available[column.qualified_name] = key_name
-        for name, kind, indices in emitters:
-            if kind == "size":
-                available[name] = size_src
-            elif kind == "avg":
-                count_slot = partial_keys[indices[1]][1]
-                if arguments[count_slot].nullable:
-                    available[name] = (
-                        f"(({partial_src[indices[0]]}"
-                        f" / {partial_src[indices[1]]})"
-                        f" if {partial_src[indices[1]]} else None)"
-                    )
-                else:
-                    # A group only exists once a surviving row landed in
-                    # it, so a non-nullable argument's count is >= 1.
-                    available[name] = (
-                        f"({partial_src[indices[0]]}"
-                        f" / {partial_src[indices[1]]})"
-                    )
-            else:
-                available[name] = partial_src[indices[0]]
+        # the group keys, then the spec outputs.
+        layout = algebra.output_layout(plan, lambda _: schema.column_names)
+        available = {
+            entry.key: key_name for entry, key_name in zip(layout, key_names)
+        }
+        # A group only exists once a surviving row landed in it, so a
+        # non-nullable argument's count is >= 1.
+        available.update(
+            _spec_sources(
+                emitters,
+                size_src,
+                partial_src,
+                lambda index: arguments[partial_keys[index][1]].nullable,
+            )
+        )
         emit_items = _emit_items(compiler, shape, available)
         emit = [
             "_out = []",
@@ -1518,20 +1461,32 @@ def _generate_aggregate(
                 row.extend(lines)
         accumulate = [f"{compiler.loop_clause()}:", *_indent(row or ["pass"])]
     prologue = compiler.begin_emit()
-    available = {}
-    for name, kind, indices in emitters:
-        if kind == "size":
-            available[name] = "_sz"
-        elif kind == "avg":
-            available[name] = (
-                f"((_s{indices[0]} / _s{indices[1]})"
-                f" if _s{indices[1]} else None)"
-            )
-        else:
-            available[name] = f"_s{indices[0]}"
+    partial_src = [f"_s{index}" for index in range(len(partial_keys))]
+    available = _spec_sources(emitters, "_sz", partial_src, lambda _: True)
     emit_items = _emit_items(compiler, shape, available)
     emit = [f"return [{{{', '.join(emit_items)}}}]"]
     return _assemble_aggregate(compiler, prologue, state, init, accumulate, emit)
+
+
+def _spec_sources(
+    emitters: list[tuple[str, str, tuple[int, ...]]],
+    size: str,
+    partials: list[str],
+    count_may_be_zero: Callable[[int], bool],
+) -> dict[str, str]:
+    """Each aggregate spec's output name -> its value's source at emit."""
+    sources = {}
+    for name, kind, indices in emitters:
+        if kind == "size":
+            sources[name] = size
+        elif kind == "avg":
+            total, count = partials[indices[0]], partials[indices[1]]
+            sources[name] = f"({total} / {count})"
+            if count_may_be_zero(indices[1]):
+                sources[name] = f"({sources[name]} if {count} else None)"
+        else:
+            sources[name] = partials[indices[0]]
+    return sources
 
 
 def _assemble_aggregate(
@@ -1541,7 +1496,7 @@ def _assemble_aggregate(
     init: list[str],
     accumulate: list[str],
     emit: list[str],
-) -> tuple[str, dict, bool]:
+) -> tuple[str, dict]:
     """The three functions of an aggregate pipeline; ``compiler.prologue``
     is emit's own (see :meth:`_PipelineCompiler.begin_emit`)."""
     state_half = [
@@ -1558,7 +1513,7 @@ def _assemble_aggregate(
         ),
     ]
     compiler.globals["_state_key"] = "\n".join(state_half)
-    return "\n".join(lines), compiler.globals, False
+    return "\n".join(lines), compiler.globals
 
 
 def _generate_pipeline(
@@ -1566,7 +1521,7 @@ def _generate_pipeline(
     schema,
     facts,
     build_schema=None,
-) -> tuple[str, dict, bool]:
+) -> tuple[str, dict]:
     if shape.join is not None:
         return _generate_join(shape, schema, facts, build_schema)
     if shape.aggregate is not None:
@@ -1590,7 +1545,7 @@ class _AggregatePipeline:
         self.emit = bindings["_emit"]
         self.state_key = bindings["_state_key"]
 
-    def __call__(self, cols: dict, n: int, wide: Any) -> list[Row]:
+    def __call__(self, cols: dict, n: int, rows: list[Row]) -> list[Row]:
         return self.emit(self.accumulate(self.init(), cols, n))
 
 
@@ -1853,7 +1808,7 @@ class VectorizedExecutor:
                 if build is None:
                     return None
             store = table.columns()
-            pipeline, uses_wide = self._pipeline_fn(plan, shape, table)
+            pipeline = self._pipeline_fn(plan, shape, table)
             if build is not None:
                 index = build.position_index(pipeline.build_key)
                 if index is None:
@@ -1864,8 +1819,7 @@ class VectorizedExecutor:
                 )
             n = len(table.rows)
             if carry is None:
-                wide = table.wide_rows(shape.alias) if uses_wide else None
-                return pipeline(store, n, wide)
+                return pipeline(store, n, table.rows)
             # An empty table folds nothing, whatever its (all-boxed) layout.
             if n:
                 if carry.pipeline is None:
@@ -1934,7 +1888,7 @@ class VectorizedExecutor:
                 # (the table may be created later).
                 return shape
             try:
-                source, _, _ = _generate_pipeline(
+                source, _ = _generate_pipeline(
                     shape,
                     table.schema,
                     None,
@@ -1956,7 +1910,7 @@ class VectorizedExecutor:
 
     def _pipeline_fn(
         self, plan: algebra.PlanNode, shape: _PipelineShape, table
-    ) -> tuple[Callable, bool]:
+    ) -> Callable:
         """The compiled pipeline of ``plan`` for ``table``'s layout."""
         key = (plan, table.layout())
         try:
@@ -1979,22 +1933,20 @@ class VectorizedExecutor:
 
     def _compile_pipeline(
         self, shape: _PipelineShape, schema, facts: Optional[dict]
-    ) -> tuple[Callable, bool]:
+    ) -> Callable:
         build_schema = None
         if shape.join is not None:  # try_codegen_rows found the table
             build_schema = self._tables[shape.join.right.table].schema
-        source, bindings, uses_wide = _generate_pipeline(
-            shape, schema, facts, build_schema
-        )
+        source, bindings = _generate_pipeline(shape, schema, facts, build_schema)
         exec(  # noqa: S102 - internal codegen, identifiers repr-escaped
             compile(source, "<pipeline>", "exec"), bindings
         )
         self.pipelines_compiled += 1
         if shape.join is not None:
-            return _JoinPipeline(bindings), uses_wide
+            return _JoinPipeline(bindings)
         if shape.aggregate is not None:
-            return _AggregatePipeline(bindings), uses_wide
-        return bindings["_pipeline"], uses_wide
+            return _AggregatePipeline(bindings)
+        return bindings["_pipeline"]
 
     # -- lowering --------------------------------------------------------
 
@@ -2098,22 +2050,14 @@ class VectorizedExecutor:
     def _lower_scan(self, plan: algebra.Scan) -> BatchOp:
         tables = self._tables
         name = plan.table
-        alias = plan.effective_alias
 
         def run() -> ColumnBatch:
             table = tables.get(name)
             if table is None:
                 raise ExecutionError(f"unknown table {name!r}")
             store = table.columns()
-            columns: dict[str, tuple[list, Optional[list[int]]]] = {}
-            for column, array in store.items():
-                columns[column] = (array, None)
-            for column, array in store.items():
-                columns[f"{alias}.{column}"] = (array, None)
-            key_order = tuple(store) + tuple(
-                f"{alias}.{column}" for column in store
-            )
-            return ColumnBatch(columns, len(table.rows), key_order)
+            columns = {column: (array, None) for column, array in store.items()}
+            return ColumnBatch(columns, len(table.rows), tuple(store))
 
         return run
 
@@ -2161,14 +2105,15 @@ class VectorizedExecutor:
         return run
 
     def _lower_join(self, plan: algebra.Join) -> Optional[BatchOp]:
-        equi = _equi_join_columns(plan.condition)
+        equi = orient_equi_columns(plan, self._executor.layout)
         if equi is None:
             # Theta and cross joins stay on the row tiers.
             return self._fallback("theta_join")
         left_col, right_col = equi
+        right_rename, left_rename = join_renames(plan, self._executor.layout)
+        key_order = tuple(entry.key for entry in self._executor.layout(plan))
         left_source = self._source(plan.left)
         right_source = self._source(plan.right)
-        right_plan = plan.right
         tables = self._tables
         # For a join of two bare scans the matching positions are a pure
         # function of the two tables' contents, so the computed selection
@@ -2184,22 +2129,15 @@ class VectorizedExecutor:
         def run() -> ColumnBatch:
             left_batch = left_source()
             if left_batch.length == 0:
-                # Empty probe side: never execute or build the right side,
-                # but still validate its table references (row-tier rule).
-                for scan in algebra.find_scans(right_plan):
-                    if scan.table not in tables:
-                        raise ExecutionError(f"unknown table {scan.table!r}")
+                # Empty probe side: never execute or build the right side
+                # (lowering the layout already checked its tables).
                 return _empty_batch()
             right_batch = right_source()
             probe_name = left_batch.resolve(left_col)
             build_name = right_batch.resolve(right_col)
             if probe_name is None or build_name is None:
-                # The condition may name the sides right-to-left.
-                probe_name = left_batch.resolve(right_col)
-                build_name = right_batch.resolve(left_col)
-            if probe_name is None or build_name is None:
                 # Neither orientation resolves; let the row tier decide
-                # (it matches nothing, or raises on ambiguity).
+                # (it matches nothing).
                 raise BatchResolutionError(
                     f"{left_col.qualified_name} = {right_col.qualified_name}"
                 )
@@ -2233,14 +2171,15 @@ class VectorizedExecutor:
                 left_columns = left_batch.columns
             else:
                 left_columns = left_batch.take(probe_positions).columns
-            # Merge like _merge_rows: right keys first, left overwrites
-            # colliding bare names (qualified keys never collide).
-            columns = dict(taken_right.columns)
-            columns.update(left_columns)
-            key_order = taken_right.key_order + tuple(
-                key
-                for key in left_batch.key_order
-                if key not in taken_right.columns
+            # The joined row's layout: right keys, then left keys, the
+            # names both sides share qualified on each side.
+            columns = {
+                right_rename.get(key, key): column
+                for key, column in taken_right.columns.items()
+            }
+            columns.update(
+                (left_rename.get(key, key), column)
+                for key, column in left_columns.items()
             )
             return ColumnBatch(columns, len(build_positions), key_order)
 
@@ -2261,41 +2200,8 @@ class VectorizedExecutor:
         arg_kernels, spec_slots = planned
         child = self._source(plan.child)
         group_by = plan.group_by
-        # Each output spec maps onto one or two *partial-aggregate kernels*
-        # over its argument slot (avg decomposes into sum + count); distinct
-        # (function, slot) partials are accumulated once even when several
-        # specs share them.  The same kernels back the sharding layer's
-        # per-shard partial aggregation (merged by AGGREGATE_MERGERS at the
-        # gather node).
-        partial_keys: list[tuple[str, int]] = []
-        partial_index: dict[tuple[str, int], int] = {}
-
-        def partial_slot(function: str, slot: int) -> int:
-            key = (function, slot)
-            index = partial_index.get(key)
-            if index is None:
-                index = len(partial_keys)
-                partial_index[key] = index
-                partial_keys.append(key)
-            return index
-
-        #: (spec name, emit kind, partial indices) per output spec, where
-        #: kind is "size" (count(*)), "avg" (sum+count pair), or "partial".
-        emitters: list[tuple[str, str, tuple[int, ...]]] = []
-        needs_sizes = False
-        for spec, slot in spec_slots:
-            if slot is None:  # count(*): group sizes, no argument column
-                needs_sizes = True
-                emitters.append((spec.name, "size", ()))
-            elif spec.function == "avg":
-                pair = (
-                    partial_slot("sum", slot),
-                    partial_slot("count", slot),
-                )
-                emitters.append((spec.name, "avg", pair))
-            else:
-                index = partial_slot(spec.function, slot)
-                emitters.append((spec.name, "partial", (index,)))
+        names = [entry.key for entry in self._executor.layout(plan)[: len(group_by)]]
+        partial_keys, emitters, needs_sizes = _plan_partials(spec_slots)
         accumulators = [
             (AGGREGATE_ACCUMULATORS[function], slot)
             for function, slot in partial_keys
@@ -2312,7 +2218,7 @@ class VectorizedExecutor:
                 ngroups = 1
                 group_ids: Any = repeat(0)
                 sizes = [length]
-                group_keys: Iterable[Any] = ()
+                group_keys: Iterable[Any] = ((),)  # one group, no key
             else:
                 ids_of: dict[Any, int] = {}
                 get_gid = ids_of.get
@@ -2341,29 +2247,8 @@ class VectorizedExecutor:
             ]
             # Phase 3: emit one output row per group.
             rows: list[Row] = []
-            if not group_by:
-                out: Row = {}
-                for name, kind, indices in emitters:
-                    if kind == "size":
-                        out[name] = sizes[0]
-                    elif kind == "avg":
-                        out[name] = finalize_avg(
-                            partials[indices[0]][0], partials[indices[1]][0]
-                        )
-                    else:
-                        out[name] = partials[indices[0]][0]
-                return _batch_from_rows([out])
-            single_key = len(group_by) == 1
-            only_column = group_by[0] if single_key else None
             for gid, key in enumerate(group_keys):
-                out = {}
-                if single_key:
-                    out[only_column.name] = key
-                    out[only_column.qualified_name] = key
-                else:
-                    for column, value in zip(group_by, key):
-                        out[column.name] = value
-                        out[column.qualified_name] = value
+                out = {names[0]: key} if len(names) == 1 else dict(zip(names, key))
                 for name, kind, indices in emitters:
                     if kind == "size":
                         out[name] = sizes[gid]
@@ -2433,8 +2318,6 @@ class VectorizedExecutor:
             return batch.rows
         if batch.length == 0:
             return []
-        if not batch.key_order:
-            return [{} for _ in range(batch.length)]
         arrays: list[list] = []
         array_slots: dict[int, int] = {}
         zips: list[list] = []

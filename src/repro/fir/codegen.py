@@ -7,7 +7,9 @@ preserved verbatim) with :class:`ast.NodeTransformer` passes:
 
 * ``RowAccessRewriter``  — redirect accesses to the loop variable and to
   lookup-bound variables onto a join-result row variable
-  (``o.o_id`` → ``r["o_id"]``, ``cust.c_birth_year`` → ``r["c_birth_year"]``),
+  (``o.o_id`` → ``r["o_id"]``, ``cust.c_birth_year`` → ``r["c_birth_year"]``,
+  ``p.role_id`` → ``r["participant.role_id"]`` where both joined tables
+  have a ``role_id``),
 * ``SubscriptStyleRewriter`` — convert attribute-style accesses on a variable
   to subscript style (cache rows are plain dicts),
 * SQL builders for join queries, aggregate queries, and predicate push-down.
@@ -16,13 +18,14 @@ preserved verbatim) with :class:`ast.NodeTransformer` passes:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from repro.db import algebra
-from repro.db.expressions import BinaryOp, ColumnRef, Expression
+from repro.db.expressions import BinaryOp, ColumnRef, Expression, ExpressionError
+from repro.db.schema import Schema, SchemaError
 from repro.db.sqlgen import SQLGenerationError, to_sql
 from repro.db.sqlparser import SQLSyntaxError, parse_sql
-from repro.fir.builder import AccumulatorSpec, FoldInfo, LookupBinding
+from repro.fir.builder import LookupBinding
 
 
 class CodegenError(Exception):
@@ -35,20 +38,29 @@ class CodegenError(Exception):
 class RowAccessRewriter(ast.NodeTransformer):
     """Redirect variable accesses onto a (join-result) row dictionary.
 
-    ``variable_map`` maps a variable name to ``(row_variable, qualifier)``;
-    both ``var.attr`` and ``var["attr"]`` become ``row["qualifier.attr"]``
-    (or ``row["attr"]`` when the qualifier is ``None``).  Qualified keys avoid
-    ambiguity when both joined tables have a column of the same name — the
-    executor emits both bare and alias-qualified keys for every join output
-    row.
+    ``variable_map`` maps a variable name to ``(row_variable, qualifier)``
+    and ``keys`` are the row's keys.  Both
+    ``var.attr`` and ``var["attr"]`` become ``row[key]``, where ``key`` is
+    the one the database reads for ``qualifier.attr``
+    (:meth:`~repro.db.expressions.ColumnRef.key_in`): the bare name, or
+    ``qualifier.attr`` where both joined tables have the column.  An access
+    the row cannot serve raises :class:`CodegenError`.
     """
 
-    def __init__(self, variable_map: dict[str, tuple[str, Optional[str]]]) -> None:
+    def __init__(
+        self,
+        variable_map: dict[str, tuple[str, Optional[str]]],
+        keys: Collection[str],
+    ) -> None:
         self.variable_map = variable_map
+        self.keys = keys
 
     def _rewrite(self, name: str, column: str, ctx: ast.expr_context) -> ast.AST:
         row, qualifier = self.variable_map[name]
-        key = f"{qualifier}.{column}" if qualifier else column
+        try:
+            key = ColumnRef(column, qualifier).key_in(self.keys)
+        except ExpressionError as error:
+            raise CodegenError(str(error)) from None
         return ast.Subscript(
             value=ast.Name(id=row, ctx=ast.Load()),
             slice=ast.Constant(value=key),
@@ -106,6 +118,37 @@ def rewrite_statements(
         ast.fix_missing_locations(new)
         rewritten.append(new)
     return rewritten
+
+
+def rewrite_join_rows(
+    statements: Sequence[ast.stmt],
+    variable_map: dict[str, tuple[str, Optional[str]]],
+    join_sql: str,
+    schema: Optional[Schema],
+    drop: Sequence[ast.stmt] = (),
+) -> Optional[list[ast.stmt]]:
+    """``statements`` reading the rows of ``join_sql`` through
+    :class:`RowAccessRewriter`, or ``None`` without a schema, or when those
+    rows' keys (:func:`repro.db.algebra.output_layout`) are unknown or
+    cannot serve an access."""
+    if schema is None:
+        return None
+    try:
+        layout = algebra.output_layout(
+            parse_sql(join_sql), lambda name: schema.table(name).column_names
+        )
+        keys = [entry.key for entry in layout]
+        return rewrite_statements(
+            statements, RowAccessRewriter(variable_map, keys), drop
+        )
+    except (
+        CodegenError,
+        ExpressionError,
+        SQLSyntaxError,
+        SchemaError,
+        algebra.AlgebraError,
+    ):
+        return None
 
 
 def _clone(node: ast.stmt) -> ast.stmt:

@@ -31,14 +31,14 @@ Implemented rules and the paper rules they correspond to:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.db.schema import Schema
 from repro.fir import codegen
 from repro.fir.builder import (
     AccumulatorSpec,
     FoldInfo,
-    LookupBinding,
     NestedJoinInfo,
     _parse_point_lookup,
 )
@@ -56,9 +56,14 @@ class LoopRewrite:
 
 @dataclass
 class RuleContext:
-    """Shared context for rule application."""
+    """Shared context for rule application.
+
+    ``schema`` is the database's, which tells the join rules what keys
+    their join rows carry; without one they produce no rewrite.
+    """
 
     runtime_parameter: str = "rt"
+    schema: Optional[Schema] = None
 
 
 class FIRRule:
@@ -312,9 +317,11 @@ class JoinRewriteRule(FIRRule):
         variable_map.update(
             {b.variable: (row_var, b.table) for b in lookups}
         )
-        body = codegen.rewrite_statements(
+        body = codegen.rewrite_join_rows(
             fold.loop.loop_node.body,
-            codegen.RowAccessRewriter(variable_map),
+            variable_map,
+            join_sql,
+            context.schema,
             drop=[b.statement for b in lookups if b.statement is not None],
         )
         if not body:
@@ -356,9 +363,11 @@ class NestedJoinRule(FIRRule):
             fold.loop_variable: (row_var, _single_scan_alias(fold.query_sql)),
             nested.inner_variable: (row_var, _single_scan_alias(nested.inner_sql)),
         }
-        body = codegen.rewrite_statements(
-            inner_body, codegen.RowAccessRewriter(variable_map)
+        body = codegen.rewrite_join_rows(
+            inner_body, variable_map, join_sql, context.schema
         )
+        if body is None:
+            return []
         header = f"for {row_var} in {rt}.execute_query({join_sql!r}):"
         source = header + "\n" + codegen.unparse_block(body, indent=4)
         return [

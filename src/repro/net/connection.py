@@ -266,7 +266,12 @@ class Cursor:
         if statement is not None and statement.is_query:
             self._rows = value.rows
             self.rowcount = value.cardinality
-            self.description = self._describe(value, statement)
+            # One entry per output row key, from the prepared plan's
+            # layout, so an empty result is described too.
+            self.description = [
+                (name, None, None, None, None, None, None)
+                for name in statement.output_columns()
+            ]
         else:
             self._rows = None
             self.rowcount = -1 if statement is None else value
@@ -361,24 +366,6 @@ class Cursor:
         if self._rows is None:
             raise CursorError("no result set: execute a SELECT first")
         return self._rows
-
-    @staticmethod
-    def _describe(
-        result: QueryResult, statement: PreparedStatement
-    ) -> Optional[list[tuple]]:
-        """Column metadata: from the first row, else from the prepared plan.
-
-        The plan-derived fallback keeps ``description`` populated for
-        SELECTs that match no rows; it is ``None`` only for empty results
-        of plan shapes whose output layout is execution-dependent (joins).
-        """
-        if result.rows:
-            names = list(result.rows[0])
-        else:
-            names = statement.output_columns()
-            if names is None:
-                return None
-        return [(name, None, None, None, None, None, None) for name in names]
 
 
 class SimulatedConnection:

@@ -95,8 +95,6 @@ class Session:
         self.connection = connection
         # First-level cache: (entity, primary key) -> EntityObject.
         self._cache: dict[tuple[str, Any], EntityObject] = {}
-        # (entity, row width) -> the bare (undotted) column names of its rows.
-        self._bare_columns: dict[tuple[str, int], tuple[str, ...]] = {}
         self.lazy_loads = 0
         self.cache_hits = 0
         #: pipelined prefetch batches issued (each is one round trip).
@@ -189,15 +187,9 @@ class Session:
         cached = self._cache.get((definition.entity, key))
         if cached is not None:
             return cached
-        # Strip the executor's qualified duplicate keys ("alias.column").
-        # Rows of one entity and width share their keys, so the bare keys
-        # are found in the first such row, not scanned per row.
-        shape = (definition.entity, len(row))
-        bare = self._bare_columns.get(shape)
-        if bare is None:
-            bare = tuple(k for k in row if "." not in k)
-            self._bare_columns[shape] = bare
-        obj = EntityObject(self, definition, {k: row[k] for k in bare})
+        # A fetched row is the database's own copy, keyed by bare column
+        # names: the object adopts it as is.
+        obj = EntityObject(self, definition, row)
         if key is not None:
             self._cache[(definition.entity, key)] = obj
         return obj

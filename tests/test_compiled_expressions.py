@@ -459,9 +459,9 @@ def assert_scopes_agree(expression: Expression, rows: list[dict]) -> None:
         return
     store = table.columns()
     for facts in (table.column_facts(), None):
-        pipeline, _ = vectorized._compile_pipeline(shape, table.schema, facts)
+        pipeline = vectorized._compile_pipeline(shape, table.schema, facts)
         column_outcome(
-            lambda: [row["v"] for row in pipeline(store, len(rows), None)],
+            lambda: [row["v"] for row in pipeline(store, len(rows), table.rows)],
             expected,
         )
 

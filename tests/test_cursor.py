@@ -68,12 +68,39 @@ class TestCursorSelect:
         assert cursor.description[0][0] == "label"
         assert len(cursor.description[0]) == 7
 
-    def test_description_populated_for_empty_result(self):
+    @pytest.mark.parametrize(
+        "sql,names",
+        [
+            ("select * from items where item_id = ?", ["item_id", "label", "grp"]),
+            # A join: the shared names are qualified on each side.
+            (
+                "select * from items a join items b on a.grp = b.item_id "
+                "where a.item_id = ?",
+                ["b.item_id", "b.label", "b.grp", "a.item_id", "a.label", "a.grp"],
+            ),
+            # Grouped by a qualified column: one name per key the rows carry.
+            (
+                "select * from items i where i.item_id = ? group by i.grp",
+                ["grp"],
+            ),
+            (
+                "select i.grp, count(*) as n from items i where i.item_id = ? "
+                "group by i.grp",
+                ["grp", "n"],
+            ),
+        ],
+    )
+    def test_description_populated_for_empty_result(self, sql, names):
         cursor = make_connection().cursor()
-        cursor.execute("select * from items where item_id = ?", (12345,))
+        cursor.execute(sql, (12345,))
         assert cursor.fetchall() == []
         assert cursor.description is not None
-        assert [d[0] for d in cursor.description][:2] == ["item_id", "label"]
+        assert [d[0] for d in cursor.description] == names
+        # A non-empty result is described by the same names its rows carry.
+        cursor.execute(sql, (1,))
+        rows = cursor.fetchall()
+        assert rows and all(list(row) == names for row in rows)
+        assert [d[0] for d in cursor.description] == names
 
     def test_description_for_empty_projection(self):
         cursor = make_connection().cursor()

@@ -15,25 +15,68 @@ def stmt(source: str) -> ast.stmt:
 class TestRewriters:
     def test_row_access_rewriter_attribute_and_subscript(self):
         rewriter = codegen.RowAccessRewriter(
-            {"o": ("r", "orders"), "cust": ("r", "customer")}
+            {"o": ("r", "orders"), "cust": ("r", "customer")},
+            ["c_customer_sk", "c_birth_year", "o_id", "o_customer_sk"],
         )
         rewritten = codegen.rewrite_statements(
             [stmt("val = my_func(o.o_id, cust['c_birth_year'])")], rewriter
         )
         text = ast.unparse(rewritten[0])
-        assert "r['orders.o_id']" in text
-        assert "r['customer.c_birth_year']" in text
+        assert "r['o_id']" in text
+        assert "r['c_birth_year']" in text
+
+    def test_row_access_rewriter_reads_shared_names_qualified(self):
+        rewriter = codegen.RowAccessRewriter(
+            {"p": ("r", "participant"), "role": ("r", "role")},
+            ["role.role_id", "role.name", "participant_id", "participant.name"],
+        )
+        rewritten = codegen.rewrite_statements(
+            [stmt("x = (p.participant_id, p['name'], role.name)")], rewriter
+        )
+        assert ast.unparse(rewritten[0]) == (
+            "x = (r['participant_id'], r['participant.name'], r['role.name'])"
+        )
+        with pytest.raises(codegen.CodegenError, match="not found"):
+            codegen.rewrite_statements([stmt("x = p.missing")], rewriter)
 
     def test_row_access_rewriter_without_qualifier(self):
-        rewriter = codegen.RowAccessRewriter({"o": ("row", None)})
+        rewriter = codegen.RowAccessRewriter({"o": ("row", None)}, ["amount"])
         rewritten = codegen.rewrite_statements([stmt("x = o.amount")], rewriter)
         assert "row['amount']" in ast.unparse(rewritten[0])
+
+    def test_rewrite_join_rows_reads_the_layout_keys(self, wilos_database):
+        sql = (
+            "select * from participant join role "
+            "on participant.role_id = role.role_id"
+        )
+        body = [stmt("x = (p.role_id, p.participant_id, r.name, r.category)")]
+        variables = {"p": ("row", "participant"), "r": ("row", "role")}
+        rewritten = codegen.rewrite_join_rows(
+            body, variables, sql, wilos_database.schema
+        )
+        assert ast.unparse(rewritten[0]) == (
+            "x = (row['participant.role_id'], row['participant_id'], "
+            "row['role.name'], row['category'])"
+        )
+        # No schema, an unknown table, or an access the row cannot serve.
+        assert codegen.rewrite_join_rows(body, variables, sql, None) is None
+        assert (
+            codegen.rewrite_join_rows(
+                body, variables, "select * from nope", wilos_database.schema
+            )
+            is None
+        )
+        missing = [stmt("x = p.missing")]
+        assert (
+            codegen.rewrite_join_rows(missing, variables, sql, wilos_database.schema)
+            is None
+        )
 
     def test_rewrite_statements_drops_requested_statements(self):
         keep = stmt("x = 1")
         drop = stmt("y = 2")
         result = codegen.rewrite_statements(
-            [keep, drop], codegen.RowAccessRewriter({}), drop=[drop]
+            [keep, drop], codegen.RowAccessRewriter({}, []), drop=[drop]
         )
         assert len(result) == 1
         assert ast.unparse(result[0]) == "x = 1"

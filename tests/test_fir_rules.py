@@ -5,6 +5,7 @@ import ast
 import pytest
 
 from repro.core.region_analysis import analyze_program
+from repro.db.schema import Schema
 from repro.fir.builder import build_fold
 from repro.fir.rules import (
     AggregationRule,
@@ -20,6 +21,7 @@ from repro.fir.rules import (
     SqlTranslationRule,
 )
 from repro.workloads import tpcds
+from repro.workloads.wilos import build_wilos_database
 from repro.workloads.programs import M0_SOURCE, P0_SOURCE
 from repro.workloads.wilos_programs import (
     PATTERN_C_SOURCE,
@@ -27,7 +29,15 @@ from repro.workloads.wilos_programs import (
     PATTERN_E_SOURCE,
 )
 
-CONTEXT = RuleContext(runtime_parameter="rt")
+#: The orders/customer and Wilos tables: the join rules name the keys of
+#: their join rows by the schema.
+SCHEMA = Schema(
+    {
+        **tpcds.build_orders_database(num_orders=10, num_customers=5).schema.tables,
+        **build_wilos_database(scale=50).schema.tables,
+    }
+)
+CONTEXT = RuleContext(runtime_parameter="rt", schema=SCHEMA)
 
 
 def fold_for(source, registry=None, loop_index=0):
@@ -132,8 +142,11 @@ class TestJoinAndPrefetchRules:
         assert "join customer" in source
         assert "o_customer_sk = customer.c_customer_sk" in source
         assert parses(source)
-        # Accesses are redirected to the join-result row.
-        assert "orders.o_id" in source and "customer.c_birth_year" in source
+        # Accesses are redirected to the join-result row, by bare name:
+        # orders and customer share no column name.
+        assert "r['o_id']" in source and "r['c_birth_year']" in source
+        # Without a schema the rule cannot know the row's keys.
+        assert JoinRewriteRule().apply(fold, RuleContext()) == []
 
     def test_p0_prefetch_rewrite(self, registry):
         fold = fold_for(P0_SOURCE, registry)
@@ -163,6 +176,10 @@ def f(rt):
         prefetch = PrefetchNestedJoinRule().apply(fold, CONTEXT)
         assert len(join) == 1 and len(prefetch) == 1
         assert "join role" in join[0].source
+        # participant and role share ``name`` and ``role_id``: the join row
+        # carries them qualified, and the rewrite reads them so.
+        assert "['participant_id']" in join[0].source
+        assert "['role.name']" in join[0].source
         assert "prefetch_group('role', 'role_id'" in prefetch[0].source
         assert parses(join[0].source) and parses(prefetch[0].source)
 

@@ -176,8 +176,10 @@ class TestPointLookupFastPath:
         assert statement.point_lookup is not None
         rows = statement.execute().rows
         assert len(rows) == 1
-        assert rows[0]["label"] == "item7"
-        assert rows[0]["i.label"] == "item7"
+        assert rows[0] == {"item_id": 7, "label": "item7", "grp": 7 % 4}
+        # A copy: mutating the result leaves the stored row alone.
+        rows[0]["label"] = "changed"
+        assert statement.execute().rows[0]["label"] == "item7"
 
     def test_fast_path_sees_new_rows_immediately(self):
         database = make_database()

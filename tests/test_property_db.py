@@ -85,7 +85,9 @@ class TestExecutorAgainstBruteForce:
             for rrow in right
             if lrow["k"] == rrow["k"]
         ]
-        actual = [(r["l.k"], r["l.a"], r["r.b"]) for r in result.rows]
+        # One key per column: the shared ``k`` is qualified on each side.
+        assert all(list(r) == ["r.k", "b", "l.k", "a"] for r in result.rows)
+        actual = [(r["l.k"], r["a"], r["b"]) for r in result.rows]
         assert sorted(actual) == sorted(expected)
 
     @given(rows=left_rows)

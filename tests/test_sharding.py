@@ -183,7 +183,6 @@ class TestShardedTableStorage:
         views = [shard.columns() for shard in table.shards]
         for shard in table.shards:
             shard.position_index("id")
-            shard.wide_rows("i")
         moves = [
             (lambda row: row["id"] == 7, {"id": 107}),
             (lambda row: row["id"] in (3, 4), {"id": 8}),  # two holders of 8
@@ -203,7 +202,6 @@ class TestShardedTableStorage:
             fresh = Table(make_schema())
             fresh.adopt_rows([dict(row) for row in shard.rows])
             assert shard.columns() == fresh.columns()
-            assert shard.wide_rows("i") == fresh.wide_rows("i")
             for name in ("id", "bucket", "label"):
                 assert shard.position_index(name) == fresh.position_index(name)
                 assert shard.distinct_count(name) == fresh.distinct_count(name)
@@ -1313,7 +1311,7 @@ class TestThreadedAggregateDeclines:
         database = build_agg_database(spread_rows(), shards=8)
         database.execute_sql(GROUPED_SQL)  # compiles the shard pipelines
         executors = shard_executors(database)
-        (pipeline, _), = executors[3]._vectorized._pipelines.values()
+        (pipeline,) = executors[3]._vectorized._pipelines.values()
 
         def broken(state, columns, count):
             raise RuntimeError("shard 3 is broken")
