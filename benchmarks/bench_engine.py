@@ -829,17 +829,24 @@ def bench_sharded(rows: int) -> dict:
 
     names = frozenset({"customers"})
 
+    def scatter() -> list:
+        # Every shard's fused loop; a decline would time nothing, so fail.
+        rows = router._scatter(lookup_plan, names, SHARD_COUNT)
+        if rows is None:
+            raise AssertionError("forced scatter declined on a shard")
+        return rows
+
     def scattered() -> int:
         fetched = 0
         for key in keys:
             slots[0] = key
-            fetched += len(router._scatter(lookup_plan, names, SHARD_COUNT))
+            fetched += len(scatter())
         return fetched
 
     slots[0] = keys[0]
     routed_rows = statement.execute((keys[0],)).rows
     executor_rows = sharded._executor.execute(lookup_plan)
-    scatter_rows = router._scatter(lookup_plan, names, SHARD_COUNT)
+    scatter_rows = scatter()
     # The prepared statement scans without an alias while the hand-built
     # plan aliases the table: compare on the bare-column view.
     alias_free = lambda rows: _normalized(  # noqa: E731
@@ -993,12 +1000,11 @@ def _bench_sharded_many_groups(rows: int) -> dict:
 def bench_parallel(rows: int) -> dict:
     """Parallel scatter-gather: serial scatter vs the worker pool at 8 shards.
 
-    * ``parallel_scan_filter`` — the scatter-mandatory filter of
-      ``sharded_scan_filter``, executed serially and on the worker pool;
-      rows are asserted identical (parallel preserves shard gather order
-      exactly), and both are compared against the unsharded baseline.
-    * ``parallel_aggregate`` — the per-shard partial aggregate of
-      ``sharded_aggregate``, same protocol.
+    ``parallel_scan_filter`` is the scatter-mandatory filter of
+    ``sharded_scan_filter``, executed serially and on the worker pool;
+    rows are asserted identical (parallel preserves shard gather order
+    exactly), and both are compared against the unsharded baseline.
+    Aggregates never use the pool, so there is no aggregate entry.
 
     ``relative_overhead`` is pool-vs-unsharded — the number the sharding
     tax becomes a speedup on (< 1.0 on a multi-core runner; on a single
@@ -1012,40 +1018,26 @@ def bench_parallel(rows: int) -> dict:
         os.cpu_count() or 1
     )
     mode = os.environ.get("BENCH_ENGINE_PARALLEL_MODE", "thread")
-    aggregate_plan = algebra.Aggregate(
-        algebra.Scan("orders"),
-        group_by=(ColumnRef("o_c_id"),),
-        aggregates=(
-            algebra.AggregateSpec("count", None, "n"),
-            algebra.AggregateSpec("sum", ColumnRef("o_id"), "total"),
-            algebra.AggregateSpec("min", ColumnRef("o_id"), "low"),
-            algebra.AggregateSpec("max", ColumnRef("o_id"), "high"),
-        ),
-    )
-    entries: dict = {}
-    for name, plan in (
-        ("parallel_scan_filter", executor_plans()["scan_filter"]),
-        ("parallel_aggregate", aggregate_plan),
-    ):
-        sharded.set_parallel(mode="serial")
-        serial_rows = sharded._executor.execute(plan)
-        unsharded_rows = unsharded._executor.execute(plan)
-        if _normalized(serial_rows) != _normalized(unsharded_rows):
-            raise AssertionError(f"{name}: sharded and unsharded rows differ")
-        serial_s = _best_time(lambda plan=plan: sharded._executor.execute(plan))
-        sharded.set_parallel(workers, mode)
-        parallel_rows = sharded._executor.execute(plan)
-        if parallel_rows != serial_rows:
-            raise AssertionError(
-                f"{name}: parallel scatter is not row-identical to serial"
-            )
-        parallel_s = _best_time(
-            lambda plan=plan: sharded._executor.execute(plan)
+    plan = executor_plans()["scan_filter"]
+    run = lambda: sharded._executor.execute(plan)  # noqa: E731
+    sharded.set_parallel(mode="serial")
+    serial_rows = run()
+    if _normalized(serial_rows) != _normalized(unsharded._executor.execute(plan)):
+        raise AssertionError("parallel_scan_filter: sharded and unsharded rows differ")
+    serial_s = _best_time(run)
+    sharded.set_parallel(workers, mode)
+    scatters = sharded.sharding_stats()["scatter"]
+    if run() != serial_rows:
+        raise AssertionError(
+            "parallel_scan_filter: parallel scatter is not row-identical to serial"
         )
-        unsharded_s = _best_time(
-            lambda plan=plan: unsharded._executor.execute(plan)
-        )
-        entries[name] = {
+    if sharded.sharding_stats()["scatter"] == scatters:
+        raise AssertionError("parallel_scan_filter: the pool scatter declined")
+    parallel_s = _best_time(run)
+    unsharded_s = _best_time(lambda: unsharded._executor.execute(plan))
+    sharded.close_parallel()
+    return {
+        "parallel_scan_filter": {
             "output_rows": len(serial_rows),
             "shards": SHARD_COUNT,
             "workers": workers,
@@ -1053,15 +1045,12 @@ def bench_parallel(rows: int) -> dict:
             "unsharded_seconds": unsharded_s,
             "serial_seconds": serial_s,
             "parallel_seconds": parallel_s,
-            "speedup_vs_serial": (
-                serial_s / parallel_s if parallel_s else None
-            ),
+            "speedup_vs_serial": serial_s / parallel_s if parallel_s else None,
             "relative_overhead": (
                 parallel_s / unsharded_s if unsharded_s else None
             ),
         }
-    sharded.close_parallel()
-    return entries
+    }
 
 
 #: Rows inserted (and then updated) per timed run of the WAL benchmark.

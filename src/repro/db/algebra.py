@@ -37,6 +37,7 @@ from repro.db.expressions import (
     Expression,
     ExpressionError,
 )
+from repro.db.schema import SchemaError
 
 
 class AlgebraError(Exception):
@@ -331,15 +332,8 @@ def output_layout(
             keys.append(entry)
         layout = _unique(keys)
         if plan.condition is not None:
-            names = [entry.key for entry in layout]
-            for reference in plan.condition.referenced_columns():
-                qualifier, _, name = reference.rpartition(".")
-                try:
-                    ColumnRef(name, qualifier or None).key_in(names)
-                except AmbiguousColumnError:
-                    raise
-                except ExpressionError:
-                    pass  # unresolvable: a hash join matches nothing
+            # unresolvable references are fine: a hash join matches nothing
+            _check_references(plan.condition, [entry.key for entry in layout])
         return layout
     if isinstance(plan, (Project, Aggregate)):
         child = {e.key: e for e in output_layout(plan.child, table_columns)}
@@ -363,6 +357,58 @@ def output_layout(
             entries.append(OutputKey(name, alias, column))
         return _unique(entries)
     raise AlgebraError(f"no output layout for {type(plan).__name__}")
+
+
+def check_references(
+    plan: PlanNode, table_columns: Callable[[str], Sequence[str]]
+) -> None:
+    """Raise :class:`AmbiguousColumnError` for a bare reference that
+    several inputs could satisfy, before anything executes.
+
+    Every ``Select`` / ``Project`` / ``Aggregate`` reference resolves
+    against its child's :func:`output_layout`, and every join condition
+    against the joined layout, as SQLite resolves names at prepare time.
+    Any other failure (an unknown table or column) is left to execution,
+    which reports it as before; ``Sort`` keys are not checked, since
+    ORDER BY resolves a bare name against the select list first.
+    """
+    for node in walk(plan):
+        if isinstance(node, Join):
+            source, expressions = node, ()
+        elif isinstance(node, Select):
+            source, expressions = node.child, (node.predicate,)
+        elif isinstance(node, Project):
+            source = node.child
+            expressions = tuple(output.expression for output in node.outputs)
+        elif isinstance(node, Aggregate):
+            source = node.child
+            expressions = (
+                *node.group_by,
+                *(s.argument for s in node.aggregates if s.argument is not None),
+            )
+        else:
+            continue
+        try:
+            keys = [entry.key for entry in output_layout(source, table_columns)]
+        except AmbiguousColumnError:
+            raise
+        except (AlgebraError, ExpressionError, SchemaError):
+            continue  # execution reports it, as before
+        for expression in expressions:
+            _check_references(expression, keys)
+
+
+def _check_references(expression: Expression, keys: Sequence[str]) -> None:
+    """Raise :class:`AmbiguousColumnError` if a reference in ``expression``
+    is ambiguous among ``keys``; a missing one is not checked here."""
+    for reference in expression.referenced_columns():
+        qualifier, _, name = reference.rpartition(".")
+        try:
+            ColumnRef(name, qualifier or None).key_in(keys)
+        except AmbiguousColumnError:
+            raise
+        except ExpressionError:
+            pass
 
 
 def _unique(entries: list[OutputKey]) -> tuple[OutputKey, ...]:

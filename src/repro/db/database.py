@@ -1285,7 +1285,12 @@ class Database:
         if _UPDATE_RE.match(sql):
             statement = PreparedStatement(self, sql, update=parse_update(sql))
         else:
-            statement = PreparedStatement(self, sql, plan=parse_sql(sql))
+            plan = parse_sql(sql)
+            schema = self.schema
+            algebra.check_references(
+                plan, lambda name: schema.table(name).column_names
+            )
+            statement = PreparedStatement(self, sql, plan=plan)
         self._statements[sql] = statement
         if len(self._statements) > self.statement_cache_size:
             self._statements.popitem(last=False)
@@ -1503,11 +1508,12 @@ class Database:
         ``local`` counts shard-local parallel executions (co-partitioned
         equi-joins and per-shard aggregates), ``scatter`` counts
         scatter-gather executions, and ``fallback`` counts plans over
-        sharded tables that ran unrouted against the aggregate view.  Of
-        the ``local`` aggregates, ``threaded_aggregates`` folded every
-        shard's fused loop into one group state and ``merged_aggregates``
-        merged per-shard partial rows.  All zeros (and an empty ``tables``
-        map) when nothing is sharded.
+        sharded tables that ran unrouted against the aggregate view (the
+        row tiers' unrouted plans, the router's undistributable plans and
+        every statement a shard declined).  ``threaded_aggregates`` is the
+        aggregate share of ``local``: every shard's fused loop folded into
+        one group state.  All zeros (and an empty ``tables`` map) when
+        nothing is sharded.
         """
         router = self._router
         if router is None:

@@ -541,9 +541,8 @@ def sort_key_function(ascending: bool) -> Callable[[Any], Any]:
     for ``DESC``, which keeps ties in input order).  That order equals one
     ascending sort on ``(component(key₁), …, component(keyₙ))`` followed by
     input position, where a component is :func:`_sort_key` of the value,
-    wrapped in :class:`_Descending` for ``DESC``.  The shard router's k-way
-    merge key and the vectorized tier's fused top-k both build their keys
-    from this.
+    wrapped in :class:`_Descending` for ``DESC``.  The vectorized tier's
+    fused top-k builds its keys from this.
     """
     return _sort_key if ascending else _descending_sort_key
 

@@ -1,8 +1,11 @@
 """Parallel shard execution: a pluggable worker pool for scatter-gather.
 
-:class:`ShardExecutorPool` fans per-shard plan execution across
-``concurrent.futures`` workers on behalf of the
-:class:`~repro.db.sharding.ShardRouter`.  Three modes:
+:class:`ShardExecutorPool` runs the per-shard step of a
+:class:`~repro.db.sharding.ShardRouter` scatter — each shard's fused loop,
+:meth:`~repro.db.vectorized.VectorizedExecutor.try_codegen_rows` — on
+``concurrent.futures`` workers; the gather stays the router's serial one.
+Only vectorized scatters and co-partitioned joins use it: local
+aggregates and the row tiers never do.  Three modes:
 
 * ``"serial"`` — the property-test baseline: the router keeps its
   sequential scatter untouched and the pool is never consulted.
@@ -10,15 +13,14 @@
   ``ThreadPoolExecutor``.  Shard partitions are disjoint ``Table`` objects
   and scatter plans are read-only, so workers touch disjoint executor and
   table state; the only shared structures are broadcast (unsharded)
-  tables, whose lazy caches rebuild idempotently.  Workers hand
-  :class:`~repro.db.vectorized.ColumnBatch` objects back by reference —
-  zero-copy views of the shard's column lists.
+  tables, whose lazy caches rebuild idempotently.
 * ``"process"`` — per-shard tasks run in worker processes.  Shard data is
   seeded into each worker once per ``(table, shard, version)`` as its
   column lists and their layout facts (:func:`pack_table`), cached
   worker-side, and results ship back as **pickled ColumnBatches**
-  (:func:`~repro.db.vectorized.pack_batch`) — never as row lists.  The
-  request/response byte counts are surfaced in ``stats()["pickle_bytes"]``.
+  (:func:`~repro.db.vectorized.pack_batch`) — never as row lists — or as
+  a decline.  The request/response byte counts are surfaced in
+  ``stats()["pickle_bytes"]``.
 
 The pool records per-shard wall time for every parallel scatter; the
 router attaches the most recent scatter's timings to its route marker so
@@ -315,17 +317,16 @@ _WORKER_PLANS: "OrderedDict[bytes, Any]" = OrderedDict()
 _WORKER_CACHE_LIMIT = 64
 
 
-def _worker_executor(overlay_keys: tuple, mode: str) -> Executor:
-    cache_key = (overlay_keys, mode)
-    executor = _WORKER_EXECUTORS.get(cache_key)
+def _worker_executor(overlay_keys: tuple) -> Executor:
+    executor = _WORKER_EXECUTORS.get(overlay_keys)
     if executor is None:
         overlay = {key[0]: _WORKER_TABLES[key] for key in overlay_keys}
-        executor = Executor(overlay, mode=mode)
+        executor = Executor(overlay, mode="vectorized")
         if len(_WORKER_EXECUTORS) >= _WORKER_CACHE_LIMIT:
             _WORKER_EXECUTORS.popitem(last=False)
-        _WORKER_EXECUTORS[cache_key] = executor
+        _WORKER_EXECUTORS[overlay_keys] = executor
     else:
-        _WORKER_EXECUTORS.move_to_end(cache_key)
+        _WORKER_EXECUTORS.move_to_end(overlay_keys)
     return executor
 
 
@@ -357,18 +358,20 @@ def _counter_delta(after: dict, before: dict) -> dict:
 
 
 def _worker_run(blob: bytes) -> bytes:
-    """Execute one shard's plan inside a worker process.
+    """Run one shard's fused loop inside a worker process.
 
     ``blob`` is a pickled request::
 
-        {"plan": <plan pickle bytes>, "mode": ...,
+        {"plan": <plan pickle bytes>,
          "tables": [((name, shard, version), payload-or-None), ...]}
 
     Returns a pickled response: ``{"need": [keys]}`` when shard data for a
     key is neither attached nor cached, otherwise ``{"result": <packed
-    ColumnBatch>, "tiers": ..., "vectorized": ..., "last": ..., "wall":
-    ...}`` with the executor counter deltas this execution produced.
-    Plan-evaluation errors propagate to the parent as ordinary exceptions.
+    ColumnBatch, or None for a decline>, "vectorized": ..., "wall": ...}``
+    with the vectorized counter deltas this run produced.  Like the
+    serial scatter, the worker calls
+    :meth:`~repro.db.vectorized.VectorizedExecutor.try_codegen_rows`,
+    which declines instead of raising; the parent counts the execution.
     """
     from repro.db.vectorized import _batch_from_rows, pack_batch
 
@@ -388,55 +391,30 @@ def _worker_run(blob: bytes) -> bytes:
             need.append(key)
     if need:
         return pickle.dumps({"need": need}, pickle.HIGHEST_PROTOCOL)
-    overlay_keys = tuple(key for key, _ in request["tables"])
-    executor = _worker_executor(overlay_keys, request["mode"])
+    executor = _worker_executor(tuple(key for key, _ in request["tables"]))
     plan = _worker_plan(request["plan"])
-    tiers_before = dict(executor.tier_counts)
-    vectorized_before = executor.vectorized_stats
+    before = executor.vectorized_stats
     started = time.perf_counter()
-    rows = executor.execute(plan)
+    rows = executor._vectorized.try_codegen_rows(plan)
     wall = time.perf_counter() - started
     response = {
-        "result": pack_batch(_batch_from_rows(rows)),
-        "tiers": _counter_delta(executor.tier_counts, tiers_before),
-        "vectorized": _counter_delta(
-            executor.vectorized_stats, vectorized_before
-        ),
-        "last": (
-            executor.last_tier,
-            executor.last_execution_path,
-            executor.last_fallback_reason,
-        ),
+        "result": None if rows is None else pack_batch(_batch_from_rows(rows)),
+        "vectorized": _counter_delta(executor.vectorized_stats, before),
         "wall": wall,
     }
     return pickle.dumps(response, pickle.HIGHEST_PROTOCOL)
 
 
-def fold_worker_counters(
-    executor: Executor, tiers: dict, vectorized: dict
-) -> None:
-    """Fold a worker's counter deltas into the parent's shard executor.
-
-    Process-mode executions happen in the worker's executor, whose
-    counters would vanish with the process; folding the deltas into the
-    parent-side executor for the same shard keeps
-    ``Database.execution_stats()`` complete — exactly as the sequential
-    scatter's in-process accounting does.
-    """
-    for tier, count in tiers.items():
-        if count:
-            executor.tier_counts[tier] = (
-                executor.tier_counts.get(tier, 0) + count
-            )
+def fold_worker_counters(executor: Executor, vectorized: dict) -> None:
+    """Fold a worker's vectorized counter deltas into the parent's shard
+    executor, so ``Database.execution_stats()`` stays complete."""
     target = executor._vectorized
-    if target is None or not vectorized:
-        return
     for key, value in vectorized.items():
         if isinstance(value, dict):  # reason -> count
             reasons = getattr(target, key)
             for reason, count in value.items():
                 reasons[reason] = reasons.get(reason, 0) + count
-        elif isinstance(value, int) and value:
+        elif value:
             setattr(target, key, getattr(target, key) + value)
 
 

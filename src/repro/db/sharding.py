@@ -11,10 +11,10 @@ This module makes partitioned storage a first-class layer of the engine:
   dicts* with the aggregate view, so in-place updates are visible
   everywhere without copying.
 
-* :class:`ShardRouter` classifies plans over sharded tables into three
-  execution classes:
+* :class:`ShardRouter` serves a plan over sharded tables in one of four
+  ways:
 
-  - **single-shard routed** — a point-equality predicate on the shard key
+  - **routed** (every tier) — a point-equality predicate on the shard key
     (a literal or a :class:`~repro.db.expressions.ParameterSlot` resolved
     from the prepared statement's buffer at execution time) pins the whole
     plan to one shard; the plan runs unchanged against a table mapping
@@ -24,59 +24,50 @@ This module makes partitioned storage a first-class layer of the engine:
     unsharded execution short-circuits every other shard's row on that
     same conjunct, and a predicate error on a pruned row could not have
     fired anyway.
-  - **shard-local parallel** — co-partitioned equi-joins on the shard key
-    run join-per-shard; grouped/scalar aggregations over a distributable
-    child run per shard.  Serially on the vectorized tier, a
-    ``[Project →] Aggregate → Select* → Scan`` subtree threads **one**
-    group state through every shard's fused loop and emits once
-    (:class:`~repro.db.vectorized.AggregateCarry`: no partial rows).
-    Everything else — the row tiers, the batch kernels, aggregates over
-    joins, the pool modes, and any shard that declines or errors — runs
-    per-shard *partial* aggregates (avg decomposed into sum + count)
-    merged at the gather node with the same
-    :data:`~repro.db.vectorized.AGGREGATE_MERGERS` kernels the vectorized
-    tier accumulates with.  Both gathers emit groups in first-encounter
-    order over the shards in order.
-  - **scatter-gather** — everything else distributable: the plan executes
-    per shard and the results are concatenated at a gather node, in shard
-    order.  On the vectorized tier the gather ships
-    :class:`~repro.db.vectorized.ColumnBatch` objects (selection vectors
-    composed per shard) and materializes rows only once, at the root; the
-    row tiers concatenate the per-shard row lists.
+  - **scatter / local-join** (vectorized tier) — a plan over one sharded
+    table, or a co-partitioned equi-join on the shard keys, runs every
+    shard's fused loop (:meth:`~repro.db.vectorized.VectorizedExecutor.
+    try_codegen_rows`) and concatenates the rows in shard order; a root
+    ``Sort`` runs over the concatenation.  All or nothing: one shard that
+    declines or errors sends the statement to the aggregate view.
+  - **local-aggregate** (vectorized tier) — a ``[Project →] Aggregate →
+    Select* → Scan`` subtree threads **one** group state through every
+    shard's fused loop and emits once
+    (:class:`~repro.db.vectorized.AggregateCarry`: no partial rows); the
+    ``Select`` / ``Project`` / ``Sort`` spine above it runs over the
+    emitted rows.  Any shard's decline or error sends the statement to
+    the aggregate view.
+  - **the aggregate view** — the unrouted plan, correct by construction.
+    A statement takes it on a row tier, when any shard declines or errors
+    at run time, and when the router cannot prove the plan distributable
+    (``Limit``, non-co-partitioned joins of two sharded tables, operators
+    over sharded subtrees it cannot reason about).  Each is counted as a
+    ``fallback``.
 
-  Plans the router cannot prove distributable (``Limit``, non-co-partitioned
-  joins of two sharded tables, operators over sharded subtrees it cannot
-  reason about) **fall back** to unrouted execution over the aggregate
-  view, which is always correct — sharding can restrict where a plan runs,
-  never what it returns.
-
-Ordering contract: routed and fallback executions are row-identical to the
-unsharded engine *including order*.  Scatter-gather and partial-aggregate
-merges concatenate in shard order, so their output is deterministic and
-identical across the three tiers, and matches unsharded execution up to
-row order (exactly, after a ``Sort`` whose keys are total; up to ties
-otherwise — the usual distributed-engine contract).  Floating-point sums
-may likewise differ in the last ulp because per-shard partials reassociate
-the addition (and a threaded state adds in shard order, not insertion
-order).
+Ordering contract: routed and aggregate-view executions are row-identical
+to the unsharded engine *including order*, floats bit for bit — so the
+compiled and interpreted tiers, which route or fall back, always are.  A
+scatter concatenates in shard order and a threaded aggregate emits groups
+in first-encounter order over the shards in order, so the vectorized tier
+matches unsharded execution as a multiset (exactly, after a ``Sort``
+whose keys are total); a threaded ``sum`` over floats adds in shard order,
+not insertion order, and may differ in the last ulp.
 """
 
 from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from itertools import chain
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.db import algebra
 from repro.db.executor import (
-    ExecutionError,
     Executor,
     _equi_join_columns,
     _flatten_and,
     _sort_key,
-    sort_key_function,
 )
 from repro.db.expressions import (
     BinaryOp,
@@ -93,14 +84,10 @@ from repro.db.parallel import (
 from repro.db.schema import TableSchema
 from repro.db.table import Row, Table
 from repro.db.vectorized import (
-    AGGREGATE_MERGERS,
     VECTORIZED_COUNTER_KEYS,
     VECTORIZED_REASON_KEYS,
     AggregateCarry,
     batch_output_rows,
-    finalize_avg,
-    gather_batches,
-    merge_sorted_runs,
     unpack_batch,
     zero_vectorized_stats,
 )
@@ -267,9 +254,8 @@ class ShardedTable(Table):
 
 
 class ShardingStats:
-    """Counters for the router's execution classes, and for which gather
-    a shard-local aggregate took (``threaded_aggregates`` +
-    ``merged_aggregates`` is the aggregate share of ``local``)."""
+    """Counters for the router's execution classes; ``threaded_aggregates``
+    is the aggregate share of ``local``."""
 
     __slots__ = (
         "routed",
@@ -277,7 +263,6 @@ class ShardingStats:
         "scatter",
         "fallback",
         "threaded_aggregates",
-        "merged_aggregates",
     )
 
     def __init__(self) -> None:
@@ -291,33 +276,15 @@ class ShardingStats:
 class _Route:
     """A cached routing decision for one plan object.
 
-    ``post`` is a tuple of row-list transforms (compiled once at
-    classification time) the gather node applies after collecting the
-    per-shard results — the root ``Sort`` of a scatter, or the
-    ``Select`` / ``Project`` / ``Sort`` spine sitting above a partially
-    aggregated node.  A ``local-aggregate`` route also carries the
-    ``[Project →] Aggregate`` subtree as ``node``, for the threaded gather
-    that runs it as one fused pipeline per shard, and ``node_post``, the
-    part of ``post`` above that subtree.
-
-    ``merge`` is the parallel-gather alternative to a root-``Sort``
-    ``post``: the *original* plan (Sort included, so each shard returns a
-    sorted run) plus a compiled total-order merge key, letting the gather
-    k-way merge the runs instead of re-sorting the concatenation.  Only
-    set for scatter/local-join routes whose root is a ``Sort``.
+    ``node`` is what every shard runs (the plan below a root ``Sort`` for
+    a scatter, the ``[Project →] Aggregate`` subtree for a local
+    aggregate), and ``post`` the row-list transforms, compiled once at
+    classification time, that the gather applies to the concatenated or
+    emitted rows: the root ``Sort`` of a scatter, or the ``Select`` /
+    ``Project`` / ``Sort`` spine above a local aggregate.
     """
 
-    __slots__ = (
-        "kind",
-        "names",
-        "table",
-        "getter",
-        "node",
-        "post",
-        "node_post",
-        "partial",
-        "merge",
-    )
+    __slots__ = ("kind", "names", "table", "getter", "node", "post")
 
     def __init__(
         self,
@@ -328,9 +295,6 @@ class _Route:
         getter: Optional[Callable[[], Any]] = None,
         node: Optional[algebra.PlanNode] = None,
         post: tuple = (),
-        node_post: tuple = (),
-        partial: Optional["_PartialAggregate"] = None,
-        merge: Optional[tuple] = None,
     ) -> None:
         self.kind = kind
         self.names = names
@@ -338,106 +302,12 @@ class _Route:
         self.getter = getter
         self.node = node
         self.post = post
-        self.node_post = node_post
-        self.partial = partial
-        self.merge = merge
-
-
-def _apply(transforms: tuple, rows: list[Row]) -> list[Row]:
-    """Run a route's gather-side transforms (``post`` / ``node_post``)."""
-    for transform in transforms:
-        rows = transform(rows)
-    return rows
 
 
 #: Routing decisions cached for plans that do not touch sharded tables.
 _NOT_SHARDED = _Route("not-sharded")
 #: Sharded plans the router cannot distribute (unrouted execution).
 _FALLBACK = _Route("fallback")
-
-
-class _PartialAggregate:
-    """A grouped/scalar aggregate decomposed for per-shard execution.
-
-    ``plan`` is the per-shard partial plan (avg specs replaced by sum +
-    count partials); ``group_keys`` are the group columns' output keys
-    (:func:`repro.db.algebra.output_layout`), which the partial and the
-    merged rows share; ``emitters`` describe how the gather node merges the
-    per-shard partial rows and finalizes each original output column.
-    """
-
-    __slots__ = ("plan", "group_keys", "emitters")
-
-    def __init__(
-        self,
-        aggregate: algebra.Aggregate,
-        table_columns: Callable[[str], Sequence[str]],
-    ) -> None:
-        layout = algebra.output_layout(aggregate, table_columns)
-        self.group_keys = [entry.key for entry in layout[: len(aggregate.group_by)]]
-        partial_specs: list[algebra.AggregateSpec] = []
-        #: (output name, "avg" | primitive function, partial column names)
-        self.emitters: list[tuple[str, str, tuple[str, ...]]] = []
-        for position, spec in enumerate(aggregate.aggregates):
-            if spec.function == "avg":
-                sum_name = f"__shard_sum_{position}"
-                count_name = f"__shard_count_{position}"
-                partial_specs.append(
-                    algebra.AggregateSpec("sum", spec.argument, sum_name)
-                )
-                partial_specs.append(
-                    algebra.AggregateSpec("count", spec.argument, count_name)
-                )
-                self.emitters.append((spec.name, "avg", (sum_name, count_name)))
-            else:
-                partial_specs.append(spec)
-                self.emitters.append((spec.name, spec.function, (spec.name,)))
-        self.plan = algebra.Aggregate(
-            aggregate.child, aggregate.group_by, tuple(partial_specs)
-        )
-
-    def merge(self, shard_rows: Iterable[Row]) -> list[Row]:
-        """Merge per-shard partial rows into final output rows.
-
-        Groups are keyed by their group-by values (first-encounter order
-        across the concatenated shard outputs); each partial column is
-        folded with its :data:`AGGREGATE_MERGERS` kernel, and ``avg`` is
-        finalized from its sum + count pair.  With no group keys, every
-        shard contributes exactly one partial row and the merge emits
-        exactly one output row, like the unsharded scalar aggregate.
-        """
-        group_keys = self.group_keys
-        states: "OrderedDict[tuple, Row]" = OrderedDict()
-        for row in shard_rows:
-            key = tuple(row[name] for name in group_keys)
-            state = states.get(key)
-            if state is None:
-                states[key] = dict(row)
-                continue
-            for name, function, partials in self.emitters:
-                if function == "avg":
-                    sum_name, count_name = partials
-                    state[sum_name] = AGGREGATE_MERGERS["sum"](
-                        state[sum_name], row[sum_name]
-                    )
-                    state[count_name] = AGGREGATE_MERGERS["count"](
-                        state[count_name], row[count_name]
-                    )
-                else:
-                    merge = AGGREGATE_MERGERS[function]
-                    state[name] = merge(state[name], row[name])
-        out_rows: list[Row] = []
-        for key, state in states.items():
-            out: Row = dict(zip(group_keys, key))
-            for name, function, partials in self.emitters:
-                if function == "avg":
-                    out[name] = finalize_avg(
-                        state[partials[0]], state[partials[1]]
-                    )
-                else:
-                    out[name] = state[name]
-            out_rows.append(out)
-        return out_rows
 
 
 class ShardRouter:
@@ -448,7 +318,8 @@ class ShardRouter:
     and keeps its normal (aggregate-view) path for everything the router
     declines.  Per-shard execution runs on cached shard executors — one
     per (substituted tables, shard index) — in the same tier mode as the
-    main executor, so all three tiers participate in routing.
+    main executor: routed plans on every tier, scatters and local
+    aggregates on the vectorized tier's fused loops.
     """
 
     #: Cached routing decisions kept before LRU eviction.
@@ -522,16 +393,12 @@ class ShardRouter:
 
         ``None`` means the caller should run the plan unrouted against the
         aggregate views (counted as a fallback when the plan touches a
-        sharded table at all).
+        sharded table at all, including when a shard declined).
         """
         route = self._route(plan)
         kind = route.kind
         if kind == "not-sharded":
             self.last_route = None
-            return None
-        if kind == "fallback":
-            self.stats.fallback += 1
-            self.last_route = {"kind": "fallback", "shards": None}
             return None
         if kind == "routed":
             index = route.table.shard_index(route.getter())
@@ -543,64 +410,29 @@ class ShardRouter:
             self.last_fallback_reason = executor.last_fallback_reason
             self.last_execution_path = executor.last_execution_path
             return rows
-        count = self._shard_count(route.names)
-        self.last_route = {"kind": kind, "shards": tuple(range(count))}
-        self.last_parallel = None
-        parallel = self._pool is not None and count > 1
-        if kind == "local-aggregate":
-            rows = None
-            if not parallel and self._mode == "vectorized":
-                rows = self._thread_aggregate(route, count)
-            if rows is not None:
-                self.stats.threaded_aggregates += 1
-                self.last_route["gather"] = "threaded state"
+        if kind != "fallback":
+            count = self._shard_count(route.names)
+            self.last_parallel = None
+            if kind == "local-aggregate":
+                rows = self._thread_aggregate(route.node, route.names, count)
             else:
-                partial = route.partial
-                if parallel:
-                    shard_rows: Iterable[Row] = chain.from_iterable(
-                        shard
-                        for _, shard in self._parallel_scatter(
-                            partial.plan, route.names, count
-                        )
-                    )
+                rows = self._scatter(route.node, route.names, count)
+            if rows is not None:
+                for transform in route.post:
+                    rows = transform(rows)
+                if kind == "scatter":
+                    self.stats.scatter += 1
                 else:
-                    shard_rows = self._scatter(
-                        partial.plan, route.names, count
-                    )
-                rows = _apply(route.post, partial.merge(shard_rows))
-                self.stats.merged_aggregates += 1
-                self.last_route["gather"] = "merged partials"
-            self.stats.local += 1
-            if self.last_parallel is not None:
-                self.last_route["parallel"] = self.last_parallel
-            return rows
-        # scatter (single sharded table) / local (co-partitioned join)
-        if parallel and route.merge is not None:
-            # Each shard executes the original plan, Sort included, and
-            # returns a sorted run; the gather k-way merges the runs
-            # (stable by shard index) instead of re-sorting the concat.
-            merge_node, merge_key = route.merge
-            indexed = self._parallel_scatter(merge_node, route.names, count)
-            rows = merge_sorted_runs(
-                [shard_rows for _, shard_rows in indexed], merge_key
-            )
-        elif parallel:
-            indexed = self._parallel_scatter(route.node, route.names, count)
-            gathered: list[Row] = []
-            for _, shard_rows in indexed:
-                gathered.extend(shard_rows)
-            rows = _apply(route.post, gathered)
-        else:
-            rows = _apply(
-                route.post, self._scatter(route.node, route.names, count)
-            )
-        if kind == "local-join":
-            self.stats.local += 1
-        else:
-            self.stats.scatter += 1
-        if self.last_parallel is not None:
-            self.last_route["parallel"] = self.last_parallel
-        return rows
+                    self.stats.local += 1
+                if kind == "local-aggregate":
+                    self.stats.threaded_aggregates += 1
+                self.last_route = {"kind": kind, "shards": tuple(range(count))}
+                if self.last_parallel is not None:
+                    self.last_route["parallel"] = self.last_parallel
+                return rows
+        self.stats.fallback += 1
+        self.last_route = {"kind": "fallback", "shards": None}
+        return None
 
     def classify(self, plan: algebra.PlanNode) -> dict:
         """Routing class for ``plan`` without executing it (EXPLAIN path).
@@ -694,73 +526,47 @@ class ShardRouter:
 
     def _scatter(
         self, node: algebra.PlanNode, names: frozenset[str], count: int
-    ) -> list[Row]:
-        """Execute ``node`` on every shard and gather, in shard order."""
-        executors = [self._shard_executor(names, i) for i in range(count)]
-        if self._mode == "vectorized":
-            rows = self._scatter_codegen(executors, node)
-            if rows is not None:
-                self._mark_codegen(executors, node)
-                return rows
-            rows = self._scatter_batches(executors, node)
-            if rows is not None:
-                self.last_tier = "vectorized"
-                self.last_fallback_reason = None
-                self.last_execution_path = "kernel"
-                return rows
-        # The row tiers (the vectorized tier's row fallback included): run
-        # each shard's row operators and concatenate in shard order.
-        tier = "interpreted" if self._mode == "interpreted" else "compiled"
-        self.last_tier = tier
-        self.last_execution_path = tier
-        gathered: list[Row] = []
-        for executor in executors:
-            gathered.extend(executor._execute(node))
-            executor.tier_counts[tier] += 1
-        return gathered
-
-    def _scatter_codegen(
-        self, executors: Sequence[Executor], node: algebra.PlanNode
     ) -> Optional[list[Row]]:
-        """Codegen scatter: run the fused pipeline per shard, concatenate.
+        """Run ``node``'s fused loop on every shard, concatenated in shard
+        order, or ``None`` when any shard declines or errors (the whole
+        statement then runs on the aggregate view)."""
+        executors = [self._shard_executor(names, i) for i in range(count)]
+        if self._pool is not None and count > 1:
+            results = self._parallel_scatter(node, names, executors)
+        else:
+            results = []
+            for executor in executors:
+                rows = executor._vectorized.try_codegen_rows(node)
+                if rows is None:
+                    return None
+                results.append(rows)
+        if any(rows is None for rows in results):
+            return None
+        self._mark_codegen(executors, node)
+        return list(chain.from_iterable(results))
 
-        The gather node concatenates shard results in shard order (see
-        ``gather_batches``), so running each shard's compiled pipeline and
-        chaining the row lists is row-identical to the batch path.  Every
-        shard must take the codegen path — one decline (unsupported spine,
-        codegen disabled, compile/run error) sends the whole scatter to the
-        batch-kernel gather instead.
-        """
-        rows: list[Row] = []
-        for executor in executors:
-            shard_rows = executor._vectorized.try_codegen_rows(node)
-            if shard_rows is None:
-                return None
-            rows.extend(shard_rows)
-        return rows
-
-    def _thread_aggregate(self, route: _Route, count: int) -> Optional[list[Row]]:
-        """Codegen gather of a shard-local aggregate: no partial rows.
+    def _thread_aggregate(
+        self, node: algebra.PlanNode, names: frozenset[str], count: int
+    ) -> Optional[list[Row]]:
+        """A shard-local aggregate with no partial rows.
 
         Shard 0's fused loop, shard 1's, … fold into **one** group state
-        (keyed by group *values* — each partition has its own dictionary),
-        which the last shard's call emits once, outer ``Project`` and
-        ``avg`` included; groups come out in first-encounter order over
-        the shards in order, exactly what ``merge`` emits.  A decline or
-        error on any shard drops the state and returns ``None``: the whole
-        statement re-runs on the partial-row path.
+        (keyed by group *values*), which the last shard's call emits once,
+        outer ``Project`` and ``avg`` included; groups come out in
+        first-encounter order over the shards in order.  A decline or
+        error on any shard drops the state and returns ``None``.
         """
-        executors = [self._shard_executor(route.names, i) for i in range(count)]
+        executors = [self._shard_executor(names, i) for i in range(count)]
         carry = AggregateCarry()
         rows = None
         for index, executor in enumerate(executors):
             rows = executor._vectorized.try_codegen_rows(
-                route.node, carry, emit=index == count - 1
+                node, carry, emit=index == count - 1
             )
             if rows is None:
                 return None
-        self._mark_codegen(executors, route.node)
-        return _apply(route.node_post, rows)
+        self._mark_codegen(executors, node)
+        return rows
 
     def _mark_codegen(
         self, executors: Sequence[Executor], node: algebra.PlanNode
@@ -773,105 +579,50 @@ class ShardRouter:
         self.last_fallback_reason = None
         self.last_execution_path = executors[0]._vectorized.last_path
 
-    def _scatter_batches(
-        self, executors: Sequence[Executor], node: algebra.PlanNode
-    ) -> Optional[list[Row]]:
-        """Vectorized scatter: gather per-shard ColumnBatches, then
-        materialize rows exactly once at the gather root.
-
-        Returns ``None`` when any shard has no vectorized lowering or a
-        kernel errors (the row-tier scatter takes over), mirroring the
-        single-node tier's fallback contract.
-        """
-        batches = []
-        for executor in executors:
-            vectorized = executor._vectorized
-            op = vectorized._op(node)
-            if op is None:
-                vectorized.fallbacks += 1
-                vectorized._count_reason(vectorized._last_reason)
-                self.last_fallback_reason = vectorized._last_reason
-                return None
-            try:
-                batches.append(op())
-            except ExecutionError:
-                raise
-            except Exception:
-                vectorized.fallbacks += 1
-                vectorized._count_reason("kernel_error")
-                self.last_fallback_reason = "kernel_error"
-                return None
-        gathered = gather_batches(batches)
-        try:
-            rows = executors[0]._vectorized._materialize(gathered)
-        except Exception:
-            executors[0]._vectorized.fallbacks += 1
-            executors[0]._vectorized._count_reason("kernel_error")
-            self.last_fallback_reason = "kernel_error"
-            return None
-        for executor in executors:
-            executor._vectorized.executions += 1
-            executor.tier_counts["vectorized"] += 1
-        return rows
-
     # -- parallel scatter ------------------------------------------------
 
     def _parallel_scatter(
-        self, node: algebra.PlanNode, names: frozenset[str], count: int
-    ) -> list[tuple[int, list[Row]]]:
-        """Execute ``node`` on every shard concurrently on the pool.
+        self,
+        node: algebra.PlanNode,
+        names: frozenset[str],
+        executors: Sequence[Executor],
+    ) -> list[Optional[list[Row]]]:
+        """Each shard's :meth:`_scatter` call, run concurrently on the pool.
 
-        Returns ``(shard index, rows)`` pairs in shard order.  Thread mode
-        runs each shard's full executor dispatch (so every tier, fallback,
-        and counter behaves exactly as its serial per-shard execution
-        would); process mode ships the plan + packed column payloads to
-        worker processes and degrades to the thread path when the plan or
-        a payload refuses to pickle or the pool breaks.
+        Returns every shard's rows (``None`` for a decline) in shard order.
+        Process mode ships the plan and packed column payloads to worker
+        processes and degrades to the thread path when the plan or a
+        payload refuses to pickle or the pool breaks.
         """
         pool = self._pool
         assert pool is not None
         if pool.mode == "process":
-            indexed = self._process_scatter(node, names, count)
-            if indexed is not None:
-                return indexed
+            results = self._process_scatter(node, names, executors)
+            if results is not None:
+                return results
             pool.degraded += 1
-        executors = [self._shard_executor(names, i) for i in range(count)]
         tasks = [
-            (lambda executor=executor: executor.execute(node))
+            (lambda vectorized=executor._vectorized: vectorized.try_codegen_rows(node))
             for executor in executors
         ]
         results, seconds = pool.run_tasks(tasks)
-        pool.note_scatter(seconds)
-        self.last_parallel = {
-            "mode": pool.mode,
-            "workers": pool.workers,
-            "shards": count,
-            "shard_seconds": tuple(seconds),
-            "elapsed": max(seconds, default=0.0),
-        }
-        self._fold_markers(
-            [
-                (
-                    executor.last_tier,
-                    executor.last_execution_path,
-                    executor.last_fallback_reason,
-                )
-                for executor in executors
-            ]
-        )
-        return list(enumerate(results))
+        self._note_parallel(seconds)
+        return results
 
     def _process_scatter(
-        self, node: algebra.PlanNode, names: frozenset[str], count: int
-    ) -> Optional[list[tuple[int, list[Row]]]]:
+        self,
+        node: algebra.PlanNode,
+        names: frozenset[str],
+        executors: Sequence[Executor],
+    ) -> Optional[list[Optional[list[Row]]]]:
         """Process-pool scatter; ``None`` degrades to the thread path.
 
         Shard data ships as column lists with their layout facts, keyed
         by ``(table, shard, version)`` — workers cache them, so steady
         state ships only the (cached) plan blob.  Results come back as
-        pickled ColumnBatches; executor counter deltas from the workers
-        fold into the parent-side shard executors so
-        ``execution_stats()`` stays complete.
+        pickled ColumnBatches; the workers' vectorized counter deltas fold
+        into the parent-side shard executors so ``execution_stats()``
+        stays complete.
         """
         pool = self._pool
         assert pool is not None
@@ -881,7 +632,7 @@ class ShardRouter:
             return None
         scans = sorted({scan.table for scan in algebra.find_scans(node)})
         requests = []
-        for index in range(count):
+        for index in range(len(executors)):
             keys = []
             for name in scans:
                 table = self._tables[name]
@@ -891,13 +642,7 @@ class ShardRouter:
                     )
                 else:
                     keys.append(((name, -1, table.version), None))
-            requests.append(
-                {
-                    "plan": plan_blob,
-                    "mode": self._mode,
-                    "tables": keys,
-                }
-            )
+            requests.append({"plan": plan_blob, "tables": keys})
 
         def provide(key: tuple) -> tuple:
             name, shard, _version = key
@@ -912,56 +657,39 @@ class ShardRouter:
             responses, seconds = pool.run_process_requests(requests, provide)
         except (pickle.PicklingError, BrokenProcessPool):
             return None
+        self._note_parallel(
+            seconds,
+            pickle_bytes={
+                "sent": pool.pickle_bytes_sent - sent_before,
+                "received": pool.pickle_bytes_received - received_before,
+            },
+        )
+        results: list[Optional[list[Row]]] = []
+        for executor, response in zip(executors, responses):
+            fold_worker_counters(executor, response["vectorized"])
+            packed = response["result"]
+            results.append(
+                None if packed is None else batch_output_rows(unpack_batch(packed))
+            )
+        return results
+
+    def _note_parallel(
+        self, seconds: list[float], pickle_bytes: Optional[dict] = None
+    ) -> None:
+        """Book one pool scatter's per-shard wall times (tracing reads
+        ``last_parallel``)."""
+        pool = self._pool
+        assert pool is not None
         pool.note_scatter(seconds)
         self.last_parallel = {
             "mode": pool.mode,
             "workers": pool.workers,
-            "shards": count,
+            "shards": len(seconds),
             "shard_seconds": tuple(seconds),
             "elapsed": max(seconds, default=0.0),
-            "pickle_bytes": {
-                "sent": pool.pickle_bytes_sent - sent_before,
-                "received": pool.pickle_bytes_received - received_before,
-            },
         }
-        indexed: list[tuple[int, list[Row]]] = []
-        markers = []
-        for index, response in enumerate(responses):
-            rows = batch_output_rows(unpack_batch(response["result"]))
-            executor = self._shard_executor(names, index)
-            fold_worker_counters(
-                executor, response["tiers"], response["vectorized"]
-            )
-            markers.append(response["last"])
-            indexed.append((index, rows))
-        self._fold_markers(markers)
-        return indexed
-
-    def _fold_markers(self, markers: list[tuple]) -> None:
-        """Fold per-shard (tier, path, reason) markers into the route's.
-
-        All-vectorized scatters report the vectorized tier (``codegen``
-        only when every shard ran codegen, like the serial all-or-nothing
-        rule); otherwise the first shard that fell to a row tier names the
-        tier and fallback reason, mirroring the serial row-fallback
-        marker.
-        """
-        if not markers:
-            return
-        if all(tier == "vectorized" for tier, _, _ in markers):
-            self.last_tier = "vectorized"
-            paths = {path for _, path, _ in markers}
-            self.last_execution_path = (
-                paths.pop() if len(paths) == 1 else "kernel"
-            )
-            self.last_fallback_reason = None
-            return
-        for tier, _, reason in markers:
-            if tier != "vectorized":
-                self.last_tier = tier
-                self.last_execution_path = tier
-                self.last_fallback_reason = reason
-                return
+        if pickle_bytes is not None:
+            self.last_parallel["pickle_bytes"] = pickle_bytes
 
     # -- classification --------------------------------------------------
 
@@ -990,9 +718,10 @@ class ShardRouter:
         routed = self._point_route(plan, sharded)
         if routed is not None:
             return routed
-        # A partially-aggregated route: peel the Select/Project/Sort spine
-        # above an Aggregate (SQL aggregates parse as Project(Aggregate));
-        # the spine re-applies over the merged rows at the gather node.
+        if self._mode != "vectorized":
+            return _FALLBACK  # the row tiers have no fused loops to scatter
+        # A local aggregate: peel the Select/Project/Sort spine above an
+        # Aggregate; it re-applies over the emitted rows at the gather.
         spine: list[algebra.PlanNode] = []
         node: algebra.PlanNode = plan
         while isinstance(node, (algebra.Sort, algebra.Project, algebra.Select)):
@@ -1002,40 +731,32 @@ class ShardRouter:
             child_class = self._distribute(node.child)
             if child_class is None or not child_class[1]:
                 return _FALLBACK
-            post = tuple(self._compile_spine(spine))
             # SQL aggregates parse as Project(Aggregate), which one fused
             # pipeline covers; only the spine above it stays a transform.
-            fused = bool(spine) and isinstance(spine[-1], algebra.Project)
+            if spine and isinstance(spine[-1], algebra.Project):
+                node = spine.pop()
             return _Route(
                 "local-aggregate",
                 names=child_class[1],
-                node=spine[-1] if fused else node,
-                post=post,
-                node_post=post[1:] if fused else post,
-                partial=_PartialAggregate(
-                    node, lambda name: self._tables[name].schema.column_names
-                ),
+                node=node,
+                post=tuple(self._compile_spine(spine)),
             )
         # Scatter / co-partitioned join: Select and Project distribute into
-        # the per-shard plans; only a root Sort runs at the gather node
-        # (serial), or turns into a sorted-run k-way merge (parallel).
+        # the per-shard plans; only a root Sort runs at the gather.
         node = plan
         post: tuple = ()
-        merge: Optional[tuple] = None
         if isinstance(node, algebra.Sort):
             post = (self._compile_sort(node),)
-            merge = (plan, self._compile_merge_key(node))
             node = node.child
         distributed = self._distribute(node)
         if distributed is None or not distributed[1]:
             return _FALLBACK
-        kind, names = distributed
+        names = distributed[1]
         return _Route(
             "local-join" if len(names) > 1 else "scatter",
             names=names,
             node=node,
             post=post,
-            merge=merge,
         )
 
     def _compile_spine(
@@ -1094,27 +815,6 @@ class ShardRouter:
             return rows
 
         return sort_rows
-
-    def _compile_merge_key(
-        self, sort: algebra.Sort
-    ) -> Callable[[Row], tuple]:
-        """A single total-order key for k-way merging sorted shard runs.
-
-        Equivalent to :meth:`_compile_sort`'s stable multi-pass sort: one
-        tuple of :func:`~repro.db.executor.sort_key_function` components.
-        ``heapq.merge`` is stable by input order on ties, and runs are
-        merged in shard-index order, so tie order matches the serial
-        concatenate-then-stable-sort exactly.
-        """
-        keys = [
-            (key.column.compile(), sort_key_function(key.ascending))
-            for key in sort.keys
-        ]
-
-        def merge_key(row: Row) -> tuple:
-            return tuple(component(evaluate(row)) for evaluate, component in keys)
-
-        return merge_key
 
     # -- point routing ---------------------------------------------------
 

@@ -248,61 +248,13 @@ def batch_output_rows(batch: ColumnBatch) -> list[Row]:
     return [dict(zip(keys, values)) for values in zip(*arrays)]
 
 
-def gather_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
-    """Concatenate per-shard batches into one batch (the gather node).
-
-    Used by the sharding layer's scatter-gather execution: each shard runs
-    the same lowered pipeline over its own columnar view, and the resulting
-    batches are shipped to the gather node, which concatenates them in shard
-    order so late materialization still happens exactly once, at the root.
-    Every non-empty batch carries the plan's one key layout.
-    """
-    live = [batch for batch in batches if batch.length]
-    if not live:
-        return _empty_batch()
-    if len(live) == 1:
-        # One shard produced every surviving row (skewed filters are
-        # common): its batch still points zero-copy at the shard's arrays.
-        return live[0]
-    key_order = live[0].key_order
-    columns: dict[str, tuple[list, Optional[list[int]]]] = {}
-    for key in key_order:
-        values: list = []
-        for batch in live:
-            values.extend(batch.values_for(key))
-        columns[key] = (values, None)
-    rows: Optional[list[Row]] = None
-    if all(batch.rows is not None for batch in live):
-        rows = [row for batch in live for row in batch.rows]
-    return ColumnBatch(columns, sum(batch.length for batch in live), key_order, rows)
-
-
-def merge_sorted_runs(
-    runs: Sequence[list[Row]], key: Callable[[Row], Any]
-) -> list[Row]:
-    """K-way merge of per-shard sorted runs (the gather under a ``Sort``).
-
-    Each run arrives already sorted by ``key`` (the shards executed the
-    ``Sort`` locally); ``heapq.merge`` is stable across runs in run order,
-    which matches the sequential gather's stable concatenate-then-sort on
-    ties — so the merged ordering is row-identical to the serial path.
-    """
-    live = [run for run in runs if run]
-    if len(live) <= 1:
-        return live[0] if live else []
-    return list(heapq.merge(*live, key=key))
-
-
-# -- partial-aggregate / merge kernels -----------------------------------
+# -- aggregate accumulation kernels -------------------------------------
 #
-# Grouped aggregation is computed in two phases that share these kernels:
-# an *accumulate* phase folds a value column into one partial state per
-# group in a single pass (used by the vectorized aggregate operator below),
-# and a *merge* phase combines partial states computed independently (used
-# by the sharding layer's gather node to merge per-shard partial
-# aggregates).  ``avg`` is decomposed into sum + count partials and
-# finalized with :func:`finalize_avg`, so the merge table only needs the
-# four primitive functions.
+# Grouped aggregation folds a value column into one state per group in a
+# single pass (the vectorized aggregate operator below); ``avg`` is
+# decomposed into sum + count states and finalized with
+# :func:`finalize_avg`, so the table only needs the four primitive
+# functions.
 
 
 def _accumulate_count(values: Sequence, group_ids: Sequence[int], ngroups: int) -> list:
@@ -357,43 +309,6 @@ AGGREGATE_ACCUMULATORS = {
 }
 
 
-def _merge_count(a, b):
-    return a + b
-
-
-def _merge_sum(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _merge_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return b if b < a else a
-
-
-def _merge_max(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return b if b > a else a
-
-
-#: function -> merge of two independently-computed partial states.
-AGGREGATE_MERGERS = {
-    "count": _merge_count,
-    "sum": _merge_sum,
-    "min": _merge_min,
-    "max": _merge_max,
-}
-
-
 def finalize_avg(partial_sum, partial_count):
     """Finalize an ``avg`` decomposed into sum + count partial states."""
     if not partial_count:
@@ -423,8 +338,7 @@ def _plan_partials(
     specs share them.  An emitter is ``(spec name, kind, partial
     indices)`` with kind ``size`` (``count(*)``: group sizes, no partial),
     ``avg`` (a sum and a count partial) or ``partial``.  The kernels and
-    the fused loops plan alike, so both stay slot-compatible with the
-    sharding layer's merge.
+    the fused loops plan alike.
     """
     partial_keys: list[tuple[str, int]] = []
 

@@ -138,9 +138,12 @@ class TestSyncSpanAccounting:
         execute = engine.tracer.traces[-1].find("execute")
         assert execute.attributes["tier"] == mode
         route = engine.tracer.traces[-1].find("route")
-        if shards:
+        if shards and mode == "vectorized":
             assert route.attributes["kind"] == "scatter"
             assert route.attributes["shards"] == tuple(range(shards))
+        elif shards:  # the row tiers run it on the aggregate view
+            assert route.attributes["kind"] == "fallback"
+            assert route.attributes["shards"] is None
         else:
             assert route is None
 

@@ -44,6 +44,17 @@ def _close(value, other) -> bool:
     return value == other
 
 
+def _by_values(rows: list) -> list:
+    """Rows in one canonical order (floats rounded for the sort)."""
+    return sorted(
+        rows,
+        key=lambda row: [
+            repr(round(value, 6) if isinstance(value, float) else value)
+            for value in row.values()
+        ],
+    )
+
+
 def layout_keys(database: Database, sql: str) -> list[str]:
     return [
         entry.key
@@ -164,6 +175,16 @@ class TestSelectListNames:
         assert raised.value.construct == "duplicate output name"
 
 
+#: Bare references to a name both joined inputs have: in the select list,
+#: WHERE, GROUP BY and ON.
+AMBIGUOUS_CORPUS = [
+    "select dept_id from employee e join department d on e.dept_id = d.dept_id",
+    "select * from employee e join department d on e.dept_id = d.dept_id "
+    "where dept_id = 1",
+    "select d.dept_name, count(*) as n from employee e "
+    "join department d on e.dept_id = d.dept_id group by dept_id",
+    "select * from employee e join department d on dept_id = d.dept_id",
+]
 #: The sqlite oracle's corpus over the department/employee fixture.
 ORACLE_CORPUS = [
     "select * from employee",
@@ -175,24 +196,20 @@ ORACLE_CORPUS = [
     "join department d on e.dept_id = d.dept_id",
     "select e.name, d.dept_name from employee e "
     "join department d on e.dept_id = d.dept_id where d.budget > 30",
-    # Bare references to a name both joined inputs have.
-    "select dept_id from employee e join department d on e.dept_id = d.dept_id",
-    "select * from employee e join department d on e.dept_id = d.dept_id "
-    "where dept_id = 1",
-    "select d.dept_name, count(*) as n from employee e "
-    "join department d on e.dept_id = d.dept_id group by dept_id",
-    "select * from employee e join department d on dept_id = d.dept_id",
+    *AMBIGUOUS_CORPUS,
 ]
 
 
-def _sqlite(database: Database) -> sqlite3.Connection:
+def _sqlite(database: Database, rows: bool = True) -> sqlite3.Connection:
     connection = sqlite3.connect(":memory:")
     for name, table in database.tables.items():
         columns = table.schema.column_names
         connection.execute(f"create table {name} ({', '.join(columns)})")
         connection.executemany(
             f"insert into {name} values ({', '.join('?' * len(columns))})",
-            [tuple(row[column] for column in columns) for row in table.rows],
+            [tuple(row[column] for column in columns) for row in table.rows]
+            if rows
+            else [],
         )
     return connection
 
@@ -235,6 +252,21 @@ class TestSqliteOracle:
             assert Counter(
                 tuple(sorted(map(repr, row.values()))) for row in rows
             ) == Counter(tuple(sorted(map(repr, row))) for row in expected_rows)
+
+    @pytest.mark.parametrize("sql", AMBIGUOUS_CORPUS)
+    def test_ambiguity_fails_at_prepare_on_empty_tables(self, simple_database, sql):
+        # sqlite resolves names when it compiles the statement, so a bare
+        # shared name fails with no row to read; so does every tier here.
+        with pytest.raises(sqlite3.OperationalError, match="ambiguous column name"):
+            _sqlite(simple_database, rows=False).execute(sql)
+        for mode in MODES:
+            database = clone(simple_database, mode)
+            for table in database.tables.values():
+                table.clear()
+            with pytest.raises(AmbiguousColumnError, match="ambiguous column"):
+                database.prepare(sql)
+            vectorized = database.execution_stats()["vectorized"]
+            assert vectorized["fallback_reasons"] == {}, mode
 
 
 #: (database, SQL, parameters, the path the vectorized tier must take).
@@ -357,12 +389,14 @@ class TestOneLayoutEverywhere:
                     assert statement.output_columns() == keys
                     for row in rows:
                         assert list(row) == keys, (config, sql)
-                    # Shards concatenate in shard order, and a merged
-                    # partial sum may round differently: compare within a
-                    # shard count, floats approximately.
-                    shards = config.split("/")[1]
-                    expected = reference.setdefault((sql, shards), rows)
+                    # The vectorized tier's shards concatenate in shard
+                    # order and a threaded sum adds in shard order:
+                    # compare it as a multiset; every other configuration
+                    # in order.  Floats approximately.
+                    expected = reference.setdefault(sql, rows)
                     assert len(rows) == len(expected), (config, sql)
+                    if config == "vectorized/3":
+                        rows, expected = _by_values(rows), _by_values(expected)
                     for row, other in zip(rows, expected):
                         assert list(row) == list(other)
                         assert all(
@@ -393,3 +427,33 @@ class TestOneLayoutEverywhere:
                     parse_sql(sql)
                 ) + database.execute_sql(sql).rows
                 assert rows and not stored & {id(row) for row in rows}, (mode, sql)
+
+
+class TestShardedFloatSums:
+    """A float ``sum`` over 3 shards: bit for bit on the row tiers, which
+    run it on the aggregate view; within ``isclose`` on the vectorized
+    tier, whose threaded state adds the shards in shard order."""
+
+    SQL = (
+        "select o_status, count(*) as n, sum(o_net_paid) as total, "
+        "avg(o_quantity) as q from orders where o_quantity > ? group by o_status"
+    )
+
+    def test_sum_over_floats_in_3_shards(self):
+        source = tpcds.build_orders_database(300, 30)
+        for mode in MODES:
+            unsharded = clone(source, mode).execute_sql(self.SQL, (5,)).rows
+            database = clone(source, mode, shards=3)
+            rows = database.execute_sql(self.SQL, (5,)).rows
+            stats = database.sharding_stats()
+            if mode != "vectorized":
+                assert rows == unsharded, mode
+                assert (stats["local"], stats["fallback"]) == (0, 1)
+                continue
+            assert stats["threaded_aggregates"] == 1
+            by_status = {row["o_status"]: row for row in unsharded}
+            assert len(rows) == len(by_status)
+            for row in rows:
+                other = by_status[row["o_status"]]
+                assert list(row) == list(other)
+                assert all(_close(row[key], other[key]) for key in row), row

@@ -6,8 +6,8 @@ ColumnBatch payloads that cross the process boundary, the parallel ≡
 serial scatter ≡ unsharded equivalence property across all three
 execution tiers in thread and process modes (including theta-join /
 unknown-function fallback plans and a shard whose predicate raises
-mid-scatter), the sorted-run k-way merge at the gather node, the group order
-of pool-mode aggregates, counter accounting, the engine facade wiring
+mid-scatter), sort ties at the gather node, aggregates (which never use the
+pool), counter accounting, the engine facade wiring
 (``EngineBuilder.parallel``, the ``sharding`` metrics view's ``parallel``
 section, CLI ``--workers``), and the parallel-scatter trace breakdown.
 """
@@ -30,7 +30,6 @@ from repro.db.parallel import (
 )
 from repro.db.schema import Column, ColumnType
 from repro.db.table import Table
-from repro.db.vectorized import merge_sorted_runs
 
 SHARDS = 4
 
@@ -219,8 +218,9 @@ class TestParallelEquivalence:
             parallel.close_parallel()
 
     def test_theta_join_fallback_plan_stays_exact(self, mode, pool_mode):
-        # Orders sharded, customers broadcast: the theta join scatters with
-        # no vectorized lowering (row-tier per shard under the pool).
+        # Orders sharded, customers broadcast: the theta join has no fused
+        # loop, so the pool's shards decline and it runs on the aggregate
+        # view, in unsharded order.
         reference = build_database(mode="interpreted")
         parallel = build_database(mode=mode)
         parallel.shard_table("orders", "o_c_id", SHARDS)
@@ -233,8 +233,9 @@ class TestParallelEquivalence:
         try:
             rows = parallel.execute_plan(plan).rows
             expected = reference.execute_plan(plan).rows
-            assert as_multiset(rows) == as_multiset(expected)
-            assert parallel.sharding_stats()["scatter"] == 1
+            assert rows == expected
+            stats = parallel.sharding_stats()
+            assert (stats["scatter"], stats["fallback"]) == (0, 1)
         finally:
             parallel.close_parallel()
 
@@ -416,20 +417,6 @@ class TestParallelAccounting:
 
 
 class TestSortedRunMerge:
-    def test_merge_sorted_runs_matches_sorted_concat(self):
-        runs = [
-            [{"k": 1, "run": 0}, {"k": 3, "run": 0}, {"k": 5, "run": 0}],
-            [{"k": 1, "run": 1}, {"k": 2, "run": 1}],
-            [],
-            [{"k": 4, "run": 3}],
-        ]
-        merged = merge_sorted_runs(runs, key=lambda row: row["k"])
-        expected = sorted(
-            (row for run in runs for row in run), key=lambda row: row["k"]
-        )
-        # Stable: ties keep run (= shard) order, like concat-then-sort.
-        assert merged == expected
-
     def test_parallel_sort_is_row_identical_including_ties(self):
         # o_c_id repeats every 10 orders: lots of ties on the first key.
         unsharded = build_database()
@@ -460,7 +447,7 @@ class TestSortedRunMerge:
             parallel.close_parallel()
 
 
-# -- partial-aggregate gather order --------------------------------------------
+# -- aggregate gather order ----------------------------------------------------
 
 
 class TestAggregateGatherOrder:
@@ -479,6 +466,10 @@ class TestAggregateGatherOrder:
             expected = serial.execute_sql(sql).rows
             assert len(expected) > SHARDS
             assert parallel.execute_sql(sql).rows == expected
+            # Aggregates never use the pool: one threaded state, serially.
+            stats = parallel.sharding_stats()
+            assert stats["threaded_aggregates"] == 1
+            assert stats["parallel"]["scatters"] == 0
         finally:
             parallel.close_parallel()
 

@@ -2,10 +2,11 @@
 
 Covers the :class:`~repro.db.sharding.ShardedTable` storage surface (the
 inherited aggregate view must behave exactly like an unsharded table, with
-rows additionally filed in their hash partitions), the three routing
-classes (single-shard routed / shard-local parallel / scatter-gather) with
-their counters, partial-aggregate merging, statistics aggregation, the
-shard-aware prepared point-lookup fast path, and the engine-facade
+rows additionally filed in their hash partitions), the router's four ways
+of serving a statement (single-shard routed, per-shard fused scatter or
+co-partitioned join, the threaded local aggregate, and the aggregate view
+every decline falls back to) with their counters, statistics aggregation,
+the shard-aware prepared point-lookup fast path, and the engine-facade
 configuration (``EngineBuilder.shards`` and the ``sharding`` metrics view).
 """
 
@@ -405,23 +406,53 @@ class TestDatabaseSharding:
             group_by=(ColumnRef("k", "l"), ColumnRef("k", "u")),
             aggregates=(algebra.AggregateSpec("count", None, "n"),),
         )
-        key = lambda r: sorted((k, repr(v)) for k, v in r.items())  # noqa: E731
-        got = sorted(database.execute_plan(plan, sql="x").rows, key=key)
-        want = sorted(reference.execute_plan(plan, sql="x").rows, key=key)
-        assert got == want
-        assert database.sharding_stats()["local"] == 1
+        got = database.execute_plan(plan, sql="x").rows
+        assert got == reference.execute_plan(plan, sql="x").rows
+        # An aggregate over a join has no fused loop: the aggregate view.
+        stats = database.sharding_stats()
+        assert (stats["local"], stats["fallback"]) == (0, 1)
 
     def test_co_partitioned_join_runs_shard_local(self):
-        sharded = build_database(shards=4)
-        unsharded = build_database()
-        sql = (
-            "select o.o_id, c.c_tier from orders o join customers c "
-            "on o.o_c_id = c.c_id order by o.o_id"
-        )
-        assert (
-            sharded.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
+        # A filtered ``select *`` join whose row is wide enough for the
+        # fused probe loop runs join-per-shard.
+        pads = [f"p{i}" for i in range(14)]
+
+        def wide(shards: int) -> Database:
+            database = Database()
+            database.create_table(
+                "l",
+                [Column(name, ColumnType.INT) for name in ("id", "k", *pads)],
+                primary_key="id",
+            )
+            database.create_table(
+                "r",
+                [Column("k", ColumnType.INT), Column("v", ColumnType.INT)],
+                primary_key="k",
+            )
+            database.insert(
+                "l",
+                [{"id": i, "k": i % 7, **dict.fromkeys(pads, i)} for i in range(60)],
+            )
+            database.insert("r", [{"k": k, "v": k * k} for k in range(7)])
+            if shards:
+                database.shard_table("l", "k", shards)
+                database.shard_table("r", "k", shards)
+            database.analyze()
+            return database
+
+        sharded, unsharded = wide(4), wide(0)
+        sql = "select * from l join r on l.k = r.k where l.p0 >= 9"
+        key = lambda r: sorted(r.items())  # noqa: E731
+        assert sorted(sharded.execute_sql(sql).rows, key=key) == sorted(
+            unsharded.execute_sql(sql).rows, key=key
         )
         assert sharded.sharding_stats()["local"] == 1
+        assert sharded.prepare(sql).last_execution_path == "codegen (join)"
+        # A projection over the join is no fused spine: the aggregate view.
+        sql = "select l.id, v from l join r on l.k = r.k order by l.id"
+        assert sharded.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
+        stats = sharded.sharding_stats()
+        assert (stats["local"], stats["fallback"]) == (1, 1)
 
     def test_mismatched_shard_counts_fall_back(self):
         database = build_database()
@@ -459,7 +490,8 @@ class TestDatabaseSharding:
         assert (
             database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         )
-        assert database.sharding_stats()["scatter"] == 1
+        # A projection over the join has no fused loop: the aggregate view.
+        assert database.sharding_stats()["fallback"] == 1
 
     def test_update_through_sharded_table(self):
         sharded = build_database(shards=4)
@@ -597,7 +629,6 @@ class TestDatabaseSharding:
             "scatter": 0,
             "fallback": 0,
             "threaded_aggregates": 0,
-            "merged_aggregates": 0,
             "tables": {},
             "parallel": {"mode": "serial", "workers": 1, "scatters": 0},
         }
@@ -701,12 +732,9 @@ class TestFallbackSubtreesUnderSharding:
             algebra.Scan("customers", "c"),
             BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
         )
-        rows = database.execute_plan(plan).rows
-        expected = reference.execute_plan(plan).rows
-        # Scatter-gather concatenates in shard order: same multiset.
-        key = lambda r: sorted(r.items())  # noqa: E731
-        assert sorted(rows, key=key) == sorted(expected, key=key)
-        assert database.sharding_stats()["scatter"] == 1
+        # No fused loop for a theta join: the aggregate view, in order.
+        assert database.execute_plan(plan).rows == reference.execute_plan(plan).rows
+        assert database.sharding_stats()["fallback"] == 1
 
     def test_unknown_function_over_sharded_table_raises_identically(self):
         sharded = build_database(shards=4)
@@ -746,25 +774,29 @@ class TestFallbackSubtreesUnderSharding:
         )
 
     def test_fallback_reasons_fold_into_retired_totals_across_ddl(self):
-        # A scatter theta join (orders sharded, customers broadcast) has
-        # no vectorized lowering: the scatter probe records ``theta_join``
-        # on a per-shard executor before the row-tier scatter takes over.
-        # DDL (sharding another table) retires those executors, so their
-        # reasons must fold into the retired totals and post-DDL
-        # executions must merge on top.
-        database = build_database()
-        database.shard_table("orders", "o_c_id", 4)
-        plan = algebra.Join(
-            algebra.Scan("orders", "o"),
-            algebra.Scan("customers", "c"),
-            BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
+        # A co-partitioned filtered join whose row is too narrow for the
+        # fused probe loop: shard 0 records the ``narrow_row`` decline on
+        # its own executor, and the statement falls back to the aggregate
+        # view, whose executor records it once more.  DDL (sharding
+        # another table) retires the shard executors, so their reasons
+        # must fold into the retired totals and post-DDL executions must
+        # merge on top.
+        database = build_database(shards=4)
+        router = database._router
+        plan = algebra.Select(
+            algebra.Join(
+                algebra.Scan("orders", "o"),
+                algebra.Scan("customers", "c"),
+                BinaryOp("=", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
+            ),
+            BinaryOp(">", ColumnRef("o_total", "o"), Literal(20)),
         )
         database.execute_plan(plan)
         database.execute_plan(plan)
+        assert router.execution_counters()[1]["join_declines"] == {"narrow_row": 2}
         live = database.execution_stats()["vectorized"]
-        assert live["fallback_reasons"] == {"theta_join": 2}
-        fallbacks_before = live["fallbacks"]
-        assert database.sharding_stats()["scatter"] == 2
+        assert live["join_declines"] == {"narrow_row": 4}
+        assert database.sharding_stats()["fallback"] == 2
         # DDL: sharding another table reuses (and invalidates) the
         # router, folding live per-shard counters into retired totals.
         database.create_table(
@@ -776,15 +808,18 @@ class TestFallbackSubtreesUnderSharding:
             primary_key="r_id",
         )
         database.shard_table("regions", "r_id", 2)
-        retired = database.execution_stats()["vectorized"]
-        assert retired["fallback_reasons"] == {"theta_join": 2}
-        assert retired["fallbacks"] == fallbacks_before
+        assert not router._executors
+        assert router.execution_counters()[1]["join_declines"] == {"narrow_row": 2}
+        assert database.execution_stats()["vectorized"]["join_declines"] == {
+            "narrow_row": 4
+        }
         # Fresh per-shard executors after the DDL merge on top of the
         # retired totals rather than resetting them.
         database.execute_plan(plan)
-        merged = database.execution_stats()["vectorized"]
-        assert merged["fallback_reasons"] == {"theta_join": 3}
-        assert merged["fallbacks"] == fallbacks_before + 1
+        assert router.execution_counters()[1]["join_declines"] == {"narrow_row": 3}
+        assert database.execution_stats()["vectorized"]["join_declines"] == {
+            "narrow_row": 6
+        }
 
 
 class TestEngineFacade:
@@ -872,6 +907,9 @@ class TestShardedExecutionModes:
         ):
             got = sharded.execute_sql(sql).rows
             want = reference.execute_sql(sql).rows
+            if mode != "vectorized":
+                # The row tiers route or take the aggregate view: exact.
+                assert got == want, (mode, sql)
             key = lambda r: sorted(  # noqa: E731
                 (k, repr(v)) for k, v in r.items()
             )
@@ -936,9 +974,9 @@ class TestShardedExecutionModes:
         database.execute_sql("select * from orders where o_total > 50")  # scatter
         database.execute_sql(
             "select o_c_id, count(*) from orders group by o_c_id"
-        )  # local partial aggregate
+        )  # threaded local aggregate
         stats = database.execution_stats()
-        # routed = 1 shard execution; scatter + partial agg = 4 shards each.
+        # routed = 1 shard execution; scatter + local aggregate = 4 shards each.
         assert stats["tiers"]["vectorized"] == 9
         assert stats["vectorized"]["executions"] == 9
         # Counters survive DDL-driven shard-executor invalidation.
@@ -970,7 +1008,7 @@ class TestShardedExecutionModes:
             with pytest.raises(TypeError):
                 database.execute_sql("select g, sum(name) from s group by g")
 
-    def test_vectorized_scatter_gathers_column_batches(self):
+    def test_vectorized_scatter_runs_every_shards_fused_loop(self):
         database = build_database(shards=4, mode="vectorized")
         plan = algebra.Select(
             algebra.Scan("orders"),
@@ -979,7 +1017,7 @@ class TestShardedExecutionModes:
         rows = database._executor.execute(plan)
         assert rows
         router = database._router
-        # Every shard executor served its batch from the vectorized tier.
+        # Every shard executor served its rows from its fused loop.
         shard_executors = [
             executor
             for (names, _), executor in router._executors.items()
@@ -987,11 +1025,11 @@ class TestShardedExecutionModes:
         ]
         assert shard_executors
         assert all(
-            executor._vectorized.executions >= 1 for executor in shard_executors
+            executor._vectorized.codegen_executions == 1 for executor in shard_executors
         )
 
 
-# -- threaded aggregate state vs partial-row merge ------------------------------
+# -- threaded aggregate state, and the aggregate view behind every decline ------
 
 MODES = ("vectorized", "compiled", "interpreted")
 LABELS = ("red", "green", "blue", "cyan")
@@ -1025,11 +1063,10 @@ def shard_executors(database: Database) -> list:
     return [router._shard_executor(AGG_TABLE, i) for i in range(count)]
 
 
-def pin_row_merge(database: Database) -> None:
-    """Every shard executor on the batch kernels: no threaded state."""
+def disable_shard_codegen(database: Database) -> None:
+    """No shard executor runs a fused loop: every local aggregate declines."""
     for executor in shard_executors(database):
-        if executor._vectorized is not None:
-            executor._vectorized.codegen_enabled = False
+        executor._vectorized.codegen_enabled = False
 
 
 def close_to(got, want) -> bool:
@@ -1150,31 +1187,28 @@ class TestThreadedAggregateProperty:
     @pytest.mark.parametrize("mode", MODES)
     @settings(max_examples=60, deadline=None)
     @given(case=aggregate_case())
-    def test_threaded_equals_row_merge_equals_unsharded(self, mode, case):
+    def test_threaded_or_aggregate_view_equals_unsharded(self, mode, case):
         rows, plan, slots, values, group_keys = case
         unsharded = build_agg_database(rows, mode=mode)
         for shards in (1, 8):
-            threaded = build_agg_database(rows, shards, mode)
-            merged = build_agg_database(rows, shards, mode)
-            pin_row_merge(merged)
+            sharded = build_agg_database(rows, shards, mode)
             for execution, value in enumerate(values, start=1):
                 slots[0] = value  # same prepared template, new parameter
-                got = threaded._executor.execute(plan)
-                want = merged._executor.execute(plan)
-                assert rows_close(got, want), (got, want)
+                fallbacks = sharded.sharding_stats()["fallback"]
+                got = sharded._executor.execute(plan)
                 reference = unsharded._executor.execute(plan)
-                assert rows_close(
-                    by_group(got, group_keys), by_group(reference, group_keys)
-                ), (got, reference)
-                stats = threaded.sharding_stats()
-                assert stats["local"] == execution
-                assert (
-                    stats["threaded_aggregates"] + stats["merged_aggregates"]
-                    == execution
-                )
+                stats = sharded.sharding_stats()
+                assert stats["local"] + stats["fallback"] == execution
+                assert stats["threaded_aggregates"] == stats["local"]
                 if mode != "vectorized":
-                    assert stats["threaded_aggregates"] == 0
-                assert merged.sharding_stats()["merged_aggregates"] == execution
+                    assert stats["local"] == 0
+                if stats["fallback"] > fallbacks:
+                    # The aggregate view: unsharded order, floats bit for bit.
+                    assert got == reference
+                else:
+                    assert rows_close(
+                        by_group(got, group_keys), by_group(reference, group_keys)
+                    ), (got, reference)
 
 
 def spread_rows(count: int = 64) -> list:
@@ -1208,16 +1242,14 @@ class TestThreadedAggregate:
             unsharded.execute_sql(GROUPED_SQL).rows, ["s"]
         )
 
-    def test_counters_and_explain_say_which_gather_ran(self):
+    def test_counters_and_explain_say_which_route_ran(self):
         engine = Engine.builder().database(
             build_agg_database(spread_rows(), shards=8)
         ).build()
         database = engine.database
         database.execute_sql(GROUPED_SQL)
         sharding = engine.metrics().views["sharding"]()
-        assert sharding["local"] == 1
-        assert sharding["threaded_aggregates"] == 1
-        assert sharding["merged_aggregates"] == 0
+        assert (sharding["local"], sharding["threaded_aggregates"]) == (1, 1)
         for executor in shard_executors(database):
             assert executor._vectorized.executions == 1
             assert executor._vectorized.codegen_executions == 1
@@ -1225,23 +1257,25 @@ class TestThreadedAggregate:
         views = engine.metrics().as_dict()["views"]
         assert views["sharding"]["threaded_aggregates"] == 1
         report = database.explain_analyze(GROUPED_SQL).render()
+        assert "routing: local-aggregate over shard(s)" in report
         assert "executed: vectorized via codegen" in report
-        assert "gather: threaded state" in report
-        pin_row_merge(database)
-        merged_before = database.sharding_stats()["merged_aggregates"]
+        assert "gather:" not in report
+        disable_shard_codegen(database)
+        before = database.sharding_stats()
         database.execute_sql(GROUPED_SQL)
         sharding = engine.metrics().views["sharding"]()
-        assert sharding["merged_aggregates"] == merged_before + 1
+        assert sharding["local"] == before["local"]
+        assert sharding["fallback"] == before["fallback"] + 1
         report = database.explain_analyze(GROUPED_SQL).render()
-        assert "executed: vectorized via kernel" in report
-        assert "gather: merged partials" in report
-        # A pool takes the partial-row gather, whatever the tier.
+        assert "routing: fallback" in report
+        assert "executed: vectorized via codegen" in report
+        # A pool leaves aggregates to the serial threaded state.
         pooled = build_agg_database(spread_rows(), shards=8)
         pooled.set_parallel(workers=2, mode="thread")
         try:
             pooled.execute_sql(GROUPED_SQL)
-            assert pooled.sharding_stats()["merged_aggregates"] == 1
-            assert pooled.sharding_stats()["threaded_aggregates"] == 0
+            assert pooled.sharding_stats()["threaded_aggregates"] == 1
+            assert pooled.sharding_stats()["parallel"]["scatters"] == 0
         finally:
             pooled.close_parallel()
 
@@ -1255,7 +1289,9 @@ class TestThreadedAggregate:
         assert database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         assert database.sharding_stats()["threaded_aggregates"] == 1
 
-    def test_layouts_that_disagree_on_the_state_fall_back_to_merging(self):
+    def test_layouts_that_disagree_on_the_state_fall_back_to_the_aggregate_view(
+        self,
+    ):
         # Only shard 0 holds a NULL ``w``: its pipeline guards avg's count,
         # the other shards' pipelines do not — one state cannot serve both.
         rows = spread_rows()
@@ -1263,11 +1299,9 @@ class TestThreadedAggregate:
         database = build_agg_database(rows, shards=8)
         unsharded = build_agg_database(rows)
         sql = "select g, avg(w) from t group by g"
-        assert by_group(database.execute_sql(sql).rows, ["g"]) == by_group(
-            unsharded.execute_sql(sql).rows, ["g"]
-        )
+        assert database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         stats = database.sharding_stats()
-        assert (stats["threaded_aggregates"], stats["merged_aggregates"]) == (0, 1)
+        assert (stats["local"], stats["fallback"]) == (0, 1)
         # count(w) alone keeps the same value-list state on every layout.
         sql = "select g, count(w) from t group by g"
         assert by_group(database.execute_sql(sql).rows, ["g"]) == by_group(
@@ -1278,53 +1312,81 @@ class TestThreadedAggregate:
         assert errors == 0  # a decline, not an error
 
 
-class TestThreadedAggregateDeclines:
-    def reference_rows(self) -> list:
-        reference = build_agg_database(spread_rows(), shards=8)
-        pin_row_merge(reference)
-        rows = reference.execute_sql(GROUPED_SQL).rows
-        unsharded = build_agg_database(spread_rows())
-        assert by_group(rows, ["s"]) == by_group(
-            unsharded.execute_sql(GROUPED_SQL).rows, ["s"]
-        )
-        return rows
+#: A scatter over ``t``: every shard runs the fused select loop.
+SCATTER_SQL = "select id, s, w, f from t where v >= 2"
+#: (statement, the counter a shard-served run bumps).
+DECLINE_CASES = [(GROUPED_SQL, "local"), (SCATTER_SQL, "scatter")]
 
-    def test_codegen_off_on_one_shard_takes_the_row_merge_path(self):
+
+class TestThreadedAggregateDeclines:
+    """One shard's decline or error sends a local aggregate or a scatter to
+    the aggregate view: unsharded rows in unsharded order."""
+
+    @pytest.mark.parametrize("sql, kind", DECLINE_CASES)
+    def test_codegen_off_on_one_shard_takes_the_aggregate_view(self, sql, kind):
         database = build_agg_database(spread_rows(), shards=8)
+        unsharded = build_agg_database(spread_rows())
         executors = shard_executors(database)
         executors[5]._vectorized.codegen_enabled = False
-        assert database.execute_sql(GROUPED_SQL).rows == self.reference_rows()
+        assert database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         stats = database.sharding_stats()
-        assert stats["local"] == 1
-        assert (stats["threaded_aggregates"], stats["merged_aggregates"]) == (0, 1)
+        assert (stats[kind], stats["threaded_aggregates"], stats["fallback"]) == (
+            0,
+            0,
+            1,
+        )
         for executor in executors:
-            # One (kernel) execution per shard: the abandoned fold of
-            # shards 0-4 counts nothing.
-            assert executor._vectorized.executions == 1
-            assert executor._vectorized.codegen_executions == 0
-            assert executor.tier_counts["vectorized"] == 1
+            # The abandoned shards count nothing.
+            assert executor._vectorized.executions == 0
+            assert executor.tier_counts["vectorized"] == 0
         vectorized = database.execution_stats()["vectorized"]
         assert vectorized["codegen_errors"] == 0
         assert vectorized["fallbacks"] == 0
+        # The aggregate view ran once, on its own fused loop.
+        assert vectorized["codegen_executions"] == 1
 
-    def test_pipeline_raising_on_shard_3_takes_the_row_merge_path(self):
+    @pytest.mark.parametrize("sql, kind", DECLINE_CASES)
+    def test_pipeline_raising_on_shard_3_takes_the_aggregate_view(self, sql, kind):
         database = build_agg_database(spread_rows(), shards=8)
-        database.execute_sql(GROUPED_SQL)  # compiles the shard pipelines
+        unsharded = build_agg_database(spread_rows())
+        database.execute_sql(sql)  # compiles the shard pipelines
         executors = shard_executors(database)
-        (pipeline,) = executors[3]._vectorized._pipelines.values()
+        pipelines = executors[3]._vectorized._pipelines
+        (key,) = pipelines
 
-        def broken(state, columns, count):
+        def broken(*args):
             raise RuntimeError("shard 3 is broken")
 
-        pipeline.accumulate = broken
-        assert database.execute_sql(GROUPED_SQL).rows == self.reference_rows()
+        if kind == "local":
+            pipelines[key].accumulate = broken
+        else:
+            pipelines[key] = broken
+        assert database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         stats = database.sharding_stats()
-        assert stats["local"] == 2
-        assert (stats["threaded_aggregates"], stats["merged_aggregates"]) == (1, 1)
+        assert (stats[kind], stats["fallback"]) == (1, 1)
         assert [
             executor._vectorized.codegen_errors for executor in executors
         ] == [0, 0, 0, 1, 0, 0, 0, 0]
         for executor in executors:
-            assert executor._vectorized.executions == 2
-            assert executor._vectorized.codegen_executions == 2
+            assert executor._vectorized.executions == 1
+            assert executor._vectorized.codegen_executions == 1
             assert executor._vectorized.fallbacks == 0
+
+    def test_sharding_stats_keep_the_keys_the_e2e_harness_reads(self):
+        database = build_agg_database(spread_rows(), shards=8)
+        assert set(database.sharding_stats()) == {
+            "routed",
+            "local",
+            "scatter",
+            "fallback",
+            "threaded_aggregates",
+            "tables",
+            "parallel",
+        }
+        # Configuring a process pool starts no worker until a scatter.
+        database.set_parallel(workers=2, mode="process")
+        try:
+            pickled = database.sharding_stats()["parallel"]["pickle_bytes"]
+            assert pickled == {"sent": 0, "received": 0}
+        finally:
+            database.close_parallel()
